@@ -107,6 +107,11 @@ void Database::UnregisterStatement(uint64_t query_id,
 
 Result<std::shared_ptr<CachedPlan>> Database::Compile(
     const std::string& sql_text, const sql::Statement& stmt) {
+  std::lock_guard<std::mutex> compile_lock(
+      compile_mutexes_[std::hash<std::string>{}(sql_text) %
+                       compile_mutexes_.size()]);
+  if (auto cached = plan_cache_.Recheck(sql_text)) return cached;
+
   auto plan = std::make_shared<CachedPlan>();
   plan->sql_text = sql_text;
 

@@ -4,6 +4,7 @@
 #ifndef SQLCM_ENGINE_DATABASE_H_
 #define SQLCM_ENGINE_DATABASE_H_
 
+#include <array>
 #include <atomic>
 #include <memory>
 #include <mutex>
@@ -83,6 +84,9 @@ class Database {
   /// Compiles a plannable statement (SELECT/INSERT/UPDATE/DELETE): plans,
   /// optimizes (timing the whole compilation into optimize_micros), lets
   /// the monitor compute signatures, and publishes to the plan cache.
+  /// Call only after a plan-cache miss for `sql_text`. Sessions that miss
+  /// on the same text at once compile it once: the rest wait and reuse
+  /// the published plan.
   common::Result<std::shared_ptr<CachedPlan>> Compile(
       const std::string& sql_text, const sql::Statement& stmt);
 
@@ -118,6 +122,9 @@ class Database {
   storage::Catalog catalog_;
   txn::TransactionManager txn_manager_;
   PlanCache plan_cache_;
+  // Striped by hash of the statement text; serialises concurrent
+  // compilations of one text (and, rarely, of two colliding texts).
+  std::array<std::mutex, 16> compile_mutexes_;
   MonitorHooks* hooks_ = nullptr;
 
   mutable std::mutex proc_mutex_;

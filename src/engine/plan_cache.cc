@@ -14,6 +14,16 @@ std::shared_ptr<CachedPlan> PlanCache::Get(const std::string& sql_text) {
   return it->second.plan;
 }
 
+std::shared_ptr<CachedPlan> PlanCache::Recheck(const std::string& sql_text) {
+  std::lock_guard<std::mutex> lock(mutex_);
+  auto it = map_.find(sql_text);
+  if (it == map_.end()) return nullptr;
+  misses_.fetch_sub(1, std::memory_order_relaxed);
+  hits_.fetch_add(1, std::memory_order_relaxed);
+  lru_.splice(lru_.begin(), lru_, it->second.lru_it);
+  return it->second.plan;
+}
+
 void PlanCache::Put(std::shared_ptr<CachedPlan> plan) {
   std::lock_guard<std::mutex> lock(mutex_);
   auto it = map_.find(plan->sql_text);

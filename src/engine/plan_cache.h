@@ -53,6 +53,12 @@ class PlanCache {
   /// nullptr on miss; refreshes LRU position on hit.
   std::shared_ptr<CachedPlan> Get(const std::string& sql_text);
 
+  /// Second lookup by a caller whose Get just missed and who now holds the
+  /// compile lock for this text: on a hit (another session compiled it in
+  /// the meantime) the earlier miss is recounted as a hit; a miss counts
+  /// nothing. Keeps misses equal to the compilations they cause.
+  std::shared_ptr<CachedPlan> Recheck(const std::string& sql_text);
+
   /// Inserts (replacing any same-text entry) and evicts LRU overflow.
   void Put(std::shared_ptr<CachedPlan> plan);
 

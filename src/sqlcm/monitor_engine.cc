@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <chrono>
+#include <deque>
 #include <memory>
 
 #include "common/fault.h"
@@ -13,7 +14,7 @@
 namespace sqlcm::cm {
 
 /// Per-thread state of the trace currently being assembled. One frame per
-/// thread: a root FireEvent activates it, nested/deferred FireEvents inherit
+/// thread: a root dispatch activates it, nested (eviction) dispatches inherit
 /// it (same trace id, parent span propagated), and the root finalizes it by
 /// offering the buffered spans to the slow-trace table. Durations use the
 /// raw steady clock (nanoseconds) rather than common::Clock: the db clock
@@ -89,17 +90,21 @@ std::vector<std::shared_ptr<QueryRecord>>& ThreadQueryStack() {
   return stack;
 }
 
-std::vector<PendingEviction>& PendingEvictions() {
+std::deque<PendingEviction>& PendingEvictions() {
   // Value-type thread_local: destroyed at thread exit. Safe because the
   // elements hold no references to other thread_local state.
-  thread_local std::vector<PendingEviction> pending;
+  thread_local std::deque<PendingEviction> pending;
   return pending;
 }
+
+/// Cap on the Lat.Evict events one root dispatch drains (guards against
+/// rule cycles such as an Evict rule re-inserting into its own LAT).
+constexpr size_t kMaxCascadeEvents = 100000;
 
 using BindingItem = std::vector<std::pair<MonitoredClass, const void*>>;
 
 /// Reusable buffers for unbound-class iteration (paper §5.2): one set per
-/// (thread, FireEvent nesting depth), so the iteration path allocates only
+/// (thread, dispatch nesting depth), so the iteration path allocates only
 /// until each buffer's high-water capacity is reached. Keepalive vectors
 /// are cleared by the caller as soon as iteration finishes so shared
 /// ownership of query/transaction records is not stretched across events.
@@ -667,13 +672,6 @@ MonitorEngine::SnapshotPredicateStats() const {
   return out;
 }
 
-std::vector<std::shared_ptr<const CompiledRule>> MonitorEngine::RulesFor(
-    EventKind kind) const {
-  const std::shared_ptr<const RuleTable> table =
-      rule_table_.load(std::memory_order_acquire);
-  return table->by_event[static_cast<size_t>(kind)];
-}
-
 // ---------------------------------------------------------------------------
 // Timers
 // ---------------------------------------------------------------------------
@@ -1099,19 +1097,17 @@ void MonitorEngine::FireEvent(EventKind kind, const std::string& qualifier,
                               EvalContext* base_ctx,
                               std::shared_ptr<QueryRecord> query_keepalive,
                               std::shared_ptr<TransactionRecord> txn_keepalive) {
-  if (!has_rules_[static_cast<size_t>(kind)].load(std::memory_order_acquire)) {
-    return;
-  }
+  const size_t k = static_cast<size_t>(kind);
+  if (!has_rules_[k].load(std::memory_order_acquire)) return;
   // RCU load of the compiled dispatch table: the hot path takes no mutex at
   // all (the registry mutex guards only writers, who republish the table).
   const std::shared_ptr<const RuleTable> table =
       rule_table_.load(std::memory_order_acquire);
-  const auto& rules = table->by_event[static_cast<size_t>(kind)];
+  const RuleList& rules = table->by_event[k];
   // Deferral needs a keepalive carrying the bound record's ownership; only
   // terminal events (which always supply one) have deferrable rules.
   const bool defer =
-      event_queue_ != nullptr &&
-      !table->deferred_by_event[static_cast<size_t>(kind)].empty() &&
+      event_queue_ != nullptr && !table->deferred_by_event[k].empty() &&
       (query_keepalive != nullptr || txn_keepalive != nullptr);
   if (rules.empty() && !defer) return;
   // Governor level 4: shed rule evaluation for a sampled-out share of
@@ -1122,11 +1118,11 @@ void MonitorEngine::FireEvent(EventKind kind, const std::string& qualifier,
     return;
   }
   metrics_.events_processed.Inc();
-  const bool tracing = trace_.enabled();
-  uint32_t fired_here = 0;
 
   // One clock read per event; rules reuse it (hot path, Figure 2).
   base_ctx->now_micros = db_->clock()->NowMicros();
+  // Profiling is decided once per event, here at the hook, for both lanes.
+  const bool sampled = spans_.enabled() && SampleTrace(seq);
 
   if (defer) {
     // Hand the deferrable rules to the worker pool: the hook's remaining
@@ -1136,30 +1132,59 @@ void MonitorEngine::FireEvent(EventKind kind, const std::string& qualifier,
     ev.seq = seq;
     ev.now_micros = base_ctx->now_micros;
     ev.enqueue_nanos = SteadyNanos();
-    ev.sampled = spans_.enabled() && SampleTrace(seq);
+    ev.sampled = sampled;
     ev.query = std::move(query_keepalive);
     ev.txn = std::move(txn_keepalive);
     EnqueueDeferred(std::move(ev));
     if (rules.empty()) return;  // nothing left to evaluate inline
   }
 
-  // Causal span plane: open an event span. The first FireEvent on this
-  // thread roots a new trace (id = event seq + 1, sampling decided once per
-  // trace); nested/deferred dispatches attach under the inherited parent.
+  const PredicateIndex* index =
+      options_.predicate_index && table->sync_index[k].any_indexed
+          ? &table->sync_index[k]
+          : nullptr;
+  DispatchEvent(kind, qualifier, seq, sampled, base_ctx, rules, index,
+                /*lat_sink=*/nullptr, /*enqueue_nanos=*/0);
+
+  if (options_.predicate_index && options_.learned_predicate_order &&
+      options_.predicate_reorder_interval > 0 &&
+      seq % options_.predicate_reorder_interval ==
+          options_.predicate_reorder_interval - 1) {
+    // Periodic, contention-free (try_lock) re-rank of the shared predicate
+    // walk from the stats gathered since the last republish.
+    MaybeReorderPredicates();
+  }
+}
+
+void MonitorEngine::DispatchEvent(EventKind kind, const std::string& qualifier,
+                                  uint64_t seq, bool sampled, EvalContext* ctx,
+                                  const RuleList& rules,
+                                  const PredicateIndex* index,
+                                  std::vector<DeferredLatInsert>* lat_sink,
+                                  int64_t enqueue_nanos) {
+  const bool spans_on = spans_.enabled();
+  const int64_t start_nanos =
+      spans_on || enqueue_nanos != 0 ? SteadyNanos() : 0;
+  if (enqueue_nanos != 0) {
+    metrics_.queue_wait_micros.Record((start_nanos - enqueue_nanos) / 1000);
+  }
+
+  // Causal span plane: open an event span. The first dispatch on this
+  // thread roots a new trace (id = event seq + 1); nested dispatches attach
+  // under the inherited parent.
   TraceFrame* frame = nullptr;
   bool trace_root = false;
   uint64_t event_span = 0;
   uint64_t saved_parent = 0;
   uint8_t event_depth = 0;
-  int64_t span_start = 0;
-  if (spans_.enabled()) {
+  if (spans_on) {
     frame = &CurrentTraceFrame();
     if (!frame->active || frame->engine != this) {
       frame->engine = this;
       frame->active = true;
       trace_root = true;
       frame->trace_id = seq + 1;  // 0 means "no trace" in span payloads
-      frame->sampled = SampleTrace(seq);
+      frame->sampled = sampled;
       frame->parent_span = 0;
       frame->depth = 0;
       frame->total_nanos = 0;
@@ -1171,8 +1196,27 @@ void MonitorEngine::FireEvent(EventKind kind, const std::string& qualifier,
     event_depth = frame->depth;
     frame->parent_span = event_span;
     if (frame->depth < 255) ++frame->depth;
-    span_start = SteadyNanos();
-    frame->chain_ns = span_start;
+    frame->chain_ns = start_nanos;
+    if (enqueue_nanos != 0) {
+      // Deferred lane: a queue_wait child span carries the enqueue->drain
+      // latency so sqlcm_profile attributes deferred work.
+      obs::Span wait;
+      wait.trace_id = frame->trace_id;
+      wait.span_id = NewSpanId();
+      wait.parent_id = event_span;
+      wait.ref = common::Fnv1a64(qualifier);
+      wait.start_nanos = enqueue_nanos;
+      wait.duration_nanos = start_nanos - enqueue_nanos;
+      wait.kind = obs::SpanKind::kQueueWait;
+      wait.detail = static_cast<uint8_t>(kind);
+      wait.depth = frame->depth;
+      EmitSpan(frame, wait);
+      if (frame->sampled) {
+        metrics_.profile_queue_spans.Inc();
+        metrics_.profile_queue_nanos.Inc(
+            static_cast<uint64_t>(wait.duration_nanos));
+      }
+    }
   } else {
     // Spans were disabled mid-trace (operator or governor): drop the stale
     // frame so the next enablement starts a fresh trace.
@@ -1186,167 +1230,38 @@ void MonitorEngine::FireEvent(EventKind kind, const std::string& qualifier,
 
   // Shared-conjunct walk state: one memo per event, fanned out to every
   // indexed rule below (docs/PERFORMANCE.md §"Predicate index").
-  const PredicateIndex* index =
-      options_.predicate_index &&
-              table->sync_index[static_cast<size_t>(kind)].any_indexed
-          ? &table->sync_index[static_cast<size_t>(kind)]
-          : nullptr;
   PredicateMemo* memo = nullptr;
   if (index != nullptr) {
     memo = &ThreadPredicateMemo();
     memo->BeginEvent(index->preds.size());
   }
 
+  uint32_t fired_here = 0;
   ++RuleDepth();
   for (size_t rule_pos = 0; rule_pos < rules.size(); ++rule_pos) {
-    const auto& rule = rules[rule_pos];
+    const CompiledRule& rule = *rules[rule_pos];
+    if (!rule.event.qualifier.empty() && rule.event.qualifier != qualifier) {
+      continue;
+    }
     const IndexedRule* entry =
         index != nullptr ? &index->entries[rule_pos] : nullptr;
-    if (!rule->event.qualifier.empty() && rule->event.qualifier != qualifier) {
-      continue;
-    }
-    if (rule->iterate_classes.empty()) {
-      // No unbound classes: evaluate directly against the shared context
-      // (RunRule resets the per-evaluation LAT-row cache itself).
-      if (RunRule(*rule, base_ctx, profiled, nullptr, index, entry, memo)) {
-        ++fired_here;
-        if (memo != nullptr && entry->mutates_lats &&
-            rule_pos + 1 < rules.size()) {
-          // The fired rule's actions changed LAT state mid-event: memoized
-          // LAT-reading conjuncts and the shared row cache no longer match
-          // what naive per-rule evaluation would see for the rules still to
-          // come (after the last rule the memo is dead — skip).
-          memo->InvalidateLatReaders(*index);
-          base_ctx->lat_rows.clear();
-          metrics_.predindex_invalidations.Inc();
-        }
-      }
-      continue;
-    }
-
-    // Unbound-class iteration (paper §5.2): bind every combination of live
-    // objects of the classes the event did not bind. Blocker/Blocked are
-    // iterated as pairs from the lock-resource graph (§6.1). Buffers come
-    // from a per-(thread, depth) scratch pool so this path stops
-    // allocating once capacities warm up.
-    IterationScratch& scratch =
-        IterationScratchAt(static_cast<size_t>(RuleDepth()) - 1);
-    scratch.Clear();
-    auto& query_keepalive = scratch.query_keepalive;
-    auto& txn_keepalive = scratch.txn_keepalive;
-    auto& timer_objects = scratch.timer_objects;
-    auto& pair_objects = scratch.pair_objects;
-    auto& lists = scratch.lists;
-
-    bool want_blocker = false, want_blocked = false;
-    for (MonitoredClass cls : rule->iterate_classes) {
-      if (cls == MonitoredClass::kBlocker) want_blocker = true;
-      if (cls == MonitoredClass::kBlocked) want_blocked = true;
-    }
-    if (want_blocker || want_blocked) {
-      // Waits are measured against the event's already-read timestamp (one
-      // clock read per event, Figure 2).
-      const int64_t now = base_ctx->now_micros;
-      for (const txn::BlockedPair& pair :
-           db_->txn_manager()->lock_manager()->SnapshotBlockedPairs()) {
-        auto blocked_rec = CurrentQueryOfTxn(pair.blocked_txn);
-        auto blocker_rec = CurrentQueryOfTxn(pair.blocker_txn);
-        if (blocked_rec == nullptr || blocker_rec == nullptr) continue;
-        const double wait_secs =
-            static_cast<double>(now - pair.waiting_since_micros) / 1e6;
-        query_keepalive.push_back(blocked_rec);
-        query_keepalive.push_back(blocker_rec);
-        pair_objects.emplace_back(
-            BlockEventView{blocker_rec.get(), wait_secs,
-                           pair.resource.ToString()},
-            BlockEventView{blocked_rec.get(), wait_secs,
-                           pair.resource.ToString()});
-      }
-      std::vector<BindingItem> items;
-      for (const auto& [blocker_view, blocked_view] : pair_objects) {
-        BindingItem item;
-        if (want_blocker) {
-          item.emplace_back(MonitoredClass::kBlocker, &blocker_view);
-        }
-        if (want_blocked) {
-          item.emplace_back(MonitoredClass::kBlocked, &blocked_view);
-        }
-        items.push_back(std::move(item));
-      }
-      lists.push_back(std::move(items));
-    }
-    for (MonitoredClass cls : rule->iterate_classes) {
-      switch (cls) {
-        case MonitoredClass::kQuery: {
-          std::vector<BindingItem> items;
-          {
-            std::lock_guard<std::mutex> lock(objects_mutex_);
-            for (const auto& [_, rec] : active_queries_) {
-              query_keepalive.push_back(rec);
-              items.push_back({{MonitoredClass::kQuery, rec.get()}});
-            }
-          }
-          lists.push_back(std::move(items));
-          break;
-        }
-        case MonitoredClass::kTransaction: {
-          std::vector<BindingItem> items;
-          {
-            std::lock_guard<std::mutex> lock(objects_mutex_);
-            for (const auto& [_, rec] : active_txns_) {
-              txn_keepalive.push_back(rec);
-              items.push_back({{MonitoredClass::kTransaction, rec.get()}});
-            }
-          }
-          lists.push_back(std::move(items));
-          break;
-        }
-        case MonitoredClass::kTimer: {
-          timer_objects = timers_.Snapshot(db_->clock()->NowMicros());
-          std::vector<BindingItem> items;
-          for (const TimerRecord& timer : timer_objects) {
-            items.push_back({{MonitoredClass::kTimer, &timer}});
-          }
-          lists.push_back(std::move(items));
-          break;
-        }
-        default:
-          break;  // Blocker/Blocked already handled as pairs
-      }
-    }
-
-    // Cross product over the lists.
-    auto& idx = scratch.idx;
-    idx.assign(lists.size(), 0);
-    const bool any_empty =
-        std::any_of(lists.begin(), lists.end(),
-                    [](const auto& l) { return l.empty(); });
-    const size_t fired_before = fired_here;
-    if (!any_empty) {
-      for (;;) {
-        EvalContext ctx = *base_ctx;
-        for (size_t l = 0; l < lists.size(); ++l) {
-          for (const auto& [cls, ptr] : lists[l][idx[l]]) {
-            ctx.Bind(cls, ptr);
-          }
-        }
-        if (RunRule(*rule, &ctx, profiled)) ++fired_here;
-        size_t l = 0;
-        for (; l < lists.size(); ++l) {
-          if (++idx[l] < lists[l].size()) break;
-          idx[l] = 0;
-        }
-        if (l == lists.size()) break;
-      }
-    }
-    // Release record ownership promptly (capacity is retained).
-    scratch.Clear();
-    if (memo != nullptr && fired_here != fired_before &&
-        entry->mutates_lats && rule_pos + 1 < rules.size()) {
-      // Iterating rules bypass the index, but their fired actions can still
-      // mutate LATs that later indexed rules read.
+    // Iterating rules are inline by classification, so only the sync lane
+    // (which passes no LAT sink) reaches RunIteratingRule.
+    const uint32_t fired =
+        rule.iterate_classes.empty()
+            ? RunRule(rule, ctx, profiled, lat_sink, index, entry, memo)
+            : RunIteratingRule(rule, ctx, profiled);
+    fired_here += fired;
+    if (fired != 0 && memo != nullptr && entry->mutates_lats &&
+        rule_pos + 1 < rules.size()) {
+      // The fired rule's actions changed LAT state mid-event: memoized
+      // LAT-reading conjuncts and the shared row cache no longer match what
+      // naive per-rule evaluation would see for the rules still to come
+      // (after the last rule the memo is dead — skip). In the deferred lane
+      // inserts buffer in lat_sink, so only RESET actions count as
+      // mutations there (mutates_lats reflects that per lane).
       memo->InvalidateLatReaders(*index);
-      base_ctx->lat_rows.clear();
+      ctx->lat_rows.clear();
       metrics_.predindex_invalidations.Inc();
     }
   }
@@ -1357,8 +1272,8 @@ void MonitorEngine::FireEvent(EventKind kind, const std::string& qualifier,
     span.span_id = event_span;
     span.parent_id = saved_parent;
     span.ref = common::Fnv1a64(qualifier);
-    span.start_nanos = span_start;
-    span.duration_nanos = end - span_start;
+    span.start_nanos = start_nanos;
+    span.duration_nanos = end - start_nanos;
     span.kind = obs::SpanKind::kEvent;
     span.detail = static_cast<uint8_t>(kind);
     span.depth = event_depth;
@@ -1372,48 +1287,44 @@ void MonitorEngine::FireEvent(EventKind kind, const std::string& qualifier,
     frame->parent_span = saved_parent;
     frame->depth = event_depth;
   }
-  if (tracing) {
+  if (trace_.enabled()) {
     // The clock read here is trace-gated; the untraced path stays at one
-    // read per event.
+    // read per event. Measured from the hook's clock read, the duration is
+    // dispatch time in the sync lane and end-to-end (enqueue wait
+    // included) in the deferred lane: "when did this event's effects land".
     trace_.Record(static_cast<uint8_t>(kind), qualifier, fired_here,
-                  base_ctx->now_micros,
-                  db_->clock()->NowMicros() - base_ctx->now_micros);
+                  ctx->now_micros, db_->clock()->NowMicros() - ctx->now_micros);
   }
-  if (--RuleDepth() == 0) {
-    // Drain deferred eviction events; each may enqueue more (bounded to
-    // guard against pathological rule cycles).
+  if (RuleDepth() == 1) {
+    // Outermost dispatch on this thread: drain the deferred eviction events
+    // (paper §5) in FIFO order. Their dispatches run nested, so evictions
+    // they raise only queue here; the cap bounds the whole cascade against
+    // pathological rule cycles.
     auto& pending = PendingEvictions();
-    size_t processed = 0;
-    while (!pending.empty()) {
-      metrics_.deferred_events.Inc();
-      if (++processed > 100000) {
+    for (size_t dispatched = 0; !pending.empty(); ++dispatched) {
+      if (dispatched == kMaxCascadeEvents) {
         RecordError(Status::ResourceExhausted(
-            "deferred-event cascade exceeded 100000 events; dropping rest"));
+            "deferred-event cascade exceeded " +
+            std::to_string(kMaxCascadeEvents) + " events; dropping rest"));
         pending.clear();
         break;
       }
       PendingEviction eviction = std::move(pending.front());
-      pending.erase(pending.begin());
+      pending.pop_front();
+      metrics_.deferred_events.Inc();
       // Re-seat the trace frame under the action span that caused this
       // eviction, so the deferred event parents correctly in the tree.
       if (frame != nullptr && frame->active) {
         frame->parent_span = eviction.parent_span;
         frame->depth = eviction.depth;
       }
-      EvalContext ctx;
-      ctx.evicted_lat = eviction.lat;
-      ctx.evicted_row = &eviction.row;
-      FireEvent(EventKind::kLatEvict, eviction.lat->lower_name(), &ctx);
+      EvalContext evict_ctx;
+      evict_ctx.evicted_lat = eviction.lat;
+      evict_ctx.evicted_row = &eviction.row;
+      FireEvent(EventKind::kLatEvict, eviction.lat->lower_name(), &evict_ctx);
     }
   }
-  if (options_.predicate_index && options_.learned_predicate_order &&
-      options_.predicate_reorder_interval > 0 &&
-      seq % options_.predicate_reorder_interval ==
-          options_.predicate_reorder_interval - 1) {
-    // Periodic, contention-free (try_lock) re-rank of the shared predicate
-    // walk from the stats gathered since the last republish.
-    MaybeReorderPredicates();
-  }
+  --RuleDepth();
   if (trace_root) {
     // Root finalization: the whole cascade (including deferred events) has
     // dispatched; offer the assembled trace as a slow-event exemplar.
@@ -1422,6 +1333,123 @@ void MonitorEngine::FireEvent(EventKind kind, const std::string& qualifier,
     frame->active = false;
     frame->spans.clear();
   }
+}
+
+uint32_t MonitorEngine::RunIteratingRule(const CompiledRule& rule,
+                                         EvalContext* base_ctx,
+                                         TraceFrame* frame) {
+  // Bind every combination of live objects of the classes the event did
+  // not bind. Blocker/Blocked are iterated as pairs from the lock-resource
+  // graph (§6.1). Buffers come from a per-(thread, depth) scratch pool so
+  // this path stops allocating once capacities warm up.
+  IterationScratch& scratch =
+      IterationScratchAt(static_cast<size_t>(RuleDepth()) - 1);
+  scratch.Clear();
+  auto& lists = scratch.lists;
+
+  bool want_blocker = false, want_blocked = false;
+  for (MonitoredClass cls : rule.iterate_classes) {
+    if (cls == MonitoredClass::kBlocker) want_blocker = true;
+    if (cls == MonitoredClass::kBlocked) want_blocked = true;
+  }
+  if (want_blocker || want_blocked) {
+    // Waits are measured against the event's already-read timestamp (one
+    // clock read per event, Figure 2).
+    const int64_t now = base_ctx->now_micros;
+    for (const txn::BlockedPair& pair :
+         db_->txn_manager()->lock_manager()->SnapshotBlockedPairs()) {
+      auto blocked_rec = CurrentQueryOfTxn(pair.blocked_txn);
+      auto blocker_rec = CurrentQueryOfTxn(pair.blocker_txn);
+      if (blocked_rec == nullptr || blocker_rec == nullptr) continue;
+      const double wait_secs =
+          static_cast<double>(now - pair.waiting_since_micros) / 1e6;
+      scratch.query_keepalive.push_back(blocked_rec);
+      scratch.query_keepalive.push_back(blocker_rec);
+      scratch.pair_objects.emplace_back(
+          BlockEventView{blocker_rec.get(), wait_secs,
+                         pair.resource.ToString()},
+          BlockEventView{blocked_rec.get(), wait_secs,
+                         pair.resource.ToString()});
+    }
+    std::vector<BindingItem> items;
+    for (const auto& [blocker_view, blocked_view] : scratch.pair_objects) {
+      BindingItem item;
+      if (want_blocker) {
+        item.emplace_back(MonitoredClass::kBlocker, &blocker_view);
+      }
+      if (want_blocked) {
+        item.emplace_back(MonitoredClass::kBlocked, &blocked_view);
+      }
+      items.push_back(std::move(item));
+    }
+    lists.push_back(std::move(items));
+  }
+  for (MonitoredClass cls : rule.iterate_classes) {
+    switch (cls) {
+      case MonitoredClass::kQuery: {
+        std::vector<BindingItem> items;
+        {
+          std::lock_guard<std::mutex> lock(objects_mutex_);
+          for (const auto& [_, rec] : active_queries_) {
+            scratch.query_keepalive.push_back(rec);
+            items.push_back({{MonitoredClass::kQuery, rec.get()}});
+          }
+        }
+        lists.push_back(std::move(items));
+        break;
+      }
+      case MonitoredClass::kTransaction: {
+        std::vector<BindingItem> items;
+        {
+          std::lock_guard<std::mutex> lock(objects_mutex_);
+          for (const auto& [_, rec] : active_txns_) {
+            scratch.txn_keepalive.push_back(rec);
+            items.push_back({{MonitoredClass::kTransaction, rec.get()}});
+          }
+        }
+        lists.push_back(std::move(items));
+        break;
+      }
+      case MonitoredClass::kTimer: {
+        scratch.timer_objects = timers_.Snapshot(db_->clock()->NowMicros());
+        std::vector<BindingItem> items;
+        for (const TimerRecord& timer : scratch.timer_objects) {
+          items.push_back({{MonitoredClass::kTimer, &timer}});
+        }
+        lists.push_back(std::move(items));
+        break;
+      }
+      default:
+        break;  // Blocker/Blocked already handled as pairs
+    }
+  }
+
+  // Cross product over the lists.
+  uint32_t fired = 0;
+  auto& idx = scratch.idx;
+  idx.assign(lists.size(), 0);
+  const bool any_empty = std::any_of(
+      lists.begin(), lists.end(), [](const auto& l) { return l.empty(); });
+  if (!any_empty) {
+    for (;;) {
+      EvalContext ctx = *base_ctx;
+      for (size_t l = 0; l < lists.size(); ++l) {
+        for (const auto& [cls, ptr] : lists[l][idx[l]]) {
+          ctx.Bind(cls, ptr);
+        }
+      }
+      if (RunRule(rule, &ctx, frame)) ++fired;
+      size_t l = 0;
+      for (; l < lists.size(); ++l) {
+        if (++idx[l] < lists[l].size()) break;
+        idx[l] = 0;
+      }
+      if (l == lists.size()) break;
+    }
+  }
+  // Release record ownership promptly (capacity is retained).
+  scratch.Clear();
+  return fired;
 }
 
 // ---------------------------------------------------------------------------
@@ -1516,6 +1544,7 @@ void MonitorEngine::ProcessDeferredBatch(DeferredEvent* events, size_t count) {
   // across every event in the batch.
   const std::shared_ptr<const RuleTable> table =
       rule_table_.load(std::memory_order_acquire);
+  const std::string no_qualifier;
   std::vector<DeferredLatInsert> sink;
   // Resolve the rule list and predicate index once per consecutive run of
   // same-kind events (batches are bursty, so runs are long). Events are NOT
@@ -1535,7 +1564,18 @@ void MonitorEngine::ProcessDeferredBatch(DeferredEvent* events, size_t count) {
             ? &table->deferred_index[kind]
             : nullptr;
     for (size_t j = i; j < i + run; ++j) {
-      DispatchDeferredEvent(events[j], rules, index, &sink);
+      DeferredEvent& ev = events[j];
+      EvalContext& ctx = ThreadEvalScratch();
+      // Reuse the hook's clock read: deferred rules see the same event
+      // timestamp sync evaluation would have.
+      ctx.now_micros = ev.now_micros;
+      if (ev.query != nullptr) ctx.Bind(MonitoredClass::kQuery, ev.query.get());
+      if (ev.txn != nullptr) {
+        ctx.Bind(MonitoredClass::kTransaction, ev.txn.get());
+      }
+      // Terminal events carry no qualifier.
+      DispatchEvent(ev.kind, no_qualifier, ev.seq, ev.sampled, &ctx, rules,
+                    index, &sink, ev.enqueue_nanos);
     }
     i += run;
   }
@@ -1569,161 +1609,6 @@ void MonitorEngine::ProcessDeferredBatch(DeferredEvent* events, size_t count) {
     } else {
       lat->InsertBatch(items.data(), items.size());
     }
-  }
-}
-
-void MonitorEngine::DispatchDeferredEvent(
-    DeferredEvent& ev,
-    const std::vector<std::shared_ptr<const CompiledRule>>& rules,
-    const PredicateIndex* index, std::vector<DeferredLatInsert>* lat_sink) {
-  EvalContext& ctx = ThreadEvalScratch();
-  // Reuse the hook's clock read: deferred rules see the same event
-  // timestamp sync evaluation would have.
-  ctx.now_micros = ev.now_micros;
-  if (ev.query != nullptr) ctx.Bind(MonitoredClass::kQuery, ev.query.get());
-  if (ev.txn != nullptr) ctx.Bind(MonitoredClass::kTransaction, ev.txn.get());
-
-  const int64_t drain_start = SteadyNanos();
-  metrics_.queue_wait_micros.Record((drain_start - ev.enqueue_nanos) / 1000);
-
-  // Span handling mirrors FireEvent, plus a queue_wait child span carrying
-  // the enqueue->drain latency so sqlcm_profile attributes deferred work.
-  TraceFrame* frame = nullptr;
-  bool trace_root = false;
-  uint64_t event_span = 0;
-  uint64_t saved_parent = 0;
-  uint8_t event_depth = 0;
-  if (spans_.enabled()) {
-    frame = &CurrentTraceFrame();
-    if (!frame->active || frame->engine != this) {
-      frame->engine = this;
-      frame->active = true;
-      trace_root = true;
-      frame->trace_id = ev.seq + 1;
-      frame->sampled = ev.sampled;  // decided once, at the hook
-      frame->parent_span = 0;
-      frame->depth = 0;
-      frame->total_nanos = 0;
-      frame->spans.clear();
-      frame->overflowed = false;
-    }
-    event_span = NewSpanId();
-    saved_parent = frame->parent_span;
-    event_depth = frame->depth;
-    frame->parent_span = event_span;
-    if (frame->depth < 255) ++frame->depth;
-    frame->chain_ns = drain_start;
-
-    obs::Span wait;
-    wait.trace_id = frame->trace_id;
-    wait.span_id = NewSpanId();
-    wait.parent_id = event_span;
-    wait.ref = common::Fnv1a64("");
-    wait.start_nanos = ev.enqueue_nanos;
-    wait.duration_nanos = drain_start - ev.enqueue_nanos;
-    wait.kind = obs::SpanKind::kQueueWait;
-    wait.detail = static_cast<uint8_t>(ev.kind);
-    wait.depth = frame->depth;
-    EmitSpan(frame, wait);
-    if (frame->sampled) {
-      metrics_.profile_queue_spans.Inc();
-      metrics_.profile_queue_nanos.Inc(
-          static_cast<uint64_t>(wait.duration_nanos));
-    }
-  } else {
-    TraceFrame& stale = CurrentTraceFrame();
-    if (stale.active && stale.engine == this) {
-      stale.active = false;
-      stale.spans.clear();
-    }
-  }
-  TraceFrame* profiled = (frame != nullptr && frame->sampled) ? frame : nullptr;
-
-  uint32_t fired_here = 0;
-  PredicateMemo* memo = nullptr;
-  if (index != nullptr) {
-    memo = &ThreadPredicateMemo();
-    memo->BeginEvent(index->preds.size());
-  }
-  ++RuleDepth();
-  for (size_t rule_pos = 0; rule_pos < rules.size(); ++rule_pos) {
-    const auto& rule = rules[rule_pos];
-    const IndexedRule* entry =
-        index != nullptr ? &index->entries[rule_pos] : nullptr;
-    // Terminal events carry no qualifier; deferrable rules never iterate
-    // unbound classes (classification guarantees it).
-    if (!rule->event.qualifier.empty()) continue;
-    if (RunRule(*rule, &ctx, profiled, lat_sink, index, entry, memo)) {
-      ++fired_here;
-      if (memo != nullptr && entry->mutates_lats &&
-          rule_pos + 1 < rules.size()) {
-        // Deferred inserts buffer in lat_sink, so only RESET actions mutate
-        // LAT state mid-batch (mutates_lats reflects that for this lane).
-        memo->InvalidateLatReaders(*index);
-        ctx.lat_rows.clear();
-        metrics_.predindex_invalidations.Inc();
-      }
-    }
-  }
-  if (frame != nullptr) {
-    const int64_t end = SteadyNanos();
-    obs::Span span;
-    span.trace_id = frame->trace_id;
-    span.span_id = event_span;
-    span.parent_id = saved_parent;
-    span.ref = common::Fnv1a64("");
-    span.start_nanos = drain_start;
-    span.duration_nanos = end - drain_start;
-    span.kind = obs::SpanKind::kEvent;
-    span.detail = static_cast<uint8_t>(ev.kind);
-    span.depth = event_depth;
-    EmitSpan(frame, span);
-    frame->total_nanos += span.duration_nanos;
-    if (frame->sampled) {
-      metrics_.profile_events.Inc();
-      metrics_.profile_dispatch_nanos.Inc(
-          static_cast<uint64_t>(span.duration_nanos));
-    }
-    frame->parent_span = saved_parent;
-    frame->depth = event_depth;
-  }
-  if (trace_.enabled()) {
-    // Duration here is end-to-end (enqueue wait included) by design: the
-    // trace ring answers "when did this event's effects land".
-    trace_.Record(static_cast<uint8_t>(ev.kind), "", fired_here,
-                  ev.now_micros, db_->clock()->NowMicros() - ev.now_micros);
-  }
-  if (--RuleDepth() == 0) {
-    // Deferred rules buffer their LAT inserts, so evictions normally pend
-    // only at flush time (RuleDepth 0 -> immediate dispatch); drain any
-    // stragglers for parity with FireEvent.
-    auto& pending = PendingEvictions();
-    size_t processed = 0;
-    while (!pending.empty()) {
-      metrics_.deferred_events.Inc();
-      if (++processed > 100000) {
-        RecordError(Status::ResourceExhausted(
-            "deferred-event cascade exceeded 100000 events; dropping rest"));
-        pending.clear();
-        break;
-      }
-      PendingEviction eviction = std::move(pending.front());
-      pending.erase(pending.begin());
-      if (frame != nullptr && frame->active) {
-        frame->parent_span = eviction.parent_span;
-        frame->depth = eviction.depth;
-      }
-      EvalContext evict_ctx;
-      evict_ctx.evicted_lat = eviction.lat;
-      evict_ctx.evicted_row = &eviction.row;
-      FireEvent(EventKind::kLatEvict, eviction.lat->lower_name(), &evict_ctx);
-    }
-  }
-  if (trace_root) {
-    slow_traces_.Offer(frame->trace_id, frame->total_nanos, frame->spans);
-    if (frame->overflowed) metrics_.profile_trace_overflows.Inc();
-    frame->active = false;
-    frame->spans.clear();
   }
 }
 
@@ -2163,6 +2048,11 @@ std::string MonitorEngine::SubstituteTemplate(const std::string& text,
 // ---------------------------------------------------------------------------
 
 void MonitorEngine::HandleEviction(Lat* lat, Row evicted) {
+  // No enabled rule listens to Lat.Evict: nothing to queue or dispatch.
+  if (!has_rules_[static_cast<size_t>(EventKind::kLatEvict)].load(
+          std::memory_order_acquire)) {
+    return;
+  }
   if (RuleDepth() > 0) {
     PendingEviction eviction{lat, std::move(evicted)};
     if (spans_.enabled()) {

@@ -2,12 +2,14 @@
 //
 // Implements the engine's instrumentation hooks (engine::MonitorHooks) and
 // the lock manager's conflict observer, assembles monitored objects from
-// probes, dispatches ECA rules synchronously in the triggering thread, and
-// owns the LATs, timers and action backends.
+// probes, dispatches ECA rules, and owns the LATs, timers and action
+// backends. One routine (DispatchEvent) evaluates rules in two lanes: sync,
+// in the triggering thread, and deferred, in the monitor worker pool
+// (Options::async_rule_eval); the lanes differ only in its arguments.
 //
 // Threading: hook methods run concurrently in session threads. The
 // dispatch hot path is lock-free: the compiled rule table is published
-// RCU-style through an atomic shared_ptr, so FireEvent never touches the
+// RCU-style through an atomic shared_ptr, so dispatch never touches the
 // registry mutex — that mutex guards only the (cold) DBA surface, which
 // rebuilds and republishes the table on every change ("rules can be added
 // and removed dynamically", §3). LATs use their own fine-grained sharded
@@ -312,19 +314,17 @@ class MonitorEngine final : public engine::MonitorHooks,
                        int64_t wait_micros) override;
 
  private:
+  using RuleList = std::vector<std::shared_ptr<const CompiledRule>>;
+
   struct RuleTable {
     /// Rules evaluated synchronously in the hook thread. When the async
     /// pipeline is off, ALL enabled rules live here (classification is
     /// still computed and visible, but dispatch order stays exactly the
     /// pre-pipeline activation order).
-    std::array<std::vector<std::shared_ptr<const CompiledRule>>,
-               kNumEventKinds>
-        by_event;
+    std::array<RuleList, kNumEventKinds> by_event;
     /// Deferrable rules drained by the worker pool (populated only while
     /// Options::async_rule_eval is on).
-    std::array<std::vector<std::shared_ptr<const CompiledRule>>,
-               kNumEventKinds>
-        deferred_by_event;
+    std::array<RuleList, kNumEventKinds> deferred_by_event;
     /// Shared-conjunct indexes, positionally parallel to the rule vectors
     /// above; built only while Options::predicate_index is on. Part of the
     /// same RCU snapshot so dispatch always sees rules and index agree.
@@ -342,21 +342,33 @@ class MonitorEngine final : public engine::MonitorHooks,
     int64_t now_micros = 0;
   };
 
-  /// Snapshot of the rule list for one event kind (short registry lock).
-  std::vector<std::shared_ptr<const CompiledRule>> RulesFor(
-      EventKind kind) const;
-
   void RebuildRuleTableLocked();
 
-  /// Dispatches all rules for (kind, qualifier) against `base_ctx`,
-  /// handling unbound-class iteration and deferred side-effect events.
-  /// `query_keepalive` / `txn_keepalive` carry the bound record's owning
-  /// reference for terminal events so the async pipeline can enqueue the
-  /// event for evaluation after the registries drop it.
+  /// Sync-lane entry for one event: admits it (governor sampling), enqueues
+  /// it for the deferred lane when deferrable rules listen, and dispatches
+  /// the inline rules. `query_keepalive` / `txn_keepalive` carry the bound
+  /// record's owning reference for terminal events so the async pipeline
+  /// can evaluate the event after the registries drop it.
   void FireEvent(EventKind kind, const std::string& qualifier,
                  EvalContext* base_ctx,
                  std::shared_ptr<QueryRecord> query_keepalive = nullptr,
                  std::shared_ptr<TransactionRecord> txn_keepalive = nullptr);
+  /// Evaluates `rules` in order against `ctx` for either lane, with the
+  /// event span and trace row; the outermost dispatch on the thread also
+  /// drains the Lat.Evict events raised meanwhile. `sampled` decides
+  /// profiling when this dispatch roots the trace; `index` is null when
+  /// indexing is off. The deferred lane passes its LAT insert sink and the
+  /// event's enqueue time (adding the queue_wait span); sync passes null, 0.
+  void DispatchEvent(EventKind kind, const std::string& qualifier,
+                     uint64_t seq, bool sampled, EvalContext* ctx,
+                     const RuleList& rules, const PredicateIndex* index,
+                     std::vector<DeferredLatInsert>* lat_sink,
+                     int64_t enqueue_nanos);
+  /// Unbound-class iteration (paper §5.2) for one rule: runs it once per
+  /// combination of live objects of the classes the event did not bind.
+  /// Returns the number of firings.
+  uint32_t RunIteratingRule(const CompiledRule& rule, EvalContext* base_ctx,
+                            TraceFrame* frame);
 
   // -- Deferred-evaluation pipeline (event_queue.h) ---------------------------
 
@@ -364,17 +376,9 @@ class MonitorEngine final : public engine::MonitorHooks,
   void EnqueueDeferred(DeferredEvent&& ev);
   /// Worker thread body: batch-pop and process until shutdown + drained.
   void MonitorWorkerLoop();
-  /// Evaluates one drained batch against one RCU table load, buffering LAT
+  /// Dispatches one drained batch against one RCU table load, buffering LAT
   /// upserts, then flushes them vectorized (Lat::InsertBatch).
   void ProcessDeferredBatch(DeferredEvent* events, size_t count);
-  /// Evaluates one deferred event's rules (span handling mirrors FireEvent;
-  /// adds the queue_wait child span carrying enqueue->drain latency).
-  /// `index` is the lane's predicate index, or null when indexing is off.
-  void DispatchDeferredEvent(
-      DeferredEvent& ev,
-      const std::vector<std::shared_ptr<const CompiledRule>>& rules,
-      const PredicateIndex* index,
-      std::vector<DeferredLatInsert>* lat_sink);
   /// Returns true when the rule fired (condition passed, actions ran).
   /// `frame` is non-null only when the current trace is sampled for
   /// profiling: condition/action child spans are emitted and self-time is
@@ -464,7 +468,7 @@ class MonitorEngine final : public engine::MonitorHooks,
   std::unordered_map<std::string, std::shared_ptr<Lat>> lats_;  // lower name
   std::vector<std::shared_ptr<CompiledRule>> rules_;            // fixed order
   /// RCU-style publication of the compiled dispatch table: writers rebuild
-  /// under registry_mutex_ and store; FireEvent loads without any lock.
+  /// under registry_mutex_ and store; dispatch loads without any lock.
   std::atomic<std::shared_ptr<const RuleTable>> rule_table_;
   /// Learned predicate state keyed by canonical hash; consulted at every
   /// index build (under registry_mutex_) so selectivity/cost EWMAs survive

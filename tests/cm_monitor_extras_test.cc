@@ -1,6 +1,7 @@
 // Tests for monitor features beyond the §3 basics: byte-limited LATs,
 // Timer.Alert aliasing, the per-user concurrency probe (Example 5(b)),
-// probe-scope gating, file-backed action sinks, and error reporting.
+// probe-scope gating, eviction cascades, file-backed action sinks, and error
+// reporting.
 #include <gtest/gtest.h>
 
 #include <cstdio>
@@ -262,6 +263,82 @@ TEST_F(MonitorExtrasTest, RuleErrorsAreRecordedNotFatal) {
   // The statement itself still succeeds; the failure lands in last_error.
   Exec("SELECT val FROM items WHERE id = 1");
   EXPECT_FALSE(monitor_.last_error().empty());
+}
+
+/// A 1-row Timer-sourced LAT fed by a Query.Commit rule that inserts every
+/// timer, so each commit evicts exactly one row. With `cycle` on, an Evict
+/// rule re-inserts every timer, so each eviction raises another one.
+struct TimerEvictionCascade {
+  explicit TimerEvictionCascade(bool cycle)
+      : monitor(&db), session(db.CreateSession()) {
+    EXPECT_TRUE(
+        session->Execute("CREATE TABLE t (a INT, PRIMARY KEY(a))").ok());
+    EXPECT_TRUE(session->Execute("INSERT INTO t VALUES (1)").ok());
+    EXPECT_TRUE(monitor.CreateTimer("t1").ok());
+    EXPECT_TRUE(monitor.CreateTimer("t2").ok());
+    LatSpec spec;
+    spec.name = "A";
+    spec.object_class = MonitoredClass::kTimer;
+    spec.group_by = {{"Name", ""}};
+    spec.aggregates = {{LatAggFunc::kCount, "", "N", false}};
+    spec.ordering = {{"Name", true}};
+    spec.max_rows = 1;
+    EXPECT_TRUE(monitor.DefineLat(std::move(spec)).ok());
+    RuleSpec feed;
+    feed.name = "feed";
+    feed.event = "Query.Commit";
+    feed.action = "Timer.Insert(A)";
+    EXPECT_TRUE(monitor.AddRule(feed).ok());
+    RuleSpec on_evict;
+    on_evict.name = "on_evict";
+    on_evict.event = "A.Evict";
+    on_evict.action =
+        cycle ? "Timer.Insert(A)" : "SendMail('evicted', 'dba@x')";
+    EXPECT_TRUE(monitor.AddRule(on_evict).ok());
+  }
+
+  uint64_t Fires(const std::string& rule_name) const {
+    for (const auto& rule : monitor.SnapshotRules()) {
+      if (rule->name == rule_name) return rule->stats.fires.value();
+    }
+    return 0;
+  }
+
+  engine::Database db;
+  MonitorEngine monitor;
+  std::unique_ptr<engine::Session> session;
+};
+
+TEST(EvictionCascadeTest, AcyclicEvictRuleFiresOncePerEviction) {
+  TimerEvictionCascade fx(/*cycle=*/false);
+  ASSERT_TRUE(fx.session->Execute("SELECT a FROM t WHERE a = 1").ok());
+  EXPECT_EQ(fx.Fires("feed"), 2u);  // once per timer
+  EXPECT_EQ(fx.Fires("on_evict"), 1u);
+  EXPECT_EQ(fx.monitor.capturing_mailer()->size(), 1u);
+  EXPECT_EQ(fx.monitor.metrics().deferred_events.value(), 1u);
+  EXPECT_EQ(fx.monitor.total_errors(), 0u) << fx.monitor.last_error();
+}
+
+TEST(EvictionCascadeTest, SelfFeedingEvictRuleStopsAtCascadeCap) {
+  // Every eviction raises another one. The drain must stay iterative (one
+  // stack frame however long the cascade) and stop at the cap, dropping
+  // the rest and reporting it.
+  TimerEvictionCascade fx(/*cycle=*/true);
+  ASSERT_TRUE(fx.session->Execute("SELECT a FROM t WHERE a = 1").ok());
+  bool capped = false;
+  for (const auto& entry : fx.monitor.recent_errors()) {
+    if (entry.message.find("deferred-event cascade exceeded 100000 events") !=
+        std::string::npos) {
+      capped = true;
+    }
+  }
+  EXPECT_TRUE(capped) << fx.monitor.last_error();
+  const uint64_t dispatched = fx.monitor.metrics().deferred_events.value();
+  EXPECT_GE(dispatched, 100000u);
+  EXPECT_LE(dispatched, 100001u);
+  EXPECT_EQ(fx.Fires("feed"), 2u);
+  EXPECT_EQ(fx.Fires("on_evict"), 2 * dispatched);  // once per timer
+  EXPECT_EQ(fx.monitor.FindLat("A")->size(), 1u);
 }
 
 TEST(FileAppendingSinkTest, WritesMailAndCommands) {

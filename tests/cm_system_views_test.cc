@@ -9,6 +9,7 @@
 #include <cstdio>
 #include <fstream>
 #include <map>
+#include <set>
 #include <sstream>
 #include <string>
 #include <thread>
@@ -366,6 +367,96 @@ TEST_F(SystemViewsTest, TraceSpansReconstructEvictionCascadeTree) {
   EXPECT_TRUE(saw_condition);
   EXPECT_TRUE(saw_upsert);
   EXPECT_TRUE(saw_cascade);
+}
+
+TEST(DeferredLaneViewsTest, SpansProfileAndEventTraceCoverDrainedEvents) {
+  // The deferred lane's observability: each drained event roots its own
+  // trace with a queue_wait child plus the rule's condition and action
+  // spans, the queue wait surfaces in sqlcm_profile, and the event trace
+  // holds one row per drained event with the deferred fire count.
+  engine::Database db;
+  MonitorEngine::Options options;
+  options.async_rule_eval = true;
+  MonitorEngine monitor(&db, options);
+  auto session = db.CreateSession();
+  auto exec = [&session](const std::string& sql) {
+    auto result = session->Execute(sql);
+    EXPECT_TRUE(result.ok()) << sql << " -> " << result.status();
+    return result.ok() ? *result : QueryResult{};
+  };
+  exec("CREATE TABLE items (id INT, val FLOAT, PRIMARY KEY(id))");
+  for (int i = 0; i < 10; ++i) {
+    exec("INSERT INTO items VALUES (" + std::to_string(i) + ", 1.0)");
+  }
+  LatSpec spec;
+  spec.name = "DeferredLat";
+  spec.group_by = {{"Logical_Signature", "Sig"}};
+  spec.aggregates = {{LatAggFunc::kCount, "", "N", false}};
+  ASSERT_TRUE(monitor.DefineLat(std::move(spec)).ok());
+  RuleSpec feed;
+  feed.name = "deferred_feed";
+  feed.event = "Query.Commit";
+  feed.condition = "Query.Duration >= 0";
+  feed.action = "Query.Insert(DeferredLat)";
+  ASSERT_TRUE(monitor.AddRule(feed).ok());
+  ASSERT_TRUE(monitor.SnapshotRules()[0]->deferrable);
+
+  monitor.span_ring()->set_enabled(true);
+  monitor.trace_ring()->set_enabled(true);
+  constexpr int kEvents = 10;
+  for (int i = 0; i < kEvents; ++i) {
+    exec("SELECT val FROM items WHERE id = " + std::to_string(i));
+  }
+  monitor.DrainEventQueue();
+  const uint64_t fires = monitor.SnapshotRules()[0]->stats.fires.value();
+  EXPECT_EQ(fires, static_cast<uint64_t>(kEvents));
+  EXPECT_EQ(monitor.metrics().queue_enqueued.value(),
+            static_cast<uint64_t>(kEvents));
+
+  // Read first: later view queries are themselves deferred events.
+  const QueryResult trace =
+      exec("SELECT event, qualifier, rules_fired FROM sqlcm_event_trace");
+  ASSERT_EQ(trace.rows.size(), static_cast<size_t>(kEvents));
+  int64_t traced_fires = 0;
+  for (const auto& row : trace.rows) {
+    EXPECT_EQ(row[0].ToDisplayString(), "Query.Commit");
+    EXPECT_EQ(row[1].ToDisplayString(), "");
+    traced_fires += row[2].int_value();
+  }
+  EXPECT_EQ(traced_fires, static_cast<int64_t>(fires));
+
+  const QueryResult spans = exec(
+      "SELECT span_id, parent_id, kind, name FROM sqlcm_trace_spans");
+  std::map<int64_t, std::set<std::string>> children;  // root -> child kinds
+  for (const auto& row : spans.rows) {
+    if (row[2].ToDisplayString() == "event" && row[1].int_value() == 0 &&
+        row[3].ToDisplayString() == "Query.Commit") {
+      children[row[0].int_value()];
+    }
+  }
+  for (const auto& row : spans.rows) {
+    auto it = children.find(row[1].int_value());
+    if (it != children.end()) it->second.insert(row[2].ToDisplayString());
+  }
+  int complete_roots = 0;
+  for (const auto& [root, kinds] : children) {
+    if (kinds.count("queue_wait") && kinds.count("condition") &&
+        kinds.count("action")) {
+      ++complete_roots;
+    }
+  }
+  EXPECT_GE(complete_roots, kEvents);
+
+  const QueryResult profile =
+      exec("SELECT component, name, spans FROM sqlcm_profile");
+  bool saw_queue = false;
+  for (const auto& row : profile.rows) {
+    if (row[0].ToDisplayString() == "queue") {
+      EXPECT_GE(row[2].int_value(), kEvents);
+      saw_queue = true;
+    }
+  }
+  EXPECT_TRUE(saw_queue);
 }
 
 TEST_F(SystemViewsTest, SlowEventsRetainWholeTracesRankedByCost) {
