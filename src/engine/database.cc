@@ -127,6 +127,9 @@ Result<std::shared_ptr<CachedPlan>> Database::Compile(
   if (hooks_ != nullptr) {
     hooks_->OnStatementCompiled(plan.get());
   }
+  // Only signature computation reads the logical plan; cached plans keep
+  // just the physical one (about half a cached plan's footprint).
+  plan->logical.reset();
   plan_cache_.Put(plan);
   return plan;
 }

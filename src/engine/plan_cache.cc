@@ -2,6 +2,11 @@
 
 namespace sqlcm::engine {
 
+std::shared_ptr<CachedPlan> PlanCache::Touch(Lru::iterator it) {
+  lru_.splice(lru_.begin(), lru_, it);
+  return *it;
+}
+
 std::shared_ptr<CachedPlan> PlanCache::Get(const std::string& sql_text) {
   std::lock_guard<std::mutex> lock(mutex_);
   auto it = map_.find(sql_text);
@@ -10,8 +15,7 @@ std::shared_ptr<CachedPlan> PlanCache::Get(const std::string& sql_text) {
     return nullptr;
   }
   hits_.fetch_add(1, std::memory_order_relaxed);
-  lru_.splice(lru_.begin(), lru_, it->second.lru_it);
-  return it->second.plan;
+  return Touch(it->second);
 }
 
 std::shared_ptr<CachedPlan> PlanCache::Recheck(const std::string& sql_text) {
@@ -20,23 +24,26 @@ std::shared_ptr<CachedPlan> PlanCache::Recheck(const std::string& sql_text) {
   if (it == map_.end()) return nullptr;
   misses_.fetch_sub(1, std::memory_order_relaxed);
   hits_.fetch_add(1, std::memory_order_relaxed);
-  lru_.splice(lru_.begin(), lru_, it->second.lru_it);
-  return it->second.plan;
+  return Touch(it->second);
 }
 
 void PlanCache::Put(std::shared_ptr<CachedPlan> plan) {
   std::lock_guard<std::mutex> lock(mutex_);
   auto it = map_.find(plan->sql_text);
   if (it != map_.end()) {
-    lru_.splice(lru_.begin(), lru_, it->second.lru_it);
-    it->second.plan = std::move(plan);
+    // Same text: re-key onto the new plan's text before the old plan (and
+    // the string the current key views) is dropped.
+    const Lru::iterator node = it->second;
+    map_.erase(it);
+    lru_.splice(lru_.begin(), lru_, node);
+    *node = std::move(plan);
+    map_.emplace((*node)->sql_text, node);
     return;
   }
-  const std::string key = plan->sql_text;
-  lru_.push_front(key);
-  map_.emplace(key, Slot{std::move(plan), lru_.begin()});
+  lru_.push_front(std::move(plan));
+  map_.emplace(lru_.front()->sql_text, lru_.begin());
   while (map_.size() > capacity_ && !lru_.empty()) {
-    map_.erase(lru_.back());
+    map_.erase(lru_.back()->sql_text);
     lru_.pop_back();
     evictions_.fetch_add(1, std::memory_order_relaxed);
   }

@@ -14,6 +14,7 @@
 #include <memory>
 #include <mutex>
 #include <string>
+#include <string_view>
 #include <unordered_map>
 
 #include "exec/logical_plan.h"
@@ -26,6 +27,9 @@ namespace sqlcm::engine {
 /// published to the cache) and the execution counter.
 struct CachedPlan {
   std::string sql_text;
+  /// Read only while computing signatures (OnStatementCompiled);
+  /// Database::Compile releases it before the plan is cached, since the
+  /// physical plan owns copies of everything execution needs.
   std::unique_ptr<exec::LogicalPlan> logical;
   std::unique_ptr<exec::PhysicalPlan> physical;
 
@@ -43,7 +47,8 @@ struct CachedPlan {
   std::atomic<uint64_t> execution_count{0};
 };
 
-/// Thread-safe LRU cache keyed by exact SQL text.
+/// Thread-safe LRU cache keyed by exact SQL text. The text is stored once,
+/// in the plan: map keys are views into CachedPlan::sql_text.
 class PlanCache {
  public:
   explicit PlanCache(size_t capacity) : capacity_(capacity) {}
@@ -75,13 +80,15 @@ class PlanCache {
  private:
   const size_t capacity_;
   mutable std::mutex mutex_;
-  // LRU list front = most recent; map value holds list iterator + entry.
-  std::list<std::string> lru_;
-  struct Slot {
-    std::shared_ptr<CachedPlan> plan;
-    std::list<std::string>::iterator lru_it;
-  };
-  std::unordered_map<std::string, Slot> map_;
+  using Lru = std::list<std::shared_ptr<CachedPlan>>;
+  /// Refreshes `it`'s LRU position and returns its plan.
+  std::shared_ptr<CachedPlan> Touch(Lru::iterator it);
+
+  // LRU list front = most recent. Each map key views the sql_text of the
+  // plan its list node holds, so a key must leave the map before its plan
+  // leaves the list.
+  Lru lru_;
+  std::unordered_map<std::string_view, Lru::iterator> map_;
   std::atomic<uint64_t> hits_{0};
   std::atomic<uint64_t> misses_{0};
   std::atomic<uint64_t> evictions_{0};

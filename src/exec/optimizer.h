@@ -26,8 +26,10 @@ class Optimizer {
   Optimizer() = default;
   explicit Optimizer(Options options) : options_(options) {}
 
-  /// Produces a physical plan. The logical plan is not consumed (both are
-  /// retained by plan-cache entries).
+  /// Produces a physical plan. The logical plan is not consumed: the
+  /// physical plan owns copies of everything it needs, so callers may free
+  /// the logical plan afterwards (plan-cache entries keep only the
+  /// physical plan).
   common::Result<std::unique_ptr<PhysicalPlan>> Optimize(
       const LogicalPlan& logical);
 

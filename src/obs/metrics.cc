@@ -81,29 +81,39 @@ void LatencyHistogram::Reset() {
   max_.store(0, std::memory_order_relaxed);
 }
 
-void MetricsRegistry::RegisterCounter(std::string name, const Counter* counter) {
+void MetricsRegistry::Add(Entry entry) {
   std::lock_guard<std::mutex> lock(mutex_);
+  entries_.push_back(std::move(entry));
+}
+
+void MetricsRegistry::RegisterCounter(std::string name, const Counter* counter) {
   Entry e;
   e.name = std::move(name);
   e.counter = counter;
-  entries_.push_back(std::move(e));
+  Add(std::move(e));
+}
+
+void MetricsRegistry::RegisterCounter(std::string name,
+                                      const StripedCounter* counter) {
+  Entry e;
+  e.name = std::move(name);
+  e.striped_counter = counter;
+  Add(std::move(e));
 }
 
 void MetricsRegistry::RegisterGauge(std::string name, const Gauge* gauge) {
-  std::lock_guard<std::mutex> lock(mutex_);
   Entry e;
   e.name = std::move(name);
   e.gauge = gauge;
-  entries_.push_back(std::move(e));
+  Add(std::move(e));
 }
 
 void MetricsRegistry::RegisterHistogram(std::string name,
                                         const LatencyHistogram* histogram) {
-  std::lock_guard<std::mutex> lock(mutex_);
   Entry e;
   e.name = std::move(name);
   e.histogram = histogram;
-  entries_.push_back(std::move(e));
+  Add(std::move(e));
 }
 
 std::string PrometheusMetricName(std::string_view name,
@@ -139,11 +149,11 @@ std::string MetricsRegistry::DumpPrometheus(std::string_view prefix) const {
   out.reserve(entries_.size() * 128);
   for (const Entry& e : entries_) {
     const std::string help = PrometheusEscapeHelp(e.name);
-    if (e.counter != nullptr) {
+    if (e.is_counter()) {
       const std::string name = PrometheusMetricName(e.name, prefix) + "_total";
       out += "# HELP " + name + " " + help + "\n";
       out += "# TYPE " + name + " counter\n";
-      out += name + " " + std::to_string(e.counter->value()) + "\n";
+      out += name + " " + std::to_string(e.counter_value()) + "\n";
     } else if (e.gauge != nullptr) {
       const std::string name = PrometheusMetricName(e.name, prefix);
       out += "# HELP " + name + " " + help + "\n";
@@ -178,9 +188,9 @@ std::vector<MetricsRegistry::Sample> MetricsRegistry::Snapshot() const {
   std::vector<Sample> out;
   out.reserve(entries_.size() * 2);
   for (const Entry& e : entries_) {
-    if (e.counter != nullptr) {
+    if (e.is_counter()) {
       out.push_back({e.name, "counter",
-                     static_cast<double>(e.counter->value())});
+                     static_cast<double>(e.counter_value())});
     } else if (e.gauge != nullptr) {
       out.push_back({e.name, "gauge", static_cast<double>(e.gauge->value())});
     } else if (e.histogram != nullptr) {

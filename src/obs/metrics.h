@@ -4,6 +4,9 @@
 // §6); this module gives the reproduction the instruments to measure that
 // claim about itself. Everything on the update path is lock-free:
 //   * Counter / Gauge — single relaxed atomics;
+//   * StripedCounter — one relaxed atomic per thread stripe, each on its
+//     own cache line, for the counters every rule visit bumps (sessions
+//     never write a line another session writes);
 //   * LatencyHistogram — fixed power-of-two buckets with p50/p95/p99
 //     extraction, a handful of relaxed atomic ops per Record().
 // A MetricsRegistry holds non-owning named references so the whole
@@ -12,7 +15,8 @@
 //
 // Threading: Record/Inc/Set are safe from any thread. Snapshot/percentile
 // reads are lock-free too and see a near-consistent view (counts may lag
-// sums by in-flight updates); registry registration is mutex-guarded and
+// sums by in-flight updates; a striped counter sums its stripes on read,
+// exact once writers quiesce); registry registration is mutex-guarded and
 // expected at setup time only.
 #ifndef SQLCM_OBS_METRICS_H_
 #define SQLCM_OBS_METRICS_H_
@@ -36,6 +40,56 @@ class Counter {
 
  private:
   std::atomic<uint64_t> value_{0};
+};
+
+/// Stripes per StripedCounter. Stripe indexes are handed out round-robin
+/// to threads on first use, so up to this many threads never share one.
+inline constexpr size_t kCounterStripes = 8;
+
+namespace internal {
+inline std::atomic<size_t> next_counter_stripe{0};
+/// The calling thread's stripe, fixed for the thread's lifetime.
+inline thread_local const size_t thread_counter_stripe =
+    next_counter_stripe.fetch_add(1, std::memory_order_relaxed) %
+    kCounterStripes;
+}  // namespace internal
+
+/// Monotonic counter for hot paths bumped by many threads at once: each
+/// thread adds into its own cache-line-padded stripe, and value() sums the
+/// stripes. Threads beyond kCounterStripes share stripes (still exact:
+/// every stripe update is an atomic add). Same API as Counter; 512 bytes
+/// instead of 8, so use it only where a shared line would bounce.
+class StripedCounter {
+ public:
+  void Inc(uint64_t n = 1) {
+    stripes_[internal::thread_counter_stripe].value.fetch_add(
+        n, std::memory_order_relaxed);
+  }
+  uint64_t value() const {
+    uint64_t sum = 0;
+    for (const Stripe& s : stripes_) {
+      sum += s.value.load(std::memory_order_relaxed);
+    }
+    return sum;
+  }
+  void Reset() {
+    for (Stripe& s : stripes_) s.value.store(0, std::memory_order_relaxed);
+  }
+  /// Zeroes every stripe and returns what they held. An Inc racing with
+  /// Take lands either in the returned sum or in the next one, never lost.
+  uint64_t Take() {
+    uint64_t sum = 0;
+    for (Stripe& s : stripes_) {
+      sum += s.value.exchange(0, std::memory_order_relaxed);
+    }
+    return sum;
+  }
+
+ private:
+  struct alignas(64) Stripe {
+    std::atomic<uint64_t> value{0};
+  };
+  std::array<Stripe, kCounterStripes> stripes_{};
 };
 
 /// Instantaneous signed level (queue depths, row counts).
@@ -101,6 +155,7 @@ class LatencyHistogram {
 class MetricsRegistry {
  public:
   void RegisterCounter(std::string name, const Counter* counter);
+  void RegisterCounter(std::string name, const StripedCounter* counter);
   void RegisterGauge(std::string name, const Gauge* gauge);
   void RegisterHistogram(std::string name, const LatencyHistogram* histogram);
 
@@ -127,9 +182,18 @@ class MetricsRegistry {
   struct Entry {
     std::string name;
     const Counter* counter = nullptr;
+    const StripedCounter* striped_counter = nullptr;
     const Gauge* gauge = nullptr;
     const LatencyHistogram* histogram = nullptr;
+
+    bool is_counter() const {
+      return counter != nullptr || striped_counter != nullptr;
+    }
+    uint64_t counter_value() const {
+      return counter != nullptr ? counter->value() : striped_counter->value();
+    }
   };
+  void Add(Entry entry);
   mutable std::mutex mutex_;
   std::vector<Entry> entries_;
 };

@@ -2,6 +2,7 @@
 
 #include <bit>
 #include <cstring>
+#include <thread>
 
 #include "common/string_util.h"
 
@@ -14,9 +15,16 @@ TraceRing::TraceRing(size_t capacity) {
   slots_ = std::make_unique<Slot[]>(capacity_);
 }
 
-bool TraceRing::AdvanceStamp(std::atomic<uint64_t>& stamp, uint64_t target) {
+bool TraceRing::ClaimSlot(std::atomic<uint64_t>& stamp, uint64_t target) {
   uint64_t cur = stamp.load(std::memory_order_acquire);
   while (cur < target) {
+    if ((cur & 1) != 0) {
+      // An older lap is mid-write; its payload stores must not interleave
+      // with ours, so wait for it to publish (a handful of stores).
+      std::this_thread::yield();
+      cur = stamp.load(std::memory_order_acquire);
+      continue;
+    }
     if (stamp.compare_exchange_weak(cur, target, std::memory_order_acq_rel,
                                     std::memory_order_acquire)) {
       return true;
@@ -33,7 +41,10 @@ void TraceRing::Record(uint8_t kind, std::string_view qualifier,
   Slot& slot = slots_[ticket & mask_];
 
   // Claim the slot; if a newer lap already owns it, drop this event.
-  if (!AdvanceStamp(slot.stamp, 2 * ticket + 1)) return;
+  if (!ClaimSlot(slot.stamp, 2 * ticket + 1)) return;
+  // Orders the claim before the payload stores for Snapshot()'s
+  // load-payload / acquire-fence / re-check-stamp sequence.
+  std::atomic_thread_fence(std::memory_order_release);
 
   slot.ts_micros.store(ts_micros, std::memory_order_relaxed);
   slot.dispatch_micros.store(dispatch_micros, std::memory_order_relaxed);
@@ -51,8 +62,8 @@ void TraceRing::Record(uint8_t kind, std::string_view qualifier,
   slot.qualifier_len.store(static_cast<uint8_t>(len),
                            std::memory_order_relaxed);
 
-  // Publish; if a newer writer raced past us the stamp is already ahead.
-  AdvanceStamp(slot.stamp, 2 * ticket + 2);
+  // Publish. The claim is exclusive: no newer lap claims an odd stamp.
+  slot.stamp.store(2 * ticket + 2, std::memory_order_release);
 }
 
 std::vector<TraceEvent> TraceRing::Snapshot() const {

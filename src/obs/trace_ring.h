@@ -1,16 +1,17 @@
 // Bounded multi-producer event-trace ring for the monitor engine.
 //
-// Producers are session threads dispatching monitor events; they must never
-// block, so the ring is lock-free: a ticket counter assigns slots and each
-// slot carries a stamp encoding write progress (2*ticket+1 = write begun,
-// 2*ticket+2 = write complete). Stamps only move forward (monotonic CAS), so
-// a slow writer that lost its slot to a newer lap simply skips publication.
+// Producers are session threads dispatching monitor events; a ticket
+// counter assigns slots and each slot carries a stamp encoding write
+// progress (2*ticket+1 = write begun, 2*ticket+2 = write complete). Stamps
+// only move forward (monotonic CAS), so a slow writer whose slot a newer
+// lap already claimed drops its event. A claim is exclusive: a writer
+// whose slot is still being written by an older lap (odd stamp) yields
+// until that write publishes — only possible when the ring wraps within
+// one write — so payload stores of two writers never interleave.
 // Payload fields are individually-relaxed atomics rather than plain fields
 // behind a seqlock — this keeps the protocol free of data races (TSan-clean)
 // at the cost of a torn-but-detected read: Snapshot() re-checks the stamp
-// and drops any slot that changed mid-read. On a ring lap it is possible for
-// a slot to expose a mix of two *completed* writes' fields; snapshots are
-// diagnostics, not audit logs, and the enclosing test tolerance reflects it.
+// and drops any slot that changed mid-read.
 #ifndef SQLCM_OBS_TRACE_RING_H_
 #define SQLCM_OBS_TRACE_RING_H_
 
@@ -44,7 +45,8 @@ class TraceRing {
   void set_enabled(bool on) { enabled_.store(on, std::memory_order_relaxed); }
   bool enabled() const { return enabled_.load(std::memory_order_relaxed); }
 
-  /// No-op when disabled. Lock-free, wait-free apart from the stamp CAS.
+  /// No-op when disabled. Lock-free unless the ring laps a writer mid-write
+  /// (then the newer writer yields until the older one publishes).
   void Record(uint8_t kind, std::string_view qualifier, uint32_t rules_fired,
               int64_t ts_micros, int64_t dispatch_micros);
 
@@ -76,9 +78,9 @@ class TraceRing {
     std::array<std::atomic<uint64_t>, 3> qualifier_words{};
   };
 
-  /// Advance `stamp` to `target` only if it is currently older; returns false
-  /// when a newer ticket already owns the slot.
-  static bool AdvanceStamp(std::atomic<uint64_t>& stamp, uint64_t target);
+  /// Moves `stamp` to the odd `target` once no older write is in progress;
+  /// returns false when a newer ticket already owns the slot.
+  static bool ClaimSlot(std::atomic<uint64_t>& stamp, uint64_t target);
 
   size_t capacity_;       // power of two
   size_t mask_;

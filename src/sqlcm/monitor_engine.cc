@@ -134,6 +134,28 @@ IterationScratch& IterationScratchAt(size_t depth) {
   return *pool[depth];
 }
 
+/// The calling thread's snapshot of the rule table of the engine it last
+/// dispatched for (see MonitorEngine::ThreadRuleTable). Type-erased because
+/// the table type is private to the engine; engine_id 0 = empty. A thread
+/// that switches engines replaces the snapshot, so it holds at most one.
+struct RuleTableSnapshot {
+  uint64_t engine_id = 0;
+  uint64_t version = 0;
+  std::shared_ptr<const void> table;
+};
+
+RuleTableSnapshot& ThreadRuleTableSnapshot() {
+  // Value-type thread_local: destroyed at thread exit, releasing the
+  // table. Tables reference no engine-owned state on destruction.
+  thread_local RuleTableSnapshot snapshot;
+  return snapshot;
+}
+
+uint64_t NextEngineId() {
+  static std::atomic<uint64_t> next{1};
+  return next.fetch_add(1, std::memory_order_relaxed);
+}
+
 /// Per-thread memo for the shared-conjunct walk. One event is in flight per
 /// thread at a time for any indexed kind (nested dispatch only happens for
 /// kLatEvict, which is never indexed), so a single slot suffices.
@@ -205,6 +227,7 @@ MonitorEngine::MonitorEngine(engine::Database* db, Options options)
       timers_(db->clock(),
               [this](const TimerRecord& timer) { HandleTimerAlarm(timer); }),
       rule_table_(std::make_shared<const RuleTable>()),
+      engine_id_(NextEngineId()),
       trace_(options.trace_capacity),
       spans_(options.span_capacity),
       slow_traces_(options.slow_trace_k),
@@ -611,7 +634,7 @@ void MonitorEngine::RebuildRuleTableLocked() {
                                !table->deferred_by_event[kind].empty(),
                            std::memory_order_release);
   }
-  rule_table_.store(std::move(table), std::memory_order_release);
+  PublishRuleTable(std::move(table));
   track_transactions_.store(track_txns, std::memory_order_release);
   // Blocking attribution and the concurrency probe both need the global
   // registries.
@@ -627,24 +650,61 @@ void MonitorEngine::MaybeReorderPredicates() {
   // holds the registry lock — dispatch must never wait on writers.
   std::unique_lock<std::mutex> lock(registry_mutex_, std::try_to_lock);
   if (!lock.owns_lock()) return;
-  const std::shared_ptr<const RuleTable> current =
-      rule_table_.load(std::memory_order_acquire);
   // Copy-on-write republish: the live table is immutable to readers, so the
-  // re-ranked walk order lands as a fresh RCU snapshot. Stats objects are
+  // re-ranked walk order lands as a fresh snapshot. Stats objects are
   // shared (registry-owned), so EWMAs keep accumulating across the swap.
-  auto table = std::make_shared<RuleTable>(*current);
+  auto table = std::make_shared<RuleTable>(*LoadRuleTable());
   for (size_t kind = 0; kind < kNumEventKinds; ++kind) {
     ReorderPredicateIndex(&table->sync_index[kind]);
     ReorderPredicateIndex(&table->deferred_index[kind]);
   }
-  rule_table_.store(std::move(table), std::memory_order_release);
+  PublishRuleTable(std::move(table));
   metrics_.predindex_reorders.Inc();
+}
+
+void MonitorEngine::PublishRuleTable(std::shared_ptr<const RuleTable> table) {
+  std::lock_guard<std::mutex> lock(rule_table_mutex_);
+  rule_table_.swap(table);
+  rule_table_version_.fetch_add(1, std::memory_order_release);
+}  // the replaced table is released here, outside the lock
+
+std::shared_ptr<const MonitorEngine::RuleTable> MonitorEngine::LoadRuleTable()
+    const {
+  std::lock_guard<std::mutex> lock(rule_table_mutex_);
+  return rule_table_;
+}
+
+const MonitorEngine::RuleTable& MonitorEngine::ThreadRuleTable(
+    std::shared_ptr<const RuleTable>* pin) {
+  RuleTableSnapshot& snapshot = ThreadRuleTableSnapshot();
+  const bool mine = snapshot.engine_id == engine_id_;
+  if (RuleDepth() > 0) {
+    // Nested dispatch: outer frames on this thread may be iterating the
+    // snapshot, so it is not replaced until the outermost event ends.
+    if (mine) return *static_cast<const RuleTable*>(snapshot.table.get());
+    *pin = LoadRuleTable();
+    return **pin;
+  }
+  // Versions start at 1, so a snapshot of another engine (version reset to
+  // 0) always refreshes.
+  if (!mine) {
+    snapshot.engine_id = engine_id_;
+    snapshot.version = 0;
+  }
+  if (snapshot.version !=
+      rule_table_version_.load(std::memory_order_acquire)) {
+    // Declared before the lock so the old table is released after it.
+    std::shared_ptr<const void> old = std::move(snapshot.table);
+    std::lock_guard<std::mutex> lock(rule_table_mutex_);
+    snapshot.table = rule_table_;
+    snapshot.version = rule_table_version_.load(std::memory_order_relaxed);
+  }
+  return *static_cast<const RuleTable*>(snapshot.table.get());
 }
 
 std::vector<MonitorEngine::PredicateStatRow>
 MonitorEngine::SnapshotPredicateStats() const {
-  const std::shared_ptr<const RuleTable> table =
-      rule_table_.load(std::memory_order_acquire);
+  const std::shared_ptr<const RuleTable> table = LoadRuleTable();
   std::vector<PredicateStatRow> out;
   for (size_t kind = 0; kind < kNumEventKinds; ++kind) {
     const struct {
@@ -1099,15 +1159,15 @@ void MonitorEngine::FireEvent(EventKind kind, const std::string& qualifier,
                               std::shared_ptr<TransactionRecord> txn_keepalive) {
   const size_t k = static_cast<size_t>(kind);
   if (!has_rules_[k].load(std::memory_order_acquire)) return;
-  // RCU load of the compiled dispatch table: the hot path takes no mutex at
-  // all (the registry mutex guards only writers, who republish the table).
-  const std::shared_ptr<const RuleTable> table =
-      rule_table_.load(std::memory_order_acquire);
-  const RuleList& rules = table->by_event[k];
+  // The thread's own snapshot of the dispatch table: no mutex and no
+  // shared write unless a DDL or reorder moved the version.
+  std::shared_ptr<const RuleTable> pin;
+  const RuleTable& table = ThreadRuleTable(&pin);
+  const RuleList& rules = table.by_event[k];
   // Deferral needs a keepalive carrying the bound record's ownership; only
   // terminal events (which always supply one) have deferrable rules.
   const bool defer =
-      event_queue_ != nullptr && !table->deferred_by_event[k].empty() &&
+      event_queue_ != nullptr && !table.deferred_by_event[k].empty() &&
       (query_keepalive != nullptr || txn_keepalive != nullptr);
   if (rules.empty() && !defer) return;
   // Governor level 4: shed rule evaluation for a sampled-out share of
@@ -1136,16 +1196,19 @@ void MonitorEngine::FireEvent(EventKind kind, const std::string& qualifier,
     ev.query = std::move(query_keepalive);
     ev.txn = std::move(txn_keepalive);
     EnqueueDeferred(std::move(ev));
-    if (rules.empty()) return;  // nothing left to evaluate inline
   }
 
-  const PredicateIndex* index =
-      options_.predicate_index && table->sync_index[k].any_indexed
-          ? &table->sync_index[k]
-          : nullptr;
-  DispatchEvent(kind, qualifier, seq, sampled, base_ctx, rules, index,
-                /*lat_sink=*/nullptr, /*enqueue_nanos=*/0);
+  if (!rules.empty()) {
+    const PredicateIndex* index =
+        options_.predicate_index && table.sync_index[k].any_indexed
+            ? &table.sync_index[k]
+            : nullptr;
+    DispatchEvent(kind, qualifier, seq, sampled, base_ctx, rules, index,
+                  /*lat_sink=*/nullptr, /*enqueue_nanos=*/0);
+  }
 
+  // Both lanes' walks re-rank here, including events whose rules are all
+  // deferred (the drain loop never reorders).
   if (options_.predicate_index && options_.learned_predicate_order &&
       options_.predicate_reorder_interval > 0 &&
       seq % options_.predicate_reorder_interval ==
@@ -1235,6 +1298,9 @@ void MonitorEngine::DispatchEvent(EventKind kind, const std::string& qualifier,
     memo = &ThreadPredicateMemo();
     memo->BeginEvent(index->preds.size());
   }
+  // Walk and fire counts add up here and reach the (striped) engine
+  // counters once per event rather than once per rule.
+  PredWalkCounters walk;
 
   uint32_t fired_here = 0;
   ++RuleDepth();
@@ -1249,7 +1315,8 @@ void MonitorEngine::DispatchEvent(EventKind kind, const std::string& qualifier,
     // (which passes no LAT sink) reaches RunIteratingRule.
     const uint32_t fired =
         rule.iterate_classes.empty()
-            ? RunRule(rule, ctx, profiled, lat_sink, index, entry, memo)
+            ? RunRule(rule, ctx, profiled, lat_sink, index, entry, memo,
+                      &walk)
             : RunIteratingRule(rule, ctx, profiled);
     fired_here += fired;
     if (fired != 0 && memo != nullptr && entry->mutates_lats &&
@@ -1266,7 +1333,13 @@ void MonitorEngine::DispatchEvent(EventKind kind, const std::string& qualifier,
     }
   }
   if (frame != nullptr) {
-    const int64_t end = SteadyNanos();
+    // A profiled event span ends where its last condition/action window
+    // closed, so the rules' self-times add up to it exactly. What follows
+    // that close (emitting the window's span, its counters) is tracing
+    // bookkeeping and stays outside, like the trace-ring write below.
+    const int64_t end = profiled != nullptr && frame->chain_ns != start_nanos
+                            ? frame->chain_ns
+                            : SteadyNanos();
     obs::Span span;
     span.trace_id = frame->trace_id;
     span.span_id = event_span;
@@ -1287,6 +1360,11 @@ void MonitorEngine::DispatchEvent(EventKind kind, const std::string& qualifier,
     frame->parent_span = saved_parent;
     frame->depth = event_depth;
   }
+  // Published after the event span closes: the span's self-time is split
+  // among the rules' condition/action windows, and this is bookkeeping.
+  if (walk.evals != 0) metrics_.predindex_evals.Inc(walk.evals);
+  if (walk.memo_hits != 0) metrics_.predindex_memo_hits.Inc(walk.memo_hits);
+  if (fired_here != 0) metrics_.rules_fired.Inc(fired_here);
   if (trace_.enabled()) {
     // The clock read here is trace-gated; the untraced path stays at one
     // read per event. Measured from the hook's clock read, the duration is
@@ -1540,10 +1618,13 @@ void MonitorEngine::DrainEventQueue() {
 }
 
 void MonitorEngine::ProcessDeferredBatch(DeferredEvent* events, size_t count) {
-  // One RCU table load per batch: rule-table dispatch cost is amortized
-  // across every event in the batch.
-  const std::shared_ptr<const RuleTable> table =
-      rule_table_.load(std::memory_order_acquire);
+  // One table snapshot per batch (taken at depth 0, so it may refresh):
+  // the nested cascades below keep it, and its cost is amortized across
+  // every event in the batch. `table` must not be used after the dispatch
+  // loop: evictions raised by the flush dispatch at depth 0 and may
+  // refresh this thread's snapshot.
+  std::shared_ptr<const RuleTable> pin;
+  const RuleTable& table = ThreadRuleTable(&pin);
   const std::string no_qualifier;
   std::vector<DeferredLatInsert> sink;
   // Resolve the rule list and predicate index once per consecutive run of
@@ -1554,14 +1635,14 @@ void MonitorEngine::ProcessDeferredBatch(DeferredEvent* events, size_t count) {
   while (i < count) {
     const size_t kind = static_cast<size_t>(events[i].kind);
     const size_t run = KindRunLength(events, i, count);
-    const auto& rules = table->deferred_by_event[kind];
+    const auto& rules = table.deferred_by_event[kind];
     if (rules.empty()) {  // rules removed/disabled since enqueue
       i += run;
       continue;
     }
     const PredicateIndex* index =
-        options_.predicate_index && table->deferred_index[kind].any_indexed
-            ? &table->deferred_index[kind]
+        options_.predicate_index && table.deferred_index[kind].any_indexed
+            ? &table.deferred_index[kind]
             : nullptr;
     for (size_t j = i; j < i + run; ++j) {
       DeferredEvent& ev = events[j];
@@ -1616,7 +1697,8 @@ bool MonitorEngine::RunRule(const CompiledRule& rule, EvalContext* ctx,
                             TraceFrame* frame,
                             std::vector<DeferredLatInsert>* lat_sink,
                             const PredicateIndex* index,
-                            const IndexedRule* entry, PredicateMemo* memo) {
+                            const IndexedRule* entry, PredicateMemo* memo,
+                            PredWalkCounters* walk) {
   // Quarantine gate: a tripped breaker takes the rule out of dispatch until
   // its cooldown admits a half-open probe (or ReinstateRule intervenes).
   if (!rule.breaker.Allow(ctx->now_micros)) {
@@ -1628,18 +1710,15 @@ bool MonitorEngine::RunRule(const CompiledRule& rule, EvalContext* ctx,
   bool cond_pass = true;
   bool walked = false;
   if (index != nullptr && entry != nullptr && entry->indexed &&
-      memo != nullptr) {
+      memo != nullptr && walk != nullptr) {
     // Shared-conjunct walk: each distinct predicate evaluates once per
     // event, memoized for every subscribed rule. Authoring order is kept
     // exact unless learned ordering is on (then a NULL conjunct may
     // short-circuit before an erroring one — strictly fewer errors, same
     // firing decisions).
-    PredWalkCounters counters;
     const IndexVerdict verdict = EvalIndexedCondition(
         *index, *entry, /*strict_order=*/!options_.learned_predicate_order,
-        ctx, memo, &counters);
-    metrics_.predindex_evals.Inc(counters.evals);
-    metrics_.predindex_memo_hits.Inc(counters.memo_hits);
+        ctx, memo, walk);
     if (verdict == IndexVerdict::kError) {
       // A conjunct errored: replay this rule naively so the error text,
       // per-rule stats, and breaker accounting match index-off evaluation
@@ -1696,7 +1775,6 @@ bool MonitorEngine::RunRule(const CompiledRule& rule, EvalContext* ctx,
     rule.breaker.OnSuccess(ctx->now_micros);
     return false;
   }
-  metrics_.rules_fired.Inc();
   rule.stats.fires.Inc();
   const bool timed = detailed_timing_.load(std::memory_order_relaxed);
   const int64_t action_start =

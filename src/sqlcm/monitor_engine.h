@@ -8,12 +8,13 @@
 // (Options::async_rule_eval); the lanes differ only in its arguments.
 //
 // Threading: hook methods run concurrently in session threads. The
-// dispatch hot path is lock-free: the compiled rule table is published
-// RCU-style through an atomic shared_ptr, so dispatch never touches the
-// registry mutex — that mutex guards only the (cold) DBA surface, which
-// rebuilds and republishes the table on every change ("rules can be added
-// and removed dynamically", §3). LATs use their own fine-grained sharded
-// latches (see lat.h).
+// dispatch hot path takes no lock and writes no cache line another session
+// writes: each thread dispatches from its own cached snapshot of the
+// compiled rule table, refreshed only when the table's version moves, and
+// the counters a rule visit bumps are striped per thread. The registry
+// mutex guards only the (cold) DBA surface, which rebuilds and republishes
+// the table on every change ("rules can be added and removed dynamically",
+// §3). LATs use their own fine-grained sharded latches (see lat.h).
 #ifndef SQLCM_SQLCM_MONITOR_ENGINE_H_
 #define SQLCM_SQLCM_MONITOR_ENGINE_H_
 
@@ -137,7 +138,7 @@ class MonitorEngine final : public engine::MonitorHooks,
     /// order with bit-exact naive error accounting.
     bool learned_predicate_order = true;
     /// Events between reorder passes (0 disables reordering; the pass
-    /// itself is a cheap RCU republish off the hot path).
+    /// itself is a cheap table republish off the hot path).
     uint64_t predicate_reorder_interval = 4096;
   };
 
@@ -288,7 +289,7 @@ class MonitorEngine final : public engine::MonitorHooks,
     double mean_cost_ns = 0;
     int64_t rank = -1;
   };
-  /// Lock-free walk of the current RCU rule-table snapshot's indexes.
+  /// Walk of the current rule table's indexes (pinned for the walk).
   std::vector<PredicateStatRow> SnapshotPredicateStats() const;
 
   // -- engine::MonitorHooks ----------------------------------------------------
@@ -327,7 +328,8 @@ class MonitorEngine final : public engine::MonitorHooks,
     std::array<RuleList, kNumEventKinds> deferred_by_event;
     /// Shared-conjunct indexes, positionally parallel to the rule vectors
     /// above; built only while Options::predicate_index is on. Part of the
-    /// same RCU snapshot so dispatch always sees rules and index agree.
+    /// same published snapshot so dispatch always sees rules and index
+    /// agree.
     std::array<PredicateIndex, kNumEventKinds> sync_index;
     std::array<PredicateIndex, kNumEventKinds> deferred_index;
   };
@@ -343,6 +345,17 @@ class MonitorEngine final : public engine::MonitorHooks,
   };
 
   void RebuildRuleTableLocked();
+
+  /// Publishes `table` as the current dispatch table and moves the version
+  /// so every thread refreshes its snapshot at its next outermost event.
+  void PublishRuleTable(std::shared_ptr<const RuleTable> table);
+  /// The current table, pinned by the returned reference (cold paths).
+  std::shared_ptr<const RuleTable> LoadRuleTable() const;
+  /// The calling thread's snapshot of the dispatch table. Refreshed only at
+  /// RuleDepth() == 0, so a nested (eviction cascade) dispatch keeps the
+  /// table its outer frames are iterating. `pin` takes ownership when the
+  /// snapshot cannot be cached (nested dispatch on an uncached engine).
+  const RuleTable& ThreadRuleTable(std::shared_ptr<const RuleTable>* pin);
 
   /// Sync-lane entry for one event: admits it (governor sampling), enqueues
   /// it for the deferred lane when deferrable rules listen, and dispatches
@@ -376,7 +389,7 @@ class MonitorEngine final : public engine::MonitorHooks,
   void EnqueueDeferred(DeferredEvent&& ev);
   /// Worker thread body: batch-pop and process until shutdown + drained.
   void MonitorWorkerLoop();
-  /// Dispatches one drained batch against one RCU table load, buffering LAT
+  /// Dispatches one drained batch against one table snapshot, buffering LAT
   /// upserts, then flushes them vectorized (Lat::InsertBatch).
   void ProcessDeferredBatch(DeferredEvent* events, size_t count);
   /// Returns true when the rule fired (condition passed, actions ran).
@@ -387,12 +400,14 @@ class MonitorEngine final : public engine::MonitorHooks,
   /// immediately; the caller flushes via Lat::InsertBatch. When `index` /
   /// `entry` / `memo` are set and the entry is indexed, the condition is
   /// answered by the memoized shared-conjunct walk (an error verdict falls
-  /// back to the naive evaluator below for exact accounting).
+  /// back to the naive evaluator below for exact accounting), whose counts
+  /// add into `walk` (the caller publishes them once per event).
   bool RunRule(const CompiledRule& rule, EvalContext* ctx, TraceFrame* frame,
                std::vector<DeferredLatInsert>* lat_sink = nullptr,
                const PredicateIndex* index = nullptr,
                const IndexedRule* entry = nullptr,
-               PredicateMemo* memo = nullptr);
+               PredicateMemo* memo = nullptr,
+               PredWalkCounters* walk = nullptr);
   common::Status ExecuteAction(const CompiledAction& action, EvalContext* ctx,
                                TraceFrame* frame,
                                std::vector<DeferredLatInsert>* lat_sink);
@@ -467,9 +482,17 @@ class MonitorEngine final : public engine::MonitorHooks,
   mutable std::mutex registry_mutex_;  // lats_, rules_ (writers of rule_table_)
   std::unordered_map<std::string, std::shared_ptr<Lat>> lats_;  // lower name
   std::vector<std::shared_ptr<CompiledRule>> rules_;            // fixed order
-  /// RCU-style publication of the compiled dispatch table: writers rebuild
-  /// under registry_mutex_ and store; dispatch loads without any lock.
-  std::atomic<std::shared_ptr<const RuleTable>> rule_table_;
+  /// Publication of the compiled dispatch table: writers rebuild under
+  /// registry_mutex_ and swap it under rule_table_mutex_, bumping
+  /// rule_table_version_. Dispatch threads keep a per-thread snapshot keyed
+  /// by engine_id_ (ThreadRuleTable) and take the mutex only to refresh
+  /// after the version moved; a replaced table is freed once every thread
+  /// holding it has refreshed (or exited).
+  mutable std::mutex rule_table_mutex_;
+  std::shared_ptr<const RuleTable> rule_table_;  // guarded by the mutex
+  std::atomic<uint64_t> rule_table_version_{1};
+  /// Process-unique, never reused (addresses are, across engine lifetimes).
+  const uint64_t engine_id_;
   /// Learned predicate state keyed by canonical hash; consulted at every
   /// index build (under registry_mutex_) so selectivity/cost EWMAs survive
   /// CREATE/DROP RULE swaps and reorders. Entries are never dropped — the

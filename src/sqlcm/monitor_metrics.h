@@ -42,9 +42,11 @@ struct MonitorMetrics {
 
   std::array<HookStats, kNumMonitorHooks> hooks;
 
-  obs::Counter fast_path_calls;   // hook invocations with monitoring off
-  obs::Counter events_processed;  // events with >= 1 registered rule
-  obs::Counter rules_fired;       // rules whose actions ran
+  // Counters bumped per event or per rule visit are striped per thread so
+  // concurrent sessions never write a shared cache line (obs::StripedCounter).
+  obs::Counter fast_path_calls;          // hook invocations with monitoring off
+  obs::StripedCounter events_processed;  // events with >= 1 registered rule
+  obs::StripedCounter rules_fired;       // rules whose actions ran
   obs::Counter errors_total;      // condition/action/persist failures
   obs::Counter deferred_events;   // LAT evictions dispatched after unwind
   obs::LatencyHistogram signature_micros;   // per-compile signature cost
@@ -84,8 +86,8 @@ struct MonitorMetrics {
 
   // Shared predicate index + learned ordering (docs/PERFORMANCE.md
   // §Predicate index). memo_hits / (evals + memo_hits) is the sharing rate.
-  obs::Counter predindex_evals;          // distinct predicate evaluations
-  obs::Counter predindex_memo_hits;      // conjuncts answered from the memo
+  obs::StripedCounter predindex_evals;      // distinct predicate evaluations
+  obs::StripedCounter predindex_memo_hits;  // conjuncts answered from the memo
   obs::Counter predindex_fallbacks;      // rules replayed naively (error parity)
   obs::Counter predindex_invalidations;  // mid-event LAT-mutation flushes
   obs::Counter predindex_reorders;       // learned-order republishes

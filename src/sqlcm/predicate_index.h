@@ -114,7 +114,7 @@ struct IndexedRule {
 };
 
 /// Immutable-once-published index for one (event kind, dispatch lane);
-/// embedded in the engine's RCU rule table and swapped with it.
+/// embedded in the engine's published rule table and swapped with it.
 struct PredicateIndex {
   std::vector<IndexedPredicate> preds;
   std::vector<IndexedRule> entries;

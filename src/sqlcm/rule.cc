@@ -904,6 +904,7 @@ const char* RuleBreaker::state_name() const { return StateName(state()); }
 
 void RuleBreaker::Configure(const Options& options) {
   std::lock_guard<std::mutex> lock(mutex_);
+  FoldSuccessesLocked();  // tallied successes counted under the old window
   options_ = options;
 }
 
@@ -934,23 +935,41 @@ bool RuleBreaker::Allow(int64_t now_micros) {
 
 void RuleBreaker::OnSuccess(int64_t) {
   if (state_.load(std::memory_order_relaxed) == State::kClosed) {
-    std::lock_guard<std::mutex> lock(mutex_);
-    consecutive_failures_ = 0;
-    if (++window_events_ >= options_.window_size) {
-      window_events_ = 0;
-      window_errors_ = 0;
-    }
+    pending_successes_.Inc();  // folded by the next locked path
     return;
   }
   std::lock_guard<std::mutex> lock(mutex_);
   if (state_.load(std::memory_order_relaxed) == State::kHalfOpen) {
-    // Probe succeeded: the rule has recovered.
+    // Probe succeeded: the rule has recovered. The window restarts, so
+    // any tally left from before the trip is moot.
     state_.store(State::kClosed, std::memory_order_relaxed);
     probe_in_flight_ = false;
+    pending_successes_.Take();
     consecutive_failures_ = 0;
     window_events_ = 0;
     window_errors_ = 0;
   }
+}
+
+void RuleBreaker::FoldSuccessesLocked() {
+  const uint64_t n = pending_successes_.Take();
+  if (n == 0) return;
+  consecutive_failures_ = 0;
+  // Each success is one window event, and the window (events and errors)
+  // restarts whenever it reaches window_size: the first restart comes
+  // after `first_wrap` successes, later ones every window_size.
+  const int64_t size = options_.window_size;
+  const uint64_t first_wrap =
+      static_cast<uint64_t>(std::max<int64_t>(1, size - window_events_));
+  if (n < first_wrap) {
+    window_events_ += static_cast<int64_t>(n);
+    return;
+  }
+  window_errors_ = 0;
+  window_events_ =
+      size > 0 ? static_cast<int64_t>((n - first_wrap) %
+                                      static_cast<uint64_t>(size))
+               : 0;
 }
 
 bool RuleBreaker::ShouldTripLocked() const {
@@ -965,6 +984,7 @@ bool RuleBreaker::ShouldTripLocked() const {
 
 bool RuleBreaker::OnFailure(int64_t now_micros) {
   std::lock_guard<std::mutex> lock(mutex_);
+  FoldSuccessesLocked();
   const State state = state_.load(std::memory_order_relaxed);
   if (state == State::kHalfOpen) {
     // Probe failed: straight back to open, cooldown restarts.
@@ -995,6 +1015,7 @@ void RuleBreaker::Reinstate() {
   std::lock_guard<std::mutex> lock(mutex_);
   state_.store(State::kClosed, std::memory_order_relaxed);
   probe_in_flight_ = false;
+  pending_successes_.Take();
   consecutive_failures_ = 0;
   window_events_ = 0;
   window_errors_ = 0;
@@ -1002,7 +1023,9 @@ void RuleBreaker::Reinstate() {
 
 int64_t RuleBreaker::consecutive_failures() const {
   std::lock_guard<std::mutex> lock(mutex_);
-  return consecutive_failures_;
+  // Folding would only zero the count: any tallied success follows the
+  // last failure (failures fold first).
+  return pending_successes_.value() > 0 ? 0 : consecutive_failures_;
 }
 
 uint64_t RuleBreaker::trips() const {

@@ -221,12 +221,14 @@ struct FastAtom {
 /// Per-rule runtime statistics, updated lock-free by the dispatch path and
 /// surfaced via the sqlcm_rule_stats system view. `action_micros` is only
 /// populated when MonitorEngine's detailed timing is on (it needs an extra
-/// clock read per action).
+/// clock read per action). The three counters every rule visit bumps are
+/// striped per thread, so concurrent sessions walking the same rules never
+/// write a shared cache line; the rest are rare-path single words.
 struct RuleStats {
-  obs::Counter evaluations;      // times the rule was considered for an event
-  obs::Counter condition_false;  // condition evaluated and rejected
-  obs::Counter fires;            // condition passed, actions ran
-  obs::Counter errors;           // condition or action failures
+  obs::StripedCounter evaluations;      // times considered for an event
+  obs::StripedCounter condition_false;  // condition evaluated and rejected
+  obs::StripedCounter fires;            // condition passed, actions ran
+  obs::Counter errors;                  // condition or action failures
   /// SendMail/Persist actions skipped by the per-rule rate limiter
   /// (alert-storm hygiene; see ActionRateLimiter).
   obs::Counter actions_suppressed;
@@ -250,8 +252,13 @@ struct RuleStats {
 ///   breaker, failure re-opens it and restarts the cooldown.
 /// `Reinstate()` force-closes it (engine API / operator intervention).
 ///
-/// The closed-state hot path is one relaxed atomic load; the mutex is taken
-/// only to record outcomes and transition states.
+/// The closed-state hot path takes no mutex: Allow is one relaxed atomic
+/// load, and OnSuccess only bumps a per-thread striped success tally. The
+/// mutex is taken to record failures and transition states; those paths
+/// (and consecutive_failures()) first fold the tally into the window as
+/// if each success had been applied eagerly — consecutive failures reset,
+/// window_events wrapping at window_size — so every single-threaded
+/// outcome sequence trips at exactly the same point as eager accounting.
 class RuleBreaker {
  public:
   struct Options {
@@ -299,8 +306,12 @@ class RuleBreaker {
 
  private:
   bool ShouldTripLocked() const;
+  /// Applies the successes tallied since the last fold.
+  void FoldSuccessesLocked();
 
   std::atomic<State> state_{State::kClosed};
+  /// Closed-state successes not yet folded into the window.
+  obs::StripedCounter pending_successes_;
   mutable std::mutex mutex_;
   Options options_;
   int64_t consecutive_failures_ = 0;

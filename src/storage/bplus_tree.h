@@ -267,6 +267,11 @@ class BPlusTree {
                          std::make_move_iterator(leaf->values.end()));
     leaf->keys.resize(mid);
     leaf->values.resize(mid);
+    // Key-ordered loads and rowid appends never refill the left half, so
+    // the capacity it grew to before the split (about 2 * kMaxKeys slots
+    // for kMaxKeys / 2 entries) would stay idle for good.
+    leaf->keys.shrink_to_fit();
+    leaf->values.shrink_to_fit();
     right->next = leaf->next;
     right->prev = leaf;
     if (leaf->next != nullptr) leaf->next->prev = right;

@@ -68,6 +68,23 @@ TEST_F(MonitorTest, SignaturesComputedAndCachedWithPlan) {
   EXPECT_EQ(plan->physical_signature_hash, plan2->physical_signature_hash);
 }
 
+TEST_F(MonitorTest, CachedPlanKeepsSignaturesButNotTheLogicalPlan) {
+  // The logical plan is needed only to compute signatures; once cached,
+  // only the physical plan and the signatures remain.
+  Exec("SELECT val FROM items WHERE grp = 3");
+  auto plan = db_.plan_cache()->Get("SELECT val FROM items WHERE grp = 3");
+  ASSERT_NE(plan, nullptr);
+  EXPECT_EQ(plan->logical, nullptr);
+  ASSERT_NE(plan->physical, nullptr);
+  EXPECT_TRUE(plan->signatures_computed);
+  EXPECT_FALSE(plan->logical_signature.empty());
+  EXPECT_NE(plan->logical_signature_hash, 0u);
+  EXPECT_NE(plan->physical_signature_hash, 0u);
+  // Executing the cached plan again still works without it.
+  Exec("SELECT val FROM items WHERE grp = 3");
+  EXPECT_EQ(plan->execution_count.load(), 2u);
+}
+
 TEST_F(MonitorTest, LatFeedAndGrouping) {
   DefineDurationLat();
   RuleSpec feed;

@@ -370,6 +370,40 @@ TEST(PredicateIndexDifferentialTest, DeferredLaneFiresIdentically) {
   EXPECT_EQ(outcomes[0], outcomes[2]);
 }
 
+TEST(PredicateIndexTest, DeferredOnlyRulesStillReorder) {
+  // Every rule is deferrable, so no event has inline rules: the periodic
+  // re-rank must still run, and the learned deferred lane must still agree
+  // with naive deferred evaluation.
+  std::vector<OutcomeMap> outcomes;
+  for (int config = 0; config < 2; ++config) {
+    MonitorEngine::Options options =
+        config == 0 ? NaiveOptions() : LearnedOptions();
+    options.async_rule_eval = true;
+    options.monitor_threads = 1;
+    EngineHarness h(options);
+    h.DefineCountLat("Count_LAT");
+    h.DefineCountLat("Sparse_LAT");
+    h.AddRule("feed", "", "Query.Insert(Count_LAT)");
+    h.AddRule("d0", "Query.ID >= 0 AND Query.Duration >= 0",
+              "Query.Persist(Sink_d0, ID)");
+    h.AddRule("d1", "Sparse_LAT.N >= 0 AND Query.ID > 5",
+              "Query.Persist(Sink_d1, ID)");
+    h.AddRule("d2", "Query.Duration > 100000000 AND Query.ID >= 0",
+              "Query.Persist(Sink_d2, ID)");
+    h.RunWorkload(100);  // > 6 reorder intervals of 16 events
+    h.monitor()->DrainEventQueue();
+    outcomes.push_back(h.Outcomes());
+    if (config == 1) {
+      for (const auto& row : h.monitor()->SnapshotPredicateStats()) {
+        EXPECT_STREQ(row.lane, "deferred") << row.text;
+      }
+      EXPECT_GT(h.monitor()->metrics().predindex_reorders.value(), 0u);
+    }
+  }
+  EXPECT_EQ(outcomes[0], outcomes[1]);
+  EXPECT_EQ(outcomes[0].at("d0").fires, 100u);
+}
+
 TEST(PredicateIndexTest, SharedConjunctsDeduplicateAcrossRules) {
   EngineHarness h(IndexedOptions());
   h.DefineCountLat("Count_LAT");

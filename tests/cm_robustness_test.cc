@@ -6,10 +6,13 @@
 // exercised at least once here (ISSUE 2 acceptance criteria).
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <cstdio>
 #include <fstream>
 #include <sstream>
 #include <string>
+#include <thread>
+#include <vector>
 
 #include "common/clock.h"
 #include "common/fault.h"
@@ -720,6 +723,147 @@ TEST_F(QuarantineTest, ReinstateRuleClosesTheBreakerAndResumesEvaluation) {
   // breaker actually re-admitted it).
   Exec("SELECT val FROM items WHERE id = 1");
   EXPECT_GT(monitor_.total_errors(), errors_while_open);
+}
+
+// ---------------------------------------------------------------------------
+// Breaker and rule stats under concurrent dispatch
+// ---------------------------------------------------------------------------
+
+TEST(BreakerConcurrencyTest, ConcurrentSuccessesAllFoldBeforeTheNextFailure) {
+  // Only the rate wire is live. 4 x 10003 closed-state successes wrap the
+  // 10-event window 4001 times and leave 2 events in it, so (eagerly) the
+  // first failure gives 1 error in 3 (< 0.5) and the second 2 in 4 (trip).
+  // One success lost or double-counted moves the trip point.
+  RuleBreaker::Options options;
+  options.consecutive_failure_threshold = 1000;
+  options.window_size = 10;
+  options.min_window_events = 1;
+  options.error_rate_threshold = 0.5;
+  options.cooldown_micros = 3'600'000'000;
+  RuleBreaker breaker(options);
+  std::vector<std::thread> threads;
+  for (int t = 0; t < 4; ++t) {
+    threads.emplace_back([&breaker] {
+      for (int i = 0; i < 10003; ++i) breaker.OnSuccess(i);
+    });
+  }
+  for (auto& t : threads) t.join();
+  EXPECT_EQ(breaker.consecutive_failures(), 0);
+  EXPECT_FALSE(breaker.OnFailure(1));
+  EXPECT_EQ(breaker.consecutive_failures(), 1);
+  EXPECT_TRUE(breaker.OnFailure(2));
+  EXPECT_EQ(breaker.state(), RuleBreaker::State::kOpen);
+}
+
+TEST(BreakerConcurrencyTest, MixedOutcomesTripProbeAndReinstateConcurrently) {
+  // TSan target: lock-free successes racing failures, half-open probes
+  // (zero cooldown) and operator reinstates on one breaker.
+  RuleBreaker::Options options;
+  options.consecutive_failure_threshold = 3;
+  options.window_size = 16;
+  options.min_window_events = 8;
+  options.error_rate_threshold = 0.5;
+  options.cooldown_micros = 0;
+  RuleBreaker breaker(options);
+  std::atomic<bool> stop{false};
+  std::vector<std::thread> threads;
+  for (int t = 0; t < 4; ++t) {
+    threads.emplace_back([&breaker, t] {
+      uint64_t x = 0x9e3779b97f4a7c15ull * static_cast<uint64_t>(t + 1);
+      for (int64_t now = 0; now < 20000; ++now) {
+        x ^= x << 13;
+        x ^= x >> 7;
+        x ^= x << 17;
+        if (!breaker.Allow(now)) continue;
+        if (x % 3 == 0) {
+          breaker.OnFailure(now);
+        } else {
+          breaker.OnSuccess(now);
+        }
+        if (x % 64 == 0) (void)breaker.consecutive_failures();
+      }
+    });
+  }
+  std::thread operator_thread([&breaker, &stop] {
+    while (!stop.load(std::memory_order_acquire)) {
+      breaker.Reinstate();
+      std::this_thread::yield();
+    }
+  });
+  for (auto& t : threads) t.join();
+  stop.store(true, std::memory_order_release);
+  operator_thread.join();
+  EXPECT_GT(breaker.trips(), 0u);
+
+  // Quiesced: the breaker is coherent again — a reinstate clears it and
+  // the consecutive wire trips on exactly the third failure.
+  breaker.Reinstate();
+  EXPECT_EQ(breaker.consecutive_failures(), 0);
+  breaker.OnSuccess(0);
+  EXPECT_FALSE(breaker.OnFailure(1));
+  EXPECT_FALSE(breaker.OnFailure(2));
+  EXPECT_TRUE(breaker.OnFailure(3));
+}
+
+TEST(BreakerConcurrencyTest, ConcurrentSessionsKeepRuleStatsExact) {
+  // Striped per-rule and engine counters summed on read must equal what
+  // every session sent, with the breakers never leaving the closed state.
+  engine::Database db;
+  MonitorEngine::Options options;
+  options.register_system_views = false;
+  MonitorEngine monitor(&db, options);
+  {
+    auto setup = db.CreateSession();
+    ASSERT_TRUE(
+        setup->Execute("CREATE TABLE items (id INT, val FLOAT, PRIMARY KEY(id))")
+            .ok());
+    ASSERT_TRUE(setup->Execute("INSERT INTO items VALUES (1, 1.0)").ok());
+  }
+  LatSpec spec;
+  spec.name = "SigLat";
+  spec.group_by = {{"Logical_Signature", "Sig"}};
+  spec.aggregates = {{LatAggFunc::kCount, "", "N", false}};
+  ASSERT_TRUE(monitor.DefineLat(std::move(spec)).ok());
+  RuleSpec pass;
+  pass.name = "pass";
+  pass.event = "Query.Commit";
+  pass.condition = "Query.ID >= 0";
+  pass.action = "Query.Insert(SigLat)";
+  ASSERT_TRUE(monitor.AddRule(pass).ok());
+  RuleSpec reject;
+  reject.name = "reject";
+  reject.event = "Query.Commit";
+  reject.condition = "Query.ID < 0";
+  reject.action = "Query.Insert(SigLat)";
+  ASSERT_TRUE(monitor.AddRule(reject).ok());
+
+  constexpr int kSessions = 4;
+  constexpr int kQueries = 300;
+  std::vector<std::thread> sessions;
+  for (int s = 0; s < kSessions; ++s) {
+    sessions.emplace_back([&db] {
+      auto session = db.CreateSession();
+      for (int i = 0; i < kQueries; ++i) {
+        auto result = session->Execute("SELECT val FROM items WHERE id = 1");
+        ASSERT_TRUE(result.ok()) << result.status();
+      }
+    });
+  }
+  for (auto& t : sessions) t.join();
+
+  constexpr uint64_t kEvents = uint64_t{kSessions} * kQueries;
+  EXPECT_EQ(monitor.events_processed(), kEvents);
+  EXPECT_EQ(monitor.rules_fired(), kEvents);
+  for (const auto& rule : monitor.SnapshotRules()) {
+    SCOPED_TRACE(rule->name);
+    EXPECT_EQ(rule->stats.evaluations.value(), kEvents);
+    const bool passes = rule->name == "pass";
+    EXPECT_EQ(rule->stats.fires.value(), passes ? kEvents : 0u);
+    EXPECT_EQ(rule->stats.condition_false.value(), passes ? 0u : kEvents);
+    EXPECT_EQ(rule->breaker.state(), RuleBreaker::State::kClosed);
+    EXPECT_EQ(rule->breaker.consecutive_failures(), 0);
+  }
+  EXPECT_EQ(monitor.FindLat("SigLat")->stats().inserts.value(), kEvents);
 }
 
 // ---------------------------------------------------------------------------

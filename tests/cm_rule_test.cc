@@ -413,6 +413,162 @@ TEST(RuleBreakerTest, ReinstateForceCloses) {
   EXPECT_EQ(breaker.state(), RuleBreaker::State::kClosed);
 }
 
+/// Reference model: the breaker's accounting applied eagerly, one outcome
+/// at a time under one lock — what RuleBreaker computed before closed-state
+/// successes became a lock-free tally folded on the locked paths.
+class EagerBreakerModel {
+ public:
+  using State = RuleBreaker::State;
+
+  explicit EagerBreakerModel(RuleBreaker::Options options)
+      : options_(options) {}
+
+  void Configure(RuleBreaker::Options options) { options_ = options; }
+
+  bool Allow(int64_t now) {
+    switch (state) {
+      case State::kClosed:
+        return true;
+      case State::kOpen:
+        if (now - tripped_at_ < options_.cooldown_micros) {
+          ++skipped;
+          return false;
+        }
+        state = State::kHalfOpen;
+        probe_in_flight_ = true;
+        return true;
+      case State::kHalfOpen:
+        if (probe_in_flight_) {
+          ++skipped;
+          return false;
+        }
+        probe_in_flight_ = true;
+        return true;
+    }
+    return true;
+  }
+
+  void OnSuccess() {
+    if (state == State::kClosed) {
+      consecutive_failures = 0;
+      if (++window_events_ >= options_.window_size) {
+        window_events_ = 0;
+        window_errors_ = 0;
+      }
+    } else if (state == State::kHalfOpen) {
+      state = State::kClosed;
+      probe_in_flight_ = false;
+      consecutive_failures = 0;
+      window_events_ = 0;
+      window_errors_ = 0;
+    }
+  }
+
+  bool OnFailure(int64_t now) {
+    if (state == State::kHalfOpen) {
+      state = State::kOpen;
+      probe_in_flight_ = false;
+      tripped_at_ = now;
+      ++trips;
+      return true;
+    }
+    if (state == State::kOpen) return false;
+    ++consecutive_failures;
+    ++window_events_;
+    ++window_errors_;
+    const bool trip =
+        consecutive_failures >= options_.consecutive_failure_threshold ||
+        (window_events_ >= options_.min_window_events &&
+         static_cast<double>(window_errors_) >=
+             options_.error_rate_threshold *
+                 static_cast<double>(window_events_));
+    if (!trip) {
+      if (window_events_ >= options_.window_size) {
+        window_events_ = 0;
+        window_errors_ = 0;
+      }
+      return false;
+    }
+    state = State::kOpen;
+    tripped_at_ = now;
+    ++trips;
+    return true;
+  }
+
+  void Reinstate() {
+    state = State::kClosed;
+    probe_in_flight_ = false;
+    consecutive_failures = 0;
+    window_events_ = 0;
+    window_errors_ = 0;
+  }
+
+  State state = State::kClosed;
+  int64_t consecutive_failures = 0;
+  uint64_t trips = 0;
+  uint64_t skipped = 0;
+
+ private:
+  RuleBreaker::Options options_;
+  int64_t window_events_ = 0;
+  int64_t window_errors_ = 0;
+  bool probe_in_flight_ = false;
+  int64_t tripped_at_ = 0;
+};
+
+TEST(RuleBreakerTest, TalliedSuccessesMatchEagerModelOnRandomSequences) {
+  for (uint64_t seed = 1; seed <= 40; ++seed) {
+    common::Random rng(seed);
+    RuleBreaker::Options options;
+    options.consecutive_failure_threshold =
+        static_cast<int>(rng.UniformInt(1, 8));
+    options.window_size = static_cast<int>(rng.UniformInt(1, 24));
+    options.min_window_events = static_cast<int>(rng.UniformInt(1, 16));
+    options.error_rate_threshold =
+        0.1 * static_cast<double>(rng.UniformInt(1, 9));
+    options.cooldown_micros = rng.UniformInt(0, 200);
+    RuleBreaker breaker(options);
+    EagerBreakerModel model(options);
+
+    int64_t now = 0;
+    // Phases with different error rates; success runs long enough to wrap
+    // the window several times between folds.
+    double error_rate = 0.2;
+    for (int step = 0; step < 4000; ++step) {
+      SCOPED_TRACE("seed " + std::to_string(seed) + " step " +
+                   std::to_string(step));
+      now += rng.UniformInt(0, 40);
+      if (rng.OneIn(200)) error_rate = rng.NextDouble();
+      if (rng.OneIn(500)) {
+        breaker.Reinstate();
+        model.Reinstate();
+      } else if (rng.OneIn(700)) {
+        options.window_size = static_cast<int>(rng.UniformInt(1, 24));
+        breaker.Configure(options);
+        model.Configure(options);
+      } else {
+        const bool allowed = model.Allow(now);
+        ASSERT_EQ(breaker.Allow(now), allowed);
+        if (allowed) {
+          if (rng.NextDouble() < error_rate) {
+            ASSERT_EQ(breaker.OnFailure(now), model.OnFailure(now));
+          } else {
+            const int64_t run = rng.OneIn(10) ? rng.UniformInt(1, 100) : 1;
+            for (int64_t i = 0; i < run; ++i) {
+              breaker.OnSuccess(now);
+              model.OnSuccess();
+            }
+          }
+        }
+      }
+      ASSERT_EQ(breaker.state(), model.state);
+      ASSERT_EQ(breaker.consecutive_failures(), model.consecutive_failures);
+      ASSERT_EQ(breaker.trips(), model.trips);
+      ASSERT_EQ(breaker.skipped(), model.skipped);
+    }
+  }
+}
+
 TEST(ActionRateLimiterTest, CapsAdmissionsPerTrailingWindow) {
   ActionRateLimiter limiter;
   limiter.Configure({.max_actions = 3, .window_micros = 1'000});

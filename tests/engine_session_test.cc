@@ -143,6 +143,41 @@ TEST_F(SessionTest, DdlClearsPlanCache) {
   Exec("DROP TABLE fresh");
 }
 
+std::shared_ptr<CachedPlan> PlanFor(std::string text) {
+  auto plan = std::make_shared<CachedPlan>();
+  plan->sql_text = std::move(text);
+  return plan;
+}
+
+TEST(PlanCacheTest, SameTextRePutRekeysOntoTheNewPlan) {
+  // Keys view the cached plan's own text, so replacing a plan must move
+  // the key onto the new plan before the old one (and its text) dies.
+  PlanCache cache(2);
+  auto first = PlanFor("SELECT 1");
+  cache.Put(first);
+  auto second = PlanFor("SELECT 1");
+  cache.Put(second);
+  first.reset();
+  EXPECT_EQ(cache.size(), 1u);
+  EXPECT_EQ(cache.Get("SELECT 1"), second);
+
+  auto other = PlanFor("SELECT 2");
+  cache.Put(other);
+  EXPECT_EQ(cache.Get("SELECT 1"), second);  // now most recent
+  auto third = PlanFor("SELECT 3");
+  cache.Put(third);  // evicts the LRU entry, "SELECT 2"
+  EXPECT_EQ(cache.evictions(), 1u);
+  EXPECT_EQ(cache.Get("SELECT 2"), nullptr);
+  EXPECT_EQ(cache.Get("SELECT 3"), third);
+
+  auto again = PlanFor("SELECT 1");
+  cache.Put(again);
+  second.reset();
+  EXPECT_EQ(cache.Get("SELECT 1"), again);
+  EXPECT_EQ(cache.Recheck("SELECT 1"), again);
+  EXPECT_EQ(cache.size(), 2u);
+}
+
 TEST_F(SessionTest, StoredProcedureWithBranches) {
   Procedure proc;
   proc.name = "touch";

@@ -4,6 +4,7 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <thread>
 #include <vector>
 
@@ -41,6 +42,83 @@ TEST(CounterTest, ConcurrentIncrementsAreExact) {
   }
   for (auto& t : threads) t.join();
   EXPECT_EQ(c.value(), static_cast<uint64_t>(kThreads) * kPerThread);
+}
+
+TEST(StripedCounterTest, IncValueResetAndTake) {
+  StripedCounter c;
+  EXPECT_EQ(c.value(), 0u);
+  c.Inc();
+  c.Inc(41);
+  EXPECT_EQ(c.value(), 42u);
+  EXPECT_EQ(c.Take(), 42u);
+  EXPECT_EQ(c.value(), 0u);
+  c.Inc(5);
+  c.Reset();
+  EXPECT_EQ(c.value(), 0u);
+}
+
+TEST(StripedCounterTest, ConcurrentIncrementsSumExactlyAndResetClearsAll) {
+  // More threads than stripes, so every stripe is written (some by several
+  // threads at once) before Reset must clear them all.
+  StripedCounter c;
+  constexpr int kThreads = static_cast<int>(kCounterStripes) * 2 + 1;
+  constexpr int kPerThread = 50000;
+  auto hammer = [&c] {
+    std::vector<std::thread> threads;
+    for (int t = 0; t < kThreads; ++t) {
+      threads.emplace_back([&c, t] {
+        for (int i = 0; i < kPerThread; ++i) c.Inc(t % 2 == 0 ? 1 : 2);
+      });
+    }
+    for (auto& t : threads) t.join();
+  };
+  constexpr uint64_t kExpected =
+      uint64_t{kPerThread} * ((kThreads + 1) / 2 + 2 * (kThreads / 2));
+  hammer();
+  EXPECT_EQ(c.value(), kExpected);
+  c.Reset();
+  EXPECT_EQ(c.value(), 0u);
+  hammer();
+  EXPECT_EQ(c.value(), kExpected);
+}
+
+TEST(StripedCounterTest, TakeRacingIncrementsLosesNothing) {
+  StripedCounter c;
+  constexpr int kThreads = 4;
+  constexpr int kPerThread = 100000;
+  std::atomic<bool> done{false};
+  uint64_t taken = 0;
+  std::thread taker([&] {
+    while (!done.load(std::memory_order_acquire)) taken += c.Take();
+  });
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&c] {
+      for (int i = 0; i < kPerThread; ++i) c.Inc();
+    });
+  }
+  for (auto& t : threads) t.join();
+  done.store(true, std::memory_order_release);
+  taker.join();
+  taken += c.Take();
+  EXPECT_EQ(taken, static_cast<uint64_t>(kThreads) * kPerThread);
+}
+
+TEST(RegistryTest, StripedCountersReadLikePlainCounters) {
+  MetricsRegistry registry;
+  Counter plain;
+  StripedCounter striped;
+  plain.Inc(3);
+  std::thread([&striped] { striped.Inc(4); }).join();
+  striped.Inc(5);
+  registry.RegisterCounter("plain", &plain);
+  registry.RegisterCounter("striped", &striped);
+  const auto samples = registry.Snapshot();
+  ASSERT_EQ(samples.size(), 2u);
+  EXPECT_STREQ(samples[1].kind, "counter");
+  EXPECT_DOUBLE_EQ(samples[1].value, 9.0);
+  EXPECT_NE(registry.DumpPrometheus().find("sqlcm_striped_total 9\n"),
+            std::string::npos);
 }
 
 TEST(HistogramTest, EmptyHistogram) {
