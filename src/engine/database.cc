@@ -120,6 +120,7 @@ Result<std::shared_ptr<CachedPlan>> Database::Compile(
   SQLCM_ASSIGN_OR_RETURN(plan->logical, planner.Plan(stmt));
   exec::Optimizer optimizer;
   SQLCM_ASSIGN_OR_RETURN(plan->physical, optimizer.Optimize(*plan->logical));
+  plan->physical->InternLayouts();
   plan->optimize_micros = clock_->NowMicros() - compile_start;
 
   // The monitor computes signatures here, before the plan is published

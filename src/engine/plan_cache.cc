@@ -1,6 +1,22 @@
 #include "engine/plan_cache.h"
 
+#include "common/intern_pool.h"
+
 namespace sqlcm::engine {
+
+SharedText SharedText::Intern(std::string text) {
+  // Never destroyed: plans may be released during static destruction.
+  static auto* pool = new common::InternPool<std::string, std::hash<std::string>,
+                                             std::equal_to<std::string>>();
+  SharedText out;
+  out.text_ = pool->Intern(std::make_shared<std::string>(std::move(text)));
+  return out;
+}
+
+const std::string& SharedText::str() const {
+  static const std::string kEmpty;
+  return text_ != nullptr ? *text_ : kEmpty;
+}
 
 std::shared_ptr<CachedPlan> PlanCache::Touch(Lru::iterator it) {
   lru_.splice(lru_.begin(), lru_, it);

@@ -13,6 +13,7 @@
 #include <list>
 #include <memory>
 #include <mutex>
+#include <ostream>
 #include <string>
 #include <string_view>
 #include <unordered_map>
@@ -21,6 +22,31 @@
 #include "exec/physical_plan.h"
 
 namespace sqlcm::engine {
+
+/// An immutable string shared by every holder of the same text: cached
+/// plans of one statement shape (ad-hoc texts differing only in literals)
+/// keep one copy of their signatures. Reads as a `const std::string&`.
+class SharedText {
+ public:
+  SharedText() = default;
+  /// The process-wide shared copy of `text`.
+  static SharedText Intern(std::string text);
+
+  const std::string& str() const;
+  operator const std::string&() const { return str(); }  // NOLINT
+  size_t size() const { return str().size(); }
+  bool empty() const { return str().empty(); }
+
+  friend bool operator==(const SharedText& a, const SharedText& b) {
+    return a.str() == b.str();
+  }
+  friend std::ostream& operator<<(std::ostream& os, const SharedText& t) {
+    return os << t.str();
+  }
+
+ private:
+  std::shared_ptr<const std::string> text_;
+};
 
 /// One compiled statement. Immutable after compilation except the
 /// monitor-owned signature fields (written once, before the entry is
@@ -37,8 +63,8 @@ struct CachedPlan {
 
   // --- Monitor-owned (filled by MonitorHooks::OnStatementCompiled) ---
   bool signatures_computed = false;
-  std::string logical_signature;     // canonical linearization (paper: BLOB)
-  std::string physical_signature;
+  SharedText logical_signature;  // canonical linearization (paper: BLOB)
+  SharedText physical_signature;
   uint64_t logical_signature_hash = 0;
   uint64_t physical_signature_hash = 0;
   int64_t signature_micros = 0;      // cost of computing both signatures

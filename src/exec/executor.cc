@@ -117,12 +117,13 @@ class IndexSeekOp final : public ScanBase {
   using ScanBase::ScanBase;
   Status Open() override {
     Row prefix;
-    prefix.reserve(plan_.seek_exprs.size());
-    for (const auto& e : plan_.seek_exprs) {
+    const PhysicalPlan::Access& access = *plan_.access;
+    prefix.reserve(access.seek_exprs.size());
+    for (const auto& e : access.seek_exprs) {
       SQLCM_ASSIGN_OR_RETURN(Value v, e->Eval({}, ctx_->params));
       prefix.push_back(std::move(v));
     }
-    return plan_.table->IndexPrefixLookup(plan_.index_name, prefix, &keys_,
+    return plan_.table->IndexPrefixLookup(access.index_name, prefix, &keys_,
                                           &rows_);
   }
 };
@@ -131,16 +132,17 @@ class IndexRangeOp final : public ScanBase {
  public:
   using ScanBase::ScanBase;
   Status Open() override {
+    const PhysicalPlan::Access& access = *plan_.access;
     std::optional<Value> lo, hi;
-    if (plan_.range_lo != nullptr) {
-      SQLCM_ASSIGN_OR_RETURN(Value v, plan_.range_lo->Eval({}, ctx_->params));
+    if (access.range_lo != nullptr) {
+      SQLCM_ASSIGN_OR_RETURN(Value v, access.range_lo->Eval({}, ctx_->params));
       lo = std::move(v);
     }
-    if (plan_.range_hi != nullptr) {
-      SQLCM_ASSIGN_OR_RETURN(Value v, plan_.range_hi->Eval({}, ctx_->params));
+    if (access.range_hi != nullptr) {
+      SQLCM_ASSIGN_OR_RETURN(Value v, access.range_hi->Eval({}, ctx_->params));
       hi = std::move(v);
     }
-    return plan_.table->IndexRangeLookup(plan_.index_name, lo, hi, &keys_,
+    return plan_.table->IndexRangeLookup(access.index_name, lo, hi, &keys_,
                                          &rows_);
   }
 };
@@ -287,8 +289,8 @@ class IndexNLJoinOp final : public Operator {
       if (!has) return false;
       // Seek the inner table with values computed from the outer row.
       Row prefix;
-      prefix.reserve(plan_.seek_exprs.size());
-      for (const auto& e : plan_.seek_exprs) {
+      prefix.reserve(plan_.access->seek_exprs.size());
+      for (const auto& e : plan_.access->seek_exprs) {
         SQLCM_ASSIGN_OR_RETURN(Value v, e->Eval(outer_, ctx_->params));
         prefix.push_back(std::move(v));
       }
@@ -296,7 +298,7 @@ class IndexNLJoinOp final : public Operator {
       match_keys_.clear();
       match_pos_ = 0;
       SQLCM_RETURN_IF_ERROR(plan_.table->IndexPrefixLookup(
-          plan_.index_name, prefix, &match_keys_, &matches_));
+          plan_.access->index_name, prefix, &match_keys_, &matches_));
       ctx_->rows_scanned += matches_.size();
       if (ctx_->lock_rows_for_reads) {
         for (const Row& key : match_keys_) {
@@ -334,8 +336,8 @@ class HashJoinOp final : public Operator {
       if (!has.ok()) return has.status();
       if (!*has) break;
       Row key;
-      key.reserve(plan_.right_keys.size());
-      for (const auto& e : plan_.right_keys) {
+      key.reserve(plan_.hash_keys->right_keys.size());
+      for (const auto& e : plan_.hash_keys->right_keys) {
         auto v = e->Eval(row, ctx_->params);
         if (!v.ok()) return v.status();
         key.push_back(std::move(*v));
@@ -365,8 +367,8 @@ class HashJoinOp final : public Operator {
       SQLCM_ASSIGN_OR_RETURN(bool has, left_->Next(&outer_));
       if (!has) return false;
       Row key;
-      key.reserve(plan_.left_keys.size());
-      for (const auto& e : plan_.left_keys) {
+      key.reserve(plan_.hash_keys->left_keys.size());
+      for (const auto& e : plan_.hash_keys->left_keys) {
         SQLCM_ASSIGN_OR_RETURN(Value v, e->Eval(outer_, ctx_->params));
         key.push_back(std::move(v));
       }
@@ -404,6 +406,9 @@ class HashAggregateOp final : public Operator {
 
   Status Open() override {
     SQLCM_RETURN_IF_ERROR(child_->Open());
+    const PhysicalPlan::ExprList& group_exprs =
+        plan_.aggregation->group_exprs;
+    const std::vector<AggSpec>& aggregates = plan_.aggregation->aggregates;
     Row row;
     std::unordered_map<Row, std::vector<AggState>, common::RowHasher,
                        common::RowEq>
@@ -413,17 +418,17 @@ class HashAggregateOp final : public Operator {
       if (!has.ok()) return has.status();
       if (!*has) break;
       Row key;
-      key.reserve(plan_.group_exprs.size());
-      for (const auto& e : plan_.group_exprs) {
+      key.reserve(group_exprs.size());
+      for (const auto& e : group_exprs) {
         auto v = e->Eval(row, ctx_->params);
         if (!v.ok()) return v.status();
         key.push_back(std::move(*v));
       }
       auto [it, inserted] =
-          groups.try_emplace(std::move(key), plan_.aggregates.size());
+          groups.try_emplace(std::move(key), aggregates.size());
       std::vector<AggState>& states = it->second;
-      for (size_t a = 0; a < plan_.aggregates.size(); ++a) {
-        const AggSpec& spec = plan_.aggregates[a];
+      for (size_t a = 0; a < aggregates.size(); ++a) {
+        const AggSpec& spec = aggregates[a];
         AggState& state = states[a];
         if (spec.star) {
           ++state.count;
@@ -440,13 +445,13 @@ class HashAggregateOp final : public Operator {
       }
     }
     // Global aggregation over empty input still yields one row.
-    if (groups.empty() && plan_.group_exprs.empty()) {
-      groups.try_emplace(Row{}, plan_.aggregates.size());
+    if (groups.empty() && group_exprs.empty()) {
+      groups.try_emplace(Row{}, aggregates.size());
     }
     for (auto& [key, states] : groups) {
       Row out = key;
-      for (size_t a = 0; a < plan_.aggregates.size(); ++a) {
-        const AggSpec& spec = plan_.aggregates[a];
+      for (size_t a = 0; a < aggregates.size(); ++a) {
+        const AggSpec& spec = aggregates[a];
         const AggState& st = states[a];
         switch (spec.func) {
           case AggFunc::kCount:
@@ -653,7 +658,7 @@ Result<std::unique_ptr<Operator>> BuildOperator(const PhysicalPlan& plan,
 
 Result<size_t> ExecuteInsert(const PhysicalPlan& plan, ExecContext* ctx) {
   size_t inserted = 0;
-  for (const auto& row_exprs : plan.insert_rows) {
+  for (const auto& row_exprs : plan.modification->insert_rows) {
     SQLCM_RETURN_IF_ERROR(CheckCancelled(*ctx));
     Row row;
     row.reserve(row_exprs.size());
@@ -693,23 +698,25 @@ Status CollectDmlCandidates(const PhysicalPlan& plan, ExecContext* ctx,
   switch (access) {
     case PhysOp::kIndexSeek: {
       Row prefix;
-      for (const auto& e : plan.seek_exprs) {
+      for (const auto& e : plan.access->seek_exprs) {
         SQLCM_ASSIGN_OR_RETURN(Value v, e->Eval({}, ctx->params));
         prefix.push_back(std::move(v));
       }
-      return plan.table->IndexPrefixLookup(plan.index_name, prefix, keys, rows);
+      return plan.table->IndexPrefixLookup(plan.access->index_name, prefix,
+                                           keys, rows);
     }
     case PhysOp::kIndexRange: {
+      const PhysicalPlan::Access& path = *plan.access;
       std::optional<Value> lo, hi;
-      if (plan.range_lo != nullptr) {
-        SQLCM_ASSIGN_OR_RETURN(Value v, plan.range_lo->Eval({}, ctx->params));
+      if (path.range_lo != nullptr) {
+        SQLCM_ASSIGN_OR_RETURN(Value v, path.range_lo->Eval({}, ctx->params));
         lo = std::move(v);
       }
-      if (plan.range_hi != nullptr) {
-        SQLCM_ASSIGN_OR_RETURN(Value v, plan.range_hi->Eval({}, ctx->params));
+      if (path.range_hi != nullptr) {
+        SQLCM_ASSIGN_OR_RETURN(Value v, path.range_hi->Eval({}, ctx->params));
         hi = std::move(v);
       }
-      return plan.table->IndexRangeLookup(plan.index_name, lo, hi, keys, rows);
+      return plan.table->IndexRangeLookup(path.index_name, lo, hi, keys, rows);
     }
     default: {
       std::optional<Row> after;
@@ -767,7 +774,7 @@ Result<size_t> ExecuteUpdateOrDelete(const PhysicalPlan& plan,
       ctx->txn->LogDelete(plan.table->table_id(), keys[i], std::move(old_row));
     } else {
       Row new_row = *current;
-      for (const auto& [ordinal, expr] : plan.assignments) {
+      for (const auto& [ordinal, expr] : plan.modification->assignments) {
         SQLCM_ASSIGN_OR_RETURN(Value v, expr->Eval(*current, ctx->params));
         new_row[ordinal] = std::move(v);
       }

@@ -114,7 +114,6 @@ Result<std::unique_ptr<PhysicalPlan>> Optimizer::Optimize(
       for (const auto& e : logical.project_exprs) {
         node->project_exprs.push_back(e->CloneShifted(0));
       }
-      node->project_names = logical.project_names;
       node->est_rows = child->est_rows;
       node->est_cost = child->est_cost + child->est_rows * 0.005;
       node->children.push_back(std::move(child));
@@ -125,8 +124,9 @@ Result<std::unique_ptr<PhysicalPlan>> Optimizer::Optimize(
       auto node = std::make_unique<PhysicalPlan>();
       node->op = PhysOp::kHashAggregate;
       node->output = logical.output;
+      PhysicalPlan::Aggregation& aggregation = node->MutableAggregation();
       for (const auto& e : logical.group_exprs) {
-        node->group_exprs.push_back(e->CloneShifted(0));
+        aggregation.group_exprs.push_back(e->CloneShifted(0));
       }
       for (const auto& spec : logical.aggregates) {
         AggSpec copy;
@@ -134,7 +134,7 @@ Result<std::unique_ptr<PhysicalPlan>> Optimizer::Optimize(
         copy.star = spec.star;
         copy.output_name = spec.output_name;
         if (spec.arg != nullptr) copy.arg = spec.arg->CloneShifted(0);
-        node->aggregates.push_back(std::move(copy));
+        aggregation.aggregates.push_back(std::move(copy));
       }
       node->est_rows =
           logical.group_exprs.empty() ? 1 : std::max(1.0, child->est_rows / 10);
@@ -185,14 +185,14 @@ Result<std::unique_ptr<PhysicalPlan>> Optimizer::Optimize(
       auto node = std::make_unique<PhysicalPlan>();
       node->op = PhysOp::kInsert;
       node->table = logical.table;
-      node->alias = logical.alias;
+      auto& insert_rows = node->MutableModification().insert_rows;
       for (const auto& row : logical.insert_rows) {
         std::vector<std::unique_ptr<BoundExpr>> copy;
         copy.reserve(row.size());
         for (const auto& e : row) copy.push_back(e->CloneShifted(0));
-        node->insert_rows.push_back(std::move(copy));
+        insert_rows.push_back(std::move(copy));
       }
-      node->est_rows = static_cast<double>(node->insert_rows.size());
+      node->est_rows = static_cast<double>(insert_rows.size());
       node->est_cost = node->est_rows *
                        std::log2(logical.table->row_count() + 2.0) * 0.01;
       return node;
@@ -216,30 +216,30 @@ Result<std::unique_ptr<PhysicalPlan>> Optimizer::Optimize(
       node->op = logical.op == LogicalOp::kUpdate ? PhysOp::kUpdate
                                                   : PhysOp::kDelete;
       node->table = logical.table;
-      node->alias = logical.alias;
       // Flatten Filter(Scan) / Scan into the DML node.
       PhysicalPlan* scan = access.get();
       if (scan->op == PhysOp::kFilter) {
         node->predicates = std::move(scan->predicates);
         scan = scan->children[0].get();
       }
-      node->index_name = scan->index_name;
-      node->seek_exprs = std::move(scan->seek_exprs);
-      node->range_lo = std::move(scan->range_lo);
-      node->range_hi = std::move(scan->range_hi);
+      node->access = std::move(scan->access);  // null for a sequential scan
       // Remember which access shape was chosen via a child marker node.
       auto marker = std::make_unique<PhysicalPlan>();
       marker->op = scan->op;
       marker->table = logical.table;
-      marker->alias = logical.alias;
-      marker->index_name = node->index_name;
+      if (node->access != nullptr) {
+        marker->MutableAccess().index_name = node->access->index_name;
+      }
       marker->est_rows = scan->est_rows;
       marker->est_cost = scan->est_cost;
       node->est_rows = access->est_rows;
       node->est_cost = access->est_cost + access->est_rows * 0.05;
       node->children.push_back(std::move(marker));
-      for (const auto& [ordinal, expr] : logical.assignments) {
-        node->assignments.emplace_back(ordinal, expr->CloneShifted(0));
+      if (node->op == PhysOp::kUpdate) {
+        auto& assignments = node->MutableModification().assignments;
+        for (const auto& [ordinal, expr] : logical.assignments) {
+          assignments.emplace_back(ordinal, expr->CloneShifted(0));
+        }
       }
       return node;
     }
@@ -331,10 +331,10 @@ Result<std::unique_ptr<PhysicalPlan>> Optimizer::PairwiseJoin(
       auto node = std::make_unique<PhysicalPlan>();
       node->op = PhysOp::kIndexNLJoin;
       node->table = right.table;
-      node->alias = right.alias;
-      node->index_name = *index;
       node->output = join.output;
-      node->seek_exprs.push_back(outer->CloneShifted(0));
+      PhysicalPlan::Access& path = node->MutableAccess();
+      path.index_name = *index;
+      path.seek_exprs.push_back(outer->CloneShifted(0));
       // Residuals: remaining cross conjuncts + right-only conjuncts, all
       // over the combined schema.
       for (size_t cj = 0; cj < cross.size(); ++cj) {
@@ -386,8 +386,9 @@ Result<std::unique_ptr<PhysicalPlan>> Optimizer::PairwiseJoin(
   node->output = join.output;
   if (!left_keys.empty()) {
     node->op = PhysOp::kHashJoin;
-    node->left_keys = std::move(left_keys);
-    node->right_keys = std::move(right_keys);
+    PhysicalPlan::HashKeys& keys = node->MutableHashKeys();
+    keys.left_keys = std::move(left_keys);
+    keys.right_keys = std::move(right_keys);
     node->predicates = std::move(residual);
     node->est_rows = std::max(
         1.0, left_phys->est_rows * right_phys->est_rows * kJoinSelectivity *
@@ -464,16 +465,16 @@ Result<std::unique_ptr<PhysicalPlan>> Optimizer::ChooseAccessPath(
 
   auto scan = std::make_unique<PhysicalPlan>();
   scan->table = table;
-  scan->alias = get.alias;
   scan->output = get.output;
 
   std::vector<bool> consumed(conjuncts.size(), false);
   if (!best.prefix_cols.empty()) {
     scan->op = PhysOp::kIndexSeek;
-    scan->index_name = best.index_name;
+    PhysicalPlan::Access& path = scan->MutableAccess();
+    path.index_name = best.index_name;
     for (size_t col : best.prefix_cols) {
       EqCandidate* cand = find_eq(col);
-      scan->seek_exprs.push_back(std::move(cand->constant));
+      path.seek_exprs.push_back(std::move(cand->constant));
       consumed[cand->conjunct_idx] = true;
     }
     scan->est_rows =
@@ -519,10 +520,11 @@ Result<std::unique_ptr<PhysicalPlan>> Optimizer::ChooseAccessPath(
     }
     if (range.found) {
       scan->op = PhysOp::kIndexRange;
-      scan->index_name = range.index_name;
-      scan->range_lo = std::move(range.lo);
-      scan->range_hi = std::move(range.hi);
-      const bool both = scan->range_lo != nullptr && scan->range_hi != nullptr;
+      PhysicalPlan::Access& path = scan->MutableAccess();
+      path.index_name = range.index_name;
+      path.range_lo = std::move(range.lo);
+      path.range_hi = std::move(range.hi);
+      const bool both = path.range_lo != nullptr && path.range_hi != nullptr;
       scan->est_rows = std::max(
           1.0, table_rows * (both ? kRangeSelectivity * kRangeSelectivity
                                   : kRangeSelectivity));
@@ -769,13 +771,13 @@ Result<std::unique_ptr<PhysicalPlan>> Optimizer::OptimizeJoin(
         auto node = std::make_unique<PhysicalPlan>();
         node->op = PhysOp::kIndexNLJoin;
         node->table = inner_table;
-        node->alias = rels[i].get->alias;
-        node->index_name = inl_index;
+        PhysicalPlan::Access& path = node->MutableAccess();
+        path.index_name = inl_index;
         for (const auto& col : left_plan->output.columns()) {
           node->output.Append(col);
         }
         node->output.AppendAll(rels[i].get->output);
-        node->seek_exprs.push_back(std::move(inl_outer));
+        path.seek_exprs.push_back(std::move(inl_outer));
         for (const TaggedPred* tp : eligible) {
           if (tp == inl_pred) continue;
           node->predicates.push_back(tp->expr->CloneRemapped(mapping));
@@ -848,9 +850,10 @@ Result<std::unique_ptr<PhysicalPlan>> Optimizer::OptimizeJoin(
               lmask == (1u << i) ? p.left() : p.right();
           const BoundExpr* outer_side =
               lmask == (1u << i) ? p.right() : p.left();
-          node->left_keys.push_back(outer_side->CloneRemapped(mapping));
+          PhysicalPlan::HashKeys& keys = node->MutableHashKeys();
+          keys.left_keys.push_back(outer_side->CloneRemapped(mapping));
           // Right keys are bound against the inner relation's local layout.
-          node->right_keys.push_back(
+          keys.right_keys.push_back(
               inner_side->CloneShifted(-static_cast<int>(rels[i].offset)));
         }
         for (const TaggedPred* tp : eligible) {
@@ -956,7 +959,6 @@ Result<std::unique_ptr<PhysicalPlan>> Optimizer::OptimizeJoin(
   for (size_t slot = 0; slot < total_width; ++slot) {
     project->project_exprs.push_back(
         BoundExpr::MakeSlot(static_cast<size_t>(mapping[slot])));
-    project->project_names.push_back(join.output.column(slot).name);
   }
   project->est_rows = plan->est_rows;
   project->est_cost = plan->est_cost + plan->est_rows * 0.005;

@@ -64,15 +64,36 @@ void AppendExprList(const std::vector<std::unique_ptr<BoundExpr>>& exprs,
 
 }  // namespace
 
+namespace {
+
+template <typename T>
+T& Ensure(std::unique_ptr<T>* operands) {
+  if (*operands == nullptr) *operands = std::make_unique<T>();
+  return **operands;
+}
+
+}  // namespace
+
+PhysicalPlan::Access& PhysicalPlan::MutableAccess() { return Ensure(&access); }
+PhysicalPlan::HashKeys& PhysicalPlan::MutableHashKeys() {
+  return Ensure(&hash_keys);
+}
+PhysicalPlan::Aggregation& PhysicalPlan::MutableAggregation() {
+  return Ensure(&aggregation);
+}
+PhysicalPlan::Modification& PhysicalPlan::MutableModification() {
+  return Ensure(&modification);
+}
+
 void PhysicalPlan::AppendSignature(bool wildcard_constants,
                                    std::string* out) const {
   *out += PhysOpName(op);
   *out += "(";
   if (table != nullptr) {
     *out += table->name();
-    if (!index_name.empty()) {
+    if (access != nullptr && !access->index_name.empty()) {
       *out += "@";
-      *out += index_name;
+      *out += access->index_name;
     }
     *out += ";";
   }
@@ -80,7 +101,7 @@ void PhysicalPlan::AppendSignature(bool wildcard_constants,
     case PhysOp::kIndexSeek:
     case PhysOp::kIndexNLJoin:
       *out += "seek=";
-      AppendExprList(seek_exprs, wildcard_constants, out);
+      AppendExprList(access->seek_exprs, wildcard_constants, out);
       if (!predicates.empty()) {
         *out += ";resid=";
         AppendSortedConjuncts(predicates, wildcard_constants, out);
@@ -88,12 +109,12 @@ void PhysicalPlan::AppendSignature(bool wildcard_constants,
       break;
     case PhysOp::kIndexRange:
       *out += "lo=";
-      if (range_lo != nullptr) {
-        range_lo->AppendSignature(wildcard_constants, out);
+      if (access->range_lo != nullptr) {
+        access->range_lo->AppendSignature(wildcard_constants, out);
       }
       *out += ";hi=";
-      if (range_hi != nullptr) {
-        range_hi->AppendSignature(wildcard_constants, out);
+      if (access->range_hi != nullptr) {
+        access->range_hi->AppendSignature(wildcard_constants, out);
       }
       break;
     case PhysOp::kFilter:
@@ -102,9 +123,9 @@ void PhysicalPlan::AppendSignature(bool wildcard_constants,
       break;
     case PhysOp::kHashJoin:
       *out += "l=";
-      AppendExprList(left_keys, wildcard_constants, out);
+      AppendExprList(hash_keys->left_keys, wildcard_constants, out);
       *out += ";r=";
-      AppendExprList(right_keys, wildcard_constants, out);
+      AppendExprList(hash_keys->right_keys, wildcard_constants, out);
       if (!predicates.empty()) {
         *out += ";resid=";
         AppendSortedConjuncts(predicates, wildcard_constants, out);
@@ -113,9 +134,10 @@ void PhysicalPlan::AppendSignature(bool wildcard_constants,
     case PhysOp::kProject:
       AppendExprList(project_exprs, wildcard_constants, out);
       break;
-    case PhysOp::kHashAggregate:
-      AppendExprList(group_exprs, wildcard_constants, out);
+    case PhysOp::kHashAggregate: {
+      AppendExprList(aggregation->group_exprs, wildcard_constants, out);
       *out += ";";
+      const std::vector<AggSpec>& aggregates = aggregation->aggregates;
       for (size_t i = 0; i < aggregates.size(); ++i) {
         if (i > 0) *out += ",";
         *out += AggFuncName(aggregates[i].func);
@@ -128,6 +150,7 @@ void PhysicalPlan::AppendSignature(bool wildcard_constants,
         *out += ")";
       }
       break;
+    }
     case PhysOp::kSort:
       for (size_t i = 0; i < sort_keys.size(); ++i) {
         if (i > 0) *out += ",";
@@ -140,10 +163,13 @@ void PhysicalPlan::AppendSignature(bool wildcard_constants,
       break;
     case PhysOp::kInsert:
       *out += "rows=";
-      *out += wildcard_constants ? "?" : std::to_string(insert_rows.size());
+      *out += wildcard_constants
+                  ? "?"
+                  : std::to_string(modification->insert_rows.size());
       break;
-    case PhysOp::kUpdate:
+    case PhysOp::kUpdate: {
       *out += "set=";
+      const auto& assignments = modification->assignments;
       for (size_t i = 0; i < assignments.size(); ++i) {
         if (i > 0) *out += ",";
         *out += "#" + std::to_string(assignments[i].first) + "=";
@@ -152,6 +178,7 @@ void PhysicalPlan::AppendSignature(bool wildcard_constants,
       *out += ";where=";
       AppendSortedConjuncts(predicates, wildcard_constants, out);
       break;
+    }
     case PhysOp::kDelete:
       *out += "where=";
       AppendSortedConjuncts(predicates, wildcard_constants, out);
@@ -183,7 +210,9 @@ void ExplainRec(const PhysicalPlan& plan, int depth, std::ostringstream* out) {
   *out << PhysOpName(plan.op);
   if (plan.table != nullptr) {
     *out << " " << plan.table->name();
-    if (!plan.index_name.empty()) *out << " (index " << plan.index_name << ")";
+    if (plan.access != nullptr && !plan.access->index_name.empty()) {
+      *out << " (index " << plan.access->index_name << ")";
+    }
   }
   *out << "  [rows=" << plan.est_rows << " cost=" << plan.est_cost << "]";
   if (!plan.predicates.empty()) {
@@ -204,6 +233,11 @@ std::string PhysicalPlan::Explain() const {
   std::ostringstream out;
   ExplainRec(*this, 0, &out);
   return out.str();
+}
+
+void PhysicalPlan::InternLayouts() {
+  output.Intern();
+  for (auto& child : children) child->InternLayouts();
 }
 
 }  // namespace sqlcm::exec

@@ -39,43 +39,61 @@ enum class PhysOp : uint8_t {
 
 const char* PhysOpName(PhysOp op);
 
+/// One operator of a physical plan. Common fields are inline; operands
+/// that only some operator kinds use live out of line and are allocated by
+/// those kinds alone, so a cached plan's nodes cost what their operators
+/// need (a plan cache holds thousands of plans).
 struct PhysicalPlan {
+  using ExprList = std::vector<std::unique_ptr<BoundExpr>>;
+
+  /// Access path into `table`: kIndexSeek / kIndexRange (and the same
+  /// operands folded into kUpdate / kDelete), kIndexNLJoin's inner seek.
+  struct Access {
+    std::string index_name;  // empty = primary (clustered) index
+    /// kIndexSeek: equality values for a key prefix. Constant expressions,
+    /// except in kIndexNLJoin where they are bound against the OUTER schema.
+    ExprList seek_exprs;
+    /// kIndexRange: bounds on the first key column (constants; may be null).
+    std::unique_ptr<BoundExpr> range_lo;
+    std::unique_ptr<BoundExpr> range_hi;
+  };
+
+  /// kHashJoin equality keys (left over the left schema, right over the
+  /// right one).
+  struct HashKeys {
+    ExprList left_keys;
+    ExprList right_keys;
+  };
+
+  /// kHashAggregate.
+  struct Aggregation {
+    ExprList group_exprs;
+    std::vector<AggSpec> aggregates;
+  };
+
+  /// kInsert rows; kUpdate assignments.
+  struct Modification {
+    std::vector<ExprList> insert_rows;
+    std::vector<std::pair<size_t, std::unique_ptr<BoundExpr>>> assignments;
+  };
+
   PhysOp op;
-  RowSchema output;
+  RowSchema output;  // shared with identical layouts once interned
   std::vector<std::unique_ptr<PhysicalPlan>> children;
 
   // Optimizer estimates (Query.Estimated_Cost probes the root's est_cost).
   double est_rows = 0;
   double est_cost = 0;
 
-  // Scans and DML targets.
+  // Scans, kIndexNLJoin's inner table and DML targets.
   storage::Table* table = nullptr;
-  std::string alias;
-  std::string index_name;  // empty = primary (clustered) index
 
-  // kIndexSeek: equality values for a key prefix. Constant expressions,
-  // except in kIndexNLJoin where they are bound against the OUTER schema.
-  std::vector<std::unique_ptr<BoundExpr>> seek_exprs;
+  // kFilter / scan and join residuals / DML WHERE (conjuncts over this
+  // node's input; for joins, over the concatenated left++right schema).
+  ExprList predicates;
 
-  // kIndexRange: bounds on the first key column (constants; may be null).
-  std::unique_ptr<BoundExpr> range_lo;
-  std::unique_ptr<BoundExpr> range_hi;
-
-  // kFilter / join residuals / DML WHERE (conjuncts over this node's input;
-  // for joins, over the concatenated left++right schema).
-  std::vector<std::unique_ptr<BoundExpr>> predicates;
-
-  // kHashJoin equality keys (left_keys over left schema, right over right).
-  std::vector<std::unique_ptr<BoundExpr>> left_keys;
-  std::vector<std::unique_ptr<BoundExpr>> right_keys;
-
-  // kProject
-  std::vector<std::unique_ptr<BoundExpr>> project_exprs;
-  std::vector<std::string> project_names;
-
-  // kHashAggregate
-  std::vector<std::unique_ptr<BoundExpr>> group_exprs;
-  std::vector<AggSpec> aggregates;
+  // kProject (output names are in `output`)
+  ExprList project_exprs;
 
   // kSort
   std::vector<SortKey> sort_keys;
@@ -83,11 +101,17 @@ struct PhysicalPlan {
   // kLimit
   int64_t limit = -1;
 
-  // kInsert
-  std::vector<std::vector<std::unique_ptr<BoundExpr>>> insert_rows;
+  // Out-of-line operands (null unless this operator kind uses them).
+  std::unique_ptr<Access> access;
+  std::unique_ptr<HashKeys> hash_keys;
+  std::unique_ptr<Aggregation> aggregation;
+  std::unique_ptr<Modification> modification;
 
-  // kUpdate
-  std::vector<std::pair<size_t, std::unique_ptr<BoundExpr>>> assignments;
+  /// The operand groups, allocated on first use (plan construction).
+  Access& MutableAccess();
+  HashKeys& MutableHashKeys();
+  Aggregation& MutableAggregation();
+  Modification& MutableModification();
 
   /// Statement kind ("SELECT"/"INSERT"/"UPDATE"/"DELETE").
   const char* StatementType() const;
@@ -99,6 +123,10 @@ struct PhysicalPlan {
 
   /// Indented operator-tree rendering (EXPLAIN-style) for diagnostics.
   std::string Explain() const;
+
+  /// Shares every node's output layout with identical layouts of other
+  /// plans (RowSchema::Intern); run once before the plan is cached.
+  void InternLayouts();
 };
 
 }  // namespace sqlcm::exec

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <bit>
+#include <thread>
 
 namespace sqlcm::obs {
 
@@ -34,9 +35,16 @@ SpanRing::SpanRing(size_t capacity) {
   slots_ = std::make_unique<Slot[]>(capacity_);
 }
 
-bool SpanRing::AdvanceStamp(std::atomic<uint64_t>& stamp, uint64_t target) {
+bool SpanRing::ClaimSlot(std::atomic<uint64_t>& stamp, uint64_t target) {
   uint64_t cur = stamp.load(std::memory_order_acquire);
   while (cur < target) {
+    if ((cur & 1) != 0) {
+      // An older lap is mid-write; its payload stores must not interleave
+      // with ours, so wait for it to publish (a handful of stores).
+      std::this_thread::yield();
+      cur = stamp.load(std::memory_order_acquire);
+      continue;
+    }
     if (stamp.compare_exchange_weak(cur, target, std::memory_order_acq_rel,
                                     std::memory_order_acquire)) {
       return true;
@@ -51,7 +59,10 @@ void SpanRing::Record(const Span& span) {
   Slot& slot = slots_[ticket & mask_];
 
   // Claim the slot; if a newer lap already owns it, drop this span.
-  if (!AdvanceStamp(slot.stamp, 2 * ticket + 1)) return;
+  if (!ClaimSlot(slot.stamp, 2 * ticket + 1)) return;
+  // Orders the claim before the payload stores for Snapshot()'s
+  // load-payload / acquire-fence / re-check-stamp sequence.
+  std::atomic_thread_fence(std::memory_order_release);
 
   slot.trace_id.store(span.trace_id, std::memory_order_relaxed);
   slot.span_id.store(span.span_id, std::memory_order_relaxed);
@@ -64,8 +75,8 @@ void SpanRing::Record(const Span& span) {
                         (static_cast<uint32_t>(span.depth) << 16);
   slot.meta.store(meta, std::memory_order_relaxed);
 
-  // Publish; if a newer writer raced past us the stamp is already ahead.
-  AdvanceStamp(slot.stamp, 2 * ticket + 2);
+  // Publish. The claim is exclusive: no newer lap claims an odd stamp.
+  slot.stamp.store(2 * ticket + 2, std::memory_order_release);
 }
 
 std::vector<Span> SpanRing::Snapshot() const {

@@ -12,9 +12,11 @@
 // SpanRing uses the same stamp-CAS MPSC protocol as TraceRing (see
 // trace_ring.h for the full protocol commentary): ticket counter assigns
 // slots, stamps move forward monotonically (2*ticket+1 = writing,
-// 2*ticket+2 = done), payload fields are individually-relaxed atomics so the
-// whole thing is TSan-clean, and Snapshot() re-checks the stamp and counts
-// any torn/mid-write slot it has to drop.
+// 2*ticket+2 = done), a claim is exclusive (a newer lap waits while an
+// older one is mid-write, so payload stores never interleave), payload
+// fields are individually-relaxed atomics so the whole thing is TSan-clean,
+// and Snapshot() re-checks the stamp and counts any mid-write slot it has
+// to drop.
 //
 // SlowTraceTable keeps the K most expensive traces *whole* (every span, not
 // just the root) as exemplars; the reject fast path is a single relaxed
@@ -65,7 +67,8 @@ class SpanRing {
   void set_enabled(bool on) { enabled_.store(on, std::memory_order_relaxed); }
   bool enabled() const { return enabled_.load(std::memory_order_relaxed); }
 
-  /// No-op when disabled. Lock-free, wait-free apart from the stamp CAS.
+  /// No-op when disabled. Lock-free apart from waiting out an older lap's
+  /// in-flight write to the same slot (a handful of stores).
   void Record(const Span& span);
 
   /// The most recent min(capacity, total recorded) spans, oldest first.
@@ -93,7 +96,10 @@ class SpanRing {
     std::atomic<uint32_t> meta{0};  // kind | detail<<8 | depth<<16
   };
 
-  static bool AdvanceStamp(std::atomic<uint64_t>& stamp, uint64_t target);
+  /// Moves an even (published or empty) stamp below `target` to the odd
+  /// `target`, waiting while an older lap is mid-write so writers never
+  /// interleave payload stores. False when a newer lap already owns it.
+  static bool ClaimSlot(std::atomic<uint64_t>& stamp, uint64_t target);
 
   size_t capacity_;  // power of two
   size_t mask_;

@@ -1,6 +1,7 @@
 #include "sqlcm/monitor_engine.h"
 
 #include <algorithm>
+#include <bit>
 #include <chrono>
 #include <deque>
 #include <memory>
@@ -96,6 +97,10 @@ std::deque<PendingEviction>& PendingEvictions() {
   thread_local std::deque<PendingEviction> pending;
   return pending;
 }
+
+/// Visit-bitmap words kept on the stack (rule lanes of up to 2,048 rules;
+/// larger ones allocate per event).
+constexpr size_t kInlineVisitWords = 32;
 
 /// Cap on the Lat.Evict events one root dispatch drains (guards against
 /// rule cycles such as an Evict rule re-inserting into its own LAT).
@@ -277,6 +282,11 @@ MonitorEngine::~MonitorEngine() {
   }
   timers_.Stop();
   db_->set_monitor_hooks(nullptr);
+  {
+    // Rules may outlive the engine (snapshots); stop them counting into it.
+    std::lock_guard<std::mutex> lock(registry_mutex_);
+    for (const auto& rule : rules_) rule->breaker.WatchState(nullptr);
+  }
   if (views_ != nullptr) {
     views_.reset();
     // Cached plans may reference the just-dropped view tables.
@@ -525,6 +535,7 @@ Result<uint64_t> MonitorEngine::AddRule(const RuleSpec& spec) {
     }
   }
   rule->rate_limiter.Configure(rate_limit);
+  rule->breaker.WatchState(&breakers_not_closed_);
   std::lock_guard<std::mutex> lock(registry_mutex_);
   rule->id = next_rule_id_++;
   rules_.push_back(rule);
@@ -536,6 +547,7 @@ Status MonitorEngine::RemoveRule(uint64_t rule_id) {
   std::lock_guard<std::mutex> lock(registry_mutex_);
   for (size_t i = 0; i < rules_.size(); ++i) {
     if (rules_[i]->id == rule_id) {
+      rules_[i]->breaker.WatchState(nullptr);
       rules_.erase(rules_.begin() + static_cast<long>(i));
       RebuildRuleTableLocked();
       return Status::OK();
@@ -628,6 +640,7 @@ void MonitorEngine::RebuildRuleTableLocked() {
         ReorderPredicateIndex(&table->deferred_index[kind]);
       }
     }
+    BuildAllAccessGroups(table.get());
   }
   for (size_t kind = 0; kind < kNumEventKinds; ++kind) {
     has_rules_[kind].store(!table->by_event[kind].empty() ||
@@ -658,8 +671,26 @@ void MonitorEngine::MaybeReorderPredicates() {
     ReorderPredicateIndex(&table->sync_index[kind]);
     ReorderPredicateIndex(&table->deferred_index[kind]);
   }
+  // New walk orders mean new access groups (and tallies) for this table;
+  // the replaced table's groups fold their tallies once it retires.
+  BuildAllAccessGroups(table.get());
   PublishRuleTable(std::move(table));
   metrics_.predindex_reorders.Inc();
+}
+
+void MonitorEngine::BuildAllAccessGroups(RuleTable* table) {
+  for (size_t kind = 0; kind < kNumEventKinds; ++kind) {
+    const struct {
+      const RuleList& rules;
+      PredicateIndex& index;
+    } lanes[] = {{table->by_event[kind], table->sync_index[kind]},
+                 {table->deferred_by_event[kind], table->deferred_index[kind]}};
+    for (const auto& lane : lanes) {
+      if (!lane.index.any_indexed) continue;
+      lane.index.groups =
+          std::make_shared<const AccessGroups>(lane.rules, lane.index);
+    }
+  }
 }
 
 void MonitorEngine::PublishRuleTable(std::shared_ptr<const RuleTable> table) {
@@ -717,11 +748,11 @@ MonitorEngine::SnapshotPredicateStats() const {
         PredicateStatRow row;
         row.event = EventKindName(static_cast<EventKind>(kind));
         row.lane = lane.lane;
-        row.text = pred.text;
-        row.hash = pred.hash;
+        row.text = pred.conjunct->text;
+        row.hash = pred.conjunct->hash;
         row.subscribers = pred.subscribers;
-        row.evals = pred.stats->evals.load(std::memory_order_relaxed);
-        row.passes = pred.stats->passes.load(std::memory_order_relaxed);
+        row.evals = pred.stats->evals.value();
+        row.passes = pred.stats->passes.value();
         row.mean_cost_ns = static_cast<double>(
             pred.stats->cost_ewma_ns.load(std::memory_order_relaxed));
         row.rank = pred.stats->rank.load(std::memory_order_relaxed);
@@ -796,8 +827,9 @@ void MonitorEngine::OnStatementCompiled(engine::CachedPlan* plan) {
   Signature logical = LogicalQuerySignature(*plan->logical);
   Signature physical = PhysicalPlanSignature(*plan->physical);
   plan->signature_micros = db_->clock()->NowMicros() - start;
-  plan->logical_signature = std::move(logical.text);
-  plan->physical_signature = std::move(physical.text);
+  plan->logical_signature = engine::SharedText::Intern(std::move(logical.text));
+  plan->physical_signature =
+      engine::SharedText::Intern(std::move(physical.text));
   plan->logical_signature_hash = logical.hash;
   plan->physical_signature_hash = physical.hash;
   plan->signatures_computed = true;
@@ -1294,42 +1326,82 @@ void MonitorEngine::DispatchEvent(EventKind kind, const std::string& qualifier,
   // Shared-conjunct walk state: one memo per event, fanned out to every
   // indexed rule below (docs/PERFORMANCE.md §"Predicate index").
   PredicateMemo* memo = nullptr;
-  if (index != nullptr) {
-    memo = &ThreadPredicateMemo();
-    memo->BeginEvent(index->preds.size());
-  }
   // Walk and fire counts add up here and reach the (striped) engine
   // counters once per event rather than once per rule.
   PredWalkCounters walk;
 
-  uint32_t fired_here = 0;
-  ++RuleDepth();
-  for (size_t rule_pos = 0; rule_pos < rules.size(); ++rule_pos) {
-    const CompiledRule& rule = *rules[rule_pos];
-    if (!rule.event.qualifier.empty() && rule.event.qualifier != qualifier) {
-      continue;
+  // The rule positions to visit. With the index on, the subscription
+  // matcher probes each access group once and leaves out the members of
+  // rejected groups (their stats are derived from the group tallies);
+  // without it every rule is visited.
+  const size_t words = RuleBitmapWords(rules.size());
+  std::array<RuleBitmap, kInlineVisitWords> inline_visit{};
+  std::vector<RuleBitmap> heap_visit;
+  RuleBitmap* visit = inline_visit.data();
+  if (words > inline_visit.size()) {
+    heap_visit.resize(words);
+    visit = heap_visit.data();
+  }
+  uint32_t skipped = 0;
+  if (index != nullptr) {
+    memo = &ThreadPredicateMemo();
+    memo->BeginEvent(index->preds.size());
+    skipped = index->groups->Match(
+        *index, /*strict_order=*/!options_.learned_predicate_order,
+        breakers_not_closed_.load(std::memory_order_relaxed) != 0, ctx, memo,
+        &walk, visit);
+  } else {
+    std::fill(visit, visit + words, ~RuleBitmap{0});
+    if (rules.size() % 64 != 0) {
+      visit[words - 1] = (RuleBitmap{1} << (rules.size() % 64)) - 1;
     }
-    const IndexedRule* entry =
-        index != nullptr ? &index->entries[rule_pos] : nullptr;
-    // Iterating rules are inline by classification, so only the sync lane
-    // (which passes no LAT sink) reaches RunIteratingRule.
-    const uint32_t fired =
-        rule.iterate_classes.empty()
-            ? RunRule(rule, ctx, profiled, lat_sink, index, entry, memo,
-                      &walk)
-            : RunIteratingRule(rule, ctx, profiled);
-    fired_here += fired;
-    if (fired != 0 && memo != nullptr && entry->mutates_lats &&
-        rule_pos + 1 < rules.size()) {
-      // The fired rule's actions changed LAT state mid-event: memoized
-      // LAT-reading conjuncts and the shared row cache no longer match what
-      // naive per-rule evaluation would see for the rules still to come
-      // (after the last rule the memo is dead — skip). In the deferred lane
-      // inserts buffer in lat_sink, so only RESET actions count as
-      // mutations there (mutates_lats reflects that per lane).
-      memo->InvalidateLatReaders(*index);
-      ctx->lat_rows.clear();
-      metrics_.predindex_invalidations.Inc();
+  }
+  // The last position to visit: a LAT mutation by the rule there needs no
+  // memo invalidation, since no later rule reads the memo.
+  size_t last_pos = 0;
+  for (size_t w = words; w-- > 0;) {
+    if (visit[w] != 0) {
+      last_pos = w * 64 + 63 - static_cast<size_t>(std::countl_zero(visit[w]));
+      break;
+    }
+  }
+
+  uint32_t fired_here = 0;
+  uint32_t visited = 0;
+  ++RuleDepth();
+  for (size_t w = 0; w < words; ++w) {
+    for (RuleBitmap bits = visit[w]; bits != 0; bits &= bits - 1) {
+      const size_t rule_pos =
+          w * 64 + static_cast<size_t>(std::countr_zero(bits));
+      const CompiledRule& rule = *rules[rule_pos];
+      if (!rule.event.qualifier.empty() &&
+          rule.event.qualifier != qualifier) {
+        continue;
+      }
+      ++visited;
+      const IndexedRule* entry =
+          index != nullptr ? &index->entries[rule_pos] : nullptr;
+      // Iterating rules are inline by classification, so only the sync lane
+      // (which passes no LAT sink) reaches RunIteratingRule.
+      const uint32_t fired =
+          rule.iterate_classes.empty()
+              ? RunRule(rule, ctx, profiled, lat_sink, index, entry, memo,
+                        &walk)
+              : RunIteratingRule(rule, ctx, profiled);
+      fired_here += fired;
+      if (fired != 0 && memo != nullptr && entry->mutates_lats &&
+          rule_pos != last_pos) {
+        // The fired rule's actions changed LAT state mid-event: memoized
+        // LAT-reading conjuncts and the shared row cache no longer match
+        // what naive per-rule evaluation would see for the rules still to
+        // come. Access predicates read no LAT, so the matcher's verdicts
+        // stand. In the deferred lane inserts buffer in lat_sink, so only
+        // RESET actions count as mutations there (mutates_lats reflects
+        // that per lane).
+        memo->InvalidateLatReaders(*index);
+        ctx->lat_rows.clear();
+        metrics_.predindex_invalidations.Inc();
+      }
     }
   }
   if (frame != nullptr) {
@@ -1365,6 +1437,8 @@ void MonitorEngine::DispatchEvent(EventKind kind, const std::string& qualifier,
   if (walk.evals != 0) metrics_.predindex_evals.Inc(walk.evals);
   if (walk.memo_hits != 0) metrics_.predindex_memo_hits.Inc(walk.memo_hits);
   if (fired_here != 0) metrics_.rules_fired.Inc(fired_here);
+  if (visited != 0) metrics_.rules_visited.Inc(visited);
+  if (skipped != 0) metrics_.rules_skipped.Inc(skipped);
   if (trace_.enabled()) {
     // The clock read here is trace-gated; the untraced path stays at one
     // read per event. Measured from the hook's clock read, the duration is

@@ -128,9 +128,10 @@ class MonitorEngine final : public engine::MonitorHooks,
     /// Shared predicate index (docs/PERFORMANCE.md §"Predicate index").
     /// When on, conditions of rules sharing an event are decomposed into
     /// canonicalized conjuncts evaluated at most once per event, with
-    /// memoized three-valued outcomes fanned out to every subscriber. Off =
-    /// exactly the historical per-rule evaluation path (differential-oracle
-    /// toggle).
+    /// memoized three-valued outcomes fanned out to every subscriber, and
+    /// rules sharing an attribute-only first conjunct are rejected as one
+    /// access group (§"Subscription dispatch"). Off = exactly the
+    /// historical per-rule evaluation path (differential-oracle toggle).
     bool predicate_index = true;
     /// Online learned conjunct ordering on top of the index: per-predicate
     /// pass-rate/cost EWMAs + UCB1 exploration periodically re-sort each
@@ -345,6 +346,9 @@ class MonitorEngine final : public engine::MonitorHooks,
   };
 
   void RebuildRuleTableLocked();
+  /// Builds the subscription matcher of every index in `table` from its
+  /// current walk orders.
+  void BuildAllAccessGroups(RuleTable* table);
 
   /// Publishes `table` as the current dispatch table and moves the version
   /// so every thread refreshes its snapshot at its next outermost event.
@@ -370,7 +374,9 @@ class MonitorEngine final : public engine::MonitorHooks,
   /// event span and trace row; the outermost dispatch on the thread also
   /// drains the Lat.Evict events raised meanwhile. `sampled` decides
   /// profiling when this dispatch roots the trace; `index` is null when
-  /// indexing is off. The deferred lane passes its LAT insert sink and the
+  /// indexing is off. With an index, the subscription matcher first
+  /// rejects whole access groups and only the remaining rules are visited
+  /// (predicate_index.h). The deferred lane passes its LAT insert sink and the
   /// event's enqueue time (adding the queue_wait span); sync passes null, 0.
   void DispatchEvent(EventKind kind, const std::string& qualifier,
                      uint64_t seq, bool sampled, EvalContext* ctx,
@@ -498,6 +504,10 @@ class MonitorEngine final : public engine::MonitorHooks,
   /// CREATE/DROP RULE swaps and reorders. Entries are never dropped — the
   /// predicate universe is bounded by rule text ever created.
   PredicateStatsRegistry predicate_stats_;
+  /// Rule breakers currently open or half-open (RuleBreaker::WatchState).
+  /// While zero, dispatch rejects access groups without looking at their
+  /// members' breakers.
+  std::atomic<int64_t> breakers_not_closed_{0};
   /// Lock-free per-event fast path: FireEvent returns without touching the
   /// registry mutex when no enabled rule listens to the event kind.
   std::array<std::atomic<bool>, kNumEventKinds> has_rules_{};

@@ -42,6 +42,8 @@ MonitorMetrics::MonitorMetrics() {
   registry.RegisterCounter("engine.fast_path_calls", &fast_path_calls);
   registry.RegisterCounter("engine.events_processed", &events_processed);
   registry.RegisterCounter("engine.rules_fired", &rules_fired);
+  registry.RegisterCounter("engine.rules_visited", &rules_visited);
+  registry.RegisterCounter("engine.rules_skipped", &rules_skipped);
   registry.RegisterCounter("engine.errors_total", &errors_total);
   registry.RegisterCounter("engine.deferred_events", &deferred_events);
   registry.RegisterHistogram("engine.signature_compute", &signature_micros);

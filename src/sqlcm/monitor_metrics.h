@@ -47,6 +47,12 @@ struct MonitorMetrics {
   obs::Counter fast_path_calls;          // hook invocations with monitoring off
   obs::StripedCounter events_processed;  // events with >= 1 registered rule
   obs::StripedCounter rules_fired;       // rules whose actions ran
+  /// Dispatch by subscription (predicate_index.h): rules visited (their
+  /// breaker gate and condition ran) and rules their rejected access group
+  /// answered without a visit. Per event these depend only on the rule
+  /// set and the event, so visits per event is a stable per-layer signal.
+  obs::StripedCounter rules_visited;
+  obs::StripedCounter rules_skipped;
   obs::Counter errors_total;      // condition/action/persist failures
   obs::Counter deferred_events;   // LAT evictions dispatched after unwind
   obs::LatencyHistogram signature_micros;   // per-compile signature cost

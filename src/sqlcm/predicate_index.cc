@@ -58,8 +58,8 @@ void AppendCanonical(const CmExpr& e, std::string* out) {
     case CmExpr::Kind::kAttrRef:
       if (e.cls == MonitoredClass::kEvicted) {
         // Column index is relative to the event's LAT; rules on Lat.Evict
-        // events bypass the index, so this spelling is only reached by
-        // direct CanonicalPredicateText calls (tests/tools).
+        // events bypass the index, so this spelling never keys a shared
+        // predicate.
         *out += "Evicted.#";
         *out += std::to_string(e.attr_index);
         return;
@@ -120,13 +120,14 @@ void AppendCanonical(const CmExpr& e, std::string* out) {
 ///                              missing single-conjunct corner the naive
 ///                              rerun yields the FALSE the §5.2 rule
 ///                              demands rather than an error)
-PredOutcome EvaluatePredicate(const IndexedPredicate& pred, EvalContext* ctx) {
-  if (pred.is_fast) {
-    return EvalFastAtom(pred.atom, *ctx) ? PredOutcome::kPass
-                                         : PredOutcome::kFalse;
+PredOutcome EvaluatePredicate(const CompiledConjunct& conjunct,
+                              EvalContext* ctx) {
+  if (conjunct.is_fast) {
+    return EvalFastAtom(conjunct.atom, *ctx) ? PredOutcome::kPass
+                                             : PredOutcome::kFalse;
   }
   ctx->lat_row_missing = false;
-  auto result = pred.expr->Eval(ctx);
+  auto result = conjunct.expr->Eval(ctx);
   const bool missing = ctx->lat_row_missing;
   ctx->lat_row_missing = false;
   if (!result.ok()) return PredOutcome::kError;
@@ -144,14 +145,52 @@ PredOutcome EvaluatePredicate(const IndexedPredicate& pred, EvalContext* ctx) {
 /// (FrancoDB's QueryPlanOptimizer shape, adapted to condition ordering).
 double PredicateScore(const IndexedPredicate& pred, double ln_total) {
   const PredicateStats& s = *pred.stats;
-  const double n =
-      static_cast<double>(s.evals.load(std::memory_order_relaxed));
+  const double n = static_cast<double>(s.evals.value());
   double bonus = std::sqrt(2.0 * ln_total / std::max(n, 1.0));
   if (bonus > 1.0) bonus = 1.0;  // cap: never fully dominates observation
   double cost =
       static_cast<double>(s.cost_ewma_ns.load(std::memory_order_relaxed));
   if (cost <= 0.0) cost = 100.0;  // unmeasured: assume a cheap comparison
   return (1.0 - s.PassRate() + bonus) / cost;
+}
+
+/// 1-in-16 cost sampling from a per-thread xorshift stream: no shared
+/// counter to bump, and no fixed stride that could keep hitting the same
+/// predicate of a fixed-size walk.
+bool SampleCost() {
+  thread_local uint32_t state = 0x9e3779b9u;
+  state ^= state << 13;
+  state ^= state >> 17;
+  state ^= state << 5;
+  return (state & 0xF) == 0;
+}
+
+/// The memoized outcome of predicate `id` for the current event,
+/// evaluating it (and feeding its learned stats) on first lookup.
+PredOutcome LookupPredicate(const PredicateIndex& index, uint32_t id,
+                            EvalContext* ctx, PredicateMemo* memo,
+                            PredWalkCounters* counters) {
+  PredOutcome outcome = memo->Get(id);
+  if (outcome != PredOutcome::kUnknown) {
+    ++counters->memo_hits;
+    return outcome;
+  }
+  const IndexedPredicate& pred = index.preds[id];
+  PredicateStats& stats = *pred.stats;
+  stats.evals.Inc();
+  const bool timed = SampleCost();
+  const uint64_t t0 = timed ? NowNanos() : 0;
+  outcome = EvaluatePredicate(*pred.conjunct, ctx);
+  if (timed) {
+    const uint64_t dt = NowNanos() - t0;
+    const uint64_t prev = stats.cost_ewma_ns.load(std::memory_order_relaxed);
+    stats.cost_ewma_ns.store(prev == 0 ? dt : (prev * 7 + dt) / 8,
+                             std::memory_order_relaxed);
+  }
+  if (outcome == PredOutcome::kPass) stats.passes.Inc();
+  memo->Set(id, outcome);
+  ++counters->evals;
+  return outcome;
 }
 
 }  // namespace
@@ -179,9 +218,9 @@ void BuildPredicateIndex(
   out->preds.clear();
   out->entries.clear();
   out->any_indexed = false;
+  out->groups.reset();
   out->entries.resize(rules.size());
   std::unordered_map<uint64_t, uint32_t> by_hash;
-  std::vector<const CmExpr*> conjuncts;
   for (size_t i = 0; i < rules.size(); ++i) {
     const std::shared_ptr<const CompiledRule>& rule = rules[i];
     IndexedRule& entry = out->entries[i];
@@ -203,17 +242,12 @@ void BuildPredicateIndex(
     }
     entry.indexed = true;
     out->any_indexed = true;
-    if (rule->condition == nullptr) continue;  // unconditioned: always fires
-    conjuncts.clear();
-    CollectConjuncts(rule->condition.get(), &conjuncts);
-    entry.preds.reserve(conjuncts.size());
-    for (const CmExpr* conjunct : conjuncts) {
-      std::string text = CanonicalPredicateText(*conjunct);
-      const uint64_t hash = common::Fnv1a64(text);
-      auto [it, inserted] =
-          by_hash.try_emplace(hash, static_cast<uint32_t>(out->preds.size()));
+    entry.preds.reserve(rule->conjuncts.size());
+    for (const CompiledConjunct& conjunct : rule->conjuncts) {
+      auto [it, inserted] = by_hash.try_emplace(
+          conjunct.hash, static_cast<uint32_t>(out->preds.size()));
       uint32_t id = it->second;
-      if (!inserted && out->preds[id].text != text) {
+      if (!inserted && out->preds[id].conjunct->text != conjunct.text) {
         // 64-bit hash collision between distinct predicates: keep them
         // separate (unshared, fresh stats) rather than merge semantics.
         id = static_cast<uint32_t>(out->preds.size());
@@ -221,15 +255,11 @@ void BuildPredicateIndex(
       }
       if (inserted) {
         IndexedPredicate pred;
-        pred.expr = conjunct;
+        pred.conjunct = &conjunct;
         pred.owner = rule;
-        pred.is_fast = TryCompileFastAtom(*conjunct, &pred.atom);
-        std::vector<const Lat*> lats;
-        conjunct->CollectLats(&lats);
-        pred.reads_lats = !lats.empty();
-        pred.text = std::move(text);
-        pred.hash = hash;
-        auto [sit, stats_inserted] = registry->try_emplace(hash, nullptr);
+        pred.reads_lats = conjunct.reads_lats;
+        auto [sit, stats_inserted] =
+            registry->try_emplace(conjunct.hash, nullptr);
         if (stats_inserted) sit->second = std::make_shared<PredicateStats>();
         pred.stats = sit->second;
         out->preds.push_back(std::move(pred));
@@ -244,7 +274,7 @@ void ReorderPredicateIndex(PredicateIndex* index) {
   if (index->preds.empty()) return;
   uint64_t total = 1;
   for (const IndexedPredicate& pred : index->preds) {
-    total += pred.stats->evals.load(std::memory_order_relaxed);
+    total += pred.stats->evals.value();
   }
   const double ln_total = std::log(static_cast<double>(total));
   std::vector<double> score(index->preds.size());
@@ -270,36 +300,97 @@ void ReorderPredicateIndex(PredicateIndex* index) {
   }
 }
 
+AccessGroups::AccessGroups(
+    const std::vector<std::shared_ptr<const CompiledRule>>& rules,
+    const PredicateIndex& index)
+    : words_(RuleBitmapWords(rules.size())), residual_(words_, 0) {
+  std::unordered_map<uint32_t, size_t> group_of;  // access pred -> group
+  for (size_t pos = 0; pos < rules.size(); ++pos) {
+    const CompiledRule& rule = *rules[pos];
+    const IndexedRule& entry = index.entries[pos];
+    const RuleBitmap bit = RuleBitmap{1} << (pos % 64);
+    // Qualified rules are skipped by the dispatch loop on a qualifier
+    // mismatch without being considered, so they cannot be counted as
+    // group-rejected evaluations; they stay residual with the rules the
+    // walk cannot reject on one attribute-only conjunct.
+    const bool grouped =
+        entry.indexed && rule.event.qualifier.empty() &&
+        !entry.preds.empty() &&
+        !index.preds[entry.preds.front()].conjunct->reads_lats &&
+        !index.preds[entry.preds.front()].conjunct->boolean_root;
+    if (!grouped) {
+      residual_[pos / 64] |= bit;
+      continue;
+    }
+    auto [it, inserted] = group_of.try_emplace(entry.preds.front(),
+                                               preds_.size());
+    if (inserted) {
+      preds_.push_back(entry.preds.front());
+      bits_.resize(bits_.size() + words_, 0);
+      members_.emplace_back();
+    }
+    bits_[it->second * words_ + pos / 64] |= bit;
+    members_[it->second].push_back(rules[pos]);
+  }
+  tallies_ = std::make_unique<obs::StripedCounter[]>(preds_.size());
+  for (size_t g = 0; g < preds_.size(); ++g) {
+    for (const auto& rule : members_[g]) {
+      rule->stats.group_rejections.Attach(&tallies_[g]);
+    }
+  }
+}
+
+AccessGroups::~AccessGroups() {
+  for (size_t g = 0; g < preds_.size(); ++g) {
+    for (const auto& rule : members_[g]) {
+      rule->stats.group_rejections.Retire(&tallies_[g]);
+    }
+  }
+}
+
+uint32_t AccessGroups::Match(const PredicateIndex& index, bool strict_order,
+                             bool check_breakers, EvalContext* ctx,
+                             PredicateMemo* memo, PredWalkCounters* counters,
+                             RuleBitmap* visit) const {
+  std::copy(residual_.begin(), residual_.end(), visit);
+  uint32_t skipped = 0;
+  for (size_t g = 0; g < preds_.size(); ++g) {
+    const PredOutcome outcome =
+        LookupPredicate(index, preds_[g], ctx, memo, counters);
+    // Exactly where each member's walk would reject on its first conjunct
+    // (EvalIndexedCondition): FALSE always, NULL only without strict order.
+    bool rejected = outcome == PredOutcome::kFalse ||
+                    (outcome == PredOutcome::kNull && !strict_order);
+    if (rejected && check_breakers) {
+      // An open or half-open breaker must see the visit (it counts a skip
+      // or admits a probe), so such a group is visited rule by rule.
+      for (const auto& rule : members_[g]) {
+        if (rule->breaker.state() != RuleBreaker::State::kClosed) {
+          rejected = false;
+          break;
+        }
+      }
+    }
+    if (rejected) {
+      tallies_[g].Inc();
+      const auto n = static_cast<uint32_t>(members_[g].size());
+      skipped += n;
+      counters->memo_hits += n;
+      continue;
+    }
+    const RuleBitmap* bits = &bits_[g * words_];
+    for (size_t w = 0; w < words_; ++w) visit[w] |= bits[w];
+  }
+  return skipped;
+}
+
 IndexVerdict EvalIndexedCondition(const PredicateIndex& index,
                                   const IndexedRule& entry, bool strict_order,
                                   EvalContext* ctx, PredicateMemo* memo,
                                   PredWalkCounters* counters) {
   bool saw_null = false;
   for (uint32_t id : entry.preds) {
-    PredOutcome outcome = memo->Get(id);
-    if (outcome != PredOutcome::kUnknown) {
-      ++counters->memo_hits;
-    } else {
-      const IndexedPredicate& pred = index.preds[id];
-      PredicateStats& stats = *pred.stats;
-      const uint64_t n = stats.evals.fetch_add(1, std::memory_order_relaxed);
-      const bool timed = (n & 0xF) == 0;  // 1-in-16 cost sampling
-      const uint64_t t0 = timed ? NowNanos() : 0;
-      outcome = EvaluatePredicate(pred, ctx);
-      if (timed) {
-        const uint64_t dt = NowNanos() - t0;
-        const uint64_t prev =
-            stats.cost_ewma_ns.load(std::memory_order_relaxed);
-        stats.cost_ewma_ns.store(prev == 0 ? dt : (prev * 7 + dt) / 8,
-                                 std::memory_order_relaxed);
-      }
-      if (outcome == PredOutcome::kPass) {
-        stats.passes.fetch_add(1, std::memory_order_relaxed);
-      }
-      memo->Set(id, outcome);
-      ++counters->evals;
-    }
-    switch (outcome) {
+    switch (LookupPredicate(index, id, ctx, memo, counters)) {
       case PredOutcome::kPass:
         break;
       case PredOutcome::kFalse:

@@ -28,7 +28,24 @@
 // any error falls back to the naive evaluator for exact accounting). With
 // learned ordering on, a reordered walk may reject before reaching a
 // conjunct whose evaluation would have raised an error — strictly fewer
-// errors, same fires. See docs/PERFORMANCE.md §"Predicate index".
+// errors, same fires.
+//
+// Dispatch by subscription: the index also clusters rules by an access
+// predicate (Fabret et al., SIGMOD 2001), so a predicate that fails rejects
+// its whole group in one step instead of visiting every rule. An indexed
+// rule without an event qualifier joins the access group of its first walk
+// conjunct when that conjunct reads only event attributes (no LAT read, so
+// its outcome cannot change mid-event) and is not rooted at OR/NOT. Every
+// other rule is residual and always visited. Per event, each group's
+// access predicate is evaluated once (through the memo); a group rejected
+// on FALSE (or on NULL with learned ordering — exactly where the rule walk
+// would reject on that conjunct) takes one striped add on its tally, and
+// only residual rules and members of the other groups are visited, in
+// activation order. A group whose predicate errored, or that holds a rule
+// whose breaker is not closed, is visited rule by rule as before. Members'
+// `evaluations`, `condition_false` and breaker successes are derived from
+// the tallies (GroupRejectionTally in rule.h). See docs/PERFORMANCE.md
+// §"Subscription dispatch".
 #ifndef SQLCM_SQLCM_PREDICATE_INDEX_H_
 #define SQLCM_SQLCM_PREDICATE_INDEX_H_
 
@@ -48,8 +65,10 @@ namespace sqlcm::cm {
 /// selectivity/cost learned before a CREATE/DROP RULE swap or a reorder is
 /// not thrown away.
 struct PredicateStats {
-  std::atomic<uint64_t> evals{0};   // conjunct evaluations actually run
-  std::atomic<uint64_t> passes{0};  // evaluations that yielded TRUE
+  /// Striped per thread: every session evaluates the same access
+  /// predicates on every event, so a shared word would bounce.
+  obs::StripedCounter evals;   // conjunct evaluations actually run
+  obs::StripedCounter passes;  // evaluations that yielded TRUE
   /// EWMA of sampled evaluation cost in nanoseconds (alpha = 1/8; roughly
   /// 1 in 16 evaluations is timed to keep the hot path at its one-clock-
   /// read-per-event discipline). Updated racy-lossy — plain atomic
@@ -60,10 +79,9 @@ struct PredicateStats {
   std::atomic<int64_t> rank{-1};
 
   double PassRate() const {
-    const uint64_t n = evals.load(std::memory_order_relaxed);
+    const uint64_t n = evals.value();
     if (n == 0) return 0.5;  // uninformed prior
-    return static_cast<double>(passes.load(std::memory_order_relaxed)) /
-           static_cast<double>(n);
+    return static_cast<double>(passes.value()) / static_cast<double>(n);
   }
 };
 
@@ -82,19 +100,16 @@ enum class PredOutcome : uint8_t { kUnknown = 0, kPass, kFalse, kNull, kError };
 /// Verdict of a memoized condition walk.
 enum class IndexVerdict : uint8_t { kFire, kReject, kError };
 
-/// One shared conjunct. `expr` points into the owning rule's compiled tree;
-/// `owner` pins that rule for the life of the index snapshot.
+/// One shared conjunct. `conjunct` (expression, canonical text, hash,
+/// fast atom) lives in the owning rule, which `owner` pins for the life of
+/// the index snapshot.
 struct IndexedPredicate {
-  const CmExpr* expr = nullptr;
+  const CompiledConjunct* conjunct = nullptr;
   std::shared_ptr<const CompiledRule> owner;
-  /// Attr-vs-literal comparison evaluable without the tree interpreter.
-  bool is_fast = false;
-  FastAtom atom;
-  /// Conjunct reads at least one LAT row; its memo entry (and the shared
-  /// lat_rows cache) must be dropped when a fired rule mutates LAT state.
+  /// conjunct->reads_lats, kept inline for the per-fire invalidation scan:
+  /// the memo entry (and the shared lat_rows cache) of a LAT reader must be
+  /// dropped when a fired rule mutates LAT state.
   bool reads_lats = false;
-  std::string text;   // canonical form; also the view's display text
-  uint64_t hash = 0;  // Fnv1a64(text)
   uint32_t subscribers = 0;  // rules in this index containing the conjunct
   std::shared_ptr<PredicateStats> stats;
 };
@@ -113,12 +128,17 @@ struct IndexedRule {
   std::vector<uint32_t> preds;
 };
 
+class AccessGroups;
+
 /// Immutable-once-published index for one (event kind, dispatch lane);
 /// embedded in the engine's published rule table and swapped with it.
 struct PredicateIndex {
   std::vector<IndexedPredicate> preds;
   std::vector<IndexedRule> entries;
   bool any_indexed = false;
+  /// Subscription matcher for the current walk orders; rebuilt whenever
+  /// they change, so every published table has its own.
+  std::shared_ptr<const AccessGroups> groups;
 };
 
 /// Per-thread memo of conjunct outcomes for the current event.
@@ -162,6 +182,47 @@ struct PredWalkCounters {
   uint64_t memo_hits = 0;  // conjunct lookups served from the memo
 };
 
+/// Rule positions of one lane's rule vector, one bit each.
+using RuleBitmap = uint64_t;
+inline size_t RuleBitmapWords(size_t rules) { return (rules + 63) / 64; }
+
+/// The access groups of one index generation (see the header comment).
+/// Each group keeps a bitmap of its members' positions and a striped tally
+/// of the events that rejected it; the members' stats read the tallies
+/// while the generation is live, and the destructor — run once every table
+/// holding the generation is released, so no dispatch can add to a tally
+/// any more — folds each final tally into its members.
+class AccessGroups {
+ public:
+  AccessGroups(const std::vector<std::shared_ptr<const CompiledRule>>& rules,
+               const PredicateIndex& index);
+  ~AccessGroups();
+  AccessGroups(const AccessGroups&) = delete;
+  AccessGroups& operator=(const AccessGroups&) = delete;
+
+  /// Probes every group's access predicate once for the current event and
+  /// writes into `visit` (RuleBitmapWords of the lane's rule count) the
+  /// positions dispatch must visit:
+  /// the residual rules plus the members of every group not rejected. A
+  /// group is rejected when its predicate is FALSE, or NULL unless
+  /// `strict_order`, and — when `check_breakers` (some breaker of the
+  /// engine is not closed) — all its members' breakers are closed. Each
+  /// rejected group takes one add on its tally, and its members count as
+  /// memo hits. Returns the number of members skipped.
+  uint32_t Match(const PredicateIndex& index, bool strict_order,
+                 bool check_breakers, EvalContext* ctx, PredicateMemo* memo,
+                 PredWalkCounters* counters, RuleBitmap* visit) const;
+
+ private:
+  size_t words_ = 0;
+  std::vector<uint32_t> preds_;      // access predicate id per group
+  std::vector<RuleBitmap> bits_;     // group g's members: [g * words_, +words_)
+  std::vector<RuleBitmap> residual_;
+  /// Owning: member rules stay alive until their tallies are folded.
+  std::vector<std::vector<std::shared_ptr<const CompiledRule>>> members_;
+  std::unique_ptr<obs::StripedCounter[]> tallies_;  // rejections per group
+};
+
 /// Canonical text of a predicate subtree. Deterministic under
 /// re-compilation; the only normalization applied is mirroring
 /// literal-vs-expr comparisons to expr-vs-literal (safe: comparisons
@@ -173,9 +234,11 @@ std::string CanonicalPredicateText(const CmExpr& expr);
 /// right (naive evaluation order).
 void CollectConjuncts(const CmExpr* expr, std::vector<const CmExpr*>* out);
 
-/// Builds the index for one lane's rule vector. `deferred_lane` selects
-/// which actions count as mid-event LAT mutations. Stats objects are
-/// resolved through (and inserted into) `registry` by canonical hash.
+/// Builds the index for one lane's rule vector from each rule's compiled
+/// conjuncts (grouping by canonical hash). `deferred_lane` selects which
+/// actions count as mid-event LAT mutations. Stats objects are resolved
+/// through (and inserted into) `registry` by canonical hash. The access
+/// groups are left to the caller, once walk orders are final.
 void BuildPredicateIndex(
     const std::vector<std::shared_ptr<const CompiledRule>>& rules,
     bool deferred_lane, PredicateStatsRegistry* registry,

@@ -7,6 +7,7 @@
 #include "sql/ast.h"
 #include "sql/lexer.h"
 #include "sql/parser.h"
+#include "sqlcm/predicate_index.h"
 
 namespace sqlcm::cm {
 
@@ -749,6 +750,26 @@ Result<std::unique_ptr<CompiledRule>> RuleCompiler::Compile(
       rule->fast_atoms = std::move(atoms);
       rule->use_fast_condition = true;
     }
+    std::vector<const CmExpr*> conjuncts;
+    CollectConjuncts(rule->condition.get(), &conjuncts);
+    rule->conjuncts.reserve(conjuncts.size());
+    std::vector<const Lat*> lats;
+    for (const CmExpr* expr : conjuncts) {
+      CompiledConjunct c;
+      c.expr = expr;
+      c.text = CanonicalPredicateText(*expr);
+      c.hash = common::Fnv1a64(c.text);
+      c.is_fast = TryCompileFastAtom(*expr, &c.atom);
+      lats.clear();
+      expr->CollectLats(&lats);
+      c.reads_lats = !lats.empty();
+      c.boolean_root =
+          (expr->kind == CmExpr::Kind::kBinary &&
+           static_cast<sql::BinaryOp>(expr->binary_op) == sql::BinaryOp::kOr) ||
+          (expr->kind == CmExpr::Kind::kUnary &&
+           static_cast<sql::UnaryOp>(expr->unary_op) == sql::UnaryOp::kNot);
+      rule->conjuncts.push_back(std::move(c));
+    }
   }
 
   SQLCM_ASSIGN_OR_RETURN(auto raw_actions, ParseRawActions(spec.action));
@@ -902,10 +923,63 @@ const char* RuleBreaker::StateName(State state) {
 
 const char* RuleBreaker::state_name() const { return StateName(state()); }
 
+void GroupRejectionTally::Attach(const obs::StripedCounter* tally) {
+  std::lock_guard<std::mutex> lock(mutex_);
+  live_.push_back(tally);
+}
+
+void GroupRejectionTally::Retire(const obs::StripedCounter* tally) {
+  std::lock_guard<std::mutex> lock(mutex_);
+  auto it = std::find(live_.begin(), live_.end(), tally);
+  if (it == live_.end()) return;
+  retired_ += tally->value();
+  live_.erase(it);
+}
+
+uint64_t GroupRejectionTally::value() const {
+  std::lock_guard<std::mutex> lock(mutex_);
+  uint64_t sum = retired_;
+  for (const obs::StripedCounter* tally : live_) sum += tally->value();
+  return sum;
+}
+
 void RuleBreaker::Configure(const Options& options) {
   std::lock_guard<std::mutex> lock(mutex_);
   FoldSuccessesLocked();  // tallied successes counted under the old window
   options_ = options;
+}
+
+void RuleBreaker::AttachDerivedSuccesses(
+    const GroupRejectionTally* rejections) {
+  std::lock_guard<std::mutex> lock(mutex_);
+  FoldSuccessesLocked();
+  derived_successes_ = rejections;
+  derived_folded_ = rejections != nullptr ? rejections->value() : 0;
+}
+
+void RuleBreaker::WatchState(std::atomic<int64_t>* not_closed) {
+  std::lock_guard<std::mutex> lock(mutex_);
+  if (state_.load(std::memory_order_relaxed) != State::kClosed) {
+    if (not_closed_ != nullptr) {
+      not_closed_->fetch_sub(1, std::memory_order_relaxed);
+    }
+    if (not_closed != nullptr) {
+      not_closed->fetch_add(1, std::memory_order_relaxed);
+    }
+  }
+  not_closed_ = not_closed;
+}
+
+void RuleBreaker::SetStateLocked(State state) {
+  const State old = state_.load(std::memory_order_relaxed);
+  if (old == state) return;
+  state_.store(state, std::memory_order_relaxed);
+  if (not_closed_ == nullptr) return;
+  if (old == State::kClosed) {
+    not_closed_->fetch_add(1, std::memory_order_relaxed);
+  } else if (state == State::kClosed) {
+    not_closed_->fetch_sub(1, std::memory_order_relaxed);
+  }
 }
 
 bool RuleBreaker::Allow(int64_t now_micros) {
@@ -919,7 +993,7 @@ bool RuleBreaker::Allow(int64_t now_micros) {
         ++skipped_;
         return false;
       }
-      state_.store(State::kHalfOpen, std::memory_order_relaxed);
+      SetStateLocked(State::kHalfOpen);
       probe_in_flight_ = true;
       return true;
     case State::kHalfOpen:
@@ -942,17 +1016,32 @@ void RuleBreaker::OnSuccess(int64_t) {
   if (state_.load(std::memory_order_relaxed) == State::kHalfOpen) {
     // Probe succeeded: the rule has recovered. The window restarts, so
     // any tally left from before the trip is moot.
-    state_.store(State::kClosed, std::memory_order_relaxed);
+    SetStateLocked(State::kClosed);
     probe_in_flight_ = false;
-    pending_successes_.Take();
+    DiscardSuccessesLocked();
     consecutive_failures_ = 0;
     window_events_ = 0;
     window_errors_ = 0;
   }
 }
 
+uint64_t RuleBreaker::PendingDerivedLocked() const {
+  return derived_successes_ != nullptr
+             ? derived_successes_->value() - derived_folded_
+             : 0;
+}
+
+void RuleBreaker::DiscardSuccessesLocked() {
+  pending_successes_.Take();
+  if (derived_successes_ != nullptr) {
+    derived_folded_ = derived_successes_->value();
+  }
+}
+
 void RuleBreaker::FoldSuccessesLocked() {
-  const uint64_t n = pending_successes_.Take();
+  const uint64_t derived = PendingDerivedLocked();
+  derived_folded_ += derived;
+  const uint64_t n = pending_successes_.Take() + derived;
   if (n == 0) return;
   consecutive_failures_ = 0;
   // Each success is one window event, and the window (events and errors)
@@ -988,7 +1077,7 @@ bool RuleBreaker::OnFailure(int64_t now_micros) {
   const State state = state_.load(std::memory_order_relaxed);
   if (state == State::kHalfOpen) {
     // Probe failed: straight back to open, cooldown restarts.
-    state_.store(State::kOpen, std::memory_order_relaxed);
+    SetStateLocked(State::kOpen);
     probe_in_flight_ = false;
     tripped_at_micros_ = now_micros;
     ++trips_;
@@ -1005,7 +1094,7 @@ bool RuleBreaker::OnFailure(int64_t now_micros) {
     }
     return false;
   }
-  state_.store(State::kOpen, std::memory_order_relaxed);
+  SetStateLocked(State::kOpen);
   tripped_at_micros_ = now_micros;
   ++trips_;
   return true;
@@ -1013,9 +1102,9 @@ bool RuleBreaker::OnFailure(int64_t now_micros) {
 
 void RuleBreaker::Reinstate() {
   std::lock_guard<std::mutex> lock(mutex_);
-  state_.store(State::kClosed, std::memory_order_relaxed);
+  SetStateLocked(State::kClosed);
   probe_in_flight_ = false;
-  pending_successes_.Take();
+  DiscardSuccessesLocked();
   consecutive_failures_ = 0;
   window_events_ = 0;
   window_errors_ = 0;
@@ -1025,7 +1114,9 @@ int64_t RuleBreaker::consecutive_failures() const {
   std::lock_guard<std::mutex> lock(mutex_);
   // Folding would only zero the count: any tallied success follows the
   // last failure (failures fold first).
-  return pending_successes_.value() > 0 ? 0 : consecutive_failures_;
+  return pending_successes_.value() > 0 || PendingDerivedLocked() > 0
+             ? 0
+             : consecutive_failures_;
 }
 
 uint64_t RuleBreaker::trips() const {

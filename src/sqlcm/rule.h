@@ -218,15 +218,70 @@ struct FastAtom {
   bool attr_on_left = true;
 };
 
+/// One top-level conjunct of a compiled condition, described once at
+/// compile time so index builds only group by hash (no string building per
+/// CREATE/DROP RULE). `expr` points into the owning rule's condition tree.
+struct CompiledConjunct {
+  const CmExpr* expr = nullptr;
+  std::string text;   // canonical form (CanonicalPredicateText)
+  uint64_t hash = 0;  // Fnv1a64(text)
+  /// Attr-vs-literal comparison evaluable without the tree interpreter.
+  bool is_fast = false;
+  FastAtom atom;
+  /// Reads at least one LAT row (its outcome can change mid-event).
+  bool reads_lats = false;
+  /// Root is OR or NOT: never an access predicate (see predicate_index.h).
+  bool boolean_root = false;
+};
+
+/// The rejections of one rule by its access groups (dispatch by
+/// subscription, predicate_index.h). A group rejected on an event takes one
+/// striped add on the group's own tally instead of visiting each member, so
+/// a member's share is the sum of the tallies of every group it belongs to:
+/// those of index generations still live are read in place, and a retired
+/// generation's final tally is folded into `retired_` (exact: no reader is
+/// left to add to it). Each rejection stands for one evaluation, one
+/// condition_false and one closed-breaker success of the rule.
+class GroupRejectionTally {
+ public:
+  /// A new index generation made `tally` one of the rule's groups.
+  void Attach(const obs::StripedCounter* tally);
+  /// The generation owning `tally` retired; folds its final value.
+  void Retire(const obs::StripedCounter* tally);
+  uint64_t value() const;
+
+ private:
+  mutable std::mutex mutex_;
+  std::vector<const obs::StripedCounter*> live_;
+  uint64_t retired_ = 0;
+};
+
+/// A per-rule counter bumped on every visit (striped) whose value also
+/// counts the rule's group rejections.
+class DerivedRuleCounter {
+ public:
+  explicit DerivedRuleCounter(const GroupRejectionTally* rejections)
+      : rejections_(rejections) {}
+  void Inc(uint64_t n = 1) { visits_.Inc(n); }
+  uint64_t value() const { return visits_.value() + rejections_->value(); }
+
+ private:
+  obs::StripedCounter visits_;
+  const GroupRejectionTally* rejections_;
+};
+
 /// Per-rule runtime statistics, updated lock-free by the dispatch path and
 /// surfaced via the sqlcm_rule_stats system view. `action_micros` is only
 /// populated when MonitorEngine's detailed timing is on (it needs an extra
-/// clock read per action). The three counters every rule visit bumps are
-/// striped per thread, so concurrent sessions walking the same rules never
-/// write a shared cache line; the rest are rare-path single words.
+/// clock read per action). The counters a rule visit bumps are striped per
+/// thread, so concurrent sessions walking the same rules never write a
+/// shared cache line, and a rule its access group rejects is not visited
+/// at all: `evaluations` and `condition_false` add its group rejections
+/// (see GroupRejectionTally). The rest are rare-path single words.
 struct RuleStats {
-  obs::StripedCounter evaluations;      // times considered for an event
-  obs::StripedCounter condition_false;  // condition evaluated and rejected
+  GroupRejectionTally group_rejections;
+  DerivedRuleCounter evaluations{&group_rejections};  // times considered
+  DerivedRuleCounter condition_false{&group_rejections};  // rejected
   obs::StripedCounter fires;            // condition passed, actions ran
   obs::Counter errors;                  // condition or action failures
   /// SendMail/Persist actions skipped by the per-rule rate limiter
@@ -253,10 +308,12 @@ struct RuleStats {
 /// `Reinstate()` force-closes it (engine API / operator intervention).
 ///
 /// The closed-state hot path takes no mutex: Allow is one relaxed atomic
-/// load, and OnSuccess only bumps a per-thread striped success tally. The
-/// mutex is taken to record failures and transition states; those paths
-/// (and consecutive_failures()) first fold the tally into the window as
-/// if each success had been applied eagerly — consecutive failures reset,
+/// load, and OnSuccess only bumps a per-thread striped success tally. A
+/// rule its access group rejects is a closed-state success too, counted
+/// only in its GroupRejectionTally (AttachDerivedSuccesses). The mutex is
+/// taken to record failures and transition states; those paths (and
+/// consecutive_failures()) first fold both tallies into the window as if
+/// each success had been applied eagerly — consecutive failures reset,
 /// window_events wrapping at window_size — so every single-threaded
 /// outcome sequence trips at exactly the same point as eager accounting.
 class RuleBreaker {
@@ -282,6 +339,13 @@ class RuleBreaker {
   /// Engine-level configuration applied after rule compilation; resets
   /// nothing, so it is safe on a live breaker.
   void Configure(const Options& options);
+  /// Counts the rule's group rejections as closed-state successes.
+  void AttachDerivedSuccesses(const GroupRejectionTally* rejections);
+  /// Keeps `*not_closed` counting this breaker while it is open or
+  /// half-open (moving its share off any previous counter); null detaches.
+  /// Dispatch reads the counter to know when access groups may be
+  /// rejected without checking each member's breaker.
+  void WatchState(std::atomic<int64_t>* not_closed);
 
   /// True when the rule may be evaluated now. Open breakers whose cooldown
   /// has elapsed move to half-open and admit exactly one probe.
@@ -308,11 +372,20 @@ class RuleBreaker {
   bool ShouldTripLocked() const;
   /// Applies the successes tallied since the last fold.
   void FoldSuccessesLocked();
+  /// Drops the unfolded successes (the window restarts).
+  void DiscardSuccessesLocked();
+  /// Group rejections not yet folded (the tally only grows).
+  uint64_t PendingDerivedLocked() const;
+  /// Moves the state, keeping the watched not-closed count in step.
+  void SetStateLocked(State state);
 
   std::atomic<State> state_{State::kClosed};
   /// Closed-state successes not yet folded into the window.
   obs::StripedCounter pending_successes_;
   mutable std::mutex mutex_;
+  const GroupRejectionTally* derived_successes_ = nullptr;
+  uint64_t derived_folded_ = 0;  // derived successes already folded
+  std::atomic<int64_t>* not_closed_ = nullptr;
   Options options_;
   int64_t consecutive_failures_ = 0;
   int64_t window_events_ = 0;
@@ -368,6 +441,8 @@ class ActionRateLimiter {
 };
 
 struct CompiledRule {
+  CompiledRule() { breaker.AttachDerivedSuccesses(&stats.group_rejections); }
+
   uint64_t id = 0;
   std::string name;
   EventKey event;
@@ -378,6 +453,9 @@ struct CompiledRule {
   /// interpreter. Empty when the generic path must run.
   std::vector<FastAtom> fast_atoms;
   bool use_fast_condition = false;
+  /// The condition's top-level AND-chain, left to right (naive evaluation
+  /// order), with each conjunct's index key; empty when unconditioned.
+  std::vector<CompiledConjunct> conjuncts;
   std::vector<CompiledAction> actions;
   /// Classes referenced by condition/actions but not bound by the event:
   /// the engine iterates over all live objects of these (paper §5.2).

@@ -78,10 +78,11 @@ struct QueryRecord {
     return plan != nullptr ? plan->sql_text : text;
   }
   const std::string& logical_sig() const {
-    return plan != nullptr ? plan->logical_signature : logical_signature;
+    return plan != nullptr ? plan->logical_signature.str() : logical_signature;
   }
   const std::string& physical_sig() const {
-    return plan != nullptr ? plan->physical_signature : physical_signature;
+    return plan != nullptr ? plan->physical_signature.str()
+                           : physical_signature;
   }
 };
 

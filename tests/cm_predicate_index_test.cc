@@ -9,6 +9,8 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <atomic>
 #include <map>
 #include <random>
 #include <string>
@@ -538,6 +540,411 @@ TEST(PredicateIndexTest, ConcurrentEvalChurnAndReorderIsRaceFree) {
   const OutcomeMap oc = h.Outcomes();
   EXPECT_EQ(oc.at("stable").evals, 600u);
   EXPECT_EQ(oc.at("stable").errors, 0u);
+}
+
+// ---------------------------------------------------------------------------
+// Dispatch by subscription: access groups must reproduce naive per-rule
+// dispatch exactly (fires in activation order, per-rule stats, breakers,
+// LAT state) while visiting fewer rules.
+// ---------------------------------------------------------------------------
+
+/// Conjuncts over event attributes (group keys when first in a walk),
+/// varying per event through Query.ID.
+const char* const kAttrPool[] = {
+    "Query.ID % 4 = 1",  "Query.ID % 3 = 0",     "Query.ID % 5 < 2",
+    "Query.ID % 7 > 8",  "Query.ID > 0",         "Query.Duration > 100000000",
+    "Query.ID % 2 = 0",  "Query.Duration >= 0",  "Query.ID > NULL",
+};
+/// Conjuncts that keep a rule residual when first: LAT reads (one never
+/// fed, so NULL by §5.2), OR and NOT roots.
+const char* const kResidualPool[] = {
+    "Count_LAT.N >= 2",
+    "Count_LAT.N < 3",
+    "Sparse_LAT.N >= 0",
+    "Query.ID % 4 = 1 OR Query.ID % 3 = 0",
+    "NOT (Query.ID % 5 < 2)",
+};
+/// Conjuncts that raise errors: always, or on every third event.
+const char* const kErrorPool[] = {
+    "Query.ID % 0 = 1",
+    "Query.ID / (Query.ID % 3) >= 0",
+};
+/// Timer-alarm conjuncts (the alarm count falls by one per alarm).
+const char* const kTimerPool[] = {
+    "Timer.Remaining_Alarms % 2 = 0",
+    "Timer.Remaining_Alarms % 3 = 1",
+    "Timer.Remaining_Alarms > 1000000",
+};
+
+template <size_t N>
+const char* Pick(std::mt19937* rng, const char* const (&pool)[N]) {
+  return pool[(*rng)() % N];
+}
+
+/// What an engine did over one scripted stream.
+struct DispatchRecord {
+  std::vector<std::string> fires;  // SendMail bodies, in dispatch order
+  /// Per rule: evaluations, condition_false, errors, fires, breaker trips,
+  /// breaker skips, breaker state.
+  std::map<std::string, std::vector<uint64_t>> rules;
+  std::map<std::string, std::vector<std::string>> lats;  // sorted rows
+  uint64_t visited = 0;
+  uint64_t skipped = 0;
+};
+
+class SubscriptionScript {
+ public:
+  SubscriptionScript(uint32_t seed, bool with_errors)
+      : seed_(seed), with_errors_(with_errors) {}
+
+  DispatchRecord Run(MonitorEngine::Options options) {
+    // Breakers that trip stay open for the whole run (no time-dependent
+    // half-open probe); the script reinstates them mid-stream instead.
+    options.breaker.cooldown_micros = int64_t{3600} * 1000 * 1000;
+    EngineHarness h(options);
+    MonitorEngine* m = h.monitor();
+    h.DefineCountLat("Count_LAT");
+    h.DefineCountLat("Sparse_LAT");
+    EXPECT_TRUE(m->CreateTimer("tick_a").ok());
+    EXPECT_TRUE(m->CreateTimer("tick_b").ok());
+    EXPECT_TRUE(m->SetTimer("tick_a", 0.001, 100000).ok());
+    EXPECT_TRUE(m->SetTimer("tick_b", 0.001, 100000).ok());
+
+    std::mt19937 rng(seed_);
+    std::vector<uint64_t> ids;
+    const int n_rules = 14 + static_cast<int>(rng() % 8);
+    const int feed_pos = static_cast<int>(rng() % n_rules);
+    const int trip_pos = static_cast<int>(rng() % n_rules);
+    const int null_pos = static_cast<int>(rng() % n_rules);
+    for (int r = 0; r < n_rules; ++r) {
+      const char* fixed = nullptr;
+      if (with_errors_ && r == trip_pos) {
+        // Errors on the three events in four its access predicate passes,
+        // which trips its breaker (error rate >= 50 %); on the fourth its
+        // group is rejected while the breaker is open.
+        fixed = "Query.ID % 4 > 0 AND Query.ID % 0 = 1";
+      } else if (with_errors_ && r == null_pos) {
+        // A NULL access predicate does not reject in authoring order: the
+        // walk goes on to the conjunct that errors on every third event.
+        fixed = "Query.ID > NULL AND Query.ID / (Query.ID % 3) >= 0";
+      }
+      ids.push_back(AddRandomRule(m, &rng, r, r == feed_pos, fixed));
+    }
+    int64_t poll_at = int64_t{1} << 50;
+    auto stream = [&](int queries) {
+      ParamMap params;
+      for (int i = 0; i < queries; ++i) {
+        params = {{"k", Value::Int(i % 20)}};
+        if (i % 3 == 0) {
+          h.Exec("SELECT val FROM items WHERE grp = @k AND val >= 0.0",
+                 &params);
+        } else {
+          h.Exec("SELECT val FROM items WHERE id = @k", &params);
+        }
+        if (i % 5 == 4) {
+          poll_at += int64_t{1000} * 1000 * 1000;
+          m->timer_manager()->Poll(poll_at);
+        }
+      }
+    };
+    stream(60);
+    // Mid-stream DDL: drop two rules, add two, reinstate every breaker.
+    for (int d = 0; d < 2; ++d) {
+      const size_t victim = rng() % ids.size();
+      EXPECT_TRUE(m->RemoveRule(ids[victim]).ok());
+      ids.erase(ids.begin() + static_cast<long>(victim));
+    }
+    for (int r = n_rules; r < n_rules + 2; ++r) {
+      ids.push_back(AddRandomRule(m, &rng, r, false, nullptr));
+    }
+    for (uint64_t id : ids) EXPECT_TRUE(m->ReinstateRule(id).ok());
+    stream(60);
+
+    DispatchRecord out;
+    for (const auto& mail : m->capturing_mailer()->mails()) {
+      out.fires.push_back(mail.body);
+    }
+    for (const auto& rule : m->SnapshotRules()) {
+      out.rules[rule->name] = {
+          rule->stats.evaluations.value(),
+          rule->stats.condition_false.value(),
+          rule->stats.errors.value(),
+          rule->stats.fires.value(),
+          rule->breaker.trips(),
+          rule->breaker.skipped(),
+          static_cast<uint64_t>(rule->breaker.state())};
+    }
+    for (const char* lat : {"Count_LAT", "Sparse_LAT"}) {
+      std::vector<std::string>& rows = out.lats[lat];
+      for (const common::Row& row : m->FindLat(lat)->Snapshot(0)) {
+        std::string text;
+        for (const Value& v : row) text += v.ToDisplayString() + "|";
+        rows.push_back(std::move(text));
+      }
+      std::sort(rows.begin(), rows.end());
+    }
+    out.visited = m->metrics().rules_visited.value();
+    out.skipped = m->metrics().rules_skipped.value();
+    return out;
+  }
+
+ private:
+  /// A random rule, or one with the `fixed` condition when non-null.
+  uint64_t AddRandomRule(MonitorEngine* m, std::mt19937* rng, int r,
+                         bool feed, const char* fixed) {
+    const std::string name = "r" + std::to_string(r);
+    RuleSpec spec;
+    spec.name = name;
+    spec.event = "Query.Commit";
+    const std::string mail = "SendMail('" + name + " {Query.ID}', 'dba')";
+    spec.action = feed ? mail + "; Query.Insert(Count_LAT)" : mail;
+    if (fixed != nullptr) {
+      spec.condition = fixed;
+    } else if ((*rng)() % 8 == 0) {
+      // Timer alarms: unqualified rules can be grouped, qualified ones
+      // stay residual.
+      const uint32_t kind = (*rng)() % 3;
+      spec.event = kind == 0   ? "Timer.Alarm"
+                   : kind == 1 ? "tick_a.Alarm"
+                               : "tick_b.Alarm";
+      spec.condition = Pick(rng, kTimerPool);
+      if ((*rng)() % 2 == 0) {
+        spec.condition += std::string(" AND ") + Pick(rng, kTimerPool);
+      }
+      spec.action = "SendMail('" + name +
+                    " {Timer.Name} {Timer.Remaining_Alarms}', 'dba')";
+    } else if ((*rng)() % 10 != 0) {  // the rest stay unconditioned
+      const int conjuncts = 1 + static_cast<int>((*rng)() % 3);
+      for (int c = 0; c < conjuncts; ++c) {
+        if (c > 0) spec.condition += " AND ";
+        const uint32_t draw = (*rng)() % 10;
+        if (with_errors_ && draw == 0) {
+          spec.condition += Pick(rng, kErrorPool);
+        } else if (draw < 4) {
+          spec.condition += Pick(rng, kResidualPool);
+        } else {
+          spec.condition += Pick(rng, kAttrPool);
+        }
+      }
+    }
+    auto id = m->AddRule(spec);
+    EXPECT_TRUE(id.ok()) << name << ": " << spec.condition << " -> "
+                         << id.status();
+    return id.ok() ? *id : 0;
+  }
+
+  uint32_t seed_;
+  bool with_errors_;
+};
+
+void ExpectSameDispatch(const DispatchRecord& naive,
+                        const DispatchRecord& indexed, const std::string& what) {
+  EXPECT_EQ(naive.fires, indexed.fires) << what;
+  EXPECT_EQ(naive.rules, indexed.rules) << what;
+  EXPECT_EQ(naive.lats, indexed.lats) << what;
+  // Every rule naive dispatch considered was either visited or answered by
+  // its group.
+  EXPECT_EQ(naive.skipped, 0u) << what;
+  EXPECT_EQ(naive.visited, indexed.visited + indexed.skipped) << what;
+}
+
+TEST(SubscriptionDispatchTest, StrictOrderMatchesNaiveDispatchWithErrors) {
+  // Authoring order keeps error parity, so even erroring conjuncts (and
+  // the breaker trips they cause) must agree event by event.
+  uint64_t skipped = 0;
+  uint64_t trip_skips = 0;
+  for (uint32_t seed = 1; seed <= 8; ++seed) {
+    SubscriptionScript script(seed, /*with_errors=*/true);
+    const DispatchRecord naive = script.Run(NaiveOptions());
+    const DispatchRecord indexed = script.Run(IndexedOptions());
+    ExpectSameDispatch(naive, indexed, "seed " + std::to_string(seed));
+    skipped += indexed.skipped;
+    for (const auto& [name, stats] : indexed.rules) trip_skips += stats[5];
+  }
+  // The oracle must exercise what it checks: rejected groups, and open
+  // breakers inside them.
+  EXPECT_GT(skipped, 0u);
+  EXPECT_GT(trip_skips, 0u);
+}
+
+TEST(SubscriptionDispatchTest, LearnedOrderMatchesNaiveDispatch) {
+  // Learned ordering may skip errors naive evaluation reports (documented),
+  // so this pool has none; groups follow each republished walk order.
+  uint64_t skipped = 0;
+  for (uint32_t seed = 11; seed <= 18; ++seed) {
+    SubscriptionScript script(seed, /*with_errors=*/false);
+    const DispatchRecord naive = script.Run(NaiveOptions());
+    const DispatchRecord learned = script.Run(LearnedOptions());
+    ExpectSameDispatch(naive, learned, "seed " + std::to_string(seed));
+    skipped += learned.skipped;
+  }
+  EXPECT_GT(skipped, 0u);
+}
+
+TEST(SubscriptionDispatchTest, DeferredLaneMatchesNaiveDispatch) {
+  // The deferred lane dispatches through the same matcher.
+  std::vector<OutcomeMap> outcomes;
+  std::vector<uint64_t> skipped;
+  for (int config = 0; config < 3; ++config) {
+    MonitorEngine::Options options = config == 0   ? NaiveOptions()
+                                     : config == 1 ? IndexedOptions()
+                                                   : LearnedOptions();
+    options.async_rule_eval = true;
+    options.monitor_threads = 1;
+    EngineHarness h(options);
+    h.DefineCountLat("Count_LAT");
+    h.AddRule("feed", "", "Query.Insert(Count_LAT)");
+    for (int r = 0; r < 12; ++r) {
+      h.AddRule("g" + std::to_string(r),
+                std::string(kAttrPool[r % 4]) + " AND Query.ID % " +
+                    std::to_string(2 + r % 3) + " = 0",
+                "Query.Persist(Sink_g" + std::to_string(r) + ", ID)");
+    }
+    h.RunWorkload(60);
+    h.monitor()->DrainEventQueue();
+    outcomes.push_back(h.Outcomes());
+    skipped.push_back(h.monitor()->metrics().rules_skipped.value());
+  }
+  EXPECT_EQ(outcomes[0], outcomes[1]);
+  EXPECT_EQ(outcomes[0], outcomes[2]);
+  EXPECT_EQ(skipped[0], 0u);
+  EXPECT_GT(skipped[1], 0u);
+}
+
+TEST(SubscriptionDispatchTest, FourSessionsKeepDerivedStatsExact) {
+  // Four sessions dispatch while learned reorders republish the table
+  // (retiring access-group generations, whose tallies fold into the rules)
+  // and a reader samples the derived counters. At quiescence every count
+  // must be exact.
+  MonitorEngine::Options options = LearnedOptions();
+  options.predicate_reorder_interval = 8;
+  EngineHarness h(options);
+  h.DefineCountLat("Count_LAT");
+  h.AddRule("feed", "", "Query.Insert(Count_LAT)");
+  for (int r = 0; r < 24; ++r) {
+    const char* access = r % 3 == 0   ? "Query.ID < 0"
+                         : r % 3 == 1 ? "Query.Duration > 100000000"
+                                      : "Query.ID % 2 = 0";
+    h.AddRule("s" + std::to_string(r),
+              std::string(access) + " AND Query.ID > " + std::to_string(r),
+              "Query.Persist(Sink_s" + std::to_string(r % 4) + ", ID)");
+  }
+  const size_t rule_count = h.monitor()->rule_count();
+
+  constexpr int kSessions = 4;
+  constexpr int kQueries = 250;
+  std::atomic<bool> done{false};
+  std::thread reader([&h, &done] {
+    while (!done.load(std::memory_order_acquire)) {
+      for (const auto& rule : h.monitor()->SnapshotRules()) {
+        (void)rule->stats.evaluations.value();
+        (void)rule->stats.condition_false.value();
+        (void)rule->breaker.consecutive_failures();
+      }
+    }
+  });
+  std::vector<std::thread> sessions;
+  for (int t = 0; t < kSessions; ++t) {
+    sessions.emplace_back([&h, t] {
+      auto session = h.db()->CreateSession();
+      ParamMap params;
+      for (int i = 0; i < kQueries; ++i) {
+        params = {{"k", Value::Int((t * 7 + i) % 20)}};
+        auto result =
+            session->Execute("SELECT val FROM items WHERE id = @k", &params);
+        ASSERT_TRUE(result.ok()) << result.status();
+      }
+    });
+  }
+  for (auto& t : sessions) t.join();
+  done.store(true, std::memory_order_release);
+  reader.join();
+
+  const uint64_t events = uint64_t{kSessions} * kQueries;
+  const MonitorMetrics& metrics = h.monitor()->metrics();
+  EXPECT_EQ(metrics.events_processed.value(), events);
+  EXPECT_EQ(metrics.rules_visited.value() + metrics.rules_skipped.value(),
+            events * rule_count);
+  EXPECT_GT(metrics.rules_skipped.value(), 0u);
+  EXPECT_GT(metrics.predindex_reorders.value(), 0u);
+  uint64_t fires = 0;
+  for (const auto& rule : h.monitor()->SnapshotRules()) {
+    SCOPED_TRACE(rule->name);
+    EXPECT_EQ(rule->stats.evaluations.value(), events);
+    EXPECT_EQ(rule->stats.condition_false.value() + rule->stats.fires.value(),
+              events);
+    EXPECT_EQ(rule->stats.errors.value(), 0u);
+    EXPECT_EQ(rule->breaker.state(), RuleBreaker::State::kClosed);
+    EXPECT_EQ(rule->breaker.consecutive_failures(), 0);
+    fires += rule->stats.fires.value();
+  }
+  EXPECT_EQ(metrics.rules_fired.value(), fires);
+}
+
+TEST(SubscriptionDispatchTest, VisitsPerEventStayFlatAsRejectedRulesGrow) {
+  // Count-based, no timing: the rules an event visits are the residual
+  // ones plus the members of passing groups, however many rules their
+  // rejected groups hold.
+  constexpr int kEvents = 20;
+  std::vector<uint64_t> visits;
+  for (int selective : {7, 437, 2000}) {
+    EngineHarness h(IndexedOptions());
+    h.DefineCountLat("Count_LAT");
+    h.AddRule("feed", "", "Query.Insert(Count_LAT)");
+    h.AddRule("reader", "Count_LAT.N >= 1", "Query.Persist(SinkR, ID)");
+    h.AddRule("always", "Query.ID > 0", "Query.Persist(SinkA, ID)");
+    const char* const rare[] = {"Query.ID < 0", "Query.ID < -1",
+                                "Query.Duration > 100000000"};
+    for (int r = 0; r < selective; ++r) {
+      h.AddRule("sel" + std::to_string(r),
+                std::string(rare[r % 3]) + " AND Query.ID > " +
+                    std::to_string(r),
+                "Query.Persist(SinkS, ID)");
+    }
+    ParamMap params;
+    for (int i = 0; i < kEvents; ++i) {
+      params = {{"k", Value::Int(i)}};
+      h.Exec("SELECT val FROM items WHERE id = @k", &params);
+    }
+    const MonitorMetrics& metrics = h.monitor()->metrics();
+    ASSERT_EQ(metrics.events_processed.value(), uint64_t{kEvents});
+    visits.push_back(metrics.rules_visited.value() / kEvents);
+    EXPECT_EQ(metrics.rules_visited.value() % kEvents, 0u);
+    EXPECT_EQ(metrics.rules_skipped.value(),
+              uint64_t{kEvents} * static_cast<uint64_t>(selective));
+    for (const auto& rule : h.monitor()->SnapshotRules()) {
+      if (rule->name.rfind("sel", 0) != 0) continue;
+      ASSERT_EQ(rule->stats.evaluations.value(), uint64_t{kEvents});
+      ASSERT_EQ(rule->stats.condition_false.value(), uint64_t{kEvents});
+    }
+  }
+  EXPECT_EQ(visits[0], 3u);  // feed, reader, always
+  EXPECT_EQ(visits[1], visits[0]);
+  EXPECT_EQ(visits[2], visits[0]);
+}
+
+TEST(SubscriptionDispatchTest, VisitCountersAreExported) {
+  MonitorEngine::Options options = IndexedOptions();
+  options.register_system_views = true;
+  EngineHarness h(options);
+  h.AddRule("never", "Query.ID < 0", "Query.Persist(SinkN, ID)");
+  h.AddRule("always", "Query.ID > 0", "Query.Persist(SinkA, ID)");
+  h.RunWorkload(5);
+  const std::string prom = h.monitor()->metrics().registry.DumpPrometheus();
+  EXPECT_NE(prom.find("sqlcm_engine_rules_visited_total 5\n"),
+            std::string::npos);
+  EXPECT_NE(prom.find("sqlcm_engine_rules_skipped_total 5\n"),
+            std::string::npos);
+  // The view is refreshed before the query that reads it commits.
+  const QueryResult result = h.Query(
+      "SELECT name, value FROM sqlcm_engine_stats WHERE name = "
+      "'engine.rules_visited' OR name = 'engine.rules_skipped'");
+  std::map<std::string, double> stats;
+  for (const auto& row : result.rows) {
+    stats[row[0].ToDisplayString()] = row[1].AsDouble();
+  }
+  EXPECT_EQ(stats["engine.rules_visited"], 5.0);
+  EXPECT_EQ(stats["engine.rules_skipped"], 5.0);
 }
 
 }  // namespace

@@ -1,10 +1,16 @@
 #include "sqlcm/signature.h"
 
 #include <gtest/gtest.h>
+#include <malloc.h>
 
+#include <string>
+
+#include "engine/database.h"
+#include "engine/session.h"
 #include "exec/optimizer.h"
 #include "exec/planner.h"
 #include "sql/parser.h"
+#include "sqlcm/monitor_engine.h"
 #include "storage/catalog.h"
 
 namespace sqlcm::cm {
@@ -145,6 +151,64 @@ TEST_F(SignatureTest, JoinShapeCaptured) {
   EXPECT_NE(join.text, single.text);
   EXPECT_NE(join.text.find("Join"), std::string::npos);
   EXPECT_NE(join.text.find("u"), std::string::npos);
+}
+
+// A plan cache holds thousands of ad-hoc plans, each with its signatures,
+// so a cached plan's heap footprint bounds the cache's. Ad-hoc point
+// selects that differ only in their literal share their signature texts and
+// column layouts; what stays per plan is the text, the two nodes and their
+// operands. Measured as the growth of the in-use heap (mallinfo2) across
+// 2,000 distinct texts, so it needs glibc's allocator: sanitizer builds
+// replace it and are skipped.
+#if defined(__SANITIZE_ADDRESS__) || defined(__SANITIZE_THREAD__)
+#define SQLCM_FOREIGN_ALLOCATOR 1
+#elif defined(__has_feature)
+#if __has_feature(address_sanitizer) || __has_feature(thread_sanitizer) || \
+    __has_feature(memory_sanitizer)
+#define SQLCM_FOREIGN_ALLOCATOR 1
+#endif
+#endif
+
+TEST(CachedPlanFootprintTest, AdHocPointSelectStaysUnderBound) {
+#ifdef SQLCM_FOREIGN_ALLOCATOR
+  GTEST_SKIP() << "heap accounting needs glibc malloc (sanitizer build)";
+#else
+  engine::Database db;
+  MonitorEngine::Options options;
+  options.register_system_views = false;
+  MonitorEngine monitor(&db, options);  // computes and caches signatures
+  auto session = db.CreateSession();
+  ASSERT_TRUE(session
+                  ->Execute("CREATE TABLE orders (o_orderkey INT, o_custkey "
+                            "INT, o_orderstatus VARCHAR, o_totalprice FLOAT, "
+                            "o_orderdate VARCHAR, o_orderpriority VARCHAR, "
+                            "o_clerk VARCHAR, o_shippriority INT, o_comment "
+                            "VARCHAR, PRIMARY KEY(o_orderkey))")
+                  .ok());
+  const std::string prefix =
+      "SELECT o_custkey, o_totalprice FROM orders WHERE o_orderkey = ";
+  // Warm-up: interned layouts and signatures, cache buckets.
+  for (int i = 0; i < 200; ++i) {
+    ASSERT_TRUE(session->Execute(prefix + std::to_string(-1 - i)).ok());
+  }
+  constexpr int kTexts = 2000;
+  const size_t before = mallinfo2().uordblks;
+  for (int i = 0; i < kTexts; ++i) {
+    ASSERT_TRUE(session->Execute(prefix + std::to_string(i)).ok());
+  }
+  const size_t after = mallinfo2().uordblks;
+  ASSERT_GE(db.plan_cache()->size(), static_cast<size_t>(kTexts));
+  const double per_plan =
+      static_cast<double>(after - before) / static_cast<double>(kTexts);
+  EXPECT_LE(per_plan, 1600.0) << "bytes per cached ad-hoc point select";
+  auto a = db.plan_cache()->Get(prefix + "1");
+  auto b = db.plan_cache()->Get(prefix + "2");
+  ASSERT_NE(a, nullptr);
+  ASSERT_NE(b, nullptr);
+  EXPECT_EQ(&a->logical_signature.str(), &b->logical_signature.str());
+  EXPECT_EQ(&a->physical->children[0]->output.columns(),
+            &b->physical->children[0]->output.columns());
+#endif
 }
 
 }  // namespace

@@ -68,8 +68,8 @@ TEST_F(OptimizerTest, PointSelectUsesClusteredSeek) {
   auto plan = Optimize("SELECT val FROM t WHERE id = 42");
   const PhysicalPlan* seek = FindNode(*plan, PhysOp::kIndexSeek);
   ASSERT_NE(seek, nullptr);
-  EXPECT_EQ(seek->index_name, "");  // primary
-  EXPECT_EQ(seek->seek_exprs.size(), 1u);
+  EXPECT_EQ(seek->access->index_name, "");  // primary
+  EXPECT_EQ(seek->access->seek_exprs.size(), 1u);
   EXPECT_DOUBLE_EQ(seek->est_rows, 1.0);
   EXPECT_EQ(FindNode(*plan, PhysOp::kSeqScan), nullptr);
 }
@@ -78,15 +78,15 @@ TEST_F(OptimizerTest, SecondaryIndexSeek) {
   auto plan = Optimize("SELECT val FROM t WHERE grp = 3");
   const PhysicalPlan* seek = FindNode(*plan, PhysOp::kIndexSeek);
   ASSERT_NE(seek, nullptr);
-  EXPECT_EQ(seek->index_name, "t_grp");
+  EXPECT_EQ(seek->access->index_name, "t_grp");
 }
 
 TEST_F(OptimizerTest, RangeOnClusteredKey) {
   auto plan = Optimize("SELECT val FROM t WHERE id >= 10 AND id <= 20");
   const PhysicalPlan* range = FindNode(*plan, PhysOp::kIndexRange);
   ASSERT_NE(range, nullptr);
-  EXPECT_NE(range->range_lo, nullptr);
-  EXPECT_NE(range->range_hi, nullptr);
+  EXPECT_NE(range->access->range_lo, nullptr);
+  EXPECT_NE(range->access->range_hi, nullptr);
   // Range bounds stay as residual filters for strictness.
   EXPECT_NE(FindNode(*plan, PhysOp::kFilter), nullptr);
 }
@@ -144,7 +144,7 @@ TEST_F(OptimizerTest, UpdateDeleteGetAccessPath) {
   EXPECT_EQ(update->op, PhysOp::kUpdate);
   ASSERT_FALSE(update->children.empty());
   EXPECT_EQ(update->children[0]->op, PhysOp::kIndexSeek);
-  EXPECT_EQ(update->seek_exprs.size(), 1u);
+  EXPECT_EQ(update->access->seek_exprs.size(), 1u);
 
   auto del = Optimize("DELETE FROM t WHERE val > 100");
   EXPECT_EQ(del->op, PhysOp::kDelete);

@@ -136,6 +136,65 @@ TEST(SpanRingTest, ConcurrentWritersProduceConsistentSlots) {
   EXPECT_EQ(ids.size(), spans.size());
 }
 
+// Writers lapping each other in a tiny ring: a writer whose slot a newer lap
+// wants must finish its payload stores before that lap claims the slot, so
+// no published slot ever mixes two spans (the TraceRing protocol). A racing
+// reader checks every snapshotted span; after quiescing, the final snapshot
+// must be full, consistent and in ticket order.
+TEST(SpanRingTest, LappingWritersNeverPublishTornSlots) {
+  constexpr size_t kWriters = 4;
+  constexpr uint64_t kPerWriter = 20000;
+  SpanRing ring(4);
+  ring.set_enabled(true);
+
+  std::atomic<bool> stop{false};
+  std::atomic<int> bad_payload{0};
+  std::thread reader([&] {
+    while (!stop.load(std::memory_order_acquire)) {
+      for (const Span& s : ring.Snapshot()) {
+        if (s.trace_id != s.span_id * 3 || s.parent_id != s.span_id + 5 ||
+            s.ref != s.span_id * 7 ||
+            s.start_nanos != static_cast<int64_t>(s.span_id * 11) ||
+            s.duration_nanos != static_cast<int64_t>(s.span_id % 4096) ||
+            s.depth != static_cast<uint8_t>(s.span_id % 200)) {
+          bad_payload.fetch_add(1, std::memory_order_relaxed);
+        }
+      }
+    }
+  });
+
+  std::vector<std::thread> writers;
+  for (size_t w = 0; w < kWriters; ++w) {
+    writers.emplace_back([&, w] {
+      for (uint64_t i = 0; i < kPerWriter; ++i) {
+        const uint64_t id = w * kPerWriter + i + 1;
+        Span s = MakeSpan(id * 3, id, id + 5, SpanKind::kCondition,
+                          static_cast<int64_t>(id % 4096));
+        s.ref = id * 7;
+        s.start_nanos = static_cast<int64_t>(id * 11);
+        s.depth = static_cast<uint8_t>(id % 200);
+        ring.Record(s);
+      }
+    });
+  }
+  for (auto& t : writers) t.join();
+  stop.store(true, std::memory_order_release);
+  reader.join();
+
+  EXPECT_EQ(bad_payload.load(), 0);
+  EXPECT_EQ(ring.total_recorded(), kWriters * kPerWriter);
+  // Quiesced: the newest capacity() tickets all published, none dropped.
+  const auto spans = ring.Snapshot();
+  ASSERT_EQ(spans.size(), ring.capacity());
+  std::set<uint64_t> ids;
+  for (const Span& s : spans) {
+    EXPECT_EQ(s.trace_id, s.span_id * 3);
+    EXPECT_EQ(s.ref, s.span_id * 7);
+    ids.insert(s.span_id);
+  }
+  EXPECT_EQ(ids.size(), spans.size());
+}
+
 // Many threads each emit a full cascade trace (event -> condition -> action
 // -> nested events, depth 0..3); after quiescing, every trace in the ring
 // must reconstruct as a tree whose parent links and depths are intact.
