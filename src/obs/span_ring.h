@@ -9,14 +9,8 @@
 // strings are referenced by 64-bit FNV-1a hash (common::Fnv1a64) or rule id
 // — so producers never allocate.
 //
-// SpanRing uses the same stamp-CAS MPSC protocol as TraceRing (see
-// trace_ring.h for the full protocol commentary): ticket counter assigns
-// slots, stamps move forward monotonically (2*ticket+1 = writing,
-// 2*ticket+2 = done), a claim is exclusive (a newer lap waits while an
-// older one is mid-write, so payload stores never interleave), payload
-// fields are individually-relaxed atomics so the whole thing is TSan-clean,
-// and Snapshot() re-checks the stamp and counts any mid-write slot it has
-// to drop.
+// SpanRing encodes each span into seven words of a StampedRing (see
+// stamped_ring.h for the ticket/stamp/claim/snapshot protocol).
 //
 // SlowTraceTable keeps the K most expensive traces *whole* (every span, not
 // just the root) as exemplars; the reject fast path is a single relaxed
@@ -27,9 +21,10 @@
 
 #include <atomic>
 #include <cstdint>
-#include <memory>
 #include <mutex>
 #include <vector>
+
+#include "obs/stamped_ring.h"
 
 namespace sqlcm::obs {
 
@@ -62,10 +57,10 @@ struct Span {
 class SpanRing {
  public:
   /// Capacity is rounded up to a power of two (minimum 2).
-  explicit SpanRing(size_t capacity = 4096);
+  explicit SpanRing(size_t capacity = 4096) : ring_(capacity) {}
 
-  void set_enabled(bool on) { enabled_.store(on, std::memory_order_relaxed); }
-  bool enabled() const { return enabled_.load(std::memory_order_relaxed); }
+  void set_enabled(bool on) { ring_.set_enabled(on); }
+  bool enabled() const { return ring_.enabled(); }
 
   /// No-op when disabled. Lock-free apart from waiting out an older lap's
   /// in-flight write to the same slot (a handful of stores).
@@ -76,37 +71,14 @@ class SpanRing {
   /// counted in snapshot_drops()).
   std::vector<Span> Snapshot() const;
 
-  uint64_t total_recorded() const {
-    return head_.load(std::memory_order_relaxed);
-  }
-  uint64_t snapshot_drops() const {
-    return snapshot_drops_.load(std::memory_order_relaxed);
-  }
-  size_t capacity() const { return capacity_; }
+  uint64_t total_recorded() const { return ring_.total_recorded(); }
+  uint64_t snapshot_drops() const { return ring_.snapshot_drops(); }
+  size_t capacity() const { return ring_.capacity(); }
 
  private:
-  struct Slot {
-    std::atomic<uint64_t> stamp{0};  // 0 = empty; odd = writing; even = done
-    std::atomic<uint64_t> trace_id{0};
-    std::atomic<uint64_t> span_id{0};
-    std::atomic<uint64_t> parent_id{0};
-    std::atomic<uint64_t> ref{0};
-    std::atomic<int64_t> start_nanos{0};
-    std::atomic<int64_t> duration_nanos{0};
-    std::atomic<uint32_t> meta{0};  // kind | detail<<8 | depth<<16
-  };
-
-  /// Moves an even (published or empty) stamp below `target` to the odd
-  /// `target`, waiting while an older lap is mid-write so writers never
-  /// interleave payload stores. False when a newer lap already owns it.
-  static bool ClaimSlot(std::atomic<uint64_t>& stamp, uint64_t target);
-
-  size_t capacity_;  // power of two
-  size_t mask_;
-  std::unique_ptr<Slot[]> slots_;
-  std::atomic<uint64_t> head_{0};  // next ticket to hand out
-  std::atomic<bool> enabled_{false};
-  mutable std::atomic<uint64_t> snapshot_drops_{0};
+  // Words: trace, span and parent ids, ref, start, duration, and
+  // kind | detail<<8 | depth<<16.
+  StampedRing<7> ring_;
 };
 
 /// Retains the K most expensive traces whole, spans and all, as exemplars

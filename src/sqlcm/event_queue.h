@@ -6,8 +6,8 @@
 // The queue is a Vyukov-style bounded MPMC ring: every slot carries its own
 // sequence stamp, so producers and consumers synchronize per slot with one
 // CAS on the shared cursor each — no mutex on either hot path. This grows
-// the stamp protocol of the MPSC obs rings (trace_ring.h/span_ring.h) into
-// a consumable queue: those rings overwrite and never pop; this one hands
+// the stamp protocol of the obs rings (obs/stamped_ring.h) into a
+// consumable queue: those rings overwrite and never pop; this one hands
 // each record to exactly one consumer, in FIFO order per producer, and adds
 // a consumer-side batch-pop so workers amortize rule-table dispatch across
 // a whole batch.

@@ -1389,8 +1389,8 @@ void MonitorEngine::DispatchEvent(EventKind kind, const std::string& qualifier,
                         &walk)
               : RunIteratingRule(rule, ctx, profiled);
       fired_here += fired;
-      if (fired != 0 && memo != nullptr && entry->mutates_lats &&
-          rule_pos != last_pos) {
+      if (fired != 0 && memo != nullptr && index->any_lat_reader &&
+          entry->mutates_lats && rule_pos != last_pos) {
         // The fired rule's actions changed LAT state mid-event: memoized
         // LAT-reading conjuncts and the shared row cache no longer match
         // what naive per-rule evaluation would see for the rules still to
@@ -1803,11 +1803,7 @@ bool MonitorEngine::RunRule(const CompiledRule& rule, EvalContext* ctx,
       cond_pass = verdict == IndexVerdict::kFire;
     }
   }
-  if (walked) {
-    // Condition fully decided by the shared walk above.
-  } else if (rule.use_fast_condition) {
-    cond_pass = EvalFastAtoms(rule.fast_atoms, *ctx);
-  } else if (rule.condition != nullptr) {
+  if (!walked && rule.condition != nullptr) {
     ctx->lat_rows.clear();
     ctx->lat_row_missing = false;
     auto pass = rule.condition->EvalCondition(ctx);

@@ -95,7 +95,8 @@ struct MonitorMetrics {
   obs::StripedCounter predindex_evals;      // distinct predicate evaluations
   obs::StripedCounter predindex_memo_hits;  // conjuncts answered from the memo
   obs::Counter predindex_fallbacks;      // rules replayed naively (error parity)
-  obs::Counter predindex_invalidations;  // mid-event LAT-mutation flushes
+  // Mid-event LAT-mutation flushes (only when some predicate reads a LAT).
+  obs::StripedCounter predindex_invalidations;
   obs::Counter predindex_reorders;       // learned-order republishes
   // Per-action-kind attribution across all rules (sampled traces only).
   std::array<obs::Counter, kNumActionKinds> action_kind_spans;

@@ -218,6 +218,7 @@ void BuildPredicateIndex(
   out->preds.clear();
   out->entries.clear();
   out->any_indexed = false;
+  out->any_lat_reader = false;
   out->groups.reset();
   out->entries.resize(rules.size());
   std::unordered_map<uint64_t, uint32_t> by_hash;
@@ -258,6 +259,7 @@ void BuildPredicateIndex(
         pred.conjunct = &conjunct;
         pred.owner = rule;
         pred.reads_lats = conjunct.reads_lats;
+        out->any_lat_reader = out->any_lat_reader || conjunct.reads_lats;
         auto [sit, stats_inserted] =
             registry->try_emplace(conjunct.hash, nullptr);
         if (stats_inserted) sit->second = std::make_shared<PredicateStats>();

@@ -136,6 +136,11 @@ struct PredicateIndex {
   std::vector<IndexedPredicate> preds;
   std::vector<IndexedRule> entries;
   bool any_indexed = false;
+  /// Some predicate reads a LAT row. When none does, a fired rule's LAT
+  /// mutation leaves the memo and the shared lat_rows cache valid (only
+  /// CmExpr::Eval fills the cache, and the naive path clears it first), so
+  /// dispatch skips the invalidation.
+  bool any_lat_reader = false;
   /// Subscription matcher for the current walk orders; rebuilt whenever
   /// they change, so every published table has its own.
   std::shared_ptr<const AccessGroups> groups;

@@ -637,25 +637,6 @@ Result<CompiledAction> ResolveAction(const RawAction& raw,
 
 }  // namespace
 
-namespace {
-
-/// Flattens `expr` into comparison atoms if it is an AND-chain of
-/// attr-vs-literal comparisons with statically comparable kinds; returns
-/// false (leaving *atoms in an unspecified state) otherwise.
-bool TryExtractFastAtoms(const CmExpr& expr, std::vector<FastAtom>* atoms) {
-  if (expr.kind == CmExpr::Kind::kBinary &&
-      static_cast<sql::BinaryOp>(expr.binary_op) == sql::BinaryOp::kAnd) {
-    return TryExtractFastAtoms(*expr.left, atoms) &&
-           TryExtractFastAtoms(*expr.right, atoms);
-  }
-  FastAtom atom;
-  if (!TryCompileFastAtom(expr, &atom)) return false;
-  atoms->push_back(std::move(atom));
-  return true;
-}
-
-}  // namespace
-
 bool TryCompileFastAtom(const CmExpr& expr, FastAtom* out) {
   if (expr.kind != CmExpr::Kind::kBinary) return false;
   switch (static_cast<sql::BinaryOp>(expr.binary_op)) {
@@ -722,15 +703,6 @@ bool EvalFastAtom(const FastAtom& atom, const EvalContext& ctx) {
   }
 }
 
-/// Evaluates the flattened atoms with short-circuit AND semantics.
-bool EvalFastAtoms(const std::vector<FastAtom>& atoms,
-                   const EvalContext& ctx) {
-  for (const FastAtom& atom : atoms) {
-    if (!EvalFastAtom(atom, ctx)) return false;
-  }
-  return true;
-}
-
 Result<std::unique_ptr<CompiledRule>> RuleCompiler::Compile(
     const RuleSpec& spec, const LatResolver& resolver) {
   auto rule = std::make_unique<CompiledRule>();
@@ -745,11 +717,6 @@ Result<std::unique_ptr<CompiledRule>> RuleCompiler::Compile(
   }
 
   if (rule->condition != nullptr) {
-    std::vector<FastAtom> atoms;
-    if (TryExtractFastAtoms(*rule->condition, &atoms)) {
-      rule->fast_atoms = std::move(atoms);
-      rule->use_fast_condition = true;
-    }
     std::vector<const CmExpr*> conjuncts;
     CollectConjuncts(rule->condition.get(), &conjuncts);
     rule->conjuncts.reserve(conjuncts.size());

@@ -208,8 +208,8 @@ struct RuleSpec {
 /// events already run outside query threads — all stay inline.
 bool EventKindDeferrable(EventKind kind);
 
-/// Pre-extracted comparison atom for the fast condition path: one probe
-/// getter compared against a constant.
+/// Pre-extracted comparison atom for an indexed conjunct: one probe getter
+/// compared against a constant, evaluated without the tree interpreter.
 struct FastAtom {
   AttributeGetter getter = nullptr;
   MonitoredClass cls = MonitoredClass::kQuery;
@@ -447,12 +447,6 @@ struct CompiledRule {
   std::string name;
   EventKey event;
   std::unique_ptr<CmExpr> condition;  // null = always true
-  /// When the condition is a pure AND-chain of attribute-vs-constant
-  /// comparisons (the dominant monitoring-rule shape, Figure 2), it is
-  /// compiled to this flat atom list and evaluated without the recursive
-  /// interpreter. Empty when the generic path must run.
-  std::vector<FastAtom> fast_atoms;
-  bool use_fast_condition = false;
   /// The condition's top-level AND-chain, left to right (naive evaluation
   /// order), with each conjunct's index key; empty when unconditioned.
   std::vector<CompiledConjunct> conjuncts;
@@ -492,20 +486,15 @@ class LatResolver {
   virtual bool IsTimerName(std::string_view name) const = 0;
 };
 
-/// Evaluates a flattened fast-atom list (short-circuit AND); used by the
-/// monitor's rule dispatch when CompiledRule::use_fast_condition is set.
-bool EvalFastAtoms(const std::vector<FastAtom>& atoms,
-                   const EvalContext& ctx);
-
 /// Evaluates one atom: true iff the bound object passes the comparison
 /// (NULL attributes and unbound classes reject, matching the generic
 /// evaluator's three-valued outcome for the same comparison).
 bool EvalFastAtom(const FastAtom& atom, const EvalContext& ctx);
 
 /// Compiles a single attr-vs-literal comparison with statically comparable
-/// kinds into a FastAtom — the unit the AND-chain extractor flattens, also
-/// used by the predicate index for its shared conjuncts. Returns false
-/// (leaving *atom untouched) when `expr` is not that shape.
+/// kinds into a FastAtom, which the predicate index evaluates for its
+/// shared conjuncts. Returns false (leaving *atom untouched) when `expr` is
+/// not that shape.
 bool TryCompileFastAtom(const CmExpr& expr, FastAtom* atom);
 
 class RuleCompiler {

@@ -281,6 +281,32 @@ TEST(PredicateIndexDifferentialTest, MidEventLatMutationInvalidatesMemo) {
   EXPECT_EQ(outcomes[0], outcomes[2]);
 }
 
+TEST(PredicateIndexTest, AttributeOnlyConditionsSkipMemoInvalidation) {
+  // Count-based: with no LAT-reading predicate in the index, a fired
+  // Insert changes nothing any later rule's condition reads, so the memo
+  // is never flushed, and every rule still fires on every event.
+  constexpr int kRules = 20;
+  constexpr int kEvents = 30;
+  EngineHarness h(IndexedOptions());
+  h.DefineCountLat("Count_LAT");
+  for (int r = 0; r < kRules; ++r) {
+    h.AddRule("ins" + std::to_string(r),
+              r % 2 == 0 ? "Query.ID >= 0" : "Query.Duration >= 0",
+              "Query.Insert(Count_LAT)");
+  }
+  h.RunWorkload(kEvents);
+  EXPECT_EQ(h.monitor()->metrics().predindex_invalidations.value(), 0u);
+  for (const auto& [name, oc] : h.Outcomes()) {
+    EXPECT_EQ(oc.fires, static_cast<uint64_t>(kEvents)) << name;
+  }
+  int64_t inserted = 0;
+  for (const common::Row& row :
+       h.monitor()->FindLat("Count_LAT")->Snapshot(0)) {
+    inserted += row.back().int_value();
+  }
+  EXPECT_EQ(inserted, int64_t{kRules} * kEvents);
+}
+
 TEST(PredicateIndexDifferentialTest, ThreeValuedOrEdgesAgree) {
   // OR conjuncts interact with the missing-row flag in both operand
   // orders; all strategies must agree (the conjunct is one predicate, so
@@ -590,6 +616,8 @@ struct DispatchRecord {
   std::map<std::string, std::vector<std::string>> lats;  // sorted rows
   uint64_t visited = 0;
   uint64_t skipped = 0;
+  uint64_t total_errors = 0;
+  std::vector<std::string> error_messages;  // recent_errors(), sorted
 };
 
 class SubscriptionScript {
@@ -629,6 +657,21 @@ class SubscriptionScript {
         fixed = "Query.ID > NULL AND Query.ID / (Query.ID % 3) >= 0";
       }
       ids.push_back(AddRandomRule(m, &rng, r, r == feed_pos, fixed));
+    }
+    if (with_errors_) {
+      // One erroring conjunct shared by two rules: its error is memoized
+      // once per event and each rule is replayed naively, which must
+      // report exactly what naive dispatch does.
+      for (const char* name : {"shared_err_a", "shared_err_b"}) {
+        RuleSpec spec;
+        spec.name = name;
+        spec.event = "Query.Commit";
+        spec.condition = "Query.ID / (Query.ID % 3) >= 0 AND Query.ID > 2";
+        spec.action = std::string("SendMail('") + name + " {Query.ID}', 'dba')";
+        auto id = m->AddRule(spec);
+        EXPECT_TRUE(id.ok()) << id.status();
+        if (id.ok()) ids.push_back(*id);
+      }
     }
     int64_t poll_at = int64_t{1} << 50;
     auto stream = [&](int queries) {
@@ -685,6 +728,11 @@ class SubscriptionScript {
     }
     out.visited = m->metrics().rules_visited.value();
     out.skipped = m->metrics().rules_skipped.value();
+    out.total_errors = m->total_errors();
+    for (const auto& error : m->recent_errors()) {
+      out.error_messages.push_back(error.message);
+    }
+    std::sort(out.error_messages.begin(), out.error_messages.end());
     return out;
   }
 
@@ -757,7 +805,12 @@ TEST(SubscriptionDispatchTest, StrictOrderMatchesNaiveDispatchWithErrors) {
     SubscriptionScript script(seed, /*with_errors=*/true);
     const DispatchRecord naive = script.Run(NaiveOptions());
     const DispatchRecord indexed = script.Run(IndexedOptions());
-    ExpectSameDispatch(naive, indexed, "seed " + std::to_string(seed));
+    const std::string what = "seed " + std::to_string(seed);
+    ExpectSameDispatch(naive, indexed, what);
+    // The error reports themselves, not only the per-rule counts.
+    EXPECT_EQ(naive.total_errors, indexed.total_errors) << what;
+    EXPECT_EQ(naive.error_messages, indexed.error_messages) << what;
+    EXPECT_GT(indexed.total_errors, 0u) << what;
     skipped += indexed.skipped;
     for (const auto& [name, stats] : indexed.rules) trip_skips += stats[5];
   }

@@ -1,6 +1,9 @@
 #include "sqlcm/rule.h"
 
 #include <gtest/gtest.h>
+
+#include <algorithm>
+
 #include "common/random.h"
 #include "common/string_util.h"
 
@@ -195,9 +198,15 @@ TEST_F(RuleTest, PersistDefaultsToAllAttributes) {
             ObjectSchema::Get().attributes(MonitoredClass::kQuery).size());
 }
 
+/// True when every top-level conjunct compiled to a FastAtom.
+bool AllConjunctsFast(const CompiledRule& rule) {
+  return std::all_of(rule.conjuncts.begin(), rule.conjuncts.end(),
+                     [](const CompiledConjunct& c) { return c.is_fast; });
+}
+
 TEST_F(RuleTest, FastConditionPathMatchesGenericPath) {
-  // Property: for eligible conditions, the flattened fast-atom evaluation
-  // must agree with the generic interpreter on every record.
+  // Property: for eligible conditions, AND-ing the conjuncts' fast-atom
+  // evaluations must agree with the generic interpreter on every record.
   const std::vector<std::string> conditions = {
       "Query.Duration > 2",
       "Query.Duration >= 2 AND Query.Query_Type = 'SELECT'",
@@ -213,7 +222,7 @@ TEST_F(RuleTest, FastConditionPathMatchesGenericPath) {
     spec.action = "Reset(Duration_LAT)";
     auto rule = RuleCompiler::Compile(spec, resolver_);
     ASSERT_TRUE(rule.ok()) << condition;
-    ASSERT_TRUE((*rule)->use_fast_condition) << condition;
+    ASSERT_TRUE(AllConjunctsFast(**rule)) << condition;
     for (int i = 0; i < 200; ++i) {
       QueryRecord rec;
       rec.id = static_cast<uint64_t>(rng.UniformInt(0, 10));
@@ -223,7 +232,10 @@ TEST_F(RuleTest, FastConditionPathMatchesGenericPath) {
       rec.query_type = rng.OneIn(2) ? "SELECT" : "UPDATE";
       EvalContext ctx;
       ctx.Bind(MonitoredClass::kQuery, &rec);
-      const bool fast = EvalFastAtoms((*rule)->fast_atoms, ctx);
+      bool fast = true;
+      for (const CompiledConjunct& c : (*rule)->conjuncts) {
+        fast = fast && EvalFastAtom(c.atom, ctx);
+      }
       EvalContext ctx2;
       ctx2.Bind(MonitoredClass::kQuery, &rec);
       auto generic = (*rule)->condition->EvalCondition(&ctx2);
@@ -248,7 +260,7 @@ TEST_F(RuleTest, FastPathNotUsedForComplexConditions) {
     spec.action = "Reset(Duration_LAT)";
     auto rule = RuleCompiler::Compile(spec, resolver_);
     ASSERT_TRUE(rule.ok()) << condition;
-    EXPECT_FALSE((*rule)->use_fast_condition) << condition;
+    EXPECT_FALSE(AllConjunctsFast(**rule)) << condition;
   }
 }
 
