@@ -7,6 +7,10 @@
 //                                    # one BENCH_JSON line per cell
 //   build/bench/bench_lat --sweep --quick   # CI-sized sweep
 //
+// The sweep ends with the sketch row and the evicting shared-LAT cells
+// ("lat_evict", 100 ten-row LATs at 1 and 3 threads, the shape of
+// perfbench's e2_rules).
+//
 // The sweep measures the same LAT twice per cell: once with the directory
 // forced to a single shard (the pre-sharding layout) and once with the
 // automatic shard count (which honours the SQLCM_LAT_SHARDS environment
@@ -338,6 +342,86 @@ void RunSketchBench(bool quick) {
   std::fflush(stdout);
 }
 
+/// Evicting shared-LAT cell, shaped like perfbench's e2_rules: `threads`
+/// workers each raise statements with fresh IDs, and every statement
+/// inserts into all 100 LATs (group by ID; COUNT, LAST(Query_Text),
+/// LAST(Duration); ordering ID DESC; 10 rows), so every insert creates a row
+/// and evicts one. All threads share the LATs. One BENCH_JSON row;
+/// `ns_per_insert` is wall time × threads / inserts (thread-time per insert).
+void RunEvictBench(int threads, bool quick) {
+  constexpr size_t kLats = 100;
+  constexpr size_t kRows = 10;
+  const uint64_t stmts_per_thread = quick ? 5'000 : 50'000;
+  std::vector<std::unique_ptr<Lat>> lats;
+  for (size_t i = 0; i < kLats; ++i) {
+    LatSpec spec;
+    spec.name = "evict_" + std::to_string(i);
+    spec.group_by = {{"ID", ""}};
+    spec.aggregates = {{LatAggFunc::kCount, "", "N", false},
+                       {LatAggFunc::kLast, "Query_Text", "Text", false},
+                       {LatAggFunc::kLast, "Duration", "Dur", false}};
+    spec.ordering = {{"ID", true}};
+    spec.max_rows = kRows;
+    lats.push_back(std::move(*Lat::Create(std::move(spec))));
+  }
+
+  std::atomic<int> ready{0};
+  std::atomic<bool> go{false};
+  std::vector<std::thread> workers;
+  for (int t = 0; t < threads; ++t) {
+    workers.emplace_back([&, t] {
+      QueryRecord rec = MakeRecord(0, "sig", 1.0);
+      rec.text =
+          "SELECT L_QUANTITY, L_EXTENDEDPRICE FROM LINEITEM WHERE "
+          "L_ORDERKEY = 4711 AND L_LINENUMBER = 3";
+      ready.fetch_add(1, std::memory_order_acq_rel);
+      while (!go.load(std::memory_order_acquire)) {
+        std::this_thread::yield();
+      }
+      for (uint64_t i = 0; i < stmts_per_thread; ++i) {
+        // Thread-interleaved fresh IDs: every insert creates a new group.
+        rec.id = 1 + i * static_cast<uint64_t>(threads) +
+                 static_cast<uint64_t>(t);
+        for (auto& lat : lats) lat->Insert(&rec, 0);
+      }
+    });
+  }
+  while (ready.load(std::memory_order_acquire) != threads) {
+    std::this_thread::yield();
+  }
+  const auto start = std::chrono::steady_clock::now();
+  go.store(true, std::memory_order_release);
+  for (auto& w : workers) w.join();
+  const auto stop = std::chrono::steady_clock::now();
+
+  const double secs = std::chrono::duration<double>(stop - start).count();
+  uint64_t inserts = 0, evictions = 0, acq = 0, con = 0;
+  bool exact = true;
+  for (const auto& lat : lats) {
+    inserts += lat->stats().inserts.value();
+    evictions += lat->stats().evictions.value();
+    acq += lat->stats().latch_acquisitions.value();
+    con += lat->stats().latch_contention.value();
+    exact = exact && lat->size() == kRows;
+  }
+  const double n = static_cast<double>(inserts);
+  std::printf(
+      "BENCH_JSON {\"bench\":\"lat_evict\",\"lats\":%zu,\"max_rows\":%zu,"
+      "\"shards\":%zu,\"threads\":%d,\"inserts\":%llu,"
+      "\"inserts_per_sec\":%.0f,\"ns_per_insert\":%.1f,"
+      "\"evictions_per_insert\":%.4f,\"latch_acq_per_insert\":%.3f,"
+      "\"latch_contention_pct\":%.3f,\"sizes_exact\":%s}\n",
+      kLats, kRows, lats[0]->shard_count(), threads,
+      static_cast<unsigned long long>(inserts), secs > 0 ? n / secs : 0,
+      n > 0 ? 1e9 * secs * threads / n : 0,
+      n > 0 ? static_cast<double>(evictions) / n : 0,
+      n > 0 ? static_cast<double>(acq) / n : 0,
+      acq > 0 ? 100.0 * static_cast<double>(con) / static_cast<double>(acq)
+              : 0,
+      exact ? "true" : "false");
+  std::fflush(stdout);
+}
+
 int RunSweep(bool quick) {
   const std::vector<int> thread_counts =
       quick ? std::vector<int>{1, 8} : std::vector<int>{1, 2, 4, 8};
@@ -380,6 +464,7 @@ int RunSweep(bool quick) {
         sharded_1t_contended / single_1t_contended);
   }
   RunSketchBench(quick);
+  for (const int threads : {1, 3}) RunEvictBench(threads, quick);
   return 0;
 }
 

@@ -27,6 +27,7 @@
 //   --micro-only  skip the harness, run only the micro benchmarks
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstdio>
 #include <cstring>
@@ -259,10 +260,14 @@ std::string JsonNum(double v) {
 /// measured wall time plus index counters. Each mode gets a fresh engine
 /// (only one may hook a Database at a time) and a warmup pass that feeds
 /// the LAT row and lets the learned ordering converge before measurement.
+/// The added cost is the median over `rounds` of (monitored run − an
+/// unmonitored run taken right before it, hooks detached): a baseline
+/// measured once drifts with host load and once made the difference
+/// negative.
 ModeResult RunPredicateIndexMode(
     const char* mode, engine::Database* db, engine::Session* session,
-    const std::vector<workload::WorkloadItem>& items, double baseline_us,
-    int64_t num_queries, bool index_on, bool learned_on) {
+    const std::vector<workload::WorkloadItem>& items, int64_t num_queries,
+    int rounds, bool index_on, bool learned_on) {
   MonitorEngine::Options options;
   options.register_system_views = false;
   options.predicate_index = index_on;
@@ -329,8 +334,21 @@ ModeResult RunPredicateIndexMode(
 
   const uint64_t evals_before = monitor->metrics().predindex_evals.value();
   const uint64_t hits_before = monitor->metrics().predindex_memo_hits.value();
-  const double wall_us = run_once();
-  const double added_us = wall_us - baseline_us;
+  std::vector<double> walls, added;
+  for (int r = 0; r < rounds; ++r) {
+    db->set_monitor_hooks(nullptr);
+    const double baseline_us = run_once();
+    db->set_monitor_hooks(monitor.get());
+    const double wall_us = run_once();
+    walls.push_back(wall_us);
+    added.push_back(wall_us - baseline_us);
+  }
+  auto median = [](std::vector<double> v) {
+    std::nth_element(v.begin(), v.begin() + v.size() / 2, v.end());
+    return v[v.size() / 2];
+  };
+  const double wall_us = median(walls);
+  const double added_us = median(added);
 
   ModeResult out;
   out.mode = mode;
@@ -342,10 +360,13 @@ ModeResult RunPredicateIndexMode(
       added_us > 0.0
           ? static_cast<double>(num_queries) * kHarnessRules / (added_us / 1e6)
           : 0.0;
+  // Per monitored run (every round replays the same stream).
   out.predindex_evals =
-      monitor->metrics().predindex_evals.value() - evals_before;
+      (monitor->metrics().predindex_evals.value() - evals_before) /
+      static_cast<uint64_t>(rounds);
   out.memo_hits =
-      monitor->metrics().predindex_memo_hits.value() - hits_before;
+      (monitor->metrics().predindex_memo_hits.value() - hits_before) /
+      static_cast<uint64_t>(rounds);
   return out;
 }
 
@@ -361,6 +382,7 @@ int RunPredicateIndexComparison(bool quick) {
     return 1;
   }
   const int64_t num_queries = quick ? 2'000 : 10'000;
+  const int rounds = quick ? 3 : 5;
   auto items = workload::GeneratePointSelectWorkload(tpch, num_queries, 17);
   auto session = db.CreateSession();
 
@@ -386,15 +408,15 @@ int RunPredicateIndexComparison(bool quick) {
 
   std::vector<ModeResult> modes;
   modes.push_back(RunPredicateIndexMode("naive", &db, session.get(), items,
-                                        baseline_us, num_queries,
+                                        num_queries, rounds,
                                         /*index_on=*/false,
                                         /*learned_on=*/false));
   modes.push_back(RunPredicateIndexMode("indexed", &db, session.get(), items,
-                                        baseline_us, num_queries,
+                                        num_queries, rounds,
                                         /*index_on=*/true,
                                         /*learned_on=*/false));
   modes.push_back(RunPredicateIndexMode("learned", &db, session.get(), items,
-                                        baseline_us, num_queries,
+                                        num_queries, rounds,
                                         /*index_on=*/true,
                                         /*learned_on=*/true));
   for (const ModeResult& m : modes) {

@@ -1,6 +1,7 @@
 #include "sqlcm/lat.h"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 #include <cstdlib>
 #include <mutex>
@@ -107,6 +108,34 @@ Row& ScratchKey() {
 
 }  // namespace
 
+uint64_t LatEvictionRank(const Value& v, ValueKind column_kind,
+                         bool descending) {
+  // Encode in value order first (NULL lowest, as in Value::Compare), then
+  // flip for ASC columns, where the larger value is the less important.
+  constexpr uint64_t kSign = uint64_t{1} << 63;
+  uint64_t enc;
+  if (v.is_null()) {
+    enc = 0;
+  } else if (column_kind == ValueKind::kInt) {
+    if (!v.is_int()) return kLatRankUnordered;
+    enc = std::clamp<uint64_t>(static_cast<uint64_t>(v.int_value()) ^ kSign,
+                               1, kLatRankMax);
+  } else if (column_kind == ValueKind::kDouble) {
+    // Compare orders every numeric by AsDouble, so INT values in a DOUBLE
+    // column rank through the same encoding.
+    if (!v.is_numeric()) return kLatRankUnordered;
+    const double d = v.AsDouble();
+    // NaN ties every number under Compare: no single rank can say so.
+    if (std::isnan(d)) return kLatRankUnordered;
+    const uint64_t bits = std::bit_cast<uint64_t>(d == 0.0 ? 0.0 : d);
+    enc = std::clamp<uint64_t>((bits & kSign) != 0 ? ~bits : bits | kSign, 1,
+                               kLatRankMax);
+  } else {
+    enc = 1;
+  }
+  return descending ? enc : kLatRankMax - enc;
+}
+
 Result<std::unique_ptr<Lat>> Lat::Create(LatSpec spec) {
   if (spec.name.empty()) {
     return Status::InvalidArgument("LAT must have a name");
@@ -142,6 +171,11 @@ Result<std::unique_ptr<Lat>> Lat::Create(LatSpec spec) {
   lat->lower_name_ = common::ToLower(s.name);
   lat->shard_count_ = ResolveShardCount(s.shard_count);
   lat->shards_ = std::make_unique<Shard[]>(lat->shard_count_);
+  lat->root_ranks_ =
+      std::make_unique<std::atomic<uint64_t>[]>(lat->shard_count_);
+  for (size_t i = 0; i < lat->shard_count_; ++i) {
+    lat->root_ranks_[i].store(kLatRankEmpty, std::memory_order_relaxed);
+  }
   if (any_aging) {
     // §4.3 bound ⌈2t/Δ⌉, with enough slack (t/Δ + 3) that when the cap
     // triggers the two oldest blocks are provably outside the window — so
@@ -261,6 +295,10 @@ Result<std::unique_ptr<Lat>> Lat::Create(LatSpec spec) {
                               ord.column + "' does not exist");
     }
     lat->ordering_columns_.push_back(idx);
+  }
+  if (!lat->ordering_columns_.empty()) {
+    lat->rank_kind_ =
+        lat->column_kinds_[static_cast<size_t>(lat->ordering_columns_[0])];
   }
   return lat;
 }
@@ -422,6 +460,10 @@ void Lat::FoldValue(AggState* state, const LatAggColumn& col, Value v,
     }
     return;
   }
+  // `count` always moves: DiffStateRecord's no-change test relies on it.
+  // The first/min/max moments are kept only for the functions that read
+  // them, so they stay NULL elsewhere (no value copies on, say, a LAST
+  // over query text).
   ++state->count;
   if (v.is_numeric()) {
     const double d = v.AsDouble();
@@ -429,9 +471,19 @@ void Lat::FoldValue(AggState* state, const LatAggColumn& col, Value v,
     state->sumsq += d * d;
   }
   if (!v.is_null()) {
-    if (!state->any) state->first = v;
-    if (!state->any || v.Compare(state->min) < 0) state->min = v;
-    if (!state->any || v.Compare(state->max) > 0) state->max = v;
+    switch (col.func) {
+      case LatAggFunc::kFirst:
+        if (!state->any) state->first = v;
+        break;
+      case LatAggFunc::kMin:
+        if (!state->any || v.Compare(state->min) < 0) state->min = v;
+        break;
+      case LatAggFunc::kMax:
+        if (!state->any || v.Compare(state->max) > 0) state->max = v;
+        break;
+      default:
+        break;
+    }
     state->any = true;
     state->last = std::move(v);  // last use; avoids a copy for strings
   } else if (!state->any && col.func == LatAggFunc::kFirst) {
@@ -672,7 +724,7 @@ void Lat::Insert(const void* record, int64_t now_micros) {
 
   if (!bounded || skip_heap) return;
 
-  MaintainHeap(&shard, row, std::move(ordering_key), row_bytes);
+  MaintainHeap(row, std::move(ordering_key), row_bytes);
   EvictOverBudget(now_micros, /*notify=*/true);
 }
 
@@ -769,8 +821,7 @@ void Lat::InsertBatch(const LatBatchItem* items, size_t count) {
       }
     }
     if (bounded && !skip_heap) {
-      MaintainHeap(&ShardFor(row->hash), row, std::move(ordering_key),
-                   row_bytes);
+      MaintainHeap(row, std::move(ordering_key), row_bytes);
     }
   }
   if (bounded) {
@@ -778,13 +829,16 @@ void Lat::InsertBatch(const LatBatchItem* items, size_t count) {
   }
 }
 
-void Lat::MaintainHeap(Shard* shard, const std::shared_ptr<LatRow>& row,
-                       Row ordering_key, size_t row_bytes) {
+void Lat::MaintainHeap(const std::shared_ptr<LatRow>& row, Row ordering_key,
+                       size_t row_bytes) {
+  const size_t s = ShardIndex(row->hash);
+  Shard* shard = &shards_[s];
   CountedLatchGuard heap_guard(shard->heap_latch, stats_);
   if (row->evicted) {
     // Racing update to a row already chosen for eviction: drop it.
     return;
   }
+  row->rank = RankOf(ordering_key);
   row->ordering_key = std::move(ordering_key);
   if (spec_.max_bytes > 0) {
     // Unsigned wrap-around of the delta is fine: the global sum stays
@@ -799,32 +853,60 @@ void Lat::MaintainHeap(Shard* shard, const std::shared_ptr<LatRow>& row,
   } else {
     HeapRepositionLocked(shard, row.get());
   }
+  PublishRootLocked(s);
+}
+
+size_t Lat::PickVictimShard() const {
+  // Lowest published rank wins outright. Rows leave heaps only under the
+  // evict latch, so a rank read here can have moved only by a concurrent
+  // insert or update, exactly as a latched scan could have raced one.
+  uint64_t best_rank = kLatRankEmpty;
+  size_t best_shard = SIZE_MAX;
+  size_t ties = 0;
+  bool unordered = false;
+  for (size_t s = 0; s < shard_count_; ++s) {
+    const uint64_t rank = root_ranks_[s].load(std::memory_order_acquire);
+    if (rank == kLatRankUnordered) {
+      unordered = true;
+    } else if (rank < best_rank) {
+      best_rank = rank;
+      best_shard = s;
+      ties = 1;
+    } else if (rank == best_rank && rank != kLatRankEmpty) {
+      ++ties;
+    }
+  }
+  if (ties <= 1 && !unordered) return best_shard;
+  // Tied (or unordered) roots: compare their full ordering keys under each
+  // heap latch, first shard winning a full tie.
+  best_shard = SIZE_MAX;
+  Row best_key;
+  for (size_t s = 0; s < shard_count_; ++s) {
+    const uint64_t rank = root_ranks_[s].load(std::memory_order_acquire);
+    if (rank > best_rank && rank != kLatRankUnordered) continue;
+    std::lock_guard<common::SpinLatch> heap_guard(shards_[s].heap_latch);
+    if (shards_[s].heap.empty()) continue;
+    const Row& root_key = shards_[s].heap[0]->ordering_key;
+    if (best_shard == SIZE_MAX || LessImportant(root_key, best_key)) {
+      best_shard = s;
+      best_key = root_key;
+    }
+  }
+  return best_shard;
 }
 
 void Lat::EvictOverBudget(int64_t now_micros, bool notify) {
   if (!OverBudget()) return;
 
-  std::vector<std::shared_ptr<LatRow>> victims;
+  // Per-thread scratch, so an evicting insert allocates no victim list. It
+  // is emptied before any callback runs, and callbacks may re-enter.
+  thread_local std::vector<std::shared_ptr<LatRow>> victims;
   {
     // The evict latch serializes budget enforcement so concurrent inserters
-    // do not over-evict; the common (non-evicting) insert never touches it.
+    // do not over-evict. Every insert into a full bounded LAT gets here.
     std::lock_guard<common::SpinLatch> evict_guard(evict_latch_);
     while (OverBudget()) {
-      // Pick the globally least-important row: compare shard heap roots
-      // (one short heap-latch hold per shard; the evict latch keeps rows
-      // from leaving heaps underneath us, so the chosen root can only have
-      // been repositioned by a concurrent update).
-      size_t best_shard = SIZE_MAX;
-      Row best_key;
-      for (size_t s = 0; s < shard_count_; ++s) {
-        std::lock_guard<common::SpinLatch> heap_guard(shards_[s].heap_latch);
-        if (shards_[s].heap.empty()) continue;
-        const Row& root_key = shards_[s].heap[0]->ordering_key;
-        if (best_shard == SIZE_MAX || LessImportant(root_key, best_key)) {
-          best_shard = s;
-          best_key = root_key;
-        }
-      }
+      const size_t best_shard = PickVictimShard();
       if (best_shard == SIZE_MAX) break;  // every heap empty: nothing to evict
       Shard& shard = shards_[best_shard];
       LatRow* victim;
@@ -833,6 +915,7 @@ void Lat::EvictOverBudget(int64_t now_micros, bool notify) {
         if (shard.heap.empty()) continue;
         victim = shard.heap[0];
         HeapEraseLocked(&shard, victim);
+        PublishRootLocked(best_shard);
         victim->evicted = true;
         victim->in_heap.store(false, std::memory_order_release);
         total_bytes_.fetch_sub(victim->approx_bytes,
@@ -853,15 +936,18 @@ void Lat::EvictOverBudget(int64_t now_micros, bool notify) {
 
   // Materialize victims (row latch only) when anyone listens, then notify
   // outside all latches.
-  if (notify && evict_callback_) {
-    std::vector<Row> evicted_rows;
+  std::vector<Row> evicted_rows;
+  if (notify && evict_callback_ &&
+      (evict_listening_ == nullptr ||
+       evict_listening_->load(std::memory_order_acquire))) {
     evicted_rows.reserve(victims.size());
     for (const auto& victim : victims) {
       std::lock_guard<common::SpinLatch> row_guard(victim->latch);
       evicted_rows.push_back(MaterializeLocked(*victim, now_micros));
     }
-    for (Row& evicted : evicted_rows) evict_callback_(std::move(evicted));
   }
+  victims.clear();
+  for (Row& evicted : evicted_rows) evict_callback_(std::move(evicted));
 }
 
 void Lat::Reset() {
@@ -887,6 +973,7 @@ void Lat::Reset() {
     }
     shard.map.clear();
     shard.heap.clear();
+    PublishRootLocked(s);
   }
   // Subtract what was actually removed (rather than storing zero) so rows
   // added concurrently in already-cleared shards stay accounted.
@@ -989,8 +1076,7 @@ void Lat::HeapSwapLocked(Shard* shard, size_t i, size_t j) {
 void Lat::SiftUpLocked(Shard* shard, size_t i) {
   while (i > 0) {
     const size_t parent = (i - 1) / 2;
-    if (!LessImportant(shard->heap[i]->ordering_key,
-                       shard->heap[parent]->ordering_key)) {
+    if (!RowLessImportant(*shard->heap[i], *shard->heap[parent])) {
       break;
     }
     HeapSwapLocked(shard, i, parent);
@@ -1004,13 +1090,11 @@ void Lat::SiftDownLocked(Shard* shard, size_t i) {
     const size_t right = 2 * i + 2;
     size_t smallest = i;
     if (left < shard->heap.size() &&
-        LessImportant(shard->heap[left]->ordering_key,
-                      shard->heap[smallest]->ordering_key)) {
+        RowLessImportant(*shard->heap[left], *shard->heap[smallest])) {
       smallest = left;
     }
     if (right < shard->heap.size() &&
-        LessImportant(shard->heap[right]->ordering_key,
-                      shard->heap[smallest]->ordering_key)) {
+        RowLessImportant(*shard->heap[right], *shard->heap[smallest])) {
       smallest = right;
     }
     if (smallest == i) break;
@@ -1182,7 +1266,7 @@ bool Lat::AdoptSeededRow(std::shared_ptr<LatRow> row, int64_t now_micros) {
     }
     const size_t row_bytes =
         spec_.max_bytes > 0 ? ApproxRowBytesLocked(*row) : 0;
-    MaintainHeap(&shard, row, std::move(ordering_key), row_bytes);
+    MaintainHeap(row, std::move(ordering_key), row_bytes);
     EvictOverBudget(now_micros, /*notify=*/false);
   }
   return true;
@@ -1874,7 +1958,7 @@ Status Lat::MergeState(const storage::Table& table, int64_t now_micros) {
         }
       }
       if (bounded) {
-        MaintainHeap(&shard, row, std::move(ordering_key), row_bytes);
+        MaintainHeap(row, std::move(ordering_key), row_bytes);
         EvictOverBudget(now_micros, /*notify=*/false);
       }
     }

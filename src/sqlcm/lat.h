@@ -19,12 +19,15 @@
 // each shard has its own hash map (keyed by that hash, so eviction erase
 // and lookups never rehash the group key) and its own eviction heap. Rows
 // keep individual latches, and the global row/byte budgets are atomics, so
-// an insert holds at most one latch at a time on the non-evicting path.
-// Cross-shard eviction (the rare path) is serialized by a dedicated evict
-// latch which may nest shard heap latches beneath it; the hierarchy
-// evict > {map, heap, row} is acyclic, so the scheme stays deadlock-free
-// by construction. bench/bench_lat.cc --sweep measures the scaling (see
-// docs/PERFORMANCE.md).
+// an insert holds at most one latch at a time outside eviction. Eviction is
+// not rare: every insert into a bounded LAT at its budget evicts. It is
+// serialized by a dedicated evict latch and picks the cross-shard victim
+// from published root ranks (an order-preserving 64-bit encoding of each
+// shard heap root's first ordering value, see LatEvictionRank), latching
+// only the winning shard's heap; shards whose ranks tie fall back to a
+// latched compare of their roots. The hierarchy evict > {map, heap, row} is
+// acyclic, so the scheme stays deadlock-free by construction.
+// bench/bench_lat.cc --sweep measures the scaling (see docs/PERFORMANCE.md).
 #ifndef SQLCM_SQLCM_LAT_H_
 #define SQLCM_SQLCM_LAT_H_
 
@@ -79,6 +82,26 @@ common::Result<LatAggFunc> ParseLatAggFunc(std::string_view name);
 inline bool LatAggFuncIsSketch(LatAggFunc func) {
   return func == LatAggFunc::kQuantile || func == LatAggFunc::kDistinct;
 }
+
+/// Root ranks (LatEvictionRank): smaller ranks are less important. An empty
+/// shard heap publishes kLatRankEmpty; a value the encoding cannot order
+/// (NaN, or a kind foreign to the column) ranks kLatRankUnordered, which
+/// joins every latched tie-break. Real ranks lie in [0, kLatRankMax].
+inline constexpr uint64_t kLatRankEmpty = UINT64_MAX;
+inline constexpr uint64_t kLatRankUnordered = UINT64_MAX - 1;
+inline constexpr uint64_t kLatRankMax = UINT64_MAX - 2;
+
+/// Order-preserving rank of an ordering value in a column of
+/// `column_kind`, with the column's direction applied: if a ranks below b
+/// then a is strictly less important (evicted first), and values that
+/// Value::Compare ties rank equal. INT columns encode exactly (up to the
+/// two ends of the int64 range, which share ranks with their neighbours);
+/// DOUBLE columns use the sign-flip encoding of the IEEE bits with −0.0
+/// folded onto +0.0; NULL takes Compare's lowest position; every other
+/// non-NULL value shares one constant rank, so those ties always go to the
+/// latched compare.
+uint64_t LatEvictionRank(const common::Value& v, common::ValueKind column_kind,
+                         bool descending);
 
 /// One element of a vectorized insert (Lat::InsertBatch): the probed record
 /// plus the event timestamp it carried, so batched folds see exactly the
@@ -143,14 +166,17 @@ struct LatSpec {
 /// cover the Insert hot path only — the paper's §6.1 claim is precisely that
 /// these latches are not a hotspot, and `latch_contention` measures it.
 /// `upsert_micros` is populated only under MonitorEngine detailed timing.
+///
+/// The counters every insert bumps are striped (obs::StripedCounter): the
+/// threads inserting into one LAT would otherwise share their cache lines.
 struct LatStats {
-  obs::Counter inserts;
-  obs::Counter evictions;
-  obs::Counter latch_acquisitions;
-  obs::Counter latch_contention;  // try_lock failed, had to spin
+  obs::StripedCounter inserts;
+  obs::StripedCounter evictions;
+  obs::StripedCounter latch_acquisitions;
+  obs::StripedCounter latch_contention;  // try_lock failed, had to spin
   /// Heap maintenance skipped because the recomputed ordering key matched
   /// the previous one (common for MIN/MAX/FIRST orderings).
-  obs::Counter heap_skips;
+  obs::StripedCounter heap_skips;
   /// Oldest aging blocks merged to keep a block deque within the §4.3
   /// ⌈2t/Δ⌉ bound (happens while shed_aging defers pruning; merged blocks
   /// are always already outside the window, so reads are unaffected).
@@ -197,8 +223,14 @@ class Lat {
   /// Case-insensitive; -1 when absent.
   int FindColumn(std::string_view name) const;
 
-  void set_evict_callback(EvictCallback callback) {
+  /// Installs the eviction listener. When `listening` is non-null, victims
+  /// are materialized (and the callback runs) only while it reads true, so
+  /// an engine with no Lat.Evict rule skips the row copy entirely; the flag
+  /// must outlive the LAT.
+  void set_evict_callback(EvictCallback callback,
+                          const std::atomic<bool>* listening = nullptr) {
     evict_callback_ = std::move(callback);
+    evict_listening_ = listening;
   }
 
   // -- Mutation --------------------------------------------------------------
@@ -408,8 +440,8 @@ class Lat {
   ///   hash, group_key    immutable after publication in the shard map
   ///   next               the owning shard's map latch
   ///   aggs, ordering_cache                     the row latch
-  ///   ordering_key, heap_index, approx_bytes,
-  ///   evicted                                  the owning shard's heap latch
+  ///   ordering_key, rank, heap_index,
+  ///   approx_bytes, evicted                    the owning shard's heap latch
   ///   in_heap            atomic (written under the heap latch)
   struct LatRow {
     uint64_t hash = 0;
@@ -418,6 +450,7 @@ class Lat {
     std::vector<AggState> aggs;
     common::Row ordering_cache;  // last key computed by an insert
     common::Row ordering_key;    // key the heap position reflects
+    uint64_t rank = kLatRankUnordered;  // LatEvictionRank of ordering_key
     size_t heap_index = SIZE_MAX;
     size_t approx_bytes = 0;  // accounted share of total_bytes_
     bool evicted = false;
@@ -427,7 +460,10 @@ class Lat {
 
   /// One directory stripe: a hash-keyed map (collision chains run through
   /// LatRow::next) and the eviction heap over this stripe's rows. Padded so
-  /// neighbouring shards' latches do not share a cache line.
+  /// neighbouring shards' latches do not share a cache line. The root's rank
+  /// lives in Lat::root_ranks_, packed apart from the latches, so the
+  /// evictor reads every shard's rank from a few cache lines (eight ranks
+  /// each) that only root changes write.
   struct alignas(64) Shard {
     mutable common::SpinLatch map_latch;
     std::unordered_map<uint64_t, std::shared_ptr<LatRow>> map;
@@ -437,9 +473,8 @@ class Lat {
 
   explicit Lat(LatSpec spec) : spec_(std::move(spec)) {}
 
-  Shard& ShardFor(uint64_t hash) const {
-    return shards_[hash & (shard_count_ - 1)];
-  }
+  size_t ShardIndex(uint64_t hash) const { return hash & (shard_count_ - 1); }
+  Shard& ShardFor(uint64_t hash) const { return shards_[ShardIndex(hash)]; }
   /// 64-bit mixed hash of a group key (also the shard selector).
   uint64_t HashGroupKey(const common::Row& key) const;
 
@@ -492,14 +527,42 @@ class Lat {
   /// True if `a` is less important than `b` (i.e. `a` sorts later under the
   /// declared ordering and is the eviction candidate).
   bool LessImportant(const common::Row& a, const common::Row& b) const;
+  /// LessImportant on heap rows: decided by their ranks when those differ,
+  /// by the full ordering keys otherwise. Caller holds the heap latch.
+  bool RowLessImportant(const LatRow& a, const LatRow& b) const {
+    if (a.rank != b.rank && a.rank != kLatRankUnordered &&
+        b.rank != kLatRankUnordered) {
+      return a.rank < b.rank;
+    }
+    return LessImportant(a.ordering_key, b.ordering_key);
+  }
+  /// Rank of an ordering key's first column.
+  uint64_t RankOf(const common::Row& ordering_key) const {
+    return LatEvictionRank(ordering_key[0], rank_kind_,
+                           spec_.ordering[0].descending);
+  }
+  /// Republishes shard `s`'s root rank; caller holds its heap latch.
+  void PublishRootLocked(size_t s) {
+    const std::vector<LatRow*>& heap = shards_[s].heap;
+    const uint64_t rank = heap.empty() ? kLatRankEmpty : heap[0]->rank;
+    if (root_ranks_[s].load(std::memory_order_relaxed) != rank) {
+      root_ranks_[s].store(rank, std::memory_order_release);
+    }
+  }
+  /// The shard holding the globally least-important heap root, or SIZE_MAX
+  /// when every heap is empty. Reads the published ranks without latching;
+  /// only shards tied at the lowest rank (or unordered) are latched and
+  /// compared. Caller holds the evict latch.
+  size_t PickVictimShard() const;
 
   /// Applies the (re)computed ordering key and byte accounting for `row`
   /// under its shard's heap latch.
-  void MaintainHeap(Shard* shard, const std::shared_ptr<LatRow>& row,
+  void MaintainHeap(const std::shared_ptr<LatRow>& row,
                     common::Row ordering_key, size_t row_bytes);
   /// While over the row/byte budget, evicts the globally least-important
-  /// row (scans shard heap roots under the evict latch). Materializes and
-  /// notifies victims via the evict callback when `notify` is set.
+  /// row (PickVictimShard, under the evict latch). Materializes and
+  /// notifies victims via the evict callback when `notify` is set and the
+  /// listener flag, if any, reads true.
   void EvictOverBudget(int64_t now_micros, bool notify);
   bool OverBudget() const {
     const size_t rows = total_rows_.load(std::memory_order_acquire);
@@ -523,7 +586,10 @@ class Lat {
   std::vector<AttributeGetter> group_getters_;
   std::vector<AttributeGetter> agg_getters_;  // null entry for plain COUNT
   std::vector<int> ordering_columns_;          // indexes into materialized row
+  /// Kind of the first ordering column (selects the rank encoding).
+  common::ValueKind rank_kind_ = common::ValueKind::kNull;
   EvictCallback evict_callback_;
+  const std::atomic<bool>* evict_listening_ = nullptr;
 
   size_t shard_count_ = 1;  // power of two
   /// Any QUANTILE/DISTINCT aggregate in the spec (state records then use
@@ -542,6 +608,9 @@ class Lat {
   /// spec has no aging aggregates.
   size_t max_aging_blocks_ = 0;
   std::unique_ptr<Shard[]> shards_;
+  /// Published heap-root rank per shard (PublishRootLocked), written under
+  /// that shard's heap latch and read without latching by the evictor.
+  std::unique_ptr<std::atomic<uint64_t>[]> root_ranks_;
 
   /// Serializes cross-shard eviction and Reset; never acquired while any
   /// other LAT latch is held.

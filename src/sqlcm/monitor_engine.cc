@@ -302,8 +302,11 @@ Status MonitorEngine::DefineLat(LatSpec spec) {
   SQLCM_ASSIGN_OR_RETURN(auto created, Lat::Create(std::move(spec)));
   std::shared_ptr<Lat> lat = std::move(created);
   Lat* raw = lat.get();
+  // Victims are materialized only while an enabled rule listens to
+  // Lat.Evict.
   lat->set_evict_callback(
-      [this, raw](Row evicted) { HandleEviction(raw, std::move(evicted)); });
+      [this, raw](Row evicted) { HandleEviction(raw, std::move(evicted)); },
+      &has_rules_[static_cast<size_t>(EventKind::kLatEvict)]);
   // LATs defined while the governor is already shedding start shed too.
   lat->set_shed_aging(governor_.shed_aging());
   const std::string key = ToLower(raw->name());
@@ -2196,11 +2199,7 @@ std::string MonitorEngine::SubstituteTemplate(const std::string& text,
 // ---------------------------------------------------------------------------
 
 void MonitorEngine::HandleEviction(Lat* lat, Row evicted) {
-  // No enabled rule listens to Lat.Evict: nothing to queue or dispatch.
-  if (!has_rules_[static_cast<size_t>(EventKind::kLatEvict)].load(
-          std::memory_order_acquire)) {
-    return;
-  }
+  // Only called while a Lat.Evict rule listens (the LAT's evict gate).
   if (RuleDepth() > 0) {
     PendingEviction eviction{lat, std::move(evicted)};
     if (spans_.enabled()) {

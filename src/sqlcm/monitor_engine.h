@@ -509,7 +509,8 @@ class MonitorEngine final : public engine::MonitorHooks,
   /// members' breakers.
   std::atomic<int64_t> breakers_not_closed_{0};
   /// Lock-free per-event fast path: FireEvent returns without touching the
-  /// registry mutex when no enabled rule listens to the event kind.
+  /// registry mutex when no enabled rule listens to the event kind. The
+  /// kLatEvict flag also gates every LAT's victim materialization.
   std::array<std::atomic<bool>, kNumEventKinds> has_rules_{};
   uint64_t next_rule_id_ = 1;
   std::atomic<bool> monitoring_active_{false};

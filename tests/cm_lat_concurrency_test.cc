@@ -338,5 +338,148 @@ TEST(LatConcurrencyTest, ShardCountEnvOverrideAndClamp) {
   EXPECT_EQ(lat2->shard_count(), 1024u);
 }
 
+
+// ---------------------------------------------------------------------------
+// Evicting inserts into shared LATs (perfbench e2_rules' shape)
+// ---------------------------------------------------------------------------
+
+LatSpec EvictSpec(const std::string& name, size_t shard_count) {
+  LatSpec spec;
+  spec.name = name;
+  spec.group_by = {{"ID", ""}};
+  spec.aggregates = {{LatAggFunc::kCount, "", "N", false},
+                     {LatAggFunc::kLast, "Query_Text", "Text", false},
+                     {LatAggFunc::kLast, "Duration", "Dur", false}};
+  spec.ordering = {{"ID", true}};
+  spec.max_rows = 10;
+  spec.shard_count = shard_count;
+  return spec;
+}
+
+/// Like EvictSpec but ordered by a heavily tied DOUBLE first (ASC), so most
+/// victims are chosen by the latched tie-break on the second column.
+LatSpec TiedEvictSpec(const std::string& name, size_t shard_count) {
+  LatSpec spec = EvictSpec(name, shard_count);
+  spec.ordering = {{"Dur", false}, {"ID", true}};
+  return spec;
+}
+
+QueryRecord EvictRecord(uint64_t id) {
+  static const double kDurations[] = {-0.0, 0.0, -2.5, 1.0, 3.5, -1e300};
+  QueryRecord rec;
+  rec.id = id;
+  rec.text = "q" + std::to_string(id % 13);
+  rec.duration_secs = kDurations[id % 6];
+  return rec;
+}
+
+std::vector<int64_t> SurvivorIds(const Lat& lat) {
+  std::vector<int64_t> ids;
+  for (const Row& row : lat.Snapshot(0)) ids.push_back(row[0].int_value());
+  std::sort(ids.begin(), ids.end());
+  return ids;
+}
+
+TEST(LatConcurrencyTest, EvictingInsertsIntoSharedLats) {
+  // Three threads raise statements with fresh IDs and insert each into
+  // every shared 10-row LAT, so every insert creates a row and evicts one
+  // while the other threads do the same on the same shards.
+  constexpr int kThreads = 3;
+  constexpr int kLats = 20;
+  constexpr uint64_t kPerThread = 1500;
+  std::vector<std::unique_ptr<Lat>> lats;
+  for (int i = 0; i < kLats; ++i) {
+    const std::string name = "shared" + std::to_string(i);
+    lats.push_back(*Lat::Create(i % 2 == 0 ? EvictSpec(name, 16)
+                                           : TiedEvictSpec(name, 16)));
+  }
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&lats, t] {
+      for (uint64_t i = 0; i < kPerThread; ++i) {
+        const QueryRecord rec = EvictRecord(1 + i * kThreads + t);
+        for (auto& lat : lats) lat->Insert(&rec, 0);
+      }
+    });
+  }
+  for (auto& t : threads) t.join();
+
+  const uint64_t inserts = kThreads * kPerThread;
+  for (const auto& lat : lats) {
+    EXPECT_EQ(lat->stats().inserts.value(), inserts) << lat->name();
+    EXPECT_EQ(lat->stats().evictions.value(), inserts - 10) << lat->name();
+    EXPECT_EQ(lat->size(), lat->spec().max_rows) << lat->name();
+    EXPECT_EQ(lat->Snapshot(0).size(), lat->spec().max_rows) << lat->name();
+  }
+
+  // A serial replay of the same statements keeps the same survivors at 16
+  // shards as at one: the published root ranks pick the global victim.
+  for (const bool tied : {false, true}) {
+    auto one = *Lat::Create(tied ? TiedEvictSpec("one", 1)
+                                 : EvictSpec("one", 1));
+    auto many = *Lat::Create(tied ? TiedEvictSpec("many", 16)
+                                  : EvictSpec("many", 16));
+    for (uint64_t id = 1; id <= inserts; ++id) {
+      const QueryRecord rec = EvictRecord(id);
+      one->Insert(&rec, 0);
+      many->Insert(&rec, 0);
+    }
+    EXPECT_EQ(SurvivorIds(*one), SurvivorIds(*many)) << "tied=" << tied;
+    EXPECT_EQ(one->stats().evictions.value(), many->stats().evictions.value());
+  }
+}
+
+TEST(LatShardDeterminismTest, SeededNullAndSignedZeroRanksIndependentOfShardCount) {
+  // Query probes never yield NULL, so NULL ordering values come in through
+  // SeedFrom. ASC over a DOUBLE column with NULL (most important under
+  // ASC), negatives, −0.0 and +0.0 (which tie) and a DESC string second
+  // column: the survivors match a full sort at one shard and at sixteen.
+  storage::Catalog catalog;
+  auto schema = catalog::TableSchema::Create(
+      "seed",
+      {{"Sig", catalog::ColumnType::kString},
+       {"MinDur", catalog::ColumnType::kDouble}},
+      {});
+  storage::Table* table = *catalog.CreateTable(std::move(*schema));
+  const Value kValues[] = {Value::Null(),       Value::Double(-0.0),
+                           Value::Double(0.0),  Value::Double(-2.5),
+                           Value::Double(7.25), Value::Double(-1e300)};
+  std::vector<Row> seeded;
+  for (int i = 0; i < 60; ++i) {
+    Row row = {Value::String("sig" + std::to_string(i)), kValues[(i * 7) % 6]};
+    seeded.push_back(row);
+    ASSERT_TRUE(table->Insert(std::move(row)).ok());
+  }
+  auto make = [](size_t shard_count) {
+    LatSpec spec;
+    spec.name = "seeded";
+    spec.group_by = {{"Logical_Signature", "Sig"}};
+    spec.aggregates = {{LatAggFunc::kMin, "Duration", "MinDur", false}};
+    spec.ordering = {{"MinDur", false}, {"Sig", true}};
+    spec.max_rows = 9;
+    spec.shard_count = shard_count;
+    return *Lat::Create(std::move(spec));
+  };
+  // Most important first: smaller MinDur (NULL smallest), then larger Sig.
+  std::sort(seeded.begin(), seeded.end(), [](const Row& a, const Row& b) {
+    const int c = a[1].Compare(b[1]);
+    if (c != 0) return c < 0;
+    return a[0].Compare(b[0]) > 0;
+  });
+  std::vector<std::string> want;
+  for (size_t i = 0; i < 9; ++i) want.push_back(seeded[i][0].string_value());
+  std::sort(want.begin(), want.end());
+  for (const size_t shards : {1, 16}) {
+    auto lat = make(shards);
+    ASSERT_TRUE(lat->SeedFrom(*table, 0).ok());
+    std::vector<std::string> got;
+    for (const Row& row : lat->Snapshot(0)) {
+      got.push_back(row[0].string_value());
+    }
+    std::sort(got.begin(), got.end());
+    EXPECT_EQ(got, want) << "shards=" << shards;
+  }
+}
+
 }  // namespace
 }  // namespace sqlcm::cm

@@ -91,8 +91,18 @@ std::unique_ptr<storage::Table> MakeStateTable(const Lat& lat) {
   return std::make_unique<storage::Table>(0, std::move(*schema));
 }
 
+/// Eviction ordering of a bounded case. The first ordering column drives
+/// the published root rank (Lat's cross-shard victim pick), so the variants
+/// cover an exact INT rank, an ASC DOUBLE rank over negatives and signed
+/// zeros, and a string column whose ranks always tie.
+enum class DiffOrder {
+  kCountDesc,      // COUNT DESC, Sig DESC
+  kMinDoubleAsc,   // MIN(Duration) ASC, Sig DESC
+  kLastStringDesc  // LAST(Query_Text) DESC, Sig ASC
+};
+
 LatSpec DiffSpec(bool bounded, size_t shard_count, bool sketch,
-                 size_t sketch_budget) {
+                 size_t sketch_budget, DiffOrder order = DiffOrder::kCountDesc) {
   LatSpec spec;
   spec.name = "Diff";
   spec.object_class = MonitoredClass::kQuery;
@@ -132,7 +142,17 @@ LatSpec DiffSpec(bool bounded, size_t shard_count, bool sketch,
     // Non-aging COUNT + group-column ordering: the production LAT's cached
     // ordering keys are always current for these, so eviction choices are
     // deterministic and comparable (see reference_lat.h on scope).
-    spec.ordering = {{"N", true}, {"Sig", true}};
+    switch (order) {
+      case DiffOrder::kCountDesc:
+        spec.ordering = {{"N", true}, {"Sig", true}};
+        break;
+      case DiffOrder::kMinDoubleAsc:
+        spec.ordering = {{"MinDur", false}, {"Sig", true}};
+        break;
+      case DiffOrder::kLastStringDesc:
+        spec.ordering = {{"LastText", true}, {"Sig", false}};
+        break;
+    }
     spec.max_rows = 24;
   }
   return spec;
@@ -158,6 +178,8 @@ struct DiffCase {
   /// positive durations so the worst-case collapse level — and hence the
   /// quantile error bound — stays derivable in the test.
   size_t sketch_budget = 0;
+  /// Eviction ordering (bounded configs only).
+  DiffOrder order = DiffOrder::kCountDesc;
 };
 
 class LatDifferentialTest : public ::testing::TestWithParam<DiffCase> {};
@@ -170,15 +192,17 @@ TEST_P(LatDifferentialTest, ProductionMatchesReferenceOracle) {
   // SQLCM_DIFF_SEED (PR-2 seed-logging convention).
   std::fprintf(stderr,
                "[differential] ops=%llu seed=%llu bounded=%d shards=%zu "
-               "batched=%d sketch=%d budget=%zu\n",
+               "batched=%d sketch=%d budget=%zu order=%d\n",
                static_cast<unsigned long long>(ops),
                static_cast<unsigned long long>(seed), param.bounded ? 1 : 0,
                param.shard_count, param.batched ? 1 : 0,
-               param.sketch ? 1 : 0, param.sketch_budget);
+               param.sketch ? 1 : 0, param.sketch_budget,
+               static_cast<int>(param.order));
   RecordProperty("sqlcm_diff_seed", std::to_string(seed));
 
   const LatSpec spec = DiffSpec(param.bounded, param.shard_count,
-                                param.sketch, param.sketch_budget);
+                                param.sketch, param.sketch_budget,
+                                param.order);
   auto lat_or = Lat::Create(spec);
   ASSERT_TRUE(lat_or.ok()) << lat_or.status().ToString();
   std::unique_ptr<Lat> lat = std::move(*lat_or);
@@ -219,7 +243,8 @@ TEST_P(LatDifferentialTest, ProductionMatchesReferenceOracle) {
       std::to_string(param.bounded) + "_" +
       std::to_string(param.shard_count) + "_" +
       std::to_string(param.sketch) + "_" +
-      std::to_string(param.sketch_budget) + ".snap";
+      std::to_string(param.sketch_budget) + "_" +
+      std::to_string(static_cast<int>(param.order)) + ".snap";
   std::remove(snapshot_path.c_str());
   std::remove((snapshot_path + ".bak").c_str());
 
@@ -306,6 +331,9 @@ TEST_P(LatDifferentialTest, ProductionMatchesReferenceOracle) {
         rec.duration_secs = 5e-324 * static_cast<double>(rng.Uniform(64));
       } else if (shape == 3) {
         rec.duration_secs = static_cast<double>(rng.UniformInt(-50, 50));
+      } else if (shape == 4 && param.order == DiffOrder::kMinDoubleAsc) {
+        // Signed zeros tie under Value::Compare, so they must tie in rank.
+        rec.duration_secs = rng.Uniform(2) == 0 ? -0.0 : 0.0;
       } else {
         rec.duration_secs = rng.NextDouble() * 1e3;
       }
@@ -377,7 +405,15 @@ INSTANTIATE_TEST_SUITE_P(
                       DiffCase{false, 1, false, true},
                       DiffCase{true, 8, false, true},
                       DiffCase{false, 8, true, true},
-                      DiffCase{false, 8, false, true, 4096}),
+                      DiffCase{false, 8, false, true, 4096},
+                      DiffCase{true, 1, false, false, 0,
+                               DiffOrder::kMinDoubleAsc},
+                      DiffCase{true, 8, false, false, 0,
+                               DiffOrder::kMinDoubleAsc},
+                      DiffCase{true, 1, false, false, 0,
+                               DiffOrder::kLastStringDesc},
+                      DiffCase{true, 8, false, false, 0,
+                               DiffOrder::kLastStringDesc}),
     [](const ::testing::TestParamInfo<DiffCase>& info) {
       std::string name =
           std::string(info.param.bounded ? "Bounded" : "Unbounded") +
@@ -385,6 +421,10 @@ INSTANTIATE_TEST_SUITE_P(
       if (info.param.batched) name += "Batched";
       if (info.param.sketch) {
         name += info.param.sketch_budget > 0 ? "SketchBudgeted" : "Sketch";
+      }
+      if (info.param.order == DiffOrder::kMinDoubleAsc) name += "MinDoubleAsc";
+      if (info.param.order == DiffOrder::kLastStringDesc) {
+        name += "LastStringDesc";
       }
       return name;
     });

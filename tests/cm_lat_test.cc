@@ -3,7 +3,9 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <atomic>
 #include <cmath>
+#include <limits>
 #include <map>
 #include <memory>
 #include <optional>
@@ -991,6 +993,127 @@ TEST(LatTest, AgingEmptyWindowMatchesUnallocatedDeque) {
   EXPECT_DOUBLE_EQ(a[4].double_value(), 0.0);  // STDEV: 0 under 2 samples
   EXPECT_TRUE(a[5].is_null());             // MIN
   EXPECT_TRUE(a[6].is_null());             // MAX
+}
+
+TEST(LatEvictionRankTest, RanksAgreeWithValueCompare) {
+  // For every pair of ranked values: a lower rank means strictly less
+  // important under the column's direction, and Compare ties rank equal.
+  using common::ValueKind;
+  const double kInf = std::numeric_limits<double>::infinity();
+  const std::vector<Value> doubles = {
+      Value::Null(),         Value::Double(-kInf),  Value::Double(-1e300),
+      Value::Double(-2.5),   Value::Double(-5e-324), Value::Double(-0.0),
+      Value::Double(0.0),    Value::Double(5e-324), Value::Double(1.0),
+      Value::Int(1),         Value::Double(1e300),  Value::Double(kInf)};
+  const std::vector<Value> ints = {
+      Value::Null(), Value::Int(INT64_MIN + 1), Value::Int(-7), Value::Int(0),
+      Value::Int(1), Value::Int(INT64_MAX - 1)};
+  const std::vector<Value> strings = {Value::Null(), Value::String(""),
+                                      Value::String("a"), Value::String("b")};
+  for (const bool desc : {true, false}) {
+    for (const auto& [kind, values] :
+         {std::pair{ValueKind::kDouble, doubles},
+          std::pair{ValueKind::kInt, ints},
+          std::pair{ValueKind::kString, strings}}) {
+      for (const Value& a : values) {
+        for (const Value& b : values) {
+          const uint64_t ra = LatEvictionRank(a, kind, desc);
+          const uint64_t rb = LatEvictionRank(b, kind, desc);
+          ASSERT_LE(ra, kLatRankMax) << a.ToString();
+          const int c = a.Compare(b);
+          const std::string what = a.ToString() + " vs " + b.ToString() +
+                                   (desc ? " DESC" : " ASC");
+          if (c == 0) EXPECT_EQ(ra, rb) << what;
+          // Less important: smaller under DESC, larger under ASC.
+          if (ra < rb) EXPECT_TRUE(desc ? c < 0 : c > 0) << what;
+        }
+      }
+    }
+  }
+  // Non-NULL strings share one rank, above NULL's under DESC.
+  EXPECT_EQ(LatEvictionRank(Value::String("a"), ValueKind::kString, true),
+            LatEvictionRank(Value::String("z"), ValueKind::kString, true));
+  EXPECT_LT(LatEvictionRank(Value::Null(), ValueKind::kString, true),
+            LatEvictionRank(Value::String("a"), ValueKind::kString, true));
+  // Values no single rank can order join every tie-break.
+  EXPECT_EQ(LatEvictionRank(Value::Double(std::nan("")), ValueKind::kDouble,
+                            true),
+            kLatRankUnordered);
+  EXPECT_EQ(LatEvictionRank(Value::Double(1.5), ValueKind::kInt, true),
+            kLatRankUnordered);
+}
+
+TEST(LatTest, FoldsOnlyTheMomentsAColumnReads) {
+  // LAST keeps no first/min/max copies: those state cells export NULL,
+  // while count still moves (the federation delta's no-change test).
+  LatSpec spec;
+  spec.name = "moments";
+  spec.group_by = {{"Logical_Signature", "Sig"}};
+  spec.aggregates = {{LatAggFunc::kLast, "Query_Text", "LastText", false},
+                     {LatAggFunc::kMin, "Query_Text", "MinText", false},
+                     {LatAggFunc::kFirst, "Query_Text", "FirstText", false}};
+  auto lat = *Lat::Create(spec);
+  for (const char* text : {"m", "b", "z"}) {
+    auto rec = MakeQuery("s", 1.0, text);
+    lat->Insert(&rec, 0);
+  }
+  Row row;
+  ASSERT_TRUE(lat->LookupByKey({Value::String("s")}, 0, &row));
+  EXPECT_EQ(row[1].string_value(), "z");
+  EXPECT_EQ(row[2].string_value(), "b");
+  EXPECT_EQ(row[3].string_value(), "m");
+
+  const auto names = lat->StateColumnNames();
+  auto table = MakeStateTable(*lat);
+  ASSERT_TRUE(lat->ExportState(table.get(), 0).ok());
+  std::vector<Row> keys, rows;
+  ASSERT_EQ(table->ScanBatch(std::nullopt, 16, &keys, &rows), 1u);
+  auto cell = [&](const std::string& name) {
+    const auto it = std::find(names.begin(), names.end(), name);
+    return rows[0][static_cast<size_t>(it - names.begin())].string_value();
+  };
+  EXPECT_EQ(rows[0][1].int_value(), 3);  // LastText#count
+  EXPECT_EQ(cell("LastText#min"), "N");
+  EXPECT_EQ(cell("LastText#max"), "N");
+  EXPECT_EQ(cell("LastText#first"), "N");
+  EXPECT_EQ(cell("LastText#last"), "Sz");
+  EXPECT_EQ(cell("MinText#min"), "Sb");
+  EXPECT_EQ(cell("MinText#max"), "N");
+  EXPECT_EQ(cell("FirstText#first"), "Sm");
+  EXPECT_EQ(cell("FirstText#min"), "N");
+
+  // The state round-trips through a fresh LAT unchanged.
+  auto restored = *Lat::Create(spec);
+  ASSERT_TRUE(restored->ImportState(*table, 0).ok());
+  Row again;
+  ASSERT_TRUE(restored->LookupByKey({Value::String("s")}, 0, &again));
+  EXPECT_EQ(again, row);
+}
+
+TEST(LatTest, EvictCallbackGatedOnListener) {
+  // With a listener flag installed, victims are materialized and reported
+  // only while the flag reads true; eviction itself never waits on it.
+  LatSpec spec;
+  spec.name = "gated";
+  spec.group_by = {{"Logical_Signature", "Sig"}};
+  spec.aggregates = {{LatAggFunc::kMax, "Duration", "D", false}};
+  spec.ordering = {{"D", true}};
+  spec.max_rows = 2;
+  auto lat = *Lat::Create(spec);
+  std::atomic<bool> listening{false};
+  int reported = 0;
+  lat->set_evict_callback([&](Row) { ++reported; }, &listening);
+  for (int i = 0; i < 5; ++i) {
+    auto rec = MakeQuery("s" + std::to_string(i), i);
+    lat->Insert(&rec, 0);
+  }
+  EXPECT_EQ(lat->stats().evictions.value(), 3u);
+  EXPECT_EQ(reported, 0);
+  listening.store(true);
+  auto rec = MakeQuery("s9", 9.0);
+  lat->Insert(&rec, 0);
+  EXPECT_EQ(lat->stats().evictions.value(), 4u);
+  EXPECT_EQ(reported, 1);
 }
 
 }  // namespace
