@@ -7,9 +7,11 @@
 //                                    # one BENCH_JSON line per cell
 //   build/bench/bench_lat --sweep --quick   # CI-sized sweep
 //
-// The sweep ends with the sketch row and the evicting shared-LAT cells
+// The sweep ends with the sketch row, the evicting shared-LAT cells
 // ("lat_evict", 100 ten-row LATs at 1 and 3 threads, the shape of
-// perfbench's e2_rules).
+// perfbench's e2_rules) and the batched-insert cells ("lat_batch",
+// InsertBatch on deferred_fanin's LAT). With --quick those two report the
+// median of 3 repetitions.
 //
 // The sweep measures the same LAT twice per cell: once with the directory
 // forced to a single shard (the pre-sharding layout) and once with the
@@ -18,6 +20,7 @@
 // same run. docs/PERFORMANCE.md documents the output schema.
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <cstdio>
@@ -348,7 +351,16 @@ void RunSketchBench(bool quick) {
 /// LAST(Duration); ordering ID DESC; 10 rows), so every insert creates a row
 /// and evicts one. All threads share the LATs. One BENCH_JSON row;
 /// `ns_per_insert` is wall time × threads / inserts (thread-time per insert).
-void RunEvictBench(int threads, bool quick) {
+struct EvictCell {
+  size_t shards = 0;
+  uint64_t inserts = 0;
+  double secs = 0;
+  uint64_t evictions = 0, acq = 0, con = 0;
+  bool exact = true;
+  double ns_per_insert = 0;
+};
+
+EvictCell RunEvictCell(int threads, bool quick) {
   constexpr size_t kLats = 100;
   constexpr size_t kRows = 10;
   const uint64_t stmts_per_thread = quick ? 5'000 : 50'000;
@@ -394,32 +406,234 @@ void RunEvictBench(int threads, bool quick) {
   for (auto& w : workers) w.join();
   const auto stop = std::chrono::steady_clock::now();
 
-  const double secs = std::chrono::duration<double>(stop - start).count();
-  uint64_t inserts = 0, evictions = 0, acq = 0, con = 0;
-  bool exact = true;
+  EvictCell cell;
+  cell.shards = lats[0]->shard_count();
+  cell.secs = std::chrono::duration<double>(stop - start).count();
   for (const auto& lat : lats) {
-    inserts += lat->stats().inserts.value();
-    evictions += lat->stats().evictions.value();
-    acq += lat->stats().latch_acquisitions.value();
-    con += lat->stats().latch_contention.value();
-    exact = exact && lat->size() == kRows;
+    cell.inserts += lat->stats().inserts.value();
+    cell.evictions += lat->stats().evictions.value();
+    cell.acq += lat->stats().latch_acquisitions.value();
+    cell.con += lat->stats().latch_contention.value();
+    cell.exact = cell.exact && lat->size() == kRows;
   }
-  const double n = static_cast<double>(inserts);
+  const double n = static_cast<double>(cell.inserts);
+  cell.ns_per_insert = n > 0 ? 1e9 * cell.secs * threads / n : 0;
+  return cell;
+}
+
+/// Index of the median of `values` (the lower middle for even sizes).
+size_t MedianIndex(const std::vector<double>& values) {
+  std::vector<size_t> order(values.size());
+  for (size_t i = 0; i < order.size(); ++i) order[i] = i;
+  std::sort(order.begin(), order.end(),
+            [&](size_t a, size_t b) { return values[a] < values[b]; });
+  return order[(order.size() - 1) / 2];
+}
+
+/// Repetitions per cell: quick cells are short enough that one run is
+/// mostly noise, so they report the median of three.
+int CellReps(bool quick) { return quick ? 3 : 1; }
+
+/// One BENCH_JSON row for the evicting shared-LAT cell (RunEvictCell);
+/// `sizes_exact` holds only if every repetition ended at the row budget.
+void RunEvictBench(int threads, bool quick) {
+  constexpr size_t kLats = 100;
+  constexpr size_t kRows = 10;
+  std::vector<EvictCell> cells;
+  std::vector<double> ns;
+  bool exact = true;
+  for (int r = 0; r < CellReps(quick); ++r) {
+    cells.push_back(RunEvictCell(threads, quick));
+    ns.push_back(cells.back().ns_per_insert);
+    exact = exact && cells.back().exact;
+  }
+  const EvictCell& c = cells[MedianIndex(ns)];
+  const double n = static_cast<double>(c.inserts);
   std::printf(
       "BENCH_JSON {\"bench\":\"lat_evict\",\"lats\":%zu,\"max_rows\":%zu,"
-      "\"shards\":%zu,\"threads\":%d,\"inserts\":%llu,"
+      "\"shards\":%zu,\"threads\":%d,\"reps\":%d,\"inserts\":%llu,"
       "\"inserts_per_sec\":%.0f,\"ns_per_insert\":%.1f,"
       "\"evictions_per_insert\":%.4f,\"latch_acq_per_insert\":%.3f,"
       "\"latch_contention_pct\":%.3f,\"sizes_exact\":%s}\n",
-      kLats, kRows, lats[0]->shard_count(), threads,
-      static_cast<unsigned long long>(inserts), secs > 0 ? n / secs : 0,
-      n > 0 ? 1e9 * secs * threads / n : 0,
-      n > 0 ? static_cast<double>(evictions) / n : 0,
-      n > 0 ? static_cast<double>(acq) / n : 0,
-      acq > 0 ? 100.0 * static_cast<double>(con) / static_cast<double>(acq)
-              : 0,
+      kLats, kRows, c.shards, threads, CellReps(quick),
+      static_cast<unsigned long long>(c.inserts),
+      c.secs > 0 ? n / c.secs : 0, c.ns_per_insert,
+      n > 0 ? static_cast<double>(c.evictions) / n : 0,
+      n > 0 ? static_cast<double>(c.acq) / n : 0,
+      c.acq > 0
+          ? 100.0 * static_cast<double>(c.con) / static_cast<double>(c.acq)
+          : 0,
       exact ? "true" : "false");
   std::fflush(stdout);
+}
+
+/// deferred_fanin's LAT (perfbench): grouped by (signature, application)
+/// with COUNT, SUM, AVG, MAX, QUANTILE and DISTINCT. `max_rows` > 0 bounds
+/// it, ordered by N DESC, Sig DESC.
+std::unique_ptr<Lat> MakeFaninLat(size_t max_rows) {
+  LatSpec spec;
+  spec.name = "fanin";
+  spec.group_by = {{"Logical_Signature", "Sig"}, {"Application", "App"}};
+  LatAggColumn p90{LatAggFunc::kQuantile, "Duration", "P90", false};
+  p90.quantile = 0.9;
+  spec.aggregates = {{LatAggFunc::kCount, "", "N", false},
+                     {LatAggFunc::kSum, "Duration", "Total", false},
+                     {LatAggFunc::kAvg, "Duration", "Avg", false},
+                     {LatAggFunc::kMax, "Estimated_Cost", "MaxCost", false},
+                     p90,
+                     {LatAggFunc::kDistinct, "ID", "Queries", false}};
+  if (max_rows > 0) {
+    spec.ordering = {{"N", true}, {"Sig", true}};
+    spec.max_rows = max_rows;
+  }
+  return std::move(*Lat::Create(std::move(spec)));
+}
+
+struct BatchCell {
+  double batch_ns_per_item = 0;
+  double insert_ns_per_item = 0;
+  uint64_t latch_acq = 0;
+  bool exact = true;
+};
+
+/// Feeds the same record stream to one LAT through InsertBatch (256-item
+/// batches, timed) and to a second through per-item Insert (timed
+/// separately), then compares their end states cell by cell.
+BatchCell RunBatchCell(const std::vector<std::vector<QueryRecord>>& batches,
+                       size_t max_rows, uint64_t rounds,
+                       const std::vector<QueryRecord>& seed_records) {
+  auto batched = MakeFaninLat(max_rows);
+  auto reference = MakeFaninLat(max_rows);
+  for (const QueryRecord& rec : seed_records) {
+    batched->Insert(&rec, 0);
+    reference->Insert(&rec, 0);
+  }
+  std::vector<std::vector<LatBatchItem>> items(batches.size());
+  uint64_t n = 0;
+  for (size_t b = 0; b < batches.size(); ++b) {
+    for (const QueryRecord& rec : batches[b]) {
+      items[b].push_back({&rec, static_cast<int64_t>(++n)});
+    }
+  }
+  const uint64_t latches_before = batched->stats().latch_acquisitions.value();
+  uint64_t total = 0;
+  auto start = std::chrono::steady_clock::now();
+  for (uint64_t r = 0; r < rounds; ++r) {
+    const auto& batch = items[r % items.size()];
+    batched->InsertBatch(batch.data(), batch.size());
+    total += batch.size();
+  }
+  const double batch_secs = std::chrono::duration<double>(
+                                std::chrono::steady_clock::now() - start)
+                                .count();
+  BatchCell cell;
+  cell.latch_acq =
+      batched->stats().latch_acquisitions.value() - latches_before;
+  start = std::chrono::steady_clock::now();
+  for (uint64_t r = 0; r < rounds; ++r) {
+    for (const LatBatchItem& item : items[r % items.size()]) {
+      reference->Insert(item.record, item.now_micros);
+    }
+  }
+  const double insert_secs = std::chrono::duration<double>(
+                                 std::chrono::steady_clock::now() - start)
+                                 .count();
+  cell.batch_ns_per_item = 1e9 * batch_secs / static_cast<double>(total);
+  cell.insert_ns_per_item = 1e9 * insert_secs / static_cast<double>(total);
+  const auto want = reference->Snapshot(0);
+  const auto got = batched->Snapshot(0);
+  cell.exact = got.size() == want.size();
+  for (size_t row = 0; cell.exact && row < want.size(); ++row) {
+    for (size_t c = 0; c < want[row].size(); ++c) {
+      cell.exact =
+          cell.exact && got[row][c].ToString() == want[row][c].ToString();
+    }
+  }
+  return cell;
+}
+
+/// InsertBatch cost on deferred_fanin's LAT, one BENCH_JSON row per shape:
+///   fanin_g4     4 groups per 256-item batch (2 signatures × 2
+///                applications), deferred_fanin's drain shape;
+///   fanin_g256   every item of a batch in its own group (the same 256
+///                groups recur across batches);
+///   bounded_10   a 10-row LAT whose 10 heavy groups take 240 items per
+///                batch, plus 16 single-item groups that sort last and are
+///                evicted (by either path) before the batch ends.
+/// `exact` compares the end state with per-item Insert of the same stream.
+void RunBatchBench(bool quick) {
+  constexpr size_t kBatch = 256;
+  constexpr size_t kPool = 16;  // distinct batches, cycled
+  const uint64_t rounds = quick ? 400 : 4000;
+  // Plan-text-like signatures: about as long as the engine's.
+  const std::string sig_base =
+      "Project(L_QUANTITY,L_EXTENDEDPRICE)<-Filter(L_ORDERKEY=?,"
+      "L_LINENUMBER=?)<-IndexScan(LINEITEM,PK)#";
+  auto make = [&](uint64_t id, const std::string& sig, const char* app) {
+    const double duration =
+        1e-6 * static_cast<double>((id * 2654435761u) % 5000 + 1);
+    QueryRecord rec = MakeRecord(id, sig, duration);
+    rec.application = app;
+    rec.estimated_cost = static_cast<double>(id % 997);
+    return rec;
+  };
+  struct Shape {
+    const char* name;
+    size_t groups;
+    size_t max_rows;
+  };
+  for (const Shape& shape :
+       {Shape{"fanin_g4", 4, 0}, Shape{"fanin_g256", 256, 0},
+        Shape{"bounded_10", 26, 10}}) {
+    std::vector<std::vector<QueryRecord>> batches(kPool);
+    std::vector<QueryRecord> seed_records;
+    uint64_t id = 0;
+    for (size_t b = 0; b < kPool; ++b) {
+      for (size_t i = 0; i < kBatch; ++i) {
+        ++id;
+        if (shape.max_rows == 0) {
+          const size_t g = i % shape.groups;
+          batches[b].push_back(make(id, sig_base + std::to_string(g / 2),
+                                    g % 2 == 0 ? "app_a" : "app_b"));
+        } else if (i % 16 == 15) {
+          // Single-item group, fresh in every pooled batch: "a..." sorts
+          // below the heavy "h..." groups under Sig DESC.
+          batches[b].push_back(make(
+              id, "a" + std::to_string(b * kBatch + i), "app_a"));
+        } else {
+          batches[b].push_back(make(id, "h" + std::to_string(i % 10), "app_a"));
+        }
+      }
+    }
+    if (shape.max_rows > 0) {
+      // Open every heavy group first, so single-item groups never outrank one.
+      for (size_t h = 0; h < 10; ++h) {
+        seed_records.push_back(make(++id, "h" + std::to_string(h), "app_a"));
+      }
+    }
+    std::vector<BatchCell> cells;
+    std::vector<double> ns;
+    bool exact = true;
+    for (int r = 0; r < CellReps(quick); ++r) {
+      cells.push_back(
+          RunBatchCell(batches, shape.max_rows, rounds, seed_records));
+      ns.push_back(cells.back().batch_ns_per_item);
+      exact = exact && cells.back().exact;
+    }
+    const BatchCell& c = cells[MedianIndex(ns)];
+    std::printf(
+        "BENCH_JSON {\"bench\":\"lat_batch\",\"shape\":\"%s\","
+        "\"batch_items\":%zu,\"groups\":%zu,\"max_rows\":%zu,\"reps\":%d,"
+        "\"batches\":%llu,\"batch_ns_per_item\":%.1f,"
+        "\"insert_ns_per_item\":%.1f,\"latch_acq_per_batch\":%.2f,"
+        "\"exact\":%s}\n",
+        shape.name, kBatch, shape.groups, shape.max_rows, CellReps(quick),
+        static_cast<unsigned long long>(rounds), c.batch_ns_per_item,
+        c.insert_ns_per_item,
+        static_cast<double>(c.latch_acq) / static_cast<double>(rounds),
+        exact ? "true" : "false");
+    std::fflush(stdout);
+  }
 }
 
 int RunSweep(bool quick) {
@@ -465,6 +679,7 @@ int RunSweep(bool quick) {
   }
   RunSketchBench(quick);
   for (const int threads : {1, 3}) RunEvictBench(threads, quick);
+  RunBatchBench(quick);
   return 0;
 }
 

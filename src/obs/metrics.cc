@@ -7,6 +7,17 @@
 
 namespace sqlcm::obs {
 
+namespace internal {
+
+size_t AssignCounterStripe() {
+  thread_counter_stripe =
+      next_counter_stripe.fetch_add(1, std::memory_order_relaxed) %
+      kCounterStripes;
+  return thread_counter_stripe;
+}
+
+}  // namespace internal
+
 size_t LatencyHistogram::BucketIndex(int64_t micros) {
   if (micros <= 0) return 0;
   const size_t idx = std::bit_width(static_cast<uint64_t>(micros));

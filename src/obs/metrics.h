@@ -48,10 +48,17 @@ inline constexpr size_t kCounterStripes = 8;
 
 namespace internal {
 inline std::atomic<size_t> next_counter_stripe{0};
-/// The calling thread's stripe, fixed for the thread's lifetime.
-inline thread_local const size_t thread_counter_stripe =
-    next_counter_stripe.fetch_add(1, std::memory_order_relaxed) %
-    kCounterStripes;
+/// The calling thread's stripe, or kCounterStripes until its first striped
+/// increment picks one (fixed for the thread's lifetime from then on).
+/// Constant-initialized, so reading it is a plain thread-local load rather
+/// than a call through the thread-local init wrapper.
+inline constinit thread_local size_t thread_counter_stripe = kCounterStripes;
+/// Hands the calling thread the next round-robin stripe.
+size_t AssignCounterStripe();
+inline size_t CounterStripe() {
+  const size_t stripe = thread_counter_stripe;
+  return stripe < kCounterStripes ? stripe : AssignCounterStripe();
+}
 }  // namespace internal
 
 /// Monotonic counter for hot paths bumped by many threads at once: each
@@ -62,7 +69,7 @@ inline thread_local const size_t thread_counter_stripe =
 class StripedCounter {
  public:
   void Inc(uint64_t n = 1) {
-    stripes_[internal::thread_counter_stripe].value.fetch_add(
+    stripes_[internal::CounterStripe()].value.fetch_add(
         n, std::memory_order_relaxed);
   }
   uint64_t value() const {

@@ -5,6 +5,7 @@
 #include <cmath>
 #include <cstdlib>
 #include <mutex>
+#include <numeric>
 #include <thread>
 
 #include "common/fault.h"
@@ -728,6 +729,24 @@ void Lat::Insert(const void* record, int64_t now_micros) {
   EvictOverBudget(now_micros, /*notify=*/true);
 }
 
+/// InsertBatch's working set. Every vector keeps its capacity across
+/// calls, so once a thread has seen its largest batch the fold path
+/// allocates nothing of its own (attribute getters may still copy string
+/// probes). Groups are numbered 0..G-1 in first-appearance order.
+struct Lat::BatchScratch {
+  static constexpr uint32_t kNoItem = UINT32_MAX;
+
+  Row probe;                      // group key of the item being mapped
+  std::vector<Row> keys;          // per group: its key (rows are reused)
+  std::vector<uint64_t> hashes;   // per group: HashGroupKey of its key
+  std::vector<uint32_t> first;    // per group: its first item
+  std::vector<uint32_t> last;     // per group: its last item so far
+  std::vector<uint32_t> next;     // per item: next item of its group
+  std::vector<uint32_t> slots;    // open addressing: group + 1, 0 = empty
+  std::vector<uint32_t> by_shard; // groups ordered by (shard, group)
+  std::vector<std::shared_ptr<LatRow>> rows;  // per group: resolved row
+};
+
 void Lat::InsertBatch(const LatBatchItem* items, size_t count) {
   if (count == 0) return;
   if (count == 1) {
@@ -735,81 +754,105 @@ void Lat::InsertBatch(const LatBatchItem* items, size_t count) {
     return;
   }
   stats_.inserts.Inc(count);
+  // No callback runs until the scratch is released below, so nothing can
+  // re-enter InsertBatch on this thread while it is in use.
+  thread_local BatchScratch sc;
+  sc.hashes.clear();
+  sc.first.clear();
+  sc.last.clear();
+  sc.next.assign(count, BatchScratch::kNoItem);
+  // Load factor <= 1/2 even when every item is its own group.
+  const size_t table_bits = std::bit_width(2 * count - 1);
+  sc.slots.assign(size_t{1} << table_bits, 0);
+  const size_t slot_mask = sc.slots.size() - 1;
 
-  // Phase 1 (latch-free): probe group keys and hashes for every item.
-  std::vector<Row> keys(count);
-  std::vector<uint64_t> hashes(count);
+  // Phase 1 (latch-free): map every item to its batch-local group. The
+  // table is indexed by the hash's high bits (the low bits pick the shard).
   for (size_t i = 0; i < count; ++i) {
-    Row& key = keys[i];
-    key.reserve(group_getters_.size());
+    Row& probe = sc.probe;
+    probe.clear();
     for (AttributeGetter getter : group_getters_) {
-      key.push_back(getter(items[i].record));
+      probe.push_back(getter(items[i].record));
     }
-    hashes[i] = HashGroupKey(key);
+    const uint64_t hash = HashGroupKey(probe);
+    size_t slot = static_cast<size_t>(hash >> (64 - table_bits));
+    for (; sc.slots[slot] != 0; slot = (slot + 1) & slot_mask) {
+      const uint32_t g = sc.slots[slot] - 1;
+      if (sc.hashes[g] == hash && common::RowEq()(sc.keys[g], probe)) break;
+    }
+    const auto item = static_cast<uint32_t>(i);
+    if (sc.slots[slot] != 0) {  // a repeat: chain it after the group's last
+      const uint32_t g = sc.slots[slot] - 1;
+      sc.next[sc.last[g]] = item;
+      sc.last[g] = item;
+      continue;
+    }
+    const auto g = static_cast<uint32_t>(sc.hashes.size());
+    sc.slots[slot] = g + 1;
+    if (g < sc.keys.size()) {
+      sc.keys[g].swap(probe);  // hands probe the old key's buffer
+    } else {
+      sc.keys.push_back(std::move(probe));
+    }
+    sc.hashes.push_back(hash);
+    sc.first.push_back(item);
+    sc.last.push_back(item);
   }
+  const size_t groups = sc.hashes.size();
 
-  // Phase 2: resolve rows shard by shard — items stable-sorted by shard so
-  // each touched shard's map latch is taken exactly once for its whole run.
-  std::vector<size_t> order(count);
-  for (size_t i = 0; i < count; ++i) order[i] = i;
-  const uint64_t shard_mask = shard_count_ - 1;
-  std::stable_sort(order.begin(), order.end(), [&](size_t a, size_t b) {
-    return (hashes[a] & shard_mask) < (hashes[b] & shard_mask);
-  });
-  std::vector<std::shared_ptr<LatRow>> rows(count);
+  // Phase 2: resolve each distinct group's row once, shard by shard, so
+  // each touched shard's map latch is taken exactly once. Within a shard
+  // groups are created in first-appearance order, as per-item inserts
+  // would create them.
+  sc.by_shard.resize(groups);
+  std::iota(sc.by_shard.begin(), sc.by_shard.end(), 0u);
+  std::sort(sc.by_shard.begin(), sc.by_shard.end(),
+            [&](uint32_t a, uint32_t b) {
+              const size_t sa = ShardIndex(sc.hashes[a]);
+              const size_t sb = ShardIndex(sc.hashes[b]);
+              return sa != sb ? sa < sb : a < b;
+            });
+  sc.rows.resize(groups);
   size_t created_rows = 0;
-  for (size_t pos = 0; pos < count;) {
-    const uint64_t shard_idx = hashes[order[pos]] & shard_mask;
+  for (size_t pos = 0; pos < groups;) {
+    const size_t shard_idx = ShardIndex(sc.hashes[sc.by_shard[pos]]);
     Shard& shard = shards_[shard_idx];
-    size_t end = pos;
     CountedLatchGuard map_guard(shard.map_latch, stats_);
-    while (end < count && (hashes[order[end]] & shard_mask) == shard_idx) {
-      const size_t i = order[end];
+    for (; pos < groups &&
+           ShardIndex(sc.hashes[sc.by_shard[pos]]) == shard_idx;
+         ++pos) {
+      const uint32_t g = sc.by_shard[pos];
       bool created = false;
-      rows[i] = FindOrCreateLocked(&shard, hashes[i], keys[i], &created);
+      sc.rows[g] = FindOrCreateLocked(&shard, sc.hashes[g], sc.keys[g],
+                                      &created);
       if (created) ++created_rows;
-      ++end;
     }
-    pos = end;
   }
   if (created_rows > 0) {
     total_rows_.fetch_add(created_rows, std::memory_order_acq_rel);
   }
 
-  // Phase 3: fold per distinct group — one row latch per group, that
-  // group's items in arrival order so FIRST/LAST match a sequential replay.
-  std::unordered_map<LatRow*, size_t> row_index;
-  row_index.reserve(count);
-  std::vector<std::shared_ptr<LatRow>> distinct;
-  std::vector<std::vector<size_t>> row_items;
-  for (size_t i = 0; i < count; ++i) {
-    auto [it, inserted] = row_index.try_emplace(rows[i].get(), distinct.size());
-    if (inserted) {
-      distinct.push_back(rows[i]);
-      row_items.emplace_back();
-    }
-    row_items[it->second].push_back(i);
-  }
+  // Phase 3: fold per distinct group in first-appearance order — one row
+  // latch per group, that group's items in arrival order.
   const bool bounded = spec_.max_rows > 0 || spec_.max_bytes > 0;
-  for (size_t r = 0; r < distinct.size(); ++r) {
-    const std::shared_ptr<LatRow>& row = distinct[r];
+  for (size_t g = 0; g < groups; ++g) {
+    const std::shared_ptr<LatRow>& row = sc.rows[g];
     Row ordering_key;
     size_t row_bytes = 0;
     bool skip_heap = false;
     {
       CountedLatchGuard row_guard(row->latch, stats_);
-      int64_t row_now = 0;
-      for (size_t i : row_items[r]) {
+      for (uint32_t i = sc.first[g]; i != BatchScratch::kNoItem;
+           i = sc.next[i]) {
         for (size_t a = 0; a < spec_.aggregates.size(); ++a) {
           Value v = agg_getters_[a] != nullptr ? agg_getters_[a](items[i].record)
                                                : Value::Int(1);
           FoldValue(&row->aggs[a], spec_.aggregates[a], std::move(v),
                     items[i].now_micros);
         }
-        row_now = items[i].now_micros;
       }
       if (bounded) {
-        ordering_key = OrderingKeyLocked(*row, row_now);
+        ordering_key = OrderingKeyLocked(*row, items[sc.last[g]].now_micros);
         if (spec_.max_bytes > 0) {
           row_bytes = ApproxRowBytesLocked(*row);
         } else if (row->in_heap.load(std::memory_order_acquire) &&
@@ -824,6 +867,9 @@ void Lat::InsertBatch(const LatBatchItem* items, size_t count) {
       MaintainHeap(row, std::move(ordering_key), row_bytes);
     }
   }
+  // Release the row references before eviction may unlink (and its
+  // callback re-enter) anything.
+  sc.rows.clear();
   if (bounded) {
     EvictOverBudget(items[count - 1].now_micros, /*notify=*/true);
   }

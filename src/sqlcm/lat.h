@@ -239,17 +239,21 @@ class Lat {
   /// spec().object_class) and folds its probe values into every aggregate.
   void Insert(const void* record, int64_t now_micros);
 
-  /// Vectorized Insert for the deferred-evaluation pipeline: upserts every
-  /// item, taking each touched shard's map latch once per call (instead of
-  /// once per item) and each distinct group's row latch once per call,
-  /// folding that group's items in arrival order (so FIRST/LAST match a
-  /// sequential replay). Aggregate results are identical to calling
-  /// Insert() per item; only the latch schedule changes — with S touched
-  /// shards and G distinct groups the unbounded-LAT latch-acquisition
-  /// count is S + G versus 2·count for the per-row path (observable via
-  /// LatStats::latch_acquisitions). Bounded LATs additionally run heap
-  /// maintenance per changed group and a single budget-eviction pass at
-  /// the end.
+  /// Vectorized Insert for the deferred-evaluation pipeline. Items are
+  /// first mapped to the batch's distinct groups through a per-thread
+  /// open-addressing table keyed by the group-key hash (a key compare
+  /// confirms each hit), so the directory is consulted once per distinct
+  /// group, not once per item: each touched shard's map latch is taken
+  /// once, and each distinct group's row latch once, folding that group's
+  /// items in arrival order (so FIRST/LAST match a sequential replay).
+  /// Aggregate results are identical to calling Insert() per item; only the
+  /// latch schedule changes — with S touched shards and G distinct groups
+  /// the unbounded-LAT latch-acquisition count is S + G versus 2·count for
+  /// the per-row path (observable via LatStats::latch_acquisitions). The
+  /// scratch keeps its capacity across calls, so a batch allocates nothing
+  /// of its own per item. Bounded LATs additionally run heap maintenance
+  /// per changed group and a single budget-eviction pass at the end, after
+  /// the scratch is released (the evict callback may re-enter LATs).
   void InsertBatch(const LatBatchItem* items, size_t count);
 
   /// The Reset action (§5.3): drops every row and frees memory.
@@ -470,6 +474,9 @@ class Lat {
     mutable common::SpinLatch heap_latch;
     std::vector<LatRow*> heap;  // min-heap: root = least important
   };
+
+  /// Per-thread working set of InsertBatch (defined in lat.cc).
+  struct BatchScratch;
 
   explicit Lat(LatSpec spec) : spec_(std::move(spec)) {}
 

@@ -1703,7 +1703,22 @@ void MonitorEngine::ProcessDeferredBatch(DeferredEvent* events, size_t count) {
   std::shared_ptr<const RuleTable> pin;
   const RuleTable& table = ThreadRuleTable(&pin);
   const std::string no_qualifier;
-  std::vector<DeferredLatInsert> sink;
+  // Per-thread drain scratch: every vector keeps its capacity across
+  // batches, so a steady-state batch allocates nothing of its own. Only a
+  // worker's loop calls this function, never a nested dispatch (eviction
+  // cascades dispatch inline and buffer nothing here), so the scratch is
+  // never in use twice on one thread.
+  struct DrainScratch {
+    std::vector<DeferredLatInsert> sink;
+    std::vector<Lat*> lats;        // distinct LATs, first-appearance order
+    std::vector<uint32_t> lat_of;  // per sink entry: its index in `lats`
+    std::vector<size_t> offsets;   // per LAT: start of its run in `items`
+    std::vector<LatBatchItem> items;  // sink entries grouped by LAT
+    std::vector<std::pair<Lat*, uint32_t>> slots;  // LAT -> index table
+  };
+  thread_local DrainScratch scratch;
+  std::vector<DeferredLatInsert>& sink = scratch.sink;
+  sink.clear();
   // Resolve the rule list and predicate index once per consecutive run of
   // same-kind events (batches are bursty, so runs are long). Events are NOT
   // re-sorted across kinds: commits and rollbacks feeding one LAT must keep
@@ -1743,21 +1758,63 @@ void MonitorEngine::ProcessDeferredBatch(DeferredEvent* events, size_t count) {
   // order, items in arrival order) and fold each group through one
   // InsertBatch — one shard latch per (batch, shard). Upsert attribution
   // is recorded at flush granularity: one span-plane sample and one
-  // upsert_micros sample per (batch, LAT).
-  std::vector<Lat*> lat_order;
-  std::unordered_map<Lat*, std::vector<LatBatchItem>> by_lat;
-  for (const DeferredLatInsert& ins : sink) {
-    auto [it, inserted] = by_lat.try_emplace(ins.lat);
-    if (inserted) lat_order.push_back(ins.lat);
-    it->second.push_back({ins.record, ins.now_micros});
+  // upsert_micros sample per (batch, LAT). LATs are numbered through an
+  // open-addressing table (load <= 1/2), then a counting sort lays each
+  // LAT's items out contiguously.
+  std::vector<Lat*>& lats = scratch.lats;
+  std::vector<uint32_t>& lat_of = scratch.lat_of;
+  std::vector<std::pair<Lat*, uint32_t>>& slots = scratch.slots;
+  lats.clear();
+  lat_of.resize(sink.size());
+  if (slots.empty()) slots.resize(64);
+  std::fill(slots.begin(), slots.end(), std::pair<Lat*, uint32_t>{});
+  const auto slot_for = [&slots](Lat* lat) {
+    const size_t mask = slots.size() - 1;
+    size_t slot =
+        static_cast<size_t>((reinterpret_cast<uintptr_t>(lat) >> 4) *
+                            0x9E3779B97F4A7C15ull >> 32) & mask;
+    while (slots[slot].first != nullptr && slots[slot].first != lat) {
+      slot = (slot + 1) & mask;
+    }
+    return slot;
+  };
+  for (size_t e = 0; e < sink.size(); ++e) {
+    Lat* lat = sink[e].lat;
+    size_t slot = slot_for(lat);
+    if (slots[slot].first == nullptr) {
+      if (2 * (lats.size() + 1) > slots.size()) {
+        // Grow (kept for later batches) and re-seat the LATs seen so far.
+        slots.assign(2 * slots.size(), {});
+        for (uint32_t k = 0; k < lats.size(); ++k) {
+          slots[slot_for(lats[k])] = {lats[k], k};
+        }
+        slot = slot_for(lat);
+      }
+      slots[slot] = {lat, static_cast<uint32_t>(lats.size())};
+      lats.push_back(lat);
+    }
+    lat_of[e] = slots[slot].second;
+  }
+  std::vector<size_t>& offsets = scratch.offsets;
+  offsets.assign(lats.size() + 1, 0);
+  for (const uint32_t k : lat_of) ++offsets[k + 1];
+  for (size_t k = 0; k < lats.size(); ++k) offsets[k + 1] += offsets[k];
+  std::vector<LatBatchItem>& items = scratch.items;
+  items.resize(sink.size());
+  for (size_t e = 0; e < sink.size(); ++e) {
+    // offsets[k] walks LAT k's run forward; afterwards it is the run's end.
+    items[offsets[lat_of[e]]++] = {sink[e].record, sink[e].now_micros};
   }
   const bool profiled = spans_.enabled();
   const bool timed = detailed_timing_.load(std::memory_order_relaxed);
-  for (Lat* lat : lat_order) {
-    const std::vector<LatBatchItem>& items = by_lat[lat];
+  for (size_t k = 0; k < lats.size(); ++k) {
+    Lat* lat = lats[k];
+    const size_t begin = k == 0 ? 0 : offsets[k - 1];
+    const LatBatchItem* run = items.data() + begin;
+    const size_t run_size = offsets[k] - begin;
     if (profiled || timed) {
       const int64_t start = SteadyNanos();
-      lat->InsertBatch(items.data(), items.size());
+      lat->InsertBatch(run, run_size);
       const int64_t dur = SteadyNanos() - start;
       if (profiled) {
         lat->stats().upsert_spans.Inc();
@@ -1765,7 +1822,7 @@ void MonitorEngine::ProcessDeferredBatch(DeferredEvent* events, size_t count) {
       }
       if (timed) lat->stats().upsert_micros.Record(dur / 1000);
     } else {
-      lat->InsertBatch(items.data(), items.size());
+      lat->InsertBatch(run, run_size);
     }
   }
 }

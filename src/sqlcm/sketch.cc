@@ -1,6 +1,7 @@
 #include "sqlcm/sketch.h"
 
 #include <algorithm>
+#include <array>
 #include <cmath>
 #include <cstring>
 #include <limits>
@@ -28,7 +29,18 @@ double LnGamma0() {
   return v;
 }
 
-double LnGammaAt(int level) { return LnGamma0() * std::ldexp(1.0, level); }
+/// ln γ at every level, computed once (each entry is exactly
+/// LnGamma0() · 2^level): the fold path reads it per value.
+double LnGammaAt(int level) {
+  static const auto table = [] {
+    std::array<double, kMaxQuantileLevel + 1> t{};
+    for (int k = 0; k <= kMaxQuantileLevel; ++k) {
+      t[static_cast<size_t>(k)] = LnGamma0() * std::ldexp(1.0, k);
+    }
+    return t;
+  }();
+  return table[static_cast<size_t>(level)];
+}
 
 uint64_t Fnv1a64Bytes(const void* data, size_t len, uint64_t h) {
   const auto* p = static_cast<const uint8_t*>(data);
@@ -151,24 +163,51 @@ void QuantileSketch::Add(double v) {
   if (v == 0.0) {
     ++zero_count_;
   } else if (v > 0.0) {
-    ++pos_[IndexFor(v)];
+    AddToBucket(&pos_, IndexFor(v), 1);
     ++pos_count_;
   } else {
-    ++neg_[IndexFor(-v)];
+    AddToBucket(&neg_, IndexFor(-v), 1);
     ++neg_count_;
   }
 }
 
-void QuantileSketch::AlignUp(std::map<int32_t, int64_t>* buckets,
-                             int levels) {
-  for (int step = 0; step < levels; ++step) {
-    std::map<int32_t, int64_t> up;
-    for (const auto& [index, count] : *buckets) {
+void QuantileSketch::AddToBucket(Buckets* buckets, int32_t index,
+                                 int64_t count) {
+  // Occupied indexes are usually contiguous, so the offset from the first
+  // index is usually the bucket's position; search only when it is not.
+  if (!buckets->empty()) {
+    const int64_t guess =
+        static_cast<int64_t>(index) - buckets->front().first;
+    if (guess >= 0 && guess < static_cast<int64_t>(buckets->size()) &&
+        (*buckets)[static_cast<size_t>(guess)].first == index) {
+      (*buckets)[static_cast<size_t>(guess)].second += count;
+      return;
+    }
+  }
+  auto it = std::lower_bound(buckets->begin(), buckets->end(), index,
+                             [](const std::pair<int32_t, int64_t>& b,
+                                int32_t i) { return b.first < i; });
+  if (it != buckets->end() && it->first == index) {
+    it->second += count;
+  } else {
+    buckets->insert(it, {index, count});
+  }
+}
+
+void QuantileSketch::AlignUp(Buckets* buckets, int levels) {
+  for (int step = 0; step < levels && !buckets->empty(); ++step) {
+    size_t out = 0;
+    for (size_t in = 0; in < buckets->size(); ++in) {
+      const auto [index, count] = (*buckets)[in];
       // ⌈i/2⌉: level-(k+1) bucket boundaries are the even level-k ones.
       const int32_t parent = index >= 0 ? (index + 1) / 2 : -((-index) / 2);
-      up[parent] += count;
+      if (out > 0 && (*buckets)[out - 1].first == parent) {
+        (*buckets)[out - 1].second += count;
+      } else {
+        (*buckets)[out++] = {parent, count};
+      }
     }
-    *buckets = std::move(up);
+    buckets->resize(out);
   }
 }
 
@@ -178,14 +217,56 @@ void QuantileSketch::LevelUp() {
   ++level_;
 }
 
+namespace {
+
+/// Adds every bucket of `src` into `dst`; both sorted by index.
+void MergeBuckets(std::vector<std::pair<int32_t, int64_t>>* dst,
+                  const std::vector<std::pair<int32_t, int64_t>>& src) {
+  if (src.empty()) return;
+  std::vector<std::pair<int32_t, int64_t>> out;
+  out.reserve(dst->size() + src.size());
+  size_t i = 0, j = 0;
+  while (i < dst->size() || j < src.size()) {
+    if (j == src.size() ||
+        (i < dst->size() && (*dst)[i].first < src[j].first)) {
+      out.push_back((*dst)[i++]);
+    } else if (i == dst->size() || src[j].first < (*dst)[i].first) {
+      out.push_back(src[j++]);
+    } else {
+      out.push_back({(*dst)[i].first, (*dst)[i].second + src[j].second});
+      ++i;
+      ++j;
+    }
+  }
+  *dst = std::move(out);
+}
+
+/// Subtracts the counts of `sub` from the matching buckets of `dst`,
+/// dropping buckets that reach zero; buckets absent from `dst` are skipped.
+void SubtractBuckets(std::vector<std::pair<int32_t, int64_t>>* dst,
+                     const std::vector<std::pair<int32_t, int64_t>>& sub) {
+  size_t j = 0;
+  for (auto& bucket : *dst) {
+    while (j < sub.size() && sub[j].first < bucket.first) ++j;
+    if (j < sub.size() && sub[j].first == bucket.first) {
+      bucket.second -= sub[j].second;
+    }
+  }
+  std::erase_if(*dst, [](const std::pair<int32_t, int64_t>& b) {
+    return b.second <= 0;
+  });
+}
+
+}  // namespace
+
 void QuantileSketch::Merge(const QuantileSketch& other) {
   while (level_ < other.level_) LevelUp();
-  std::map<int32_t, int64_t> other_neg = other.neg_;
-  std::map<int32_t, int64_t> other_pos = other.pos_;
+  Buckets other_neg = other.neg_;
+  Buckets other_pos = other.pos_;
   AlignUp(&other_neg, level_ - other.level_);
   AlignUp(&other_pos, level_ - other.level_);
-  for (const auto& [index, count] : other_neg) neg_[index] += count;
-  for (const auto& [index, count] : other_pos) pos_[index] += count;
+  MergeBuckets(&neg_, other_neg);
+  MergeBuckets(&pos_, other_pos);
   zero_count_ += other.zero_count_;
   neg_count_ += other.neg_count_;
   pos_count_ += other.pos_count_;
@@ -193,21 +274,12 @@ void QuantileSketch::Merge(const QuantileSketch& other) {
 
 void QuantileSketch::Subtract(const QuantileSketch& baseline) {
   while (level_ < baseline.level_) LevelUp();
-  std::map<int32_t, int64_t> base_neg = baseline.neg_;
-  std::map<int32_t, int64_t> base_pos = baseline.pos_;
+  Buckets base_neg = baseline.neg_;
+  Buckets base_pos = baseline.pos_;
   AlignUp(&base_neg, level_ - baseline.level_);
   AlignUp(&base_pos, level_ - baseline.level_);
-  const auto subtract_into = [](std::map<int32_t, int64_t>* dst,
-                                const std::map<int32_t, int64_t>& sub) {
-    for (const auto& [index, count] : sub) {
-      auto it = dst->find(index);
-      if (it == dst->end()) continue;
-      it->second -= count;
-      if (it->second <= 0) dst->erase(it);
-    }
-  };
-  subtract_into(&neg_, base_neg);
-  subtract_into(&pos_, base_pos);
+  SubtractBuckets(&neg_, base_neg);
+  SubtractBuckets(&pos_, base_pos);
   zero_count_ = std::max<int64_t>(0, zero_count_ - baseline.zero_count_);
   neg_count_ = 0;
   pos_count_ = 0;
@@ -235,11 +307,10 @@ double QuantileSketch::Quantile(double q) const {
   }
   // Unreachable when the cached counts are consistent; return the max
   // bucket estimate defensively.
-  return pos_.empty() ? 0.0 : EstimateFor(pos_.rbegin()->first);
+  return pos_.empty() ? 0.0 : EstimateFor(pos_.back().first);
 }
 
-int QuantileSketch::CollapseToBudget(size_t max_bytes) {
-  if (max_bytes == 0) return 0;
+int QuantileSketch::CollapseOverBudget(size_t max_bytes) {
   int collapses = 0;
   while (ApproxBytes() > max_bytes && bucket_count() > 1 &&
          level_ < kMaxQuantileLevel) {
@@ -300,8 +371,8 @@ Result<QuantileSketch> QuantileSketch::Decode(std::string_view s) {
                                 std::string(fields[i]) + "'");
     }
     const bool is_neg = i < 5 + static_cast<size_t>(nneg);
-    auto& store = is_neg ? sketch.neg_ : sketch.pos_;
-    store[static_cast<int32_t>(index)] += count;
+    AddToBucket(is_neg ? &sketch.neg_ : &sketch.pos_,
+                static_cast<int32_t>(index), count);
     (is_neg ? sketch.neg_count_ : sketch.pos_count_) += count;
   }
   return sketch;

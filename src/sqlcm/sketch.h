@@ -33,9 +33,9 @@
 #define SQLCM_SQLCM_SKETCH_H_
 
 #include <cstdint>
-#include <map>
 #include <string>
 #include <string_view>
+#include <utility>
 #include <vector>
 
 #include "common/status.h"
@@ -55,8 +55,13 @@ class QuantileSketch {
   /// Relative accuracy at level 0: γ₀ = (1+α₀)/(1−α₀). Collapsing squares
   /// γ, so the documented bound at level k is alpha() below.
   static constexpr double kBaseAlpha = 0.01;
-  /// Bookkeeping bytes charged per bucket against the byte budget
-  /// (std::map node: key + count + tree overhead).
+  /// Bytes charged against the byte budget: a fixed header plus a fixed
+  /// amount per bucket. Both are the sizes of the tree-based layout the
+  /// buckets used to live in (a 128-byte object; key + count + node
+  /// overhead per bucket), not of the contiguous store (80 bytes; 16 per
+  /// bucket), so collapse points and reported sketch bytes stay where they
+  /// were and snapshots taken before the change collapse identically.
+  static constexpr size_t kHeaderBytes = 128;
   static constexpr size_t kBytesPerBucket = 48;
 
   QuantileSketch() = default;
@@ -83,7 +88,7 @@ class QuantileSketch {
   bool empty() const { return count() == 0; }
   size_t bucket_count() const { return neg_.size() + pos_.size(); }
   size_t ApproxBytes() const {
-    return sizeof(QuantileSketch) + bucket_count() * kBytesPerBucket;
+    return kHeaderBytes + bucket_count() * kBytesPerBucket;
   }
   int level() const { return level_; }
   /// Documented relative-error bound at the current level.
@@ -92,7 +97,11 @@ class QuantileSketch {
   /// Collapses (level-up) until ApproxBytes() <= max_bytes or a single
   /// bucket remains per store. Returns the number of level-ups performed.
   /// 0 = unbounded (no-op).
-  int CollapseToBudget(size_t max_bytes);
+  int CollapseToBudget(size_t max_bytes) {
+    // Inline fast path: almost every fold leaves the sketch within budget.
+    if (max_bytes == 0 || ApproxBytes() <= max_bytes) return 0;
+    return CollapseOverBudget(max_bytes);
+  }
 
   /// Printable, CSV-safe state: "Q1 <level> <zero> <nneg> <npos> i:c ...".
   /// Empty sketches encode to "" so untouched cells stay compact.
@@ -108,15 +117,22 @@ class QuantileSketch {
   int32_t IndexFor(double magnitude) const;
   double EstimateFor(int32_t index) const;
   void LevelUp();
-  /// Raises a bucket map from `from_level` to this sketch's level in place.
-  static void AlignUp(std::map<int32_t, int64_t>* buckets, int levels);
+  int CollapseOverBudget(size_t max_bytes);
+  /// (index, count) pairs sorted by index, every count positive.
+  using Buckets = std::vector<std::pair<int32_t, int64_t>>;
+
+  /// Adds `count` to bucket `index`, inserting it in order if absent.
+  static void AddToBucket(Buckets* buckets, int32_t index, int64_t count);
+  /// Raises a bucket store by `levels` levels in place (i ↦ ⌈i/2⌉ per
+  /// level; the map is monotone, so merged buckets stay adjacent).
+  static void AlignUp(Buckets* buckets, int levels);
 
   int level_ = 0;
   int64_t zero_count_ = 0;
   int64_t neg_count_ = 0;  // cached sum of neg_ counts
   int64_t pos_count_ = 0;  // cached sum of pos_ counts
-  std::map<int32_t, int64_t> neg_;  // keyed by index of |v|
-  std::map<int32_t, int64_t> pos_;
+  Buckets neg_;  // keyed by index of |v|
+  Buckets pos_;
 };
 
 class HllSketch {

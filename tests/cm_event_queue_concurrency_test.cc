@@ -7,6 +7,7 @@
 // sqlcm_rule_stats.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <memory>
 #include <set>
@@ -140,57 +141,115 @@ TEST(EventQueueTest, MpmcDeliversEveryEventExactlyOnce) {
 }
 
 TEST(LatInsertBatchTest, MatchesPerItemInsertAndBoundsLatches) {
-  auto make_spec = [] {
-    LatSpec spec;
-    spec.name = "Batch_LAT";
-    spec.group_by = {{"Logical_Signature", "Sig"}};
-    spec.aggregates = {{LatAggFunc::kCount, "", "N", false},
-                       {LatAggFunc::kSum, "Duration", "SumDur", false},
-                       {LatAggFunc::kMin, "Duration", "MinDur", false},
-                       {LatAggFunc::kMax, "Duration", "MaxDur", false},
-                       {LatAggFunc::kFirst, "Duration", "FirstDur", false},
-                       {LatAggFunc::kLast, "Duration", "LastDur", false}};
-    spec.shard_count = 4;
-    return spec;
+  struct Case {
+    std::string name;
+    bool group_by_id = false;  // one group per item (G = N)
+    size_t items = 64;
+    size_t groups = 6;  // signature groups when not ID-keyed
+    size_t max_rows = 0;
   };
-  auto batched = std::move(*Lat::Create(make_spec()));
-  auto reference = std::move(*Lat::Create(make_spec()));
+  // The bounded case seeds 10 heavy groups (3 inserts each) that every
+  // batch revisits, and adds light groups that sort last under N DESC, Sig
+  // DESC and each appear twice in the batch. Per-item inserts evict a light
+  // group at once and evict it again after it is re-created; the batch
+  // folds both items and evicts it at the end. Either way the light groups
+  // are gone and the heavy rows hold the same state.
+  const std::vector<Case> cases = {
+      {"six_groups"},
+      {"group_per_item", /*group_by_id=*/true},
+      {"one_group", false, 64, 1},
+      {"bounded_10", false, 64, 0, /*max_rows=*/10},
+  };
+  for (const Case& c : cases) {
+    SCOPED_TRACE(c.name);
+    auto make_spec = [&c] {
+      LatSpec spec;
+      spec.name = "Batch_LAT";
+      spec.group_by = {{c.group_by_id ? "ID" : "Logical_Signature", "Sig"}};
+      spec.aggregates = {{LatAggFunc::kCount, "", "N", false},
+                         {LatAggFunc::kSum, "Duration", "SumDur", false},
+                         {LatAggFunc::kMin, "Duration", "MinDur", false},
+                         {LatAggFunc::kMax, "Duration", "MaxDur", false},
+                         {LatAggFunc::kFirst, "Duration", "FirstDur", false},
+                         {LatAggFunc::kLast, "Duration", "LastDur", false}};
+      spec.shard_count = 4;
+      if (c.max_rows > 0) {
+        spec.ordering = {{"N", true}, {"Sig", true}};
+        spec.max_rows = c.max_rows;
+      }
+      return spec;
+    };
+    auto batched = std::move(*Lat::Create(make_spec()));
+    auto reference = std::move(*Lat::Create(make_spec()));
 
-  constexpr size_t kItems = 64;
-  constexpr size_t kGroups = 6;
-  std::vector<QueryRecord> records(kItems);
-  std::vector<LatBatchItem> items(kItems);
-  for (size_t i = 0; i < kItems; ++i) {
-    records[i].logical_signature = "sig" + std::to_string(i % kGroups);
-    records[i].duration_secs = static_cast<double>(i) * 0.25;
-    items[i] = {&records[i], static_cast<int64_t>(1000 + i)};
-    reference->Insert(&records[i], items[i].now_micros);
-  }
+    std::vector<QueryRecord> seeds;
+    std::vector<QueryRecord> records(c.items);
+    std::set<std::string> batch_groups;
+    for (size_t i = 0; i < c.items; ++i) {
+      QueryRecord& rec = records[i];
+      rec.id = 1000 + i;
+      if (c.max_rows > 0) {
+        // Items 2k and 2k+1 with k % 4 == 3 share one light group.
+        rec.logical_signature =
+            (i / 2) % 4 == 3 ? "a" + std::to_string(i / 2)
+                             : "h" + std::to_string(i % 10);
+      } else {
+        rec.logical_signature = "sig" + std::to_string(i % c.groups);
+      }
+      rec.duration_secs = static_cast<double>(i) * 0.25;
+      batch_groups.insert(c.group_by_id ? std::to_string(rec.id)
+                                        : rec.logical_signature);
+    }
+    if (c.max_rows > 0) {
+      for (int round = 0; round < 3; ++round) {
+        for (size_t h = 0; h < c.max_rows; ++h) {
+          QueryRecord seed;
+          seed.logical_signature = "h" + std::to_string(h);
+          seed.duration_secs = 100.0 + static_cast<double>(round);
+          seeds.push_back(seed);
+        }
+      }
+    }
+    for (const QueryRecord& seed : seeds) {
+      batched->Insert(&seed, 500);
+      reference->Insert(&seed, 500);
+    }
 
-  const uint64_t latches_before = batched->stats().latch_acquisitions.value();
-  batched->InsertBatch(items.data(), items.size());
-  const uint64_t latch_delta =
-      batched->stats().latch_acquisitions.value() - latches_before;
+    std::vector<LatBatchItem> items(c.items);
+    for (size_t i = 0; i < c.items; ++i) {
+      items[i] = {&records[i], static_cast<int64_t>(1000 + i)};
+      reference->Insert(&records[i], items[i].now_micros);
+    }
 
-  // Unbounded LAT: one map latch per touched shard (S <= min(shards,
-  // groups)) plus one row latch per distinct group (G) — never the 2N the
-  // per-item path would take.
-  EXPECT_LE(latch_delta, batched->shard_count() + kGroups);
-  EXPECT_GE(latch_delta, 1u + kGroups);
-  EXPECT_LT(latch_delta, 2 * kItems);
+    const uint64_t latches_before =
+        batched->stats().latch_acquisitions.value();
+    batched->InsertBatch(items.data(), items.size());
+    const uint64_t latch_delta =
+        batched->stats().latch_acquisitions.value() - latches_before;
 
-  // End state identical to per-item inserts, including the order-sensitive
-  // FIRST/LAST aggregates (arrival order is preserved within the batch).
-  EXPECT_EQ(batched->size(), kGroups);
-  EXPECT_EQ(batched->stats().inserts.value(), kItems);
-  const auto want = reference->Snapshot(0);
-  const auto got = batched->Snapshot(0);
-  ASSERT_EQ(got.size(), want.size());
-  for (size_t r = 0; r < want.size(); ++r) {
-    ASSERT_EQ(got[r].size(), want[r].size());
-    for (size_t c = 0; c < want[r].size(); ++c) {
-      EXPECT_EQ(got[r][c].ToString(), want[r][c].ToString())
-          << "row " << r << " col " << c;
+    // One map latch per touched shard (S <= min(shards, G)) plus one row
+    // latch per distinct group (G) — never the 2N the per-item path takes.
+    // A bounded LAT also takes a group's heap latch when its ordering moved.
+    const size_t g = batch_groups.size();
+    const size_t s = std::min(batched->shard_count(), g);
+    EXPECT_LE(latch_delta, s + (c.max_rows > 0 ? 2 * g : g));
+    EXPECT_GE(latch_delta, 1u + g);
+    EXPECT_LT(latch_delta, 2 * c.items);
+
+    // End state identical to per-item inserts, including the order-sensitive
+    // FIRST/LAST aggregates (arrival order is preserved within the batch).
+    EXPECT_EQ(batched->size(), c.max_rows > 0 ? c.max_rows : g);
+    EXPECT_EQ(batched->stats().inserts.value(),
+              reference->stats().inserts.value());
+    const auto want = reference->Snapshot(0);
+    const auto got = batched->Snapshot(0);
+    ASSERT_EQ(got.size(), want.size());
+    for (size_t r = 0; r < want.size(); ++r) {
+      ASSERT_EQ(got[r].size(), want[r].size());
+      for (size_t col = 0; col < want[r].size(); ++col) {
+        EXPECT_EQ(got[r][col].ToString(), want[r][col].ToString())
+            << "row " << r << " col " << col;
+      }
     }
   }
 }
@@ -281,6 +340,125 @@ TEST_F(EventPipelineTest, DeferredDrainMatchesSyncLatState) {
               snapshots[1][r][2].int_value())
         << "row " << r;
   }
+}
+
+TEST_F(EventPipelineTest, EvictionCascadeInsideDeferredDrainMatchesSync) {
+  // Deferred inserts feed a 3-row LAT keyed by query ID, so the drain's
+  // InsertBatch evicts, and the LAT's inline Evict rule inserts every timer
+  // into a second LAT. That dispatch runs nested inside InsertBatch's evict
+  // callback on the worker thread, while the drain is still between LATs
+  // of its batch. Both LATs and every rule's stats must end as in the sync
+  // engine (ID-keyed rows: batched and per-item eviction pick the same
+  // victims). Twenty filler rules slow the worker so batches hold several
+  // events; the async run repeats rounds until one did, and the sync run
+  // replays the same number of rounds. The fillers' FIRST/LAST(ID) pin the
+  // drain's arrival order within each LAT.
+  constexpr int kPads = 20;
+  constexpr int kQueriesPerRound = 40;
+  struct EndState {
+    std::vector<common::Row> top, spill, pads;
+    std::vector<std::string> stats;
+  };
+  std::vector<EndState> states;
+  int rounds = 0;
+  for (const bool async : {true, false}) {
+    MonitorEngine::Options options;
+    options.async_rule_eval = async;
+    options.monitor_threads = 1;
+    StartEngine(options);
+    ASSERT_TRUE(monitor_->CreateTimer("t1").ok());
+    ASSERT_TRUE(monitor_->CreateTimer("t2").ok());
+    LatSpec top;
+    top.name = "TopQ";
+    top.group_by = {{"ID", ""}};
+    top.aggregates = {{LatAggFunc::kCount, "", "N", false},
+                      {LatAggFunc::kFirst, "Query_Text", "Text", false}};
+    top.ordering = {{"ID", true}};
+    top.max_rows = 3;
+    ASSERT_TRUE(monitor_->DefineLat(std::move(top)).ok());
+    LatSpec spill;
+    spill.name = "Spill";
+    spill.object_class = MonitoredClass::kTimer;
+    spill.group_by = {{"Name", ""}};
+    spill.aggregates = {{LatAggFunc::kCount, "", "N", false}};
+    ASSERT_TRUE(monitor_->DefineLat(std::move(spill)).ok());
+    RuleSpec feed;
+    feed.name = "feed";
+    feed.event = "Query.Commit";
+    feed.action = "Query.Insert(TopQ)";
+    ASSERT_TRUE(monitor_->AddRule(feed).ok());
+    for (int p = 0; p < kPads; ++p) {
+      LatSpec pad;
+      pad.name = "Pad_" + std::to_string(p);
+      pad.group_by = {{"Logical_Signature", "Sig"}};
+      pad.aggregates = {{LatAggFunc::kCount, "", "N", false},
+                        {LatAggFunc::kFirst, "ID", "FirstId", false},
+                        {LatAggFunc::kLast, "ID", "LastId", false}};
+      ASSERT_TRUE(monitor_->DefineLat(std::move(pad)).ok());
+      RuleSpec pad_rule;
+      pad_rule.name = "pad_" + std::to_string(p);
+      pad_rule.event = "Query.Commit";
+      pad_rule.action = "Query.Insert(Pad_" + std::to_string(p) + ")";
+      ASSERT_TRUE(monitor_->AddRule(pad_rule).ok());
+    }
+    RuleSpec on_evict;
+    on_evict.name = "on_evict";
+    on_evict.event = "TopQ.Evict";
+    on_evict.action = "Timer.Insert(Spill)";
+    ASSERT_TRUE(monitor_->AddRule(on_evict).ok());
+
+    if (async) {
+      // Until some batch carried more than one event (bounded).
+      const auto& m = monitor_->metrics();
+      while (rounds < 50 &&
+             m.queue_batch_events.value() == m.queue_batches.value()) {
+        RunWorkload(session_.get(), kQueriesPerRound);
+        monitor_->DrainEventQueue();
+        ++rounds;
+      }
+      EXPECT_GT(m.queue_batch_events.value(), m.queue_batches.value());
+    } else {
+      for (int r = 0; r < rounds; ++r) {
+        RunWorkload(session_.get(), kQueriesPerRound);
+      }
+    }
+    EndState state;
+    state.top = monitor_->FindLat("TopQ")->Snapshot(0);
+    state.spill = monitor_->FindLat("Spill")->Snapshot(0);
+    for (int p = 0; p < kPads; ++p) {
+      for (auto& row :
+           monitor_->FindLat("Pad_" + std::to_string(p))->Snapshot(0)) {
+        state.pads.push_back(std::move(row));
+      }
+    }
+    for (const auto& rule : monitor_->SnapshotRules()) {
+      state.stats.push_back(
+          rule->name + " evaluations=" +
+          std::to_string(rule->stats.evaluations.value()) +
+          " fires=" + std::to_string(rule->stats.fires.value()));
+    }
+    EXPECT_EQ(monitor_->total_errors(), 0u) << monitor_->last_error();
+    states.push_back(std::move(state));
+  }
+  const auto as_text = [](const std::vector<common::Row>& rows) {
+    std::vector<std::string> out;
+    for (const auto& row : rows) {
+      std::string line;
+      for (const auto& v : row) line += v.ToString() + "|";
+      out.push_back(line);
+    }
+    return out;
+  };
+  ASSERT_EQ(states[1].top.size(), 3u);
+  EXPECT_EQ(as_text(states[0].top), as_text(states[1].top));
+  ASSERT_EQ(states[1].spill.size(), 2u);
+  // Every query past the third evicted one row, and each eviction
+  // inserted both timers.
+  EXPECT_EQ(states[1].spill[0][1].int_value(), rounds * kQueriesPerRound - 3);
+  EXPECT_EQ(as_text(states[0].spill), as_text(states[1].spill));
+  ASSERT_EQ(states[1].pads.size(), static_cast<size_t>(kPads));
+  EXPECT_EQ(as_text(states[0].pads), as_text(states[1].pads));
+  EXPECT_EQ(states[0].stats, states[1].stats);
 }
 
 TEST_F(EventPipelineTest, CancelRulesStaySynchronous) {

@@ -180,6 +180,10 @@ struct DiffCase {
   size_t sketch_budget = 0;
   /// Eviction ordering (bounded configs only).
   DiffOrder order = DiffOrder::kCountDesc;
+  /// Every insert opens a new group (batched configs: every batch item is
+  /// its own group, InsertBatch's G = N case). Comparisons then walk the
+  /// oracle's live groups instead of the fixed key pool.
+  bool fresh_groups = false;
 };
 
 class LatDifferentialTest : public ::testing::TestWithParam<DiffCase> {};
@@ -192,12 +196,12 @@ TEST_P(LatDifferentialTest, ProductionMatchesReferenceOracle) {
   // SQLCM_DIFF_SEED (PR-2 seed-logging convention).
   std::fprintf(stderr,
                "[differential] ops=%llu seed=%llu bounded=%d shards=%zu "
-               "batched=%d sketch=%d budget=%zu order=%d\n",
+               "batched=%d sketch=%d budget=%zu order=%d fresh=%d\n",
                static_cast<unsigned long long>(ops),
                static_cast<unsigned long long>(seed), param.bounded ? 1 : 0,
                param.shard_count, param.batched ? 1 : 0,
                param.sketch ? 1 : 0, param.sketch_budget,
-               static_cast<int>(param.order));
+               static_cast<int>(param.order), param.fresh_groups ? 1 : 0);
   RecordProperty("sqlcm_diff_seed", std::to_string(seed));
 
   const LatSpec spec = DiffSpec(param.bounded, param.shard_count,
@@ -244,7 +248,8 @@ TEST_P(LatDifferentialTest, ProductionMatchesReferenceOracle) {
       std::to_string(param.shard_count) + "_" +
       std::to_string(param.sketch) + "_" +
       std::to_string(param.sketch_budget) + "_" +
-      std::to_string(static_cast<int>(param.order)) + ".snap";
+      std::to_string(static_cast<int>(param.order)) + "_" +
+      std::to_string(param.fresh_groups) + ".snap";
   std::remove(snapshot_path.c_str());
   std::remove((snapshot_path + ".bak").c_str());
 
@@ -268,11 +273,21 @@ TEST_P(LatDifferentialTest, ProductionMatchesReferenceOracle) {
     pending_items.clear();
     pending_records.clear();
   };
+  uint64_t next_fresh_group = kKeyPool;
   auto compare_all = [&](uint64_t op) {
     ASSERT_EQ(lat->size(), ref->size()) << "row-count divergence at op " << op;
     const int64_t now = clock.NowMicros();
-    for (size_t k = 0; k < kKeyPool; ++k) {
-      const Row key = {Value::String("sig" + std::to_string(k))};
+    std::vector<Row> keys;
+    if (param.fresh_groups) {
+      // Equal sizes plus every oracle group found equal: same group sets.
+      keys = ref->LiveKeys();
+    } else {
+      for (size_t k = 0; k < kKeyPool; ++k) {
+        keys.push_back({Value::String("sig" + std::to_string(k))});
+      }
+    }
+    for (const Row& key : keys) {
+      const std::string k = key[0].string_value().substr(3);
       Row got, want;
       const bool in_lat = lat->LookupByKey(key, now, &got);
       const bool in_ref = ref->LookupByKey(key, now, &want);
@@ -284,7 +299,7 @@ TEST_P(LatDifferentialTest, ProductionMatchesReferenceOracle) {
       for (size_t c = 0; c < got.size(); ++c) {
         const auto context = [&]() {
           return "at op " + std::to_string(op) + " (seed " +
-                 std::to_string(seed) + ") key sig" + std::to_string(k) +
+                 std::to_string(seed) + ") key sig" + k +
                  " column '" + lat->column_names()[c] +
                  "': production=" + got[c].ToString() +
                  " reference=" + want[c].ToString();
@@ -315,7 +330,9 @@ TEST_P(LatDifferentialTest, ProductionMatchesReferenceOracle) {
     const uint64_t r = rng.Uniform(1000);
     if (r < 700) {
       QueryRecord rec;
-      rec.logical_signature = "sig" + std::to_string(rng.Uniform(kKeyPool));
+      rec.logical_signature =
+          "sig" + std::to_string(param.fresh_groups ? next_fresh_group++
+                                                    : rng.Uniform(kKeyPool));
       rec.text = kTexts[rng.Uniform(kTexts.size())];
       const uint64_t shape = rng.Uniform(16);
       if (param.sketch_budget > 0) {
@@ -353,7 +370,10 @@ TEST_P(LatDifferentialTest, ProductionMatchesReferenceOracle) {
       flush_batch();  // shed mode must not change mid-batch vs the oracle
       shed = !shed;
       lat->set_shed_aging(shed);  // invisible to the oracle by contract
-    } else if (r < 923) {
+    } else if (r < 923 ||
+               (param.fresh_groups && ref->size() >= 2 * kKeyPool)) {
+      // Fresh-group configs also reset once 80 groups are live, so the
+      // checkpoint cycles stay as cheap as with the key pool.
       flush_batch();  // the engine drains the queue before a Reset
       lat->Reset();
       ref->Reset();
@@ -413,12 +433,15 @@ INSTANTIATE_TEST_SUITE_P(
                       DiffCase{true, 1, false, false, 0,
                                DiffOrder::kLastStringDesc},
                       DiffCase{true, 8, false, false, 0,
-                               DiffOrder::kLastStringDesc}),
+                               DiffOrder::kLastStringDesc},
+                      DiffCase{false, 8, true, false, 0,
+                               DiffOrder::kCountDesc, /*fresh_groups=*/true}),
     [](const ::testing::TestParamInfo<DiffCase>& info) {
       std::string name =
           std::string(info.param.bounded ? "Bounded" : "Unbounded") +
           "Shards" + std::to_string(info.param.shard_count);
       if (info.param.batched) name += "Batched";
+      if (info.param.fresh_groups) name += "FreshGroups";
       if (info.param.sketch) {
         name += info.param.sketch_budget > 0 ? "SketchBudgeted" : "Sketch";
       }

@@ -143,6 +143,29 @@ TEST(QuantileSketchTest, CollapseToBudgetBoundsBytesAndGrowsAlpha) {
   EXPECT_EQ(sk.CollapseToBudget(0), 0);
 }
 
+TEST(QuantileSketchTest, ByteChargeIsFixedPerSketchAndPerBucket) {
+  // The budget charge is a fixed 128 bytes plus 48 per bucket, whatever
+  // the in-memory layout, so collapse points and reported sketch bytes do
+  // not move when the bucket store changes.
+  QuantileSketch sk;
+  EXPECT_EQ(sk.ApproxBytes(), 128u);
+  for (int i = 1; i <= 5; ++i) sk.Add(std::pow(2.0, i));   // 5 buckets
+  sk.Add(-1.5);                                            // 1 more
+  sk.Add(0.0);                                             // zeros: none
+  ASSERT_EQ(sk.bucket_count(), 6u);
+  EXPECT_EQ(sk.ApproxBytes(), 128u + 6 * 48u);
+  // 1 bucket fits a 176-byte budget exactly; 175 forces level-ups until
+  // one bucket per store remains.
+  QuantileSketch one;
+  one.Add(3.0);
+  EXPECT_EQ(one.CollapseToBudget(176), 0);
+  QuantileSketch two;
+  two.Add(3.0);
+  two.Add(300.0);
+  EXPECT_GT(two.CollapseToBudget(175), 0);
+  EXPECT_EQ(two.bucket_count(), 1u);
+}
+
 TEST(QuantileSketchTest, EncodeDecodeRoundTripIsBitExact) {
   common::Random rng(41);
   QuantileSketch sk;
