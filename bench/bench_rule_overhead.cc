@@ -25,6 +25,11 @@
 // {"bench":"rule_overhead_tracing",...}` row so CI can assert that sampled
 // tracing stays within 10% of the tracing-off hook path.
 //
+// Every full-fidelity row carries its own `events_sampled_out`; the binary
+// exits non-zero if any of them is above 0 (a count check, so the verdict
+// does not depend on the host). The `degraded` row alone forces the
+// governor's sampling state.
+//
 //   build/bench/bench_rule_overhead [--quick] [--metrics-out <path>]
 #include <algorithm>
 #include <cstdio>
@@ -67,17 +72,11 @@ struct Config {
   int num_conditions;
 };
 
+/// One measured config. Full-fidelity rows must read events_sampled_out
+/// 0; the degraded row (the heaviest config re-measured with the
+/// LoadGovernor forced to sample, docs/ROBUSTNESS.md) reports how many
+/// events its deferrable rules missed.
 struct ConfigResult {
-  Config config;
-  double wall_ms;
-  double overhead_pct;
-  double added_us_per_query;
-};
-
-/// The same workload re-measured with the LoadGovernor's shedding ladder
-/// pinned at its deepest level (docs/ROBUSTNESS.md): the perf trajectory
-/// tracks both full-fidelity and degraded-mode overhead.
-struct DegradedResult {
   Config config;
   double wall_ms;
   double overhead_pct;
@@ -92,9 +91,9 @@ std::string JsonNum(double v) {
 }
 
 /// One `BENCH_JSON {...}` line: greppable, parseable, stable key order.
-void PrintBenchJson(int64_t num_queries, double baseline_us,
+void PrintBenchJson(int64_t num_queries, double baseline_us, int sample_shift,
                     const std::vector<ConfigResult>& results,
-                    const DegradedResult& degraded,
+                    const ConfigResult& degraded,
                     const cm::MonitorMetrics& metrics) {
   std::string out = "BENCH_JSON {\"bench\":\"rule_overhead\"";
   out += ",\"queries\":" + std::to_string(num_queries);
@@ -108,12 +107,15 @@ void PrintBenchJson(int64_t num_queries, double baseline_us,
     out += ",\"conds\":" + std::to_string(r.config.num_conditions);
     out += ",\"wall_ms\":" + JsonNum(r.wall_ms);
     out += ",\"overhead_pct\":" + JsonNum(r.overhead_pct);
-    out += ",\"added_us_per_query\":" + JsonNum(r.added_us_per_query) + "}";
+    out += ",\"added_us_per_query\":" + JsonNum(r.added_us_per_query);
+    out += ",\"events_sampled_out\":" + std::to_string(r.events_sampled_out) +
+           "}";
   }
   out += "],\"degraded\":{\"rules\":" + std::to_string(degraded.config.num_rules);
   out += ",\"conds\":" + std::to_string(degraded.config.num_conditions);
   out += ",\"level\":" +
          std::to_string(static_cast<int>(cm::LoadGovernor::kLevelSampleEvents));
+  out += ",\"sample_shift\":" + std::to_string(sample_shift);
   out += ",\"wall_ms\":" + JsonNum(degraded.wall_ms);
   out += ",\"overhead_pct\":" + JsonNum(degraded.overhead_pct);
   out += ",\"added_us_per_query\":" + JsonNum(degraded.added_us_per_query);
@@ -243,45 +245,47 @@ int main(int argc, char** argv) {
     }
   };
 
+  // Runs the workload once against `config`'s rule set on the main engine.
+  auto measure = [&](const Config& config) -> ConfigResult {
+    const uint64_t sampled_before =
+        monitor.metrics().events_sampled_out.value();
+    const double us = run_once();
+    return {config, us / 1000.0, 100.0 * (us - baseline_us) / baseline_us,
+            (us - baseline_us) / static_cast<double>(num_queries),
+            monitor.metrics().events_sampled_out.value() - sampled_before};
+  };
+  // Full-fidelity rows that lost events to sampling, by description.
+  std::vector<std::string> sampled_rows;
+
   for (const Config& config : configs) {
     if (!setup_rules(monitor, config)) return 1;
-
-    const double with_rules_us = run_once();
-    const double overhead_pct =
-        100.0 * (with_rules_us - baseline_us) / baseline_us;
-    const double added_us_per_query =
-        (with_rules_us - baseline_us) / static_cast<double>(num_queries);
+    const ConfigResult r = measure(config);
     std::printf("%8d %8d %12.1f %12.1f %14.3f\n", config.num_rules,
-                config.num_conditions, with_rules_us / 1000.0, overhead_pct,
-                added_us_per_query);
-    results.push_back({config, with_rules_us / 1000.0, overhead_pct,
-                       added_us_per_query});
-
+                config.num_conditions, r.wall_ms, r.overhead_pct,
+                r.added_us_per_query);
+    if (r.events_sampled_out > 0) {
+      sampled_rows.push_back("config " + std::to_string(config.num_rules) +
+                             "x" + std::to_string(config.num_conditions));
+    }
+    results.push_back(r);
     teardown_rules(monitor, config);
   }
 
-  // Degraded mode: the heaviest config re-measured with the shedding ladder
-  // pinned at its deepest level (timing + trace off, aging deferred, rule
-  // evaluation sampled) — the overhead the monitor falls back to when the
-  // LoadGovernor's budget is blown.
+  // Degraded mode: the heaviest config re-measured with the governor forced
+  // into its sampling state, where these (deferrable) rules see 1 in
+  // 2^sample_shift queries.
   const Config degraded_config = configs.back();
+  const int sample_shift = monitor.governor()->options().sample_shift;
   if (!setup_rules(monitor, degraded_config)) return 1;
-  const uint64_t sampled_before = monitor.metrics().events_sampled_out.value();
   monitor.governor()->ForceLevel(cm::LoadGovernor::kLevelSampleEvents);
-  const double degraded_us = run_once();
+  const ConfigResult degraded = measure(degraded_config);
   monitor.governor()->ForceLevel(cm::LoadGovernor::kLevelFull);
   monitor.governor()->ClearForce();
   teardown_rules(monitor, degraded_config);
-  const DegradedResult degraded = {
-      degraded_config, degraded_us / 1000.0,
-      100.0 * (degraded_us - baseline_us) / baseline_us,
-      (degraded_us - baseline_us) / static_cast<double>(num_queries),
-      monitor.metrics().events_sampled_out.value() - sampled_before};
-  std::printf("%8d %8d %12.1f %12.1f %14.3f   (degraded: shed level %d)\n",
+  std::printf("%8d %8d %12.1f %12.1f %14.3f   (degraded: sampling 1 in %d)\n",
               degraded_config.num_rules, degraded_config.num_conditions,
               degraded.wall_ms, degraded.overhead_pct,
-              degraded.added_us_per_query,
-              static_cast<int>(cm::LoadGovernor::kLevelSampleEvents));
+              degraded.added_us_per_query, 1 << sample_shift);
 
   // Tracing sweep: one mid-size config re-measured with the causal span
   // plane off, sampled at 1%, and always-on. Sampled tracing must stay
@@ -294,6 +298,7 @@ int main(int argc, char** argv) {
     double added_us_per_query;
     uint64_t spans_recorded;
     uint64_t profiled_events;
+    uint64_t events_sampled_out;
   };
   const Config tracing_config = quick ? Config{100, 1} : Config{250, 1};
   if (!setup_rules(monitor, tracing_config)) return 1;
@@ -312,14 +317,17 @@ int main(int argc, char** argv) {
     const uint64_t spans_before = monitor.span_ring()->total_recorded();
     const uint64_t events_before =
         monitor.metrics().profile_events.value();
-    const double us = run_once();
+    const ConfigResult r = measure(tracing_config);
     tracing.push_back(
-        {mode, rate, us / 1000.0,
-         (us - baseline_us) / static_cast<double>(num_queries),
+        {mode, rate, r.wall_ms, r.added_us_per_query,
          monitor.span_ring()->total_recorded() - spans_before,
-         monitor.metrics().profile_events.value() - events_before});
-    std::printf("%10s %12.1f %14.3f %14llu\n", mode, us / 1000.0,
-                (us - baseline_us) / static_cast<double>(num_queries),
+         monitor.metrics().profile_events.value() - events_before,
+         r.events_sampled_out});
+    if (r.events_sampled_out > 0) {
+      sampled_rows.push_back(std::string("tracing ") + mode);
+    }
+    std::printf("%10s %12.1f %14.3f %14llu\n", mode, r.wall_ms,
+                r.added_us_per_query,
                 static_cast<unsigned long long>(tracing.back().spans_recorded));
   }
   monitor.span_ring()->set_enabled(false);
@@ -345,7 +353,9 @@ int main(int argc, char** argv) {
       out += ",\"wall_ms\":" + JsonNum(t.wall_ms);
       out += ",\"added_us_per_query\":" + JsonNum(t.added_us_per_query);
       out += ",\"spans_recorded\":" + std::to_string(t.spans_recorded);
-      out += ",\"profiled_events\":" + std::to_string(t.profiled_events) + "}";
+      out += ",\"profiled_events\":" + std::to_string(t.profiled_events);
+      out += ",\"events_sampled_out\":" + std::to_string(t.events_sampled_out) +
+             "}";
     }
     out += "],\"sampled_vs_off_pct\":" + JsonNum(sampled_vs_off_pct) + "}";
     std::printf("%s\n", out.c_str());
@@ -361,14 +371,12 @@ int main(int argc, char** argv) {
 
   std::printf("\nshape checks (paper §6.2.1): overhead grows with #rules; "
               "condition complexity has little impact; per-(rule,query) cost "
-              "is dominated by LAT insert/evict maintenance; degraded mode "
-              "(governor shed ladder engaged) must cost less than the same "
-              "config at full fidelity.\n");
+              "is dominated by LAT insert/evict maintenance.\n");
   if (!monitor.last_error().empty()) {
     std::fprintf(stderr, "monitor error: %s\n", monitor.last_error().c_str());
     return 1;
   }
-  PrintBenchJson(num_queries, baseline_us, results, degraded,
+  PrintBenchJson(num_queries, baseline_us, sample_shift, results, degraded,
                  monitor.metrics());
 
   // Mode sweep: the same all-deferrable rule set measured with synchronous
@@ -388,6 +396,7 @@ int main(int argc, char** argv) {
     uint64_t hook_timed;
     uint64_t queue_enqueued;
     uint64_t queue_batches;
+    uint64_t events_sampled_out;
   };
   const Config mode_config = {100, 1};
   std::vector<ModeResult> mode_results;
@@ -412,7 +421,11 @@ int main(int argc, char** argv) {
          (us - baseline_us) / static_cast<double>(num_queries), pct.p50,
          pct.p95, hook.latency.count(),
          eng->metrics().queue_enqueued.value(),
-         eng->metrics().queue_batches.value()});
+         eng->metrics().queue_batches.value(),
+         eng->metrics().events_sampled_out.value()});
+    if (mode_results.back().events_sampled_out > 0) {
+      sampled_rows.push_back(std::string("mode ") + mode_results.back().mode);
+    }
     std::printf("%10s %12.1f %14.3f %14.3f %14.3f\n",
                 mode_results.back().mode, mode_results.back().wall_ms,
                 mode_results.back().added_us_per_query, pct.p50, pct.p95);
@@ -447,17 +460,27 @@ int main(int argc, char** argv) {
       out += ",\"hook_p95_us\":" + JsonNum(m.hook_p95_us);
       out += ",\"hook_timed\":" + std::to_string(m.hook_timed);
       out += ",\"queue_enqueued\":" + std::to_string(m.queue_enqueued);
-      out += ",\"queue_batches\":" + std::to_string(m.queue_batches) + "}";
+      out += ",\"queue_batches\":" + std::to_string(m.queue_batches);
+      out += ",\"events_sampled_out\":" + std::to_string(m.events_sampled_out) +
+             "}";
     }
     out += "],\"sync_over_deferred_p50\":" + JsonNum(p50_ratio) + "}";
     std::printf("%s\n", out.c_str());
+  }
+  int exit_code = 0;
+  for (const std::string& row : sampled_rows) {
+    std::fprintf(stderr,
+                 "FAIL: full-fidelity row '%s' lost events to governor "
+                 "sampling\n",
+                 row.c_str());
+    exit_code = 1;
   }
   if (p50_ratio < 5.0) {
     std::fprintf(stderr,
                  "FAIL: deferred commit hook p50 not >= 5x cheaper than sync "
                  "(ratio %.2fx)\n",
                  p50_ratio);
-    return 1;
+    exit_code = 1;
   }
-  return 0;
+  return exit_code;
 }

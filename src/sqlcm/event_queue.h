@@ -12,7 +12,7 @@
 // a consumer-side batch-pop so workers amortize rule-table dispatch across
 // a whole batch.
 //
-// Blocking coordination (full producers under the kBlock policy, idle
+// Blocking coordination (producers waiting on a full queue, idle
 // consumers) uses a mutex+condvar pair on the *slow* path only; both sides
 // keep a sleeper count so the lock-free paths skip notification entirely
 // while nobody waits.
@@ -64,8 +64,8 @@ class EventQueue {
   EventQueue(const EventQueue&) = delete;
   EventQueue& operator=(const EventQueue&) = delete;
 
-  /// Lock-free enqueue; false when the queue is full (the caller applies
-  /// its full-policy: block, drop or shed).
+  /// Lock-free enqueue; false when the queue is full. PushBlocking's fast
+  /// path.
   bool TryPush(DeferredEvent&& ev);
 
   /// Enqueue, waiting for space when full. Returns false only after

@@ -157,6 +157,13 @@ Result<std::unique_ptr<Lat>> Lat::Create(LatSpec spec) {
   const bool any_aging = std::any_of(spec.aggregates.begin(),
                                      spec.aggregates.end(),
                                      [](const LatAggColumn& c) { return c.aging; });
+  if (spec.quantile_sketch_bytes != 0 &&
+      spec.quantile_sketch_bytes < QuantileSketch::kMinBudgetBytes) {
+    return Status::InvalidArgument(
+        "LAT '" + spec.name +
+        "': quantile_sketch_bytes must be 0 or at least " +
+        std::to_string(QuantileSketch::kMinBudgetBytes));
+  }
   if (any_aging) {
     if (spec.aging_window_micros <= 0 || spec.aging_block_micros <= 0 ||
         spec.aging_block_micros > spec.aging_window_micros) {
@@ -178,9 +185,8 @@ Result<std::unique_ptr<Lat>> Lat::Create(LatSpec spec) {
     lat->root_ranks_[i].store(kLatRankEmpty, std::memory_order_relaxed);
   }
   if (any_aging) {
-    // §4.3 bound ⌈2t/Δ⌉, with enough slack (t/Δ + 3) that when the cap
-    // triggers the two oldest blocks are provably outside the window — so
-    // FoldValue's merge never changes what AggValue reads.
+    // §4.3 bound ⌈2t/Δ⌉, with enough slack (t/Δ + 3) that in-order folds,
+    // which pruning keeps within t/Δ + 2 blocks, never reach it.
     const int64_t t = s.aging_window_micros;
     const int64_t d = s.aging_block_micros;
     lat->max_aging_blocks_ =
@@ -408,29 +414,31 @@ void Lat::FoldValue(AggState* state, const LatAggColumn& col, Value v,
     std::deque<AgingBlock>& blocks = *state->blocks;
     const int64_t block_start =
         now_micros - (now_micros % spec_.aging_block_micros);
-    // Overload shedding defers pruning only. Rotation must always run: a
-    // fresh value folded into a stale-labelled block would be silently
-    // dropped by AggValue's horizon filter, so the current block's label
-    // has to match `now` even under shed.
-    if (!shed_aging_.load(std::memory_order_relaxed)) {
-      while (!blocks.empty() &&
-             blocks.front().block_start + spec_.aging_block_micros <=
-                 now_micros - spec_.aging_window_micros) {
-        blocks.pop_front();
-      }
+    while (!blocks.empty() &&
+           blocks.front().block_start + spec_.aging_block_micros <=
+               now_micros - spec_.aging_window_micros) {
+      blocks.pop_front();
     }
     if (blocks.empty() || blocks.back().block_start != block_start) {
       AgingBlock block;
       block.block_start = block_start;
       blocks.push_back(std::move(block));
-      // With pruning deferred the deque would grow one block per Δ without
-      // bound; cap it by folding the oldest block into its neighbour. At
-      // max_aging_blocks_ both front blocks are already outside the window
-      // (the cap includes t/Δ + 3 slack), so the merge only coarsens
-      // expired history and is invisible to reads.
+      // Sessions folding with out-of-order `now` across a block boundary
+      // push a fresh block at every alternation, and pruning stops at the
+      // first unexpired front block, so nothing else bounds the deque. Cap
+      // it by folding the oldest block into a later block with the same
+      // label (invisible to reads), else into its neighbour. In-order folds
+      // never reach the cap: pruning keeps at most t/Δ + 2 blocks.
       while (blocks.size() > max_aging_blocks_) {
         const AgingBlock& oldest = blocks[0];
-        AgingBlock& into = blocks[1];
+        size_t into_pos = 1;
+        for (size_t i = 1; i < blocks.size(); ++i) {
+          if (blocks[i].block_start == oldest.block_start) {
+            into_pos = i;
+            break;
+          }
+        }
+        AgingBlock& into = blocks[into_pos];
         into.count += oldest.count;
         into.sum += oldest.sum;
         into.sumsq += oldest.sumsq;

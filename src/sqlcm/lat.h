@@ -178,8 +178,9 @@ struct LatStats {
   /// the previous one (common for MIN/MAX/FIRST orderings).
   obs::StripedCounter heap_skips;
   /// Oldest aging blocks merged to keep a block deque within the §4.3
-  /// ⌈2t/Δ⌉ bound (happens while shed_aging defers pruning; merged blocks
-  /// are always already outside the window, so reads are unaffected).
+  /// ⌈2t/Δ⌉ bound. Concurrent sessions that fold with out-of-order `now`
+  /// across a block boundary open a fresh block each time they alternate,
+  /// which pruning alone does not bound.
   obs::Counter aging_merges;
   /// QUANTILE sketch level-ups forced by LatSpec::quantile_sketch_bytes
   /// (each halves the cell's bucket resolution; surfaced per LAT via
@@ -286,18 +287,6 @@ class Lat {
   /// Runtime statistics; mutable through a const Lat because the insert
   /// path is logically const for readers.
   LatStats& stats() const { return stats_; }
-
-  /// Overload shedding (LoadGovernor level 3): while set, aging-block
-  /// pruning is deferred on the insert path (rotation still runs, so fresh
-  /// data is never mislabelled into an expired block and reads stay
-  /// correct). Expired blocks accumulate up to the ⌈2t/Δ⌉ cap, past which
-  /// the oldest pair merges (counted by LatStats::aging_merges).
-  void set_shed_aging(bool shed) {
-    shed_aging_.store(shed, std::memory_order_relaxed);
-  }
-  bool shed_aging() const {
-    return shed_aging_.load(std::memory_order_relaxed);
-  }
 
   /// True when any aggregate is sketch-backed (QUANTILE/DISTINCT). Such
   /// LATs need the v3 state-snapshot codec: materialized (v1/plain-CSV)
@@ -625,7 +614,6 @@ class Lat {
   std::atomic<size_t> total_rows_{0};
   std::atomic<size_t> total_bytes_{0};
 
-  std::atomic<bool> shed_aging_{false};
   std::atomic<uint64_t> reset_generation_{0};
   mutable LatStats stats_;
 };

@@ -34,35 +34,26 @@ void LoadGovernor::RecordHook(int64_t hook_micros, int64_t now_micros) {
   if (hooks < options_.min_hooks_per_window) return;
   if (forced_.load(std::memory_order_relaxed)) return;
 
-  const int current = level_.load(std::memory_order_relaxed);
-  if (fraction > options_.overhead_budget && current < options_.max_level) {
-    lock.unlock();
-    TransitionTo(current + 1, /*count=*/true);
-  } else if (fraction < options_.overhead_budget * options_.recover_ratio &&
-             current > kLevelFull) {
-    lock.unlock();
-    TransitionTo(current - 1, /*count=*/true);
+  if (fraction > options_.overhead_budget) {
+    TransitionTo(kLevelSampleEvents);
+  } else if (fraction < options_.overhead_budget * options_.recover_ratio) {
+    TransitionTo(kLevelFull);
   }
 }
 
-void LoadGovernor::TransitionTo(int new_level, bool count) {
+void LoadGovernor::TransitionTo(int new_level) {
   new_level = std::clamp(new_level, static_cast<int>(kLevelFull),
-                         options_.max_level);
-  const int old_level = level_.exchange(new_level, std::memory_order_relaxed);
+                         static_cast<int>(kLevelSampleEvents));
+  const int old_level = level();
   if (old_level == new_level) return;
-  if (count) {
-    if (new_level > old_level) {
-      raises_.fetch_add(1, std::memory_order_relaxed);
-    } else {
-      drops_.fetch_add(1, std::memory_order_relaxed);
-    }
-  }
-  if (listener_) listener_(old_level, new_level);
+  level_.Set(new_level);
+  (new_level > old_level ? raises_ : drops_).Inc();
 }
 
 void LoadGovernor::ForceLevel(int level) {
+  std::lock_guard<std::mutex> lock(roll_mutex_);
   forced_.store(true, std::memory_order_relaxed);
-  TransitionTo(level, /*count=*/true);
+  TransitionTo(level);
 }
 
 void LoadGovernor::ClearForce() {
@@ -72,6 +63,12 @@ void LoadGovernor::ClearForce() {
 double LoadGovernor::last_overhead_fraction() const {
   std::lock_guard<std::mutex> lock(roll_mutex_);
   return last_fraction_;
+}
+
+void LoadGovernor::RegisterMetrics(obs::MetricsRegistry* registry) const {
+  registry->RegisterGauge("robustness.governor_level", &level_);
+  registry->RegisterCounter("robustness.governor_raises", &raises_);
+  registry->RegisterCounter("robustness.governor_drops", &drops_);
 }
 
 }  // namespace sqlcm::cm

@@ -239,9 +239,7 @@ MonitorEngine::MonitorEngine(engine::Database* db, Options options)
       governor_(options.governor) {
   detailed_timing_.store(options.detailed_timing, std::memory_order_relaxed);
   set_span_sampling(options.span_sample_rate);
-  governor_.SetLevelListener([this](int old_level, int new_level) {
-    ApplyShedLevel(old_level, new_level);
-  });
+  governor_.RegisterMetrics(&metrics_.registry);
   timers_.set_drift_histogram(&metrics_.timer_drift_micros);
   db_->set_monitor_hooks(this);
   if (options_.register_system_views) {
@@ -307,8 +305,6 @@ Status MonitorEngine::DefineLat(LatSpec spec) {
   lat->set_evict_callback(
       [this, raw](Row evicted) { HandleEviction(raw, std::move(evicted)); },
       &has_rules_[static_cast<size_t>(EventKind::kLatEvict)]);
-  // LATs defined while the governor is already shedding start shed too.
-  lat->set_shed_aging(governor_.shed_aging());
   const std::string key = ToLower(raw->name());
   std::lock_guard<std::mutex> lock(registry_mutex_);
   if (lats_.count(key) != 0) {
@@ -539,6 +535,9 @@ Result<uint64_t> MonitorEngine::AddRule(const RuleSpec& spec) {
   }
   rule->rate_limiter.Configure(rate_limit);
   rule->breaker.WatchState(&breakers_not_closed_);
+  rule->sampled_out_baseline =
+      metrics_.events_sampled_out_by_kind[static_cast<size_t>(rule->event.kind)]
+          .value();
   std::lock_guard<std::mutex> lock(registry_mutex_);
   rule->id = next_rule_id_++;
   rules_.push_back(rule);
@@ -604,6 +603,10 @@ void MonitorEngine::RebuildRuleTableLocked() {
           .push_back(rule);
     } else {
       table->by_event[static_cast<size_t>(rule->event.kind)].push_back(rule);
+    }
+    if (!rule->deferrable) {
+      table->inline_by_event[static_cast<size_t>(rule->event.kind)]
+          .push_back(rule);
     }
     switch (rule->event.kind) {
       case EventKind::kTransactionBegin:
@@ -1198,21 +1201,36 @@ void MonitorEngine::FireEvent(EventKind kind, const std::string& qualifier,
   // shared write unless a DDL or reorder moved the version.
   std::shared_ptr<const RuleTable> pin;
   const RuleTable& table = ThreadRuleTable(&pin);
-  const RuleList& rules = table.by_event[k];
+  const RuleList* rules = &table.by_event[k];
   // Deferral needs a keepalive carrying the bound record's ownership; only
   // terminal events (which always supply one) have deferrable rules.
-  const bool defer =
+  bool defer =
       event_queue_ != nullptr && !table.deferred_by_event[k].empty() &&
       (query_keepalive != nullptr || txn_keepalive != nullptr);
-  if (rules.empty() && !defer) return;
-  // Governor level 4: shed rule evaluation for a sampled-out share of
-  // events (the cheapest remaining lever under overload).
+  if (rules->empty() && !defer) return;
   const uint64_t seq = event_seq_.fetch_add(1, std::memory_order_relaxed);
-  if (!governor_.AdmitEvent(seq)) {
+  const PredicateIndex* index =
+      options_.predicate_index && table.sync_index[k].any_indexed
+          ? &table.sync_index[k]
+          : nullptr;
+  // Overload sampling counts only events some deferrable rule listens to,
+  // each kind on its own sequence, so every deferrable rule sees exactly 1
+  // in 2^sample_shift events of its kind. Inline rules (Cancel, audit
+  // Persist, ...) still see a sampled-out event, dispatched unindexed.
+  if (governor_.sample_events() &&
+      (defer || table.inline_by_event[k].size() != rules->size()) &&
+      !governor_.AdmitEvent(
+          sample_seq_[k].fetch_add(1, std::memory_order_relaxed))) {
     metrics_.events_sampled_out.Inc();
-    return;
+    metrics_.events_sampled_out_by_kind[k].Inc();
+    if (defer) metrics_.queue_shed.Inc();
+    defer = false;
+    rules = &table.inline_by_event[k];
+    index = nullptr;
+    if (rules->empty()) return;
+  } else {
+    metrics_.events_processed.Inc();
   }
-  metrics_.events_processed.Inc();
 
   // One clock read per event; rules reuse it (hot path, Figure 2).
   base_ctx->now_micros = db_->clock()->NowMicros();
@@ -1233,12 +1251,8 @@ void MonitorEngine::FireEvent(EventKind kind, const std::string& qualifier,
     EnqueueDeferred(std::move(ev));
   }
 
-  if (!rules.empty()) {
-    const PredicateIndex* index =
-        options_.predicate_index && table.sync_index[k].any_indexed
-            ? &table.sync_index[k]
-            : nullptr;
-    DispatchEvent(kind, qualifier, seq, sampled, base_ctx, rules, index,
+  if (!rules->empty()) {
+    DispatchEvent(kind, qualifier, seq, sampled, base_ctx, *rules, index,
                   /*lat_sink=*/nullptr, /*enqueue_nanos=*/0);
   }
 
@@ -1316,8 +1330,8 @@ void MonitorEngine::DispatchEvent(EventKind kind, const std::string& qualifier,
       }
     }
   } else {
-    // Spans were disabled mid-trace (operator or governor): drop the stale
-    // frame so the next enablement starts a fresh trace.
+    // Spans were disabled mid-trace: drop the stale frame so the next
+    // enablement starts a fresh trace.
     TraceFrame& stale = CurrentTraceFrame();
     if (stale.active && stale.engine == this) {
       stale.active = false;
@@ -1612,43 +1626,12 @@ uint32_t MonitorEngine::RunIteratingRule(const CompiledRule& rule,
 // ---------------------------------------------------------------------------
 
 void MonitorEngine::EnqueueDeferred(DeferredEvent&& ev) {
-  switch (options_.queue_full_policy) {
-    case QueueFullPolicy::kBlock:
-      if (event_queue_->PushBlocking(std::move(ev))) {
-        metrics_.queue_enqueued.Inc();
-      } else {
-        metrics_.queue_dropped.Inc();  // shutdown raced the enqueue
-      }
-      return;
-    case QueueFullPolicy::kDrop:
-      if (event_queue_->TryPush(std::move(ev))) {
-        metrics_.queue_enqueued.Inc();
-      } else {
-        metrics_.queue_dropped.Inc();
-      }
-      return;
-    case QueueFullPolicy::kShed: {
-      if (event_queue_->TryPush(std::move(ev))) {
-        metrics_.queue_enqueued.Inc();
-        return;
-      }
-      // Full: degrade to the governor's sampling ratio — keep 1 in
-      // 2^sample_shift events (those block for space, so the kept sample
-      // is unbiased), shed the rest.
-      const uint64_t mask =
-          (uint64_t{1} << options_.governor.sample_shift) - 1;
-      if ((ev.seq & mask) == 0) {
-        if (event_queue_->PushBlocking(std::move(ev))) {
-          metrics_.queue_enqueued.Inc();
-        } else {
-          metrics_.queue_dropped.Inc();
-        }
-      } else {
-        metrics_.queue_shed.Inc();
-        metrics_.events_sampled_out.Inc();
-      }
-      return;
-    }
+  // A full queue blocks the hook; the wait is hook time, so under sustained
+  // pressure the governor (when enabled) starts sampling.
+  if (event_queue_->PushBlocking(std::move(ev))) {
+    metrics_.queue_enqueued.Inc();
+  } else {
+    metrics_.queue_dropped.Inc();  // shutdown raced the enqueue
   }
 }
 
@@ -1984,43 +1967,6 @@ void MonitorEngine::NoteRuleFailure(const CompiledRule& rule,
         "rule '" + rule.name +
         "' quarantined: circuit breaker tripped open after repeated "
         "failures"));
-  }
-}
-
-void MonitorEngine::ApplyShedLevel(int old_level, int new_level) {
-  using L = LoadGovernor;
-  metrics_.governor_level.Set(new_level);
-  if (new_level > old_level) {
-    metrics_.governor_raises.Inc();
-  } else {
-    metrics_.governor_drops.Inc();
-  }
-  // Detailed timing (level 1): remember the configured value across the
-  // shed so recovery restores what the operator chose.
-  if (new_level >= L::kLevelNoDetailedTiming &&
-      old_level < L::kLevelNoDetailedTiming) {
-    timing_before_shed_.store(detailed_timing(), std::memory_order_relaxed);
-    set_detailed_timing(false);
-  } else if (new_level < L::kLevelNoDetailedTiming &&
-             old_level >= L::kLevelNoDetailedTiming) {
-    set_detailed_timing(timing_before_shed_.load(std::memory_order_relaxed));
-  }
-  // Event trace + span plane (level 2): both are diagnostics rings fed on
-  // the dispatch path, so they shed (and recover) together.
-  if (new_level >= L::kLevelNoTrace && old_level < L::kLevelNoTrace) {
-    trace_before_shed_.store(trace_.enabled(), std::memory_order_relaxed);
-    trace_.set_enabled(false);
-    spans_before_shed_.store(spans_.enabled(), std::memory_order_relaxed);
-    spans_.set_enabled(false);
-  } else if (new_level < L::kLevelNoTrace && old_level >= L::kLevelNoTrace) {
-    trace_.set_enabled(trace_before_shed_.load(std::memory_order_relaxed));
-    spans_.set_enabled(spans_before_shed_.load(std::memory_order_relaxed));
-  }
-  // LAT aging maintenance (level 3).
-  const bool shed_aging = new_level >= L::kLevelShedAging;
-  if (shed_aging != (old_level >= L::kLevelShedAging)) {
-    std::lock_guard<std::mutex> lock(registry_mutex_);
-    for (const auto& [_, lat] : lats_) lat->set_shed_aging(shed_aging);
   }
 }
 

@@ -56,14 +56,6 @@ struct TraceFrame;
 inline constexpr char kFaultHookSlow[] = "monitor.hook.slow";
 inline constexpr int64_t kFaultHookSlowMicros = 1000;
 
-/// What a hook does when the deferred-event queue is full (backpressure
-/// integration with the LoadGovernor; docs/PERFORMANCE.md §Async pipeline).
-enum class QueueFullPolicy {
-  kBlock,  ///< wait for space (lossless; re-couples hook to drain speed)
-  kDrop,   ///< discard the event, counting it in queue.dropped
-  kShed,   ///< keep 1-in-2^sample_shift (governor sampling), shed the rest
-};
-
 class MonitorEngine final : public engine::MonitorHooks,
                             public txn::LockEventObserver,
                             public LatResolver {
@@ -104,7 +96,8 @@ class MonitorEngine final : public engine::MonitorHooks,
     /// (suppressions surface in sqlcm_rule_stats.actions_suppressed).
     /// Disabled by default: max_actions = 0 admits everything.
     ActionRateLimiter::Options action_rate_limit;
-    /// Overload-degradation configuration (docs/ROBUSTNESS.md ladder).
+    /// Opt-in overload sampling of deferrable rules (docs/ROBUSTNESS.md
+    /// §"Graceful degradation"); off by default.
     LoadGovernor::Options governor;
     /// CheckpointLat retry policy for transient snapshot-write failures.
     int persist_attempts = 3;
@@ -120,11 +113,12 @@ class MonitorEngine final : public engine::MonitorHooks,
     /// is FIFO; more workers may interleave events, which is visible only
     /// to order-sensitive aggregates (FIRST/LAST) across concurrent events.
     size_t monitor_threads = 1;
-    /// Event-queue capacity (rounded up to a power of two).
+    /// Event-queue capacity (rounded up to a power of two). A hook that
+    /// finds the queue full waits for space; the wait counts as hook time,
+    /// so the governor sees it.
     size_t event_queue_capacity = 8192;
     /// Max events a worker pops per drain; also the LAT insert batch bound.
     size_t drain_batch_size = 256;
-    QueueFullPolicy queue_full_policy = QueueFullPolicy::kBlock;
     /// Shared predicate index (docs/PERFORMANCE.md §"Predicate index").
     /// When on, conditions of rules sharing an event are decomposed into
     /// canonicalized conjuncts evaluated at most once per event, with
@@ -327,6 +321,10 @@ class MonitorEngine final : public engine::MonitorHooks,
     /// Deferrable rules drained by the worker pool (populated only while
     /// Options::async_rule_eval is on).
     std::array<RuleList, kNumEventKinds> deferred_by_event;
+    /// The non-deferrable rules, in by_event order: what a sampled-out
+    /// event still dispatches (dispatched without the index). With the
+    /// async pipeline on this equals by_event.
+    std::array<RuleList, kNumEventKinds> inline_by_event;
     /// Shared-conjunct indexes, positionally parallel to the rule vectors
     /// above; built only while Options::predicate_index is on. Part of the
     /// same published snapshot so dispatch always sees rules and index
@@ -361,11 +359,13 @@ class MonitorEngine final : public engine::MonitorHooks,
   /// snapshot cannot be cached (nested dispatch on an uncached engine).
   const RuleTable& ThreadRuleTable(std::shared_ptr<const RuleTable>* pin);
 
-  /// Sync-lane entry for one event: admits it (governor sampling), enqueues
-  /// it for the deferred lane when deferrable rules listen, and dispatches
-  /// the inline rules. `query_keepalive` / `txn_keepalive` carry the bound
-  /// record's owning reference for terminal events so the async pipeline
-  /// can evaluate the event after the registries drop it.
+  /// Sync-lane entry for one event: asks the governor whether it is
+  /// sampled out, enqueues it for the deferred lane when deferrable rules
+  /// listen, and dispatches the sync-lane rules. A sampled-out event skips
+  /// the enqueue and dispatches only inline_by_event. `query_keepalive` /
+  /// `txn_keepalive` carry the bound record's owning reference for
+  /// terminal events so the async pipeline can evaluate the event after
+  /// the registries drop it.
   void FireEvent(EventKind kind, const std::string& qualifier,
                  EvalContext* base_ctx,
                  std::shared_ptr<QueryRecord> query_keepalive = nullptr,
@@ -391,7 +391,7 @@ class MonitorEngine final : public engine::MonitorHooks,
 
   // -- Deferred-evaluation pipeline (event_queue.h) ---------------------------
 
-  /// Applies the queue-full policy and enqueues one deferred event.
+  /// Enqueues one deferred event, waiting for space when the queue is full.
   void EnqueueDeferred(DeferredEvent&& ev);
   /// Worker thread body: batch-pop and process until shutdown + drained.
   void MonitorWorkerLoop();
@@ -453,9 +453,6 @@ class MonitorEngine final : public engine::MonitorHooks,
   /// Feeds a failed evaluation into the rule's circuit breaker; records the
   /// quarantine when it trips.
   void NoteRuleFailure(const CompiledRule& rule, int64_t now_micros);
-  /// Propagates a governor shed-level transition into engine knobs
-  /// (detailed timing, trace, per-LAT aging shed) and metrics.
-  void ApplyShedLevel(int old_level, int new_level);
   /// Builds the transient (non-catalog) staging table used by
   /// v1 snapshots and RestoreLat's legacy path: LAT columns + trailing
   /// persist_ts.
@@ -554,7 +551,6 @@ class MonitorEngine final : public engine::MonitorHooks,
   obs::SlowTraceTable slow_traces_;
   std::atomic<uint32_t> span_sample_threshold_{0};
   std::atomic<uint64_t> next_span_id_{0};
-  std::atomic<bool> spans_before_shed_{false};
 
   // Periodic Prometheus exporter (runs only when configured in Options).
   std::thread exporter_thread_;
@@ -562,13 +558,11 @@ class MonitorEngine final : public engine::MonitorHooks,
   std::condition_variable exporter_cv_;
   bool exporter_stop_ = false;
 
-  // Graceful degradation (robustness layer). `timing_before_shed_` /
-  // `trace_before_shed_` remember user-configured state across a shed so
-  // recovery restores it.
+  // Opt-in overload sampling (robustness layer).
   LoadGovernor governor_;
   std::atomic<uint64_t> event_seq_{0};
-  std::atomic<bool> timing_before_shed_{false};
-  std::atomic<bool> trace_before_shed_{false};
+  /// Per-kind sequence of the events the governor samples.
+  std::array<std::atomic<uint64_t>, kNumEventKinds> sample_seq_{};
 
   // Deferred-evaluation pipeline: the bounded MPMC queue, its worker pool,
   // and the drain barrier (in-flight batch count + condvar) used by

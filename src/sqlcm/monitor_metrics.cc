@@ -56,9 +56,6 @@ MonitorMetrics::MonitorMetrics() {
                            &actions_suppressed);
   registry.RegisterCounter("robustness.persist_retries", &persist_retries);
   registry.RegisterCounter("robustness.persist_fallbacks", &persist_fallbacks);
-  registry.RegisterGauge("robustness.governor_level", &governor_level);
-  registry.RegisterCounter("robustness.governor_raises", &governor_raises);
-  registry.RegisterCounter("robustness.governor_drops", &governor_drops);
   registry.RegisterCounter("queue.enqueued", &queue_enqueued);
   registry.RegisterCounter("queue.dropped", &queue_dropped);
   registry.RegisterCounter("queue.shed", &queue_shed);

@@ -61,19 +61,20 @@ struct MonitorMetrics {
   // Robustness layer (docs/ROBUSTNESS.md).
   obs::Counter breaker_trips;        // rule circuit breakers tripped open
   obs::Counter breaker_skips;        // rule evaluations skipped (quarantined)
-  obs::Counter events_sampled_out;   // events shed by governor sampling
+  obs::Counter events_sampled_out;   // events governor sampling kept from
+                                     // deferrable rules
+  /// events_sampled_out split by event kind; sqlcm_rule_stats reads each
+  /// rule's share from these against a baseline taken at AddRule.
+  std::array<obs::Counter, kNumEventKinds> events_sampled_out_by_kind;
   obs::Counter actions_suppressed;   // SendMail/Persist shed by rate limiter
   obs::Counter persist_retries;      // snapshot write retries that ran
   obs::Counter persist_fallbacks;    // restores served from .bak snapshots
-  obs::Gauge governor_level;         // current degradation ladder level
-  obs::Counter governor_raises;      // shed-level increases
-  obs::Counter governor_drops;       // shed-level decreases (recovery)
 
   // Deferred-evaluation pipeline (event_queue.h; docs/PERFORMANCE.md
   // §Async pipeline). queue_wait_micros measures enqueue->drain latency.
   obs::Counter queue_enqueued;      // events handed to the worker pool
-  obs::Counter queue_dropped;       // kDrop full-policy discards
-  obs::Counter queue_shed;          // kShed full-policy discards (sampled out)
+  obs::Counter queue_dropped;       // enqueues lost to a shutdown race
+  obs::Counter queue_shed;          // deferred events kept out by sampling
   obs::Counter queue_batches;       // worker batch drains
   obs::Counter queue_batch_events;  // events across all drained batches
   obs::LatencyHistogram queue_wait_micros;

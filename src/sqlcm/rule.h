@@ -469,6 +469,10 @@ struct CompiledRule {
   /// Why a non-deferrable rule stays inline ("" when deferrable):
   /// "cancel-action" / "event-kind" / "class-iteration" / "override".
   const char* inline_reason = "";
+  /// The engine's sampled-out count for this rule's event kind when the
+  /// rule was added (sqlcm_rule_stats.events_sampled_out is the growth
+  /// since; always 0 for inline rules, which sampling never skips).
+  uint64_t sampled_out_baseline = 0;
   bool enabled = true;
   /// Mutable so the (logically const) dispatch path can update counters.
   mutable RuleStats stats;

@@ -63,6 +63,10 @@ class QuantileSketch {
   /// were and snapshots taken before the change collapse identically.
   static constexpr size_t kHeaderBytes = 128;
   static constexpr size_t kBytesPerBucket = 48;
+  /// Smallest budget a sketch can always meet: fully collapsed, each
+  /// sign's store still holds buckets {0, 1} (i ↦ ⌈i/2⌉ never merges
+  /// them). Below it CollapseToBudget climbs to the level cap.
+  static constexpr size_t kMinBudgetBytes = kHeaderBytes + 4 * kBytesPerBucket;
 
   QuantileSketch() = default;
 

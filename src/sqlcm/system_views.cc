@@ -76,7 +76,8 @@ SystemViews::SystemViews(MonitorEngine* monitor, engine::Database* db)
                                     {"quarantine_skipped", 'i'},
                                     {"actions_suppressed", 'i'},
                                     {"eval_mode", 's'},
-                                    {"inline_reason", 's'}},
+                                    {"inline_reason", 's'},
+                                    {"events_sampled_out", 'i'}},
                                    {"rule_id"})) {
     t->SetVirtualRefresh([this, t] {
       std::lock_guard<std::mutex> lock(refresh_mutex_);
@@ -337,6 +338,15 @@ void SystemViews::RefreshRuleStats(storage::Table* table) {
         Value::Int(static_cast<int64_t>(stats.actions_suppressed.value())));
     row.push_back(Value::String(rule->deferrable ? "deferred" : "inline"));
     row.push_back(Value::String(rule->inline_reason));
+    // Events of the rule's kind sampled out since it was added; sampling
+    // never skips an inline rule.
+    const obs::Counter& kind_sampled_out =
+        monitor_->metrics().events_sampled_out_by_kind[static_cast<size_t>(
+            rule->event.kind)];
+    row.push_back(Value::Int(
+        rule->deferrable ? static_cast<int64_t>(kind_sampled_out.value() -
+                                                rule->sampled_out_baseline)
+                         : 0));
     (void)table->Insert(std::move(row));
   }
 }

@@ -1,8 +1,8 @@
 // Randomized differential test: the production sharded LAT against the
 // naive recompute-from-history ReferenceLat oracle (SQLancer-style).
 //
-// A single driver interleaves inserts, mock-clock advances, shed-aging
-// toggles, Resets and full checkpoint/restore cycles (ExportState →
+// A single driver interleaves inserts, mock-clock advances, batch flushes,
+// Resets and full checkpoint/restore cycles (ExportState →
 // version-negotiated snapshot file (v3 when sketch cells are present, v2
 // otherwise) → LoadTableCsv → ImportState into a fresh Lat), then
 // periodically compares every group's materialized row between the two
@@ -10,9 +10,8 @@
 // Lat::InsertBatch (the async pipeline's vectorized flush) against the
 // same per-op oracle, proving deferred drain reaches the sync end state. Doubles must agree within 1 ulp (in practice they are
 // bit-exact: the oracle replicates the production fold order); everything
-// else must match exactly. Shedding and snapshot round-trips are invisible
-// to the oracle by design, so any post-shed or post-restore divergence is
-// a production bug.
+// else must match exactly. Snapshot round-trips are invisible to the
+// oracle by design, so any post-restore divergence is a production bug.
 //
 // Budget and seed are environment-overridable for CI fuzzing:
 //   SQLCM_DIFF_OPS   ops per test case (default 4000; CI runs >= 100000)
@@ -260,7 +259,6 @@ TEST_P(LatDifferentialTest, ProductionMatchesReferenceOracle) {
       "plain", "with space", "a:b;c%d", "quote'quote", "comma,semi;",
       "100%:done", "", "NULL"};
 
-  bool shed = false;
   // Batched mode: inserts buffer here (the oracle still applies per-op)
   // and flush through InsertBatch before any state-visible operation —
   // exactly the async pipeline's worker-drain pattern. A deque keeps the
@@ -367,9 +365,7 @@ TEST_P(LatDifferentialTest, ProductionMatchesReferenceOracle) {
     } else if (r < 870) {
       clock.Advance(rng.UniformInt(1, 2500));
     } else if (r < 920) {
-      flush_batch();  // shed mode must not change mid-batch vs the oracle
-      shed = !shed;
-      lat->set_shed_aging(shed);  // invisible to the oracle by contract
+      flush_batch();
     } else if (r < 923 ||
                (param.fresh_groups && ref->size() >= 2 * kKeyPool)) {
       // Fresh-group configs also reset once 80 groups are live, so the
@@ -402,7 +398,6 @@ TEST_P(LatDifferentialTest, ProductionMatchesReferenceOracle) {
       ASSERT_TRUE(fresh.ok()) << fresh.status().ToString();
       status = (*fresh)->ImportState(*loaded, now);
       ASSERT_TRUE(status.ok()) << status.ToString();
-      (*fresh)->set_shed_aging(shed);
       lat = std::move(*fresh);
       ASSERT_NO_FATAL_FAILURE(compare_all(op)) << "post-restore";
     }

@@ -654,33 +654,36 @@ TEST(LatTest, SeedFromReconstructsStdevFromMaterializedRow) {
   EXPECT_DOUBLE_EQ(row[4].double_value(), std::sqrt(8.0 / 3.0));
 }
 
-// Shed-aging regression: fresh inserts must stay visible while pruning is
-// deferred (rotation keeps running), and the block deque stays bounded by
-// merging expired blocks instead of growing one block per Δ.
-TEST(LatTest, ShedAgingStaysReadableAndBounded) {
+// Two sessions folding with out-of-order `now` across a block boundary
+// push a fresh aging block at every alternation; the insert-path cap bounds
+// the deque by merging same-label blocks, so window reads stay exact.
+TEST(LatTest, OutOfOrderAgingInsertsStayExactAndBounded) {
   LatSpec spec;
-  spec.name = "Shed";
+  spec.name = "Aged";
   spec.group_by = {{"Logical_Signature", "Sig"}};
   spec.aggregates = {{LatAggFunc::kCount, "", "AgN", true},
                      {LatAggFunc::kSum, "Duration", "AgSum", true}};
   spec.aging_window_micros = 10'000;
   spec.aging_block_micros = 1'000;
   auto lat = *Lat::Create(spec);
-  lat->set_shed_aging(true);
   auto q = MakeQuery("s", 1.0);
-  for (int64_t k = 0; k < 200; ++k) lat->Insert(&q, k * 1000);
-
-  Row row;
-  ASSERT_TRUE(lat->LookupByKey({Value::String("s")}, 199'000, &row));
-  // Window t = 10Δ covers the inserts in blocks 189Δ..199Δ: 11 of them.
-  EXPECT_EQ(row[1].int_value(), 11);
-  EXPECT_DOUBLE_EQ(row[2].double_value(), 11.0);
+  for (int k = 0; k < 100; ++k) {
+    lat->Insert(&q, 5'500);  // block 5000
+    lat->Insert(&q, 4'900);  // block 4000, folded after the newer one
+  }
   EXPECT_GT(lat->stats().aging_merges.value(), 0u);
 
-  lat->set_shed_aging(false);
-  lat->Insert(&q, 200'000);
-  ASSERT_TRUE(lat->LookupByKey({Value::String("s")}, 200'000, &row));
-  EXPECT_EQ(row[1].int_value(), 11);
+  Row row;
+  // Both blocks inside the window: every insert counts.
+  for (const int64_t now : {5'500, 14'500}) {
+    ASSERT_TRUE(lat->LookupByKey({Value::String("s")}, now, &row));
+    EXPECT_EQ(row[1].int_value(), 200) << now;
+    EXPECT_DOUBLE_EQ(row[2].double_value(), 200.0) << now;
+  }
+  // Block 4000 has left the window, block 5000 has not.
+  ASSERT_TRUE(lat->LookupByKey({Value::String("s")}, 15'500, &row));
+  EXPECT_EQ(row[1].int_value(), 100);
+  EXPECT_DOUBLE_EQ(row[2].double_value(), 100.0);
 }
 
 // ---------------------------------------------------------------------------
@@ -698,6 +701,26 @@ LatSpec SketchSpec() {
                      {LatAggFunc::kDistinct, "Query_Text", "DText", false},
                      {LatAggFunc::kDistinct, "Duration", "DDur", false}};
   return spec;
+}
+
+// A fully collapsed sketch still keeps buckets {0, 1} per sign, so a
+// budget below kMinBudgetBytes could never be met.
+TEST(LatTest, QuantileSketchBudgetBelowCollapsedSizeIsRejected) {
+  LatSpec spec = SketchSpec();
+  spec.quantile_sketch_bytes = 150;
+  EXPECT_FALSE(Lat::Create(spec).ok());
+  spec.quantile_sketch_bytes = QuantileSketch::kMinBudgetBytes - 1;
+  EXPECT_FALSE(Lat::Create(spec).ok());
+
+  spec.quantile_sketch_bytes = 320;
+  ASSERT_EQ(QuantileSketch::kMinBudgetBytes, 320u);
+  auto lat = Lat::Create(spec);
+  ASSERT_TRUE(lat.ok()) << lat.status();
+  for (const double d : {1.0, 1000.0}) {
+    auto q = MakeQuery("s", d);
+    (*lat)->Insert(&q, 0);
+  }
+  EXPECT_EQ((*lat)->stats().sketch_collapses.value(), 0u);  // level 0
 }
 
 TEST(LatSketchTest, QuantileAndDistinctFoldAndRead) {

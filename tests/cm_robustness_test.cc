@@ -891,61 +891,76 @@ void FeedWindow(LoadGovernor* governor, int64_t* now, double fraction) {
   governor->RecordHook(0, *now);
 }
 
-TEST(LoadGovernorTest, ClimbsUnderPressureAndRecoversWithHysteresis) {
+TEST(LoadGovernorTest, OffByDefault) {
+  LoadGovernor governor;
+  EXPECT_EQ(governor.options().overhead_budget, 0.0);
+  int64_t now = 1;
+  governor.RecordHook(0, now);
+  for (int i = 0; i < 5; ++i) FeedWindow(&governor, &now, 0.9);
+  EXPECT_EQ(governor.level(), LoadGovernor::kLevelFull);
+  EXPECT_EQ(governor.level_raises(), 0u);
+}
+
+TEST(LoadGovernorTest, SamplesUnderPressureAndRecoversWithHysteresis) {
   LoadGovernor governor(TightGovernor());
   int64_t now = 1;
   governor.RecordHook(0, now);  // establishes the first window start
 
-  // Sustained 50% overhead walks the ladder all the way down.
-  for (int i = 0; i < 10 && governor.level() < LoadGovernor::kLevelSampleEvents;
-       ++i) {
-    FeedWindow(&governor, &now, 0.5);
-  }
+  // One window over budget enters sampling; staying over it holds there.
+  FeedWindow(&governor, &now, 0.5);
   EXPECT_EQ(governor.level(), LoadGovernor::kLevelSampleEvents);
-  EXPECT_GE(governor.level_raises(), 4u);
+  FeedWindow(&governor, &now, 0.5);
+  EXPECT_EQ(governor.level(), LoadGovernor::kLevelSampleEvents);
+  EXPECT_EQ(governor.level_raises(), 1u);
   EXPECT_GT(governor.last_overhead_fraction(), 0.10);
 
-  // 8% overhead is below budget but above budget*recover_ratio: hold level.
+  // 8% overhead is below budget but above budget*recover_ratio: hold.
   FeedWindow(&governor, &now, 0.08);
   FeedWindow(&governor, &now, 0.08);
   EXPECT_EQ(governor.level(), LoadGovernor::kLevelSampleEvents);
 
-  // Near-idle windows recover one level at a time.
-  for (int i = 0; i < 10 && governor.level() > LoadGovernor::kLevelFull; ++i) {
-    FeedWindow(&governor, &now, 0.01);
-  }
+  // A near-idle window returns to full fidelity.
+  FeedWindow(&governor, &now, 0.01);
   EXPECT_EQ(governor.level(), LoadGovernor::kLevelFull);
-  EXPECT_GE(governor.level_drops(), 4u);
+  EXPECT_EQ(governor.level_drops(), 1u);
 }
 
-TEST(LoadGovernorTest, ListenerSeesEveryTransition) {
+TEST(LoadGovernorTest, CountersAndGaugeSeeEveryTransition) {
   LoadGovernor governor(TightGovernor());
-  std::vector<std::pair<int, int>> transitions;
-  governor.SetLevelListener([&](int from, int to) {
-    transitions.push_back({from, to});
-  });
-  governor.ForceLevel(3);
-  governor.ForceLevel(3);  // no-op, no duplicate callback
-  governor.ForceLevel(0);
-  ASSERT_EQ(transitions.size(), 2u);
-  EXPECT_EQ(transitions[0], std::make_pair(0, 3));
-  EXPECT_EQ(transitions[1], std::make_pair(3, 0));
+  obs::MetricsRegistry registry;
+  governor.RegisterMetrics(&registry);
+  auto sample = [&](const std::string& name) {
+    for (const auto& s : registry.Snapshot()) {
+      if (s.name == name) return s.value;
+    }
+    ADD_FAILURE() << "missing metric " << name;
+    return -1.0;
+  };
+  governor.ForceLevel(LoadGovernor::kLevelSampleEvents);
+  governor.ForceLevel(LoadGovernor::kLevelSampleEvents);  // no-op, not counted
+  EXPECT_EQ(sample("robustness.governor_level"), 1.0);
+  governor.ForceLevel(7);  // clamped to the sampling state
+  EXPECT_EQ(governor.level(), LoadGovernor::kLevelSampleEvents);
+  governor.ForceLevel(LoadGovernor::kLevelFull);
+  EXPECT_EQ(sample("robustness.governor_level"), 0.0);
+  EXPECT_EQ(sample("robustness.governor_raises"), 1.0);
+  EXPECT_EQ(sample("robustness.governor_drops"), 1.0);
 }
 
 TEST(LoadGovernorTest, ForcedLevelIgnoresMeasurement) {
   LoadGovernor governor(TightGovernor());
-  governor.ForceLevel(LoadGovernor::kLevelNoTrace);
+  governor.ForceLevel(LoadGovernor::kLevelFull);
   int64_t now = 1;
   governor.RecordHook(0, now);
   for (int i = 0; i < 5; ++i) FeedWindow(&governor, &now, 0.9);
-  EXPECT_EQ(governor.level(), LoadGovernor::kLevelNoTrace);  // pinned
+  EXPECT_EQ(governor.level(), LoadGovernor::kLevelFull);  // pinned
   EXPECT_TRUE(governor.forced());
   governor.ClearForce();
   for (int i = 0; i < 5; ++i) FeedWindow(&governor, &now, 0.9);
   EXPECT_EQ(governor.level(), LoadGovernor::kLevelSampleEvents);
 }
 
-TEST(LoadGovernorTest, AdmitEventSamplesOnlyAtMaxLevel) {
+TEST(LoadGovernorTest, AdmitEventSamplesOnlyWhileSampling) {
   LoadGovernor::Options options = TightGovernor();
   options.sample_shift = 3;  // 1 in 8
   LoadGovernor governor(options);
@@ -959,43 +974,58 @@ TEST(LoadGovernorTest, AdmitEventSamplesOnlyAtMaxLevel) {
 }
 
 // ---------------------------------------------------------------------------
-// Degradation wired through the engine
+// Sampling wired through the engine
 // ---------------------------------------------------------------------------
 
 class GovernorIntegrationTest : public FaultFixture {
  protected:
-  static engine::Database::Options DbOptions(common::Clock* clock) {
-    engine::Database::Options options;
-    options.clock = clock;
-    return options;
-  }
+  static constexpr int kSampleShift = 2;  // deferrable rules see 1 in 4
+  static constexpr int kQueries = 32;     // a multiple of 1 << kSampleShift
 
-  static MonitorEngine::Options MonitorOptions() {
-    MonitorEngine::Options options;
-    options.detailed_timing = true;
-    options.governor.overhead_budget = 0.05;
-    options.governor.window_micros = 4000;
-    options.governor.min_hooks_per_window = 2;
-    return options;
-  }
-
-  GovernorIntegrationTest()
-      : db_(DbOptions(&clock_)),
-        monitor_(&db_, MonitorOptions()),
-        session_(db_.CreateSession()) {
+  /// Starts the engine, a 100-row table, and three rules: paper Example
+  /// 5(a)'s Query.Start Cancel of runaway queries (inline by its action),
+  /// an eval_mode = 'inline' Persist audit of every committed query, and a
+  /// deferrable rule feeding FeedLat.
+  void Start(MonitorEngine::Options options) {
+    engine::Database::Options db_options;
+    db_options.clock = &clock_;
+    db_ = std::make_unique<engine::Database>(db_options);
+    monitor_ = std::make_unique<MonitorEngine>(db_.get(), options);
+    session_ = db_->CreateSession();
     Exec("CREATE TABLE items (id INT, val FLOAT, PRIMARY KEY(id))");
-    Exec("INSERT INTO items VALUES (1, 1.0)");
+    for (int i = 0; i < 100; ++i) {
+      Exec("INSERT INTO items VALUES (" + std::to_string(i) + ", 1.0)");
+    }
     LatSpec spec;
-    spec.name = "AgedLat";
+    spec.name = "FeedLat";
     spec.group_by = {{"Logical_Signature", "Sig"}};
     spec.aggregates = {{LatAggFunc::kCount, "", "N", false}};
-    EXPECT_TRUE(monitor_.DefineLat(std::move(spec)).ok());
+    ASSERT_TRUE(monitor_->DefineLat(std::move(spec)).ok());
+
+    RuleSpec runaway;
+    runaway.name = "runaway";
+    runaway.event = "Query.Start";
+    runaway.condition = "Query.Estimated_Cost > 50";  // full scans only
+    runaway.action = "Query.Cancel()";
+    RuleSpec audit;
+    audit.name = "audit";
+    audit.event = "Query.Commit";
+    audit.action = "Query.Persist(AuditLog, ID, Duration)";
+    audit.eval_mode = "inline";
     RuleSpec feed;
     feed.name = "feed";
     feed.event = "Query.Commit";
-    feed.action = "Query.Insert(AgedLat)";
-    EXPECT_TRUE(monitor_.AddRule(feed).ok());
-    monitor_.trace_ring()->set_enabled(true);
+    feed.action = "Query.Insert(FeedLat)";
+    for (const RuleSpec& rule : {runaway, audit, feed}) {
+      ASSERT_TRUE(monitor_->AddRule(rule).ok()) << rule.name;
+    }
+  }
+
+  static MonitorEngine::Options SamplingOptions(bool async) {
+    MonitorEngine::Options options;
+    options.governor.sample_shift = kSampleShift;
+    options.async_rule_eval = async;
+    return options;
   }
 
   void Exec(const std::string& sql) {
@@ -1003,57 +1033,120 @@ class GovernorIntegrationTest : public FaultFixture {
     ASSERT_TRUE(result.ok()) << sql << " -> " << result.status();
   }
 
+  /// Alternates runaway full scans with point queries; every runaway must
+  /// be cancelled and every point query must commit.
+  void RunWorkload() {
+    for (int i = 0; i < kQueries; ++i) {
+      auto runaway =
+          session_->Execute("SELECT COUNT(*) FROM items WHERE val > 0.0");
+      ASSERT_FALSE(runaway.ok()) << "runaway query " << i << " ran";
+      EXPECT_TRUE(runaway.status().IsCancelled()) << runaway.status();
+      Exec("SELECT val FROM items WHERE id = " + std::to_string(i));
+    }
+  }
+
+  int64_t FeedCount() const {
+    int64_t total = 0;
+    for (const auto& row : monitor_->FindLat("FeedLat")->Snapshot(0)) {
+      total += row[1].int_value();
+    }
+    return total;
+  }
+
+  size_t AuditRows() const {
+    Table* audit = db_->catalog()->GetTable("AuditLog");
+    return audit == nullptr ? 0 : audit->row_count();
+  }
+
   MockClock clock_;
-  engine::Database db_;
-  MonitorEngine monitor_;
+  std::unique_ptr<engine::Database> db_;
+  std::unique_ptr<MonitorEngine> monitor_;
   std::unique_ptr<engine::Session> session_;
 };
 
-TEST_F(GovernorIntegrationTest, ForceLevelShedsInOrderAndRecoveryRestores) {
-  ASSERT_TRUE(monitor_.detailed_timing());
-  ASSERT_TRUE(monitor_.trace_ring()->enabled());
-  Lat* lat = monitor_.FindLat("AgedLat");
-  ASSERT_NE(lat, nullptr);
-  ASSERT_FALSE(lat->shed_aging());
-
-  monitor_.governor()->ForceLevel(LoadGovernor::kLevelNoDetailedTiming);
-  EXPECT_FALSE(monitor_.detailed_timing());
-  EXPECT_TRUE(monitor_.trace_ring()->enabled());  // next rung untouched
-
-  monitor_.governor()->ForceLevel(LoadGovernor::kLevelShedAging);
-  EXPECT_FALSE(monitor_.trace_ring()->enabled());
-  EXPECT_TRUE(lat->shed_aging());
-  EXPECT_EQ(monitor_.metrics().governor_level.value(),
-            static_cast<int64_t>(LoadGovernor::kLevelShedAging));
-
-  // Recovery restores exactly the operator-configured state.
-  monitor_.governor()->ForceLevel(LoadGovernor::kLevelFull);
-  EXPECT_TRUE(monitor_.detailed_timing());
-  EXPECT_TRUE(monitor_.trace_ring()->enabled());
-  EXPECT_FALSE(lat->shed_aging());
-  EXPECT_GT(monitor_.metrics().governor_drops.value(), 0u);
-}
-
-TEST_F(GovernorIntegrationTest, MaxLevelSamplesRuleEvaluation) {
-  monitor_.governor()->ForceLevel(LoadGovernor::kLevelSampleEvents);
-  constexpr int kQueries = 32;
-  for (int i = 0; i < kQueries; ++i) Exec("SELECT val FROM items WHERE id = 1");
-  const auto& metrics = monitor_.metrics();
-  EXPECT_GT(metrics.events_sampled_out.value(), 0u);
-  EXPECT_LT(metrics.events_processed.value(),
-            static_cast<uint64_t>(kQueries));
-  EXPECT_GT(metrics.events_processed.value(), 0u);  // sampling, not blackout
-}
-
-TEST_F(GovernorIntegrationTest, SlowHookFaultDrivesTheGovernorUp) {
-  // Chaos lever: every timed hook sleeps 1ms on the (mock) clock, so
-  // measured overhead saturates and the ladder must climb.
+TEST_F(GovernorIntegrationTest, DefaultOptionsKeepFullFidelityUnderSlowHooks) {
+  Start(MonitorEngine::Options{});
+  // Chaos lever: every timed hook sleeps 1ms on the (mock) clock, so hook
+  // time is most of wall time; with the default (zero) budget nothing
+  // samples.
   FaultRegistry::Get()->Arm(kFaultHookSlow, {FaultKind::kSlow, 1.0, -1});
-  for (int i = 0; i < 40; ++i) Exec("SELECT val FROM items WHERE id = 1");
+  ASSERT_NO_FATAL_FAILURE(RunWorkload());
   EXPECT_GT(FaultRegistry::Get()->fires(kFaultHookSlow), 0u);
-  EXPECT_GT(monitor_.governor()->level(), LoadGovernor::kLevelFull);
-  EXPECT_GT(monitor_.metrics().governor_raises.value(), 0u);
-  EXPECT_GT(monitor_.governor()->last_overhead_fraction(), 0.05);
+  EXPECT_EQ(monitor_->governor()->level(), LoadGovernor::kLevelFull);
+  EXPECT_EQ(monitor_->metrics().events_sampled_out.value(), 0u);
+  EXPECT_EQ(FeedCount(), kQueries);
+  EXPECT_EQ(AuditRows(), static_cast<size_t>(kQueries));
+}
+
+TEST_F(GovernorIntegrationTest, SyncSamplingSkipsOnlyDeferrableRules) {
+  Start(SamplingOptions(/*async=*/false));
+  monitor_->governor()->ForceLevel(LoadGovernor::kLevelSampleEvents);
+  ASSERT_NO_FATAL_FAILURE(RunWorkload());
+  // Inline rules saw every event: every runaway was cancelled (checked in
+  // RunWorkload) and every committed query was audited.
+  EXPECT_EQ(AuditRows(), static_cast<size_t>(kQueries));
+  // The deferrable feed saw exactly 1 in 2^sample_shift commits.
+  constexpr int kKept = kQueries >> kSampleShift;
+  EXPECT_EQ(FeedCount(), kKept);
+  const auto& metrics = monitor_->metrics();
+  EXPECT_EQ(metrics.events_sampled_out.value(),
+            static_cast<uint64_t>(kQueries - kKept));
+  EXPECT_EQ(metrics.queue_shed.value(), 0u);  // no deferred lane
+}
+
+TEST_F(GovernorIntegrationTest, AsyncSamplingShedsOnlyTheDeferredLane) {
+  Start(SamplingOptions(/*async=*/true));
+  monitor_->governor()->ForceLevel(LoadGovernor::kLevelSampleEvents);
+  ASSERT_NO_FATAL_FAILURE(RunWorkload());
+  monitor_->DrainEventQueue();
+  EXPECT_EQ(AuditRows(), static_cast<size_t>(kQueries));
+  constexpr int kKept = kQueries >> kSampleShift;
+  EXPECT_EQ(FeedCount(), kKept);
+  // queue.shed accounts for every commit the deferred lane did not get.
+  const auto& metrics = monitor_->metrics();
+  EXPECT_EQ(metrics.queue_enqueued.value(), static_cast<uint64_t>(kKept));
+  EXPECT_EQ(metrics.queue_shed.value(),
+            static_cast<uint64_t>(kQueries - kKept));
+  EXPECT_EQ(metrics.queue_dropped.value(), 0u);
+}
+
+TEST_F(GovernorIntegrationTest, EachEventKindIsSampledOnItsOwnSequence) {
+  // Every point query raises Query.Commit then Transaction.Commit. On one
+  // shared sequence the two kinds would alias (one kind kept twice as
+  // often, the other never); per kind, each deferrable rule keeps exactly
+  // 1 in 2^sample_shift.
+  Start(SamplingOptions(/*async=*/false));
+  RuleSpec txn_feed;
+  txn_feed.name = "txn_feed";
+  txn_feed.event = "Transaction.Commit";
+  txn_feed.action = "SendMail('committed', 'dba@example.com')";
+  ASSERT_TRUE(monitor_->AddRule(txn_feed).ok());
+  monitor_->governor()->ForceLevel(LoadGovernor::kLevelSampleEvents);
+  ASSERT_NO_FATAL_FAILURE(RunWorkload());
+  constexpr uint64_t kKept = kQueries >> kSampleShift;
+  EXPECT_EQ(FeedCount(), static_cast<int64_t>(kKept));
+  uint64_t txn_fires = 0;
+  for (const auto& rule : monitor_->SnapshotRules()) {
+    if (rule->name == "txn_feed") txn_fires = rule->stats.fires.value();
+  }
+  EXPECT_EQ(txn_fires, kKept);
+  EXPECT_EQ(monitor_->capturing_mailer()->size(), kKept);
+}
+
+TEST_F(GovernorIntegrationTest, SlowHookFaultDrivesAnEnabledGovernor) {
+  MonitorEngine::Options options = SamplingOptions(/*async=*/false);
+  options.governor.overhead_budget = 0.05;
+  options.governor.window_micros = 4000;
+  options.governor.min_hooks_per_window = 2;
+  Start(options);
+  FaultRegistry::Get()->Arm(kFaultHookSlow, {FaultKind::kSlow, 1.0, -1});
+  ASSERT_NO_FATAL_FAILURE(RunWorkload());
+  EXPECT_GT(FaultRegistry::Get()->fires(kFaultHookSlow), 0u);
+  EXPECT_EQ(monitor_->governor()->level(), LoadGovernor::kLevelSampleEvents);
+  EXPECT_GT(monitor_->governor()->level_raises(), 0u);
+  EXPECT_GT(monitor_->governor()->last_overhead_fraction(), 0.05);
+  EXPECT_GT(monitor_->metrics().events_sampled_out.value(), 0u);
+  EXPECT_EQ(AuditRows(), static_cast<size_t>(kQueries));
 }
 
 // ---------------------------------------------------------------------------

@@ -127,6 +127,49 @@ TEST_F(SystemViewsTest, RuleStatsShowsLiveCounts) {
             result.rows[0][fires_col].int_value());
 }
 
+// Per-rule fidelity: under forced sampling each deferrable rule reports
+// the events of its kind it missed since it was added; inline rules, which
+// sampling never skips, report 0.
+TEST_F(SystemViewsTest, RuleStatsReportEventsSampledOutPerRule) {
+  AddFeedRule();
+  RuleSpec audit;
+  audit.name = "audit";
+  audit.event = "Query.Commit";
+  audit.action = "Query.Insert(ViewLat)";
+  audit.eval_mode = "inline";
+  ASSERT_TRUE(monitor_.AddRule(audit).ok());
+  monitor_.governor()->ForceLevel(LoadGovernor::kLevelSampleEvents);
+  const int period = 1 << monitor_.governor()->options().sample_shift;
+
+  // Commits 0 .. 2p-1 of the sampled sequence: 0 and p are kept.
+  for (int i = 0; i < 2 * period; ++i) {
+    Exec("SELECT val FROM items WHERE id = " + std::to_string(i % 20));
+  }
+  RuleSpec late = audit;
+  late.name = "late";
+  late.eval_mode = "";
+  ASSERT_TRUE(monitor_.AddRule(late).ok());
+  // Commits 2p .. 3p-1: 2p is kept.
+  for (int i = 0; i < period; ++i) {
+    Exec("SELECT val FROM items WHERE id = " + std::to_string(i % 20));
+  }
+
+  const QueryResult result = Query(
+      "SELECT name, eval_mode, events_sampled_out FROM sqlcm_rule_stats "
+      "ORDER BY name");
+  ASSERT_EQ(result.rows.size(), 3u);  // audit, feed, late
+  EXPECT_EQ(result.rows[0][0].string_value(), "audit");
+  EXPECT_EQ(result.rows[0][1].string_value(), "inline");
+  EXPECT_EQ(result.rows[0][2].int_value(), 0);
+  EXPECT_EQ(result.rows[1][0].string_value(), "feed");
+  EXPECT_EQ(result.rows[1][1].string_value(), "deferred");
+  EXPECT_EQ(result.rows[1][2].int_value(), 3 * (period - 1));
+  EXPECT_EQ(result.rows[2][0].string_value(), "late");
+  EXPECT_EQ(result.rows[2][2].int_value(), period - 1);
+  EXPECT_EQ(monitor_.metrics().events_sampled_out.value(),
+            static_cast<uint64_t>(3 * (period - 1)));
+}
+
 TEST_F(SystemViewsTest, RuleStatsAggregatesThroughSql) {
   AddFeedRule();
   RuleSpec never;
