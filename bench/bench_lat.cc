@@ -9,9 +9,10 @@
 //
 // The sweep ends with the sketch row, the evicting shared-LAT cells
 // ("lat_evict", 100 ten-row LATs at 1 and 3 threads, the shape of
-// perfbench's e2_rules) and the batched-insert cells ("lat_batch",
-// InsertBatch on deferred_fanin's LAT). With --quick those two report the
-// median of 3 repetitions.
+// perfbench's e2_rules) and the batched-insert cells ("lat_batch", the
+// map-once fold on deferred_fanin's LAT). Those two report the median of 3
+// repetitions and the heap allocations per item, counted by the operator
+// new this binary replaces.
 //
 // The sweep measures the same LAT twice per cell: once with the directory
 // forced to a single shard (the pre-sharding layout) and once with the
@@ -24,13 +25,31 @@
 #include <atomic>
 #include <chrono>
 #include <cstdio>
+#include <cstdlib>
 #include <cstring>
+#include <new>
 #include <string>
 #include <thread>
 #include <vector>
 
 #include "sqlcm/lat.h"
 #include "sqlcm/sketch.h"
+
+// Heap allocations made by the calling thread (every operator new in this
+// binary counts; aligned and array forms end here or are not used on the
+// measured paths). Thread-local, so the multi-threaded cells do not share
+// a counter's cache line.
+constinit thread_local uint64_t t_allocs = 0;
+
+// GCC pairs the free() below with the `new` of every inlined delete site.
+#pragma GCC diagnostic ignored "-Wmismatched-new-delete"
+void* operator new(std::size_t size) {
+  ++t_allocs;
+  if (void* p = std::malloc(size == 0 ? 1 : size)) return p;
+  throw std::bad_alloc();
+}
+void operator delete(void* p) noexcept { std::free(p); }
+void operator delete(void* p, std::size_t) noexcept { std::free(p); }
 
 namespace sqlcm::cm {
 namespace {
@@ -355,7 +374,7 @@ struct EvictCell {
   size_t shards = 0;
   uint64_t inserts = 0;
   double secs = 0;
-  uint64_t evictions = 0, acq = 0, con = 0;
+  uint64_t evictions = 0, acq = 0, con = 0, allocs = 0;
   bool exact = true;
   double ns_per_insert = 0;
 };
@@ -379,6 +398,7 @@ EvictCell RunEvictCell(int threads, bool quick) {
 
   std::atomic<int> ready{0};
   std::atomic<bool> go{false};
+  std::atomic<uint64_t> allocs{0};
   std::vector<std::thread> workers;
   for (int t = 0; t < threads; ++t) {
     workers.emplace_back([&, t] {
@@ -390,12 +410,14 @@ EvictCell RunEvictCell(int threads, bool quick) {
       while (!go.load(std::memory_order_acquire)) {
         std::this_thread::yield();
       }
+      const uint64_t allocs_before = t_allocs;
       for (uint64_t i = 0; i < stmts_per_thread; ++i) {
         // Thread-interleaved fresh IDs: every insert creates a new group.
         rec.id = 1 + i * static_cast<uint64_t>(threads) +
                  static_cast<uint64_t>(t);
         for (auto& lat : lats) lat->Insert(&rec, 0);
       }
+      allocs.fetch_add(t_allocs - allocs_before, std::memory_order_relaxed);
     });
   }
   while (ready.load(std::memory_order_acquire) != threads) {
@@ -409,6 +431,7 @@ EvictCell RunEvictCell(int threads, bool quick) {
   EvictCell cell;
   cell.shards = lats[0]->shard_count();
   cell.secs = std::chrono::duration<double>(stop - start).count();
+  cell.allocs = allocs.load(std::memory_order_relaxed);
   for (const auto& lat : lats) {
     cell.inserts += lat->stats().inserts.value();
     cell.evictions += lat->stats().evictions.value();
@@ -430,9 +453,9 @@ size_t MedianIndex(const std::vector<double>& values) {
   return order[(order.size() - 1) / 2];
 }
 
-/// Repetitions per cell: quick cells are short enough that one run is
-/// mostly noise, so they report the median of three.
-int CellReps(bool quick) { return quick ? 3 : 1; }
+/// Repetitions per cell, quick or full: one run on a shared host is
+/// mostly noise, so every cell reports the median of three.
+constexpr int kCellReps = 3;
 
 /// One BENCH_JSON row for the evicting shared-LAT cell (RunEvictCell);
 /// `sizes_exact` holds only if every repetition ended at the row budget.
@@ -442,7 +465,7 @@ void RunEvictBench(int threads, bool quick) {
   std::vector<EvictCell> cells;
   std::vector<double> ns;
   bool exact = true;
-  for (int r = 0; r < CellReps(quick); ++r) {
+  for (int r = 0; r < kCellReps; ++r) {
     cells.push_back(RunEvictCell(threads, quick));
     ns.push_back(cells.back().ns_per_insert);
     exact = exact && cells.back().exact;
@@ -454,8 +477,9 @@ void RunEvictBench(int threads, bool quick) {
       "\"shards\":%zu,\"threads\":%d,\"reps\":%d,\"inserts\":%llu,"
       "\"inserts_per_sec\":%.0f,\"ns_per_insert\":%.1f,"
       "\"evictions_per_insert\":%.4f,\"latch_acq_per_insert\":%.3f,"
-      "\"latch_contention_pct\":%.3f,\"sizes_exact\":%s}\n",
-      kLats, kRows, c.shards, threads, CellReps(quick),
+      "\"latch_contention_pct\":%.3f,\"allocs_per_item\":%.3g,"
+      "\"sizes_exact\":%s}\n",
+      kLats, kRows, c.shards, threads, kCellReps,
       static_cast<unsigned long long>(c.inserts),
       c.secs > 0 ? n / c.secs : 0, c.ns_per_insert,
       n > 0 ? static_cast<double>(c.evictions) / n : 0,
@@ -463,6 +487,7 @@ void RunEvictBench(int threads, bool quick) {
       c.acq > 0
           ? 100.0 * static_cast<double>(c.con) / static_cast<double>(c.acq)
           : 0,
+      n > 0 ? static_cast<double>(c.allocs) / n : 0,
       exact ? "true" : "false");
   std::fflush(stdout);
 }
@@ -493,20 +518,27 @@ struct BatchCell {
   double batch_ns_per_item = 0;
   double insert_ns_per_item = 0;
   uint64_t latch_acq = 0;
+  double allocs_per_item = 0;
   bool exact = true;
 };
 
-/// Feeds the same record stream to one LAT through InsertBatch (256-item
-/// batches, timed) and to a second through per-item Insert (timed
-/// separately), then compares their end states cell by cell.
+/// Feeds the same record stream to `lat_count` LATs through the batched
+/// path (each 256-item batch mapped once, then folded into every LAT, as
+/// the deferred drain does; timed) and to as many through per-item Insert
+/// (timed separately), then compares each pair's end states cell by cell.
+/// One warm-up pass over the pooled batches precedes the timed rounds, so
+/// `allocs_per_item` counts steady-state allocations of the batched path.
 BatchCell RunBatchCell(const std::vector<std::vector<QueryRecord>>& batches,
-                       size_t max_rows, uint64_t rounds,
+                       size_t max_rows, size_t lat_count, uint64_t rounds,
                        const std::vector<QueryRecord>& seed_records) {
-  auto batched = MakeFaninLat(max_rows);
-  auto reference = MakeFaninLat(max_rows);
-  for (const QueryRecord& rec : seed_records) {
-    batched->Insert(&rec, 0);
-    reference->Insert(&rec, 0);
+  std::vector<std::unique_ptr<Lat>> batched, reference;
+  for (size_t l = 0; l < lat_count; ++l) {
+    batched.push_back(MakeFaninLat(max_rows));
+    reference.push_back(MakeFaninLat(max_rows));
+    for (const QueryRecord& rec : seed_records) {
+      batched[l]->Insert(&rec, 0);
+      reference[l]->Insert(&rec, 0);
+    }
   }
   std::vector<std::vector<LatBatchItem>> items(batches.size());
   uint64_t n = 0;
@@ -515,48 +547,74 @@ BatchCell RunBatchCell(const std::vector<std::vector<QueryRecord>>& batches,
       items[b].push_back({&rec, static_cast<int64_t>(++n)});
     }
   }
-  const uint64_t latches_before = batched->stats().latch_acquisitions.value();
+  LatBatchMapping mapping;
+  const auto run_batched = [&](const std::vector<LatBatchItem>& batch) {
+    batched[0]->MapBatch(batch.data(), batch.size(), &mapping);
+    for (auto& lat : batched) {
+      lat->FoldBatch(batch.data(), batch.size(), mapping);
+    }
+  };
+  const auto run_reference = [&](const std::vector<LatBatchItem>& batch) {
+    for (auto& lat : reference) {
+      for (const LatBatchItem& item : batch) {
+        lat->Insert(item.record, item.now_micros);
+      }
+    }
+  };
+  for (const auto& batch : items) {
+    run_batched(batch);
+    run_reference(batch);
+  }
+
+  const uint64_t latches_before =
+      batched[0]->stats().latch_acquisitions.value();
+  const uint64_t allocs_before = t_allocs;
   uint64_t total = 0;
   auto start = std::chrono::steady_clock::now();
   for (uint64_t r = 0; r < rounds; ++r) {
     const auto& batch = items[r % items.size()];
-    batched->InsertBatch(batch.data(), batch.size());
-    total += batch.size();
+    run_batched(batch);
+    total += batch.size() * lat_count;
   }
   const double batch_secs = std::chrono::duration<double>(
                                 std::chrono::steady_clock::now() - start)
                                 .count();
   BatchCell cell;
+  cell.allocs_per_item = static_cast<double>(t_allocs - allocs_before) /
+                         static_cast<double>(total);
   cell.latch_acq =
-      batched->stats().latch_acquisitions.value() - latches_before;
+      batched[0]->stats().latch_acquisitions.value() - latches_before;
   start = std::chrono::steady_clock::now();
-  for (uint64_t r = 0; r < rounds; ++r) {
-    for (const LatBatchItem& item : items[r % items.size()]) {
-      reference->Insert(item.record, item.now_micros);
-    }
-  }
+  for (uint64_t r = 0; r < rounds; ++r) run_reference(items[r % items.size()]);
   const double insert_secs = std::chrono::duration<double>(
                                  std::chrono::steady_clock::now() - start)
                                  .count();
   cell.batch_ns_per_item = 1e9 * batch_secs / static_cast<double>(total);
   cell.insert_ns_per_item = 1e9 * insert_secs / static_cast<double>(total);
-  const auto want = reference->Snapshot(0);
-  const auto got = batched->Snapshot(0);
-  cell.exact = got.size() == want.size();
-  for (size_t row = 0; cell.exact && row < want.size(); ++row) {
-    for (size_t c = 0; c < want[row].size(); ++c) {
-      cell.exact =
-          cell.exact && got[row][c].ToString() == want[row][c].ToString();
+  for (size_t l = 0; l < lat_count; ++l) {
+    const auto want = reference[l]->Snapshot(0);
+    const auto got = batched[l]->Snapshot(0);
+    cell.exact = cell.exact && got.size() == want.size();
+    for (size_t row = 0; cell.exact && row < want.size(); ++row) {
+      for (size_t c = 0; c < want[row].size(); ++c) {
+        cell.exact =
+            cell.exact && got[row][c].ToString() == want[row][c].ToString();
+      }
     }
   }
   return cell;
 }
 
-/// InsertBatch cost on deferred_fanin's LAT, one BENCH_JSON row per shape:
+/// Batched-insert cost on deferred_fanin's LAT, one BENCH_JSON row per
+/// shape:
 ///   fanin_g4     4 groups per 256-item batch (2 signatures × 2
 ///                applications), deferred_fanin's drain shape;
 ///   fanin_g256   every item of a batch in its own group (the same 256
 ///                groups recur across batches);
+///   fanin_shared the fanin_g4 batches folded into 50 LATs with one GROUP
+///                BY through one mapping per batch, as the drain folds
+///                deferred_fanin's 50 rules (per-item figures are per
+///                (item, LAT) fold);
 ///   bounded_10   a 10-row LAT whose 10 heavy groups take 240 items per
 ///                batch, plus 16 single-item groups that sort last and are
 ///                evicted (by either path) before the batch ends.
@@ -581,10 +639,11 @@ void RunBatchBench(bool quick) {
     const char* name;
     size_t groups;
     size_t max_rows;
+    size_t lats;
   };
   for (const Shape& shape :
-       {Shape{"fanin_g4", 4, 0}, Shape{"fanin_g256", 256, 0},
-        Shape{"bounded_10", 26, 10}}) {
+       {Shape{"fanin_g4", 4, 0, 1}, Shape{"fanin_g256", 256, 0, 1},
+        Shape{"fanin_shared", 4, 0, 50}, Shape{"bounded_10", 26, 10, 1}}) {
     std::vector<std::vector<QueryRecord>> batches(kPool);
     std::vector<QueryRecord> seed_records;
     uint64_t id = 0;
@@ -611,27 +670,30 @@ void RunBatchBench(bool quick) {
         seed_records.push_back(make(++id, "h" + std::to_string(h), "app_a"));
       }
     }
+    // Fifty LATs fold fifty times the items: fewer rounds keep the cell
+    // about as long as the others.
+    const uint64_t shape_rounds = shape.lats > 1 ? rounds / 10 : rounds;
     std::vector<BatchCell> cells;
     std::vector<double> ns;
     bool exact = true;
-    for (int r = 0; r < CellReps(quick); ++r) {
-      cells.push_back(
-          RunBatchCell(batches, shape.max_rows, rounds, seed_records));
+    for (int r = 0; r < kCellReps; ++r) {
+      cells.push_back(RunBatchCell(batches, shape.max_rows, shape.lats,
+                                   shape_rounds, seed_records));
       ns.push_back(cells.back().batch_ns_per_item);
       exact = exact && cells.back().exact;
     }
     const BatchCell& c = cells[MedianIndex(ns)];
     std::printf(
         "BENCH_JSON {\"bench\":\"lat_batch\",\"shape\":\"%s\","
-        "\"batch_items\":%zu,\"groups\":%zu,\"max_rows\":%zu,\"reps\":%d,"
-        "\"batches\":%llu,\"batch_ns_per_item\":%.1f,"
+        "\"batch_items\":%zu,\"groups\":%zu,\"max_rows\":%zu,\"lats\":%zu,"
+        "\"reps\":%d,\"batches\":%llu,\"batch_ns_per_item\":%.1f,"
         "\"insert_ns_per_item\":%.1f,\"latch_acq_per_batch\":%.2f,"
-        "\"exact\":%s}\n",
-        shape.name, kBatch, shape.groups, shape.max_rows, CellReps(quick),
-        static_cast<unsigned long long>(rounds), c.batch_ns_per_item,
-        c.insert_ns_per_item,
-        static_cast<double>(c.latch_acq) / static_cast<double>(rounds),
-        exact ? "true" : "false");
+        "\"allocs_per_item\":%.3g,\"exact\":%s}\n",
+        shape.name, kBatch, shape.groups, shape.max_rows, shape.lats,
+        kCellReps, static_cast<unsigned long long>(shape_rounds),
+        c.batch_ns_per_item, c.insert_ns_per_item,
+        static_cast<double>(c.latch_acq) / static_cast<double>(shape_rounds),
+        c.allocs_per_item, exact ? "true" : "false");
     std::fflush(stdout);
   }
 }

@@ -118,10 +118,8 @@ std::string FormatDoubleShortest(double d) {
 }
 
 size_t HashRow(const Row& row) {
-  size_t h = 0x811c9dc5u;
-  for (const Value& v : row) {
-    h ^= v.Hash() + 0x9e3779b97f4a7c15ull + (h << 6) + (h >> 2);
-  }
+  size_t h = kHashRowSeed;
+  for (const Value& v : row) h = HashRowStep(h, v.Hash());
   return h;
 }
 

@@ -112,6 +112,14 @@ using Row = std::vector<Value>;
 /// Hash of a sequence of values (group keys, composite index keys).
 size_t HashRow(const Row& row);
 
+/// HashRow's seed and per-value step, for callers that hash a key without
+/// materialising it as a Row (the monitor's borrowed LAT probes): folding
+/// each value's Hash() through HashRowStep from kHashRowSeed gives HashRow.
+inline constexpr size_t kHashRowSeed = 0x811c9dc5u;
+inline size_t HashRowStep(size_t h, size_t value_hash) {
+  return h ^ (value_hash + 0x9e3779b97f4a7c15ull + (h << 6) + (h >> 2));
+}
+
 struct RowHasher {
   size_t operator()(const Row& row) const { return HashRow(row); }
 };

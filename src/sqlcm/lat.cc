@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <bit>
+#include <cassert>
 #include <cmath>
 #include <cstdlib>
 #include <mutex>
@@ -99,12 +100,39 @@ size_t ResolveShardCount(size_t requested) {
   return NextPowerOfTwo(std::clamp<size_t>(n, 1, 1024));
 }
 
-/// Thread-local scratch row for group keys: the Insert/Lookup hot path
-/// refills it instead of allocating a fresh Row per call. Each use is
+/// Thread-local probe buffer of at least `width` entries for one key
+/// lookup, so the Insert/Lookup hot path allocates no key. Each use is
 /// complete before any callback that could re-enter a LAT runs.
-Row& ScratchKey() {
-  thread_local Row key;
-  return key;
+BorrowedProbe* KeyScratch(size_t width) {
+  thread_local std::vector<BorrowedProbe> key;
+  if (key.size() < width) key.resize(width);
+  return key.data();
+}
+
+/// Value equality of a borrowed key with a stored group key.
+bool KeyMatches(const BorrowedProbe* key, const Row& stored) {
+  for (size_t c = 0; c < stored.size(); ++c) {
+    if (key[c].Compare(stored[c]) != 0) return false;
+  }
+  return true;
+}
+
+/// Interns a group shape. The attribute definitions belong to one class's
+/// registry, so equal (class, attributes) means equal probes for any
+/// record: LATs of one shape map a batch to the same groups.
+uint32_t InternGroupShape(MonitoredClass cls,
+                          const std::vector<const AttributeDef*>& attrs) {
+  using Shape = std::pair<MonitoredClass, std::vector<const AttributeDef*>>;
+  static std::mutex mu;
+  static std::vector<Shape>* const shapes = new std::vector<Shape>();
+  std::lock_guard<std::mutex> lock(mu);
+  for (size_t i = 0; i < shapes->size(); ++i) {
+    if ((*shapes)[i].first == cls && (*shapes)[i].second == attrs) {
+      return static_cast<uint32_t>(i);
+    }
+  }
+  shapes->emplace_back(cls, attrs);
+  return static_cast<uint32_t>(shapes->size() - 1);
 }
 
 }  // namespace
@@ -201,12 +229,13 @@ Result<std::unique_ptr<Lat>> Lat::Create(LatSpec spec) {
                               " has no attribute '" + col.attribute + "'");
     }
     const AttributeDef& def = schema.attributes(s.object_class)[attr];
-    lat->group_getters_.push_back(def.getter);
+    lat->group_attrs_.push_back(&def);
     lat->column_names_.push_back(col.alias.empty() ? col.attribute : col.alias);
     lat->column_kinds_.push_back(def.kind);
   }
+  lat->group_shape_ = InternGroupShape(s.object_class, lat->group_attrs_);
   for (const LatAggColumn& col : s.aggregates) {
-    AttributeGetter getter = nullptr;
+    const AttributeDef* input = nullptr;
     ValueKind input_kind = ValueKind::kInt;
     if (!col.attribute.empty()) {
       const int attr = schema.FindAttribute(s.object_class, col.attribute);
@@ -215,9 +244,8 @@ Result<std::unique_ptr<Lat>> Lat::Create(LatSpec spec) {
                                 MonitoredClassName(s.object_class) +
                                 " has no attribute '" + col.attribute + "'");
       }
-      const AttributeDef& def = schema.attributes(s.object_class)[attr];
-      getter = def.getter;
-      input_kind = def.kind;
+      input = &schema.attributes(s.object_class)[attr];
+      input_kind = input->kind;
     } else if (col.func != LatAggFunc::kCount) {
       return Status::InvalidArgument(
           "LAT '" + s.name + "': " + LatAggFuncName(col.func) +
@@ -245,7 +273,7 @@ Result<std::unique_ptr<Lat>> Lat::Create(LatSpec spec) {
       return Status::InvalidArgument(
           "LAT '" + s.name + "': QUANTILE rank fraction must be in [0, 1]");
     }
-    lat->agg_getters_.push_back(getter);
+    lat->agg_attrs_.push_back(input);
     std::string name = col.alias;
     if (name.empty()) {
       name = std::string(LatAggFuncName(col.func)) +
@@ -319,44 +347,48 @@ int Lat::FindColumn(std::string_view name) const {
   return -1;
 }
 
-Row Lat::GroupKeyFor(const void* record) const {
-  Row key;
-  key.reserve(group_getters_.size());
-  for (AttributeGetter getter : group_getters_) key.push_back(getter(record));
-  return key;
+uint64_t Lat::ProbeKey(const void* record, BorrowedProbe* key) const {
+  const size_t width = group_attrs_.size();
+  for (size_t c = 0; c < width; ++c) key[c] = group_attrs_[c]->Borrow(record);
+  return MixHash(static_cast<uint64_t>(HashProbes(key, width)));
 }
 
-uint64_t Lat::HashGroupKey(const Row& key) const {
-  return MixHash(static_cast<uint64_t>(common::HashRow(key)));
+uint64_t Lat::ProbeKey(const Row& key, BorrowedProbe* probes) const {
+  for (size_t c = 0; c < key.size(); ++c) {
+    probes[c] = BorrowedProbe::Of(key[c]);
+  }
+  return MixHash(static_cast<uint64_t>(HashProbes(probes, key.size())));
 }
 
-std::shared_ptr<Lat::LatRow> Lat::FindInShardLocked(const Shard& shard,
-                                                    uint64_t hash,
-                                                    const Row& key) const {
+std::shared_ptr<Lat::LatRow> Lat::FindInShardLocked(
+    const Shard& shard, uint64_t hash, const BorrowedProbe* key) const {
   auto it = shard.map.find(hash);
   if (it == shard.map.end()) return nullptr;
   for (const std::shared_ptr<LatRow>* p = &it->second; *p != nullptr;
        p = &(*p)->next) {
-    if (common::RowEq()((*p)->group_key, key)) return *p;
+    if (KeyMatches(key, (*p)->group_key)) return *p;
   }
   return nullptr;
 }
 
 std::shared_ptr<Lat::LatRow> Lat::FindOrCreateLocked(Shard* shard,
                                                      uint64_t hash,
-                                                     const Row& key,
+                                                     const BorrowedProbe* key,
                                                      bool* created) {
   auto [it, _] = shard->map.try_emplace(hash);
   for (const std::shared_ptr<LatRow>* p = &it->second; *p != nullptr;
        p = &(*p)->next) {
-    if (common::RowEq()((*p)->group_key, key)) {
+    if (KeyMatches(key, (*p)->group_key)) {
       *created = false;
       return *p;
     }
   }
   auto row = std::make_shared<LatRow>();
   row->hash = hash;
-  row->group_key = key;
+  row->group_key.reserve(group_width());
+  for (size_t c = 0; c < group_width(); ++c) {
+    row->group_key.push_back(key[c].Materialize());
+  }
   row->aggs.resize(spec_.aggregates.size());
   row->next = std::move(it->second);
   it->second = row;
@@ -685,15 +717,39 @@ class CountedLatchGuard {
 
 }  // namespace
 
+void Lat::FoldRecordLocked(LatRow* row, const void* record,
+                           int64_t now_micros) {
+  for (size_t a = 0; a < spec_.aggregates.size(); ++a) {
+    Value v = agg_attrs_[a] != nullptr ? agg_attrs_[a]->Get(record)
+                                       : Value::Int(1);
+    FoldValue(&row->aggs[a], spec_.aggregates[a], std::move(v), now_micros);
+  }
+}
+
+bool Lat::RefreshOrderingLocked(LatRow* row, int64_t now_micros,
+                                Row* ordering_key, size_t* row_bytes) {
+  *ordering_key = OrderingKeyLocked(*row, now_micros);
+  if (spec_.max_bytes > 0) {
+    *row_bytes = ApproxRowBytesLocked(*row);
+  } else if (row->in_heap.load(std::memory_order_acquire) &&
+             common::RowEq()(*ordering_key, row->ordering_cache)) {
+    // Ordering unchanged (common for MIN/MAX/FIRST orderings) and no byte
+    // accounting to refresh: the heap position is already right and the
+    // budgets did not move, so skip the heap latch entirely.
+    stats_.heap_skips.Inc();
+    return false;
+  }
+  row->ordering_cache = *ordering_key;
+  return true;
+}
+
 void Lat::Insert(const void* record, int64_t now_micros) {
   stats_.inserts.Inc();
-  // Probe with the thread-local scratch key: no Row allocation on the hit
-  // path, and the directory compares against it lazily (hash first, values
-  // only on a chain hit).
-  Row& key = ScratchKey();
-  key.clear();
-  for (AttributeGetter getter : group_getters_) key.push_back(getter(record));
-  const uint64_t hash = HashGroupKey(key);
+  // Probe with borrowed keys: no allocation on the hit path, and the
+  // directory compares against them lazily (hash first, values only on a
+  // chain hit).
+  BorrowedProbe* key = KeyScratch(group_width());
+  const uint64_t hash = ProbeKey(record, key);
   Shard& shard = ShardFor(hash);
 
   std::shared_ptr<LatRow> row;
@@ -707,132 +763,118 @@ void Lat::Insert(const void* record, int64_t now_micros) {
   const bool bounded = spec_.max_rows > 0 || spec_.max_bytes > 0;
   Row ordering_key;
   size_t row_bytes = 0;
-  bool skip_heap = false;
+  bool reposition = false;
   {
     CountedLatchGuard row_guard(row->latch, stats_);
-    for (size_t a = 0; a < spec_.aggregates.size(); ++a) {
-      Value v = agg_getters_[a] != nullptr ? agg_getters_[a](record)
-                                           : Value::Int(1);
-      FoldValue(&row->aggs[a], spec_.aggregates[a], std::move(v), now_micros);
-    }
+    FoldRecordLocked(row.get(), record, now_micros);
     if (bounded) {
-      ordering_key = OrderingKeyLocked(*row, now_micros);
-      if (spec_.max_bytes > 0) {
-        row_bytes = ApproxRowBytesLocked(*row);
-      } else if (row->in_heap.load(std::memory_order_acquire) &&
-                 common::RowEq()(ordering_key, row->ordering_cache)) {
-        // Ordering unchanged (common for MIN/MAX/FIRST orderings) and no
-        // byte accounting to refresh: the heap position is already right
-        // and the budgets did not move, so skip the heap latch entirely.
-        skip_heap = true;
-        stats_.heap_skips.Inc();
-      }
-      if (!skip_heap) row->ordering_cache = ordering_key;
+      reposition = RefreshOrderingLocked(row.get(), now_micros, &ordering_key,
+                                         &row_bytes);
     }
   }
-
-  if (!bounded || skip_heap) return;
+  if (!reposition) return;
 
   MaintainHeap(row, std::move(ordering_key), row_bytes);
   EvictOverBudget(now_micros, /*notify=*/true);
 }
 
-/// InsertBatch's working set. Every vector keeps its capacity across
-/// calls, so once a thread has seen its largest batch the fold path
-/// allocates nothing of its own (attribute getters may still copy string
-/// probes). Groups are numbered 0..G-1 in first-appearance order.
-struct Lat::BatchScratch {
-  static constexpr uint32_t kNoItem = UINT32_MAX;
-
-  Row probe;                      // group key of the item being mapped
-  std::vector<Row> keys;          // per group: its key (rows are reused)
-  std::vector<uint64_t> hashes;   // per group: HashGroupKey of its key
-  std::vector<uint32_t> first;    // per group: its first item
-  std::vector<uint32_t> last;     // per group: its last item so far
-  std::vector<uint32_t> next;     // per item: next item of its group
-  std::vector<uint32_t> slots;    // open addressing: group + 1, 0 = empty
-  std::vector<uint32_t> by_shard; // groups ordered by (shard, group)
+/// FoldBatch's per-LAT working set. Both vectors keep their capacity
+/// across calls, so a fold allocates nothing of its own.
+struct Lat::FoldScratch {
+  std::vector<uint32_t> by_shard;  // groups ordered by (shard, group)
   std::vector<std::shared_ptr<LatRow>> rows;  // per group: resolved row
 };
 
 void Lat::InsertBatch(const LatBatchItem* items, size_t count) {
-  if (count == 0) return;
-  if (count == 1) {
-    Insert(items[0].record, items[0].now_micros);
-    return;
-  }
-  stats_.inserts.Inc(count);
-  // No callback runs until the scratch is released below, so nothing can
-  // re-enter InsertBatch on this thread while it is in use.
-  thread_local BatchScratch sc;
-  sc.hashes.clear();
-  sc.first.clear();
-  sc.last.clear();
-  sc.next.assign(count, BatchScratch::kNoItem);
-  // Load factor <= 1/2 even when every item is its own group.
-  const size_t table_bits = std::bit_width(2 * count - 1);
-  sc.slots.assign(size_t{1} << table_bits, 0);
-  const size_t slot_mask = sc.slots.size() - 1;
+  // FoldBatch reads the mapping only before its evict callback can run, so
+  // a re-entrant InsertBatch on this thread finds it free.
+  thread_local LatBatchMapping mapping;
+  MapBatch(items, count, &mapping);
+  FoldBatch(items, count, mapping);
+}
 
-  // Phase 1 (latch-free): map every item to its batch-local group. The
-  // table is indexed by the hash's high bits (the low bits pick the shard).
+void Lat::MapBatch(const LatBatchItem* items, size_t count,
+                   LatBatchMapping* mapping) const {
+  LatBatchMapping& m = *mapping;
+  const size_t width = group_width();
+  m.shape_ = group_shape_;
+  m.hashes_.clear();
+  m.first_.clear();
+  m.last_.clear();
+  m.next_.assign(count, LatBatchMapping::kNoItem);
+  if (count == 0) return;
+  // Room for every item's key: group g's probes stay at [g·width, +width),
+  // and an item is probed into the next group's place before it is known
+  // to be a repeat.
+  if (m.keys_.size() < count * width) m.keys_.resize(count * width);
+  // Load factor <= 1/2 even when every item is its own group. The table is
+  // indexed by the hash's high bits (the low bits pick the shard).
+  const size_t table_bits = std::bit_width(2 * count - 1);
+  m.slots_.assign(size_t{1} << table_bits, 0);
+  const size_t slot_mask = m.slots_.size() - 1;
   for (size_t i = 0; i < count; ++i) {
-    Row& probe = sc.probe;
-    probe.clear();
-    for (AttributeGetter getter : group_getters_) {
-      probe.push_back(getter(items[i].record));
-    }
-    const uint64_t hash = HashGroupKey(probe);
+    const auto fresh = static_cast<uint32_t>(m.hashes_.size());
+    BorrowedProbe* probe = &m.keys_[fresh * width];
+    const uint64_t hash = ProbeKey(items[i].record, probe);
     size_t slot = static_cast<size_t>(hash >> (64 - table_bits));
-    for (; sc.slots[slot] != 0; slot = (slot + 1) & slot_mask) {
-      const uint32_t g = sc.slots[slot] - 1;
-      if (sc.hashes[g] == hash && common::RowEq()(sc.keys[g], probe)) break;
+    for (; m.slots_[slot] != 0; slot = (slot + 1) & slot_mask) {
+      const uint32_t g = m.slots_[slot] - 1;
+      if (m.hashes_[g] == hash &&
+          std::equal(probe, probe + width, &m.keys_[g * width])) {
+        break;
+      }
     }
     const auto item = static_cast<uint32_t>(i);
-    if (sc.slots[slot] != 0) {  // a repeat: chain it after the group's last
-      const uint32_t g = sc.slots[slot] - 1;
-      sc.next[sc.last[g]] = item;
-      sc.last[g] = item;
+    if (m.slots_[slot] != 0) {  // a repeat: chain it after the group's last
+      const uint32_t g = m.slots_[slot] - 1;
+      m.next_[m.last_[g]] = item;
+      m.last_[g] = item;
       continue;
     }
-    const auto g = static_cast<uint32_t>(sc.hashes.size());
-    sc.slots[slot] = g + 1;
-    if (g < sc.keys.size()) {
-      sc.keys[g].swap(probe);  // hands probe the old key's buffer
-    } else {
-      sc.keys.push_back(std::move(probe));
-    }
-    sc.hashes.push_back(hash);
-    sc.first.push_back(item);
-    sc.last.push_back(item);
+    m.slots_[slot] = fresh + 1;
+    m.hashes_.push_back(hash);
+    m.first_.push_back(item);
+    m.last_.push_back(item);
   }
-  const size_t groups = sc.hashes.size();
+}
 
-  // Phase 2: resolve each distinct group's row once, shard by shard, so
-  // each touched shard's map latch is taken exactly once. Within a shard
-  // groups are created in first-appearance order, as per-item inserts
-  // would create them.
+void Lat::FoldBatch(const LatBatchItem* items, size_t count,
+                    const LatBatchMapping& mapping) {
+  assert(mapping.shape_ == group_shape_ && mapping.next_.size() == count);
+  if (count == 0) return;
+  stats_.inserts.Inc(count);
+  const LatBatchMapping& m = mapping;
+  const size_t width = group_width();
+  const size_t groups = m.groups();
+  // No callback runs until the scratch is released below, so nothing can
+  // re-enter FoldBatch on this thread while it is in use.
+  thread_local FoldScratch sc;
+
+  // Resolve each distinct group's row once, shard by shard, so each
+  // touched shard's map latch is taken exactly once. Within a shard groups
+  // are created in first-appearance order, as per-item inserts would
+  // create them.
   sc.by_shard.resize(groups);
   std::iota(sc.by_shard.begin(), sc.by_shard.end(), 0u);
   std::sort(sc.by_shard.begin(), sc.by_shard.end(),
             [&](uint32_t a, uint32_t b) {
-              const size_t sa = ShardIndex(sc.hashes[a]);
-              const size_t sb = ShardIndex(sc.hashes[b]);
+              const size_t sa = ShardIndex(m.hashes_[a]);
+              const size_t sb = ShardIndex(m.hashes_[b]);
               return sa != sb ? sa < sb : a < b;
             });
   sc.rows.resize(groups);
   size_t created_rows = 0;
   for (size_t pos = 0; pos < groups;) {
-    const size_t shard_idx = ShardIndex(sc.hashes[sc.by_shard[pos]]);
+    const size_t shard_idx = ShardIndex(m.hashes_[sc.by_shard[pos]]);
     Shard& shard = shards_[shard_idx];
     CountedLatchGuard map_guard(shard.map_latch, stats_);
     for (; pos < groups &&
-           ShardIndex(sc.hashes[sc.by_shard[pos]]) == shard_idx;
+           ShardIndex(m.hashes_[sc.by_shard[pos]]) == shard_idx;
          ++pos) {
       const uint32_t g = sc.by_shard[pos];
       bool created = false;
-      sc.rows[g] = FindOrCreateLocked(&shard, sc.hashes[g], sc.keys[g],
-                                      &created);
+      sc.rows[g] = FindOrCreateLocked(&shard, m.hashes_[g],
+                                      &m.keys_[g * width], &created);
       if (created) ++created_rows;
     }
   }
@@ -840,40 +882,27 @@ void Lat::InsertBatch(const LatBatchItem* items, size_t count) {
     total_rows_.fetch_add(created_rows, std::memory_order_acq_rel);
   }
 
-  // Phase 3: fold per distinct group in first-appearance order — one row
-  // latch per group, that group's items in arrival order.
+  // Fold per distinct group in first-appearance order — one row latch per
+  // group, that group's items in arrival order.
   const bool bounded = spec_.max_rows > 0 || spec_.max_bytes > 0;
   for (size_t g = 0; g < groups; ++g) {
     const std::shared_ptr<LatRow>& row = sc.rows[g];
     Row ordering_key;
     size_t row_bytes = 0;
-    bool skip_heap = false;
+    bool reposition = false;
     {
       CountedLatchGuard row_guard(row->latch, stats_);
-      for (uint32_t i = sc.first[g]; i != BatchScratch::kNoItem;
-           i = sc.next[i]) {
-        for (size_t a = 0; a < spec_.aggregates.size(); ++a) {
-          Value v = agg_getters_[a] != nullptr ? agg_getters_[a](items[i].record)
-                                               : Value::Int(1);
-          FoldValue(&row->aggs[a], spec_.aggregates[a], std::move(v),
-                    items[i].now_micros);
-        }
+      for (uint32_t i = m.first_[g]; i != LatBatchMapping::kNoItem;
+           i = m.next_[i]) {
+        FoldRecordLocked(row.get(), items[i].record, items[i].now_micros);
       }
       if (bounded) {
-        ordering_key = OrderingKeyLocked(*row, items[sc.last[g]].now_micros);
-        if (spec_.max_bytes > 0) {
-          row_bytes = ApproxRowBytesLocked(*row);
-        } else if (row->in_heap.load(std::memory_order_acquire) &&
-                   common::RowEq()(ordering_key, row->ordering_cache)) {
-          skip_heap = true;
-          stats_.heap_skips.Inc();
-        }
-        if (!skip_heap) row->ordering_cache = ordering_key;
+        reposition = RefreshOrderingLocked(
+            row.get(), items[m.last_[g]].now_micros, &ordering_key,
+            &row_bytes);
       }
     }
-    if (bounded && !skip_heap) {
-      MaintainHeap(row, std::move(ordering_key), row_bytes);
-    }
+    if (reposition) MaintainHeap(row, std::move(ordering_key), row_bytes);
   }
   // Release the row references before eviction may unlink (and its
   // callback re-enter) anything.
@@ -1038,20 +1067,24 @@ void Lat::Reset() {
 
 bool Lat::LookupForObject(const void* record, int64_t now_micros,
                           Row* out) const {
-  Row& key = ScratchKey();
-  key.clear();
-  for (AttributeGetter getter : group_getters_) key.push_back(getter(record));
-  return LookupByKey(key, now_micros, out);
+  BorrowedProbe* key = KeyScratch(group_width());
+  return LookupProbed(ProbeKey(record, key), key, now_micros, out);
 }
 
 bool Lat::LookupByKey(const Row& group_key, int64_t now_micros,
                       Row* out) const {
-  const uint64_t hash = HashGroupKey(group_key);
+  if (group_key.size() != group_width()) return false;
+  BorrowedProbe* key = KeyScratch(group_width());
+  return LookupProbed(ProbeKey(group_key, key), key, now_micros, out);
+}
+
+bool Lat::LookupProbed(uint64_t hash, const BorrowedProbe* key,
+                       int64_t now_micros, Row* out) const {
   Shard& shard = ShardFor(hash);
   std::shared_ptr<LatRow> row;
   {
     std::lock_guard<common::SpinLatch> map_guard(shard.map_latch);
-    row = FindInShardLocked(shard, hash, group_key);
+    row = FindInShardLocked(shard, hash, key);
   }
   if (row == nullptr) return false;
   std::lock_guard<common::SpinLatch> row_guard(row->latch);
@@ -1300,11 +1333,13 @@ Status Lat::PersistTo(storage::Table* table, int64_t timestamp_micros,
 }
 
 bool Lat::AdoptSeededRow(std::shared_ptr<LatRow> row, int64_t now_micros) {
-  const uint64_t hash = row->hash;
+  BorrowedProbe* key = KeyScratch(group_width());
+  const uint64_t hash = ProbeKey(row->group_key, key);
+  row->hash = hash;
   Shard& shard = ShardFor(hash);
   {
     std::lock_guard<common::SpinLatch> map_guard(shard.map_latch);
-    if (FindInShardLocked(shard, hash, row->group_key) != nullptr) {
+    if (FindInShardLocked(shard, hash, key) != nullptr) {
       return false;  // live data wins
     }
     row->next = std::move(shard.map[hash]);
@@ -1395,7 +1430,6 @@ Status Lat::SeedFrom(const storage::Table& table, int64_t now_micros) {
       Row group_key(persisted.begin(),
                     persisted.begin() + static_cast<long>(group_width()));
       auto row = std::make_shared<LatRow>();
-      row->hash = HashGroupKey(group_key);
       row->group_key = std::move(group_key);
       row->aggs.resize(spec_.aggregates.size());
       int64_t seed_count = 1;
@@ -1604,7 +1638,6 @@ Status Lat::ImportState(const storage::Table& table, int64_t now_micros) {
       Row group_key(persisted.begin(),
                     persisted.begin() + static_cast<long>(group_width()));
       auto row = std::make_shared<LatRow>();
-      row->hash = HashGroupKey(group_key);
       row->group_key = std::move(group_key);
       SQLCM_RETURN_IF_ERROR(ParseStateAggs(persisted, &row->aggs));
       AdoptSeededRow(std::move(row), now_micros);
@@ -1988,13 +2021,14 @@ Status Lat::MergeState(const storage::Table& table, int64_t now_micros) {
       SQLCM_RETURN_IF_ERROR(ParseStateAggs(persisted, &incoming));
       Row key(persisted.begin(),
               persisted.begin() + static_cast<long>(group_width()));
-      const uint64_t hash = HashGroupKey(key);
+      BorrowedProbe* probes = KeyScratch(group_width());
+      const uint64_t hash = ProbeKey(key, probes);
       Shard& shard = ShardFor(hash);
       std::shared_ptr<LatRow> row;
       bool created = false;
       {
         std::lock_guard<common::SpinLatch> map_guard(shard.map_latch);
-        row = FindOrCreateLocked(&shard, hash, key, &created);
+        row = FindOrCreateLocked(&shard, hash, probes, &created);
       }
       if (created) total_rows_.fetch_add(1, std::memory_order_acq_rel);
       Row ordering_key;

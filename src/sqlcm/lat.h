@@ -111,6 +111,31 @@ struct LatBatchItem {
   int64_t now_micros = 0;
 };
 
+/// A batch's items mapped to their distinct groups (Lat::MapBatch): groups
+/// numbered in first-appearance order, each with its directory hash, its
+/// key as borrowed probes and an arrival-order chain of its items. It
+/// depends only on the records and the LAT's group shape, so every LAT of
+/// that shape folds the same mapping of the same items (Lat::FoldBatch).
+/// The borrowed keys follow schema.h's lifetime rule: a mapping is valid
+/// only while the batch's records are, and is rebuilt for every batch.
+/// Every vector keeps its capacity across batches.
+class LatBatchMapping {
+ public:
+  size_t groups() const { return hashes_.size(); }
+
+ private:
+  friend class Lat;
+  static constexpr uint32_t kNoItem = UINT32_MAX;
+
+  uint32_t shape_ = UINT32_MAX;  // Lat::group_shape() it was mapped for
+  std::vector<BorrowedProbe> keys_;  // group g's key at [g·width, +width)
+  std::vector<uint64_t> hashes_;     // per group: directory hash
+  std::vector<uint32_t> first_;      // per group: its first item
+  std::vector<uint32_t> last_;       // per group: its last item so far
+  std::vector<uint32_t> next_;       // per item: next item of its group
+  std::vector<uint32_t> slots_;      // open addressing: group + 1, 0 = empty
+};
+
 struct LatGroupColumn {
   std::string attribute;  // attribute of the LAT's object class
   std::string alias;      // output column name; empty -> attribute name
@@ -213,6 +238,9 @@ class Lat {
   const std::string& lower_name() const { return lower_name_; }
   /// Resolved directory shard count (power of two).
   size_t shard_count() const { return shard_count_; }
+  /// Interned group shape: LATs over the same class grouped by the same
+  /// attributes (aliases aside) share it, and so share batch mappings.
+  uint32_t group_shape() const { return group_shape_; }
 
   // -- Column metadata (group columns first, then aggregate columns) -------
   size_t num_columns() const { return column_names_.size(); }
@@ -240,22 +268,32 @@ class Lat {
   /// spec().object_class) and folds its probe values into every aggregate.
   void Insert(const void* record, int64_t now_micros);
 
-  /// Vectorized Insert for the deferred-evaluation pipeline. Items are
-  /// first mapped to the batch's distinct groups through a per-thread
-  /// open-addressing table keyed by the group-key hash (a key compare
-  /// confirms each hit), so the directory is consulted once per distinct
-  /// group, not once per item: each touched shard's map latch is taken
-  /// once, and each distinct group's row latch once, folding that group's
-  /// items in arrival order (so FIRST/LAST match a sequential replay).
-  /// Aggregate results are identical to calling Insert() per item; only the
-  /// latch schedule changes — with S touched shards and G distinct groups
-  /// the unbounded-LAT latch-acquisition count is S + G versus 2·count for
-  /// the per-row path (observable via LatStats::latch_acquisitions). The
-  /// scratch keeps its capacity across calls, so a batch allocates nothing
-  /// of its own per item. Bounded LATs additionally run heap maintenance
-  /// per changed group and a single budget-eviction pass at the end, after
-  /// the scratch is released (the evict callback may re-enter LATs).
+  /// Vectorized Insert for the deferred-evaluation pipeline: MapBatch then
+  /// FoldBatch through a per-thread mapping.
   void InsertBatch(const LatBatchItem* items, size_t count);
+
+  /// First step of a vectorized insert: maps `items` to the batch's
+  /// distinct groups through an open-addressing table keyed by the
+  /// group-key hash (an in-place compare of the borrowed keys confirms each
+  /// hit). Reads nothing of the LAT but its group attributes.
+  void MapBatch(const LatBatchItem* items, size_t count,
+                LatBatchMapping* mapping) const;
+
+  /// Second step: folds `items` through `mapping`, which MapBatch built
+  /// from the same records for a LAT of this group shape (any such LAT).
+  /// The directory is consulted once per distinct group, not once per item:
+  /// each touched shard's map latch is taken once, and each distinct
+  /// group's row latch once, folding that group's items in arrival order
+  /// (so FIRST/LAST match a sequential replay). Aggregate results are
+  /// identical to calling Insert() per item; only the latch schedule
+  /// changes — with S touched shards and G distinct groups the
+  /// unbounded-LAT latch-acquisition count is S + G versus 2·count for the
+  /// per-row path (observable via LatStats::latch_acquisitions). Bounded
+  /// LATs additionally run heap maintenance per changed group and a single
+  /// budget-eviction pass at the end, after the last read of `mapping` and
+  /// of the per-thread scratch (the evict callback may re-enter LATs).
+  void FoldBatch(const LatBatchItem* items, size_t count,
+                 const LatBatchMapping& mapping);
 
   /// The Reset action (§5.3): drops every row and frees memory.
   void Reset();
@@ -464,30 +502,51 @@ class Lat {
     std::vector<LatRow*> heap;  // min-heap: root = least important
   };
 
-  /// Per-thread working set of InsertBatch (defined in lat.cc).
-  struct BatchScratch;
+  /// Per-thread working set of FoldBatch (defined in lat.cc).
+  struct FoldScratch;
 
   explicit Lat(LatSpec spec) : spec_(std::move(spec)) {}
 
   size_t ShardIndex(uint64_t hash) const { return hash & (shard_count_ - 1); }
   Shard& ShardFor(uint64_t hash) const { return shards_[ShardIndex(hash)]; }
-  /// 64-bit mixed hash of a group key (also the shard selector).
-  uint64_t HashGroupKey(const common::Row& key) const;
 
-  /// Walks the shard's collision chain for (hash, key); caller holds the
-  /// shard map latch. Returns the chain entry or null.
+  /// The key-probe helper behind every directory lookup (Insert, MapBatch,
+  /// LookupForObject): reads `record`'s group key as group_width() borrowed
+  /// probes into `key` and returns its 64-bit directory hash (also the
+  /// shard selector). The hash is the mixed HashRow of the materialised
+  /// key, so keys probed from records and from rows (below) meet.
+  uint64_t ProbeKey(const void* record, BorrowedProbe* key) const;
+  /// The same for a materialised group key (seeding, merging, LookupByKey);
+  /// the probes borrow `key`'s strings.
+  uint64_t ProbeKey(const common::Row& key, BorrowedProbe* probes) const;
+
+  /// Walks the shard's collision chain for (hash, key), comparing the
+  /// borrowed key in place; caller holds the shard map latch. Returns the
+  /// chain entry or null.
   std::shared_ptr<LatRow> FindInShardLocked(const Shard& shard, uint64_t hash,
-                                            const common::Row& key) const;
-  /// Finds or creates+links the row for (hash, key); caller holds the shard
-  /// map latch. Sets `*created` when a new row was linked.
+                                            const BorrowedProbe* key) const;
+  /// Finds or creates+links the row for (hash, key); the key is
+  /// materialised only for a created row. Caller holds the shard map latch.
+  /// Sets `*created` when a new row was linked.
   std::shared_ptr<LatRow> FindOrCreateLocked(Shard* shard, uint64_t hash,
-                                             const common::Row& key,
+                                             const BorrowedProbe* key,
                                              bool* created);
+  /// LookupForObject/LookupByKey once the key is probed.
+  bool LookupProbed(uint64_t hash, const BorrowedProbe* key,
+                    int64_t now_micros, common::Row* out) const;
   /// Unlinks `row` from its shard's collision chain and returns the strong
   /// reference that kept it there; caller holds the shard map latch.
   static std::shared_ptr<LatRow> UnlinkLocked(Shard* shard, LatRow* row);
 
-  common::Row GroupKeyFor(const void* record) const;
+  /// Folds one record's probes into every aggregate of `row`; caller holds
+  /// the row latch.
+  void FoldRecordLocked(LatRow* row, const void* record, int64_t now_micros);
+  /// After folds into a bounded LAT: recomputes `row`'s ordering key (and
+  /// byte charge) and returns whether its heap position needs
+  /// MaintainHeap(row, *ordering_key, *row_bytes). Caller holds the row
+  /// latch.
+  bool RefreshOrderingLocked(LatRow* row, int64_t now_micros,
+                             common::Row* ordering_key, size_t* row_bytes);
   void FoldValue(AggState* state, const LatAggColumn& col, common::Value v,
                  int64_t now_micros);
   /// Shared raw-state codec: parses the aggregate cells of a state record
@@ -510,9 +569,9 @@ class Lat {
   /// Post-merge aging hygiene: prune expired blocks, cap the deque like the
   /// insert path (merging the oldest pair when over ⌈2t/Δ⌉ + slack).
   void PruneMergedBlocks(AggState* state, int64_t now_micros);
-  /// Links a reconstructed row (from SeedFrom/ImportState) into its shard
-  /// unless the group already exists live, then runs the bounded-size
-  /// bookkeeping. Returns false when live data won.
+  /// Links a reconstructed row (from SeedFrom/ImportState; its hash is
+  /// set here) into its shard unless the group already exists live, then
+  /// runs the bounded-size bookkeeping. Returns false when live data won.
   bool AdoptSeededRow(std::shared_ptr<LatRow> row, int64_t now_micros);
   common::Value AggValue(const AggState& state, const LatAggColumn& col,
                          int64_t now_micros) const;
@@ -579,8 +638,9 @@ class Lat {
   std::string lower_name_;
   std::vector<std::string> column_names_;
   std::vector<common::ValueKind> column_kinds_;
-  std::vector<AttributeGetter> group_getters_;
-  std::vector<AttributeGetter> agg_getters_;  // null entry for plain COUNT
+  std::vector<const AttributeDef*> group_attrs_;
+  std::vector<const AttributeDef*> agg_attrs_;  // null entry for plain COUNT
+  uint32_t group_shape_ = 0;
   std::vector<int> ordering_columns_;          // indexes into materialized row
   /// Kind of the first ordering column (selects the rank encoding).
   common::ValueKind rank_kind_ = common::ValueKind::kNull;
@@ -609,13 +669,15 @@ class Lat {
   std::unique_ptr<std::atomic<uint64_t>[]> root_ranks_;
 
   /// Serializes cross-shard eviction and Reset; never acquired while any
-  /// other LAT latch is held.
-  mutable common::SpinLatch evict_latch_;
-  std::atomic<size_t> total_rows_{0};
+  /// other LAT latch is held. It and the budget atomics below each get
+  /// their own cache line: every insert reads shards_ and root_ranks_
+  /// above, and the evictor spins on this latch and bumps the budgets.
+  alignas(64) mutable common::SpinLatch evict_latch_;
+  alignas(64) std::atomic<size_t> total_rows_{0};
   std::atomic<size_t> total_bytes_{0};
-
   std::atomic<uint64_t> reset_generation_{0};
-  mutable LatStats stats_;
+
+  alignas(64) mutable LatStats stats_;
 };
 
 }  // namespace sqlcm::cm

@@ -1698,6 +1698,8 @@ void MonitorEngine::ProcessDeferredBatch(DeferredEvent* events, size_t count) {
     std::vector<size_t> offsets;   // per LAT: start of its run in `items`
     std::vector<LatBatchItem> items;  // sink entries grouped by LAT
     std::vector<std::pair<Lat*, uint32_t>> slots;  // LAT -> index table
+    std::vector<LatBatchMapping> mappings;  // this flush's group mappings
+    std::vector<uint32_t> mapped_from;      // per mapping: the LAT it mapped
   };
   thread_local DrainScratch scratch;
   std::vector<DeferredLatInsert>& sink = scratch.sink;
@@ -1738,8 +1740,8 @@ void MonitorEngine::ProcessDeferredBatch(DeferredEvent* events, size_t count) {
   if (sink.empty()) return;
 
   // Vectorized flush: group buffered upserts by LAT (first-appearance
-  // order, items in arrival order) and fold each group through one
-  // InsertBatch — one shard latch per (batch, shard). Upsert attribution
+  // order, items in arrival order) and fold each LAT's run through one
+  // FoldBatch — one shard latch per (batch, shard). Upsert attribution
   // is recorded at flush granularity: one span-plane sample and one
   // upsert_micros sample per (batch, LAT). LATs are numbered through an
   // open-addressing table (load <= 1/2), then a counting sort lays each
@@ -1788,24 +1790,52 @@ void MonitorEngine::ProcessDeferredBatch(DeferredEvent* events, size_t count) {
     // offsets[k] walks LAT k's run forward; afterwards it is the run's end.
     items[offsets[lat_of[e]]++] = {sink[e].record, sink[e].now_micros};
   }
+  // Each (group shape, run) is mapped to its groups once: a LAT whose
+  // shape matches an earlier LAT's and whose run holds the same record
+  // pointers folds that LAT's mapping. The batch pins its records until
+  // the flush ends, so equal pointers are the same records; mappings are
+  // never kept past this flush (their keys borrow from the records).
+  std::vector<LatBatchMapping>& mappings = scratch.mappings;
+  std::vector<uint32_t>& mapped_from = scratch.mapped_from;
+  mapped_from.clear();
+  const auto run_of = [&](size_t k) {
+    const size_t begin = k == 0 ? 0 : offsets[k - 1];
+    return std::pair<const LatBatchItem*, size_t>{items.data() + begin,
+                                                  offsets[k] - begin};
+  };
+  const auto same_record = [](const LatBatchItem& a, const LatBatchItem& b) {
+    return a.record == b.record;
+  };
   const bool profiled = spans_.enabled();
   const bool timed = detailed_timing_.load(std::memory_order_relaxed);
   for (size_t k = 0; k < lats.size(); ++k) {
     Lat* lat = lats[k];
-    const size_t begin = k == 0 ? 0 : offsets[k - 1];
-    const LatBatchItem* run = items.data() + begin;
-    const size_t run_size = offsets[k] - begin;
+    const auto [run, run_size] = run_of(k);
+    const int64_t start = profiled || timed ? SteadyNanos() : 0;
+    const LatBatchMapping* mapping = nullptr;
+    for (size_t m = 0; m < mapped_from.size() && mapping == nullptr; ++m) {
+      const auto [mapped_run, mapped_size] = run_of(mapped_from[m]);
+      if (lats[mapped_from[m]]->group_shape() == lat->group_shape() &&
+          mapped_size == run_size &&
+          std::equal(run, run + run_size, mapped_run, same_record)) {
+        mapping = &mappings[m];
+      }
+    }
+    if (mapping == nullptr) {
+      if (mapped_from.size() == mappings.size()) mappings.emplace_back();
+      LatBatchMapping* fresh = &mappings[mapped_from.size()];
+      mapped_from.push_back(static_cast<uint32_t>(k));
+      lat->MapBatch(run, run_size, fresh);
+      mapping = fresh;
+    }
+    lat->FoldBatch(run, run_size, *mapping);
     if (profiled || timed) {
-      const int64_t start = SteadyNanos();
-      lat->InsertBatch(run, run_size);
       const int64_t dur = SteadyNanos() - start;
       if (profiled) {
         lat->stats().upsert_spans.Inc();
         lat->stats().upsert_nanos.Inc(static_cast<uint64_t>(dur));
       }
       if (timed) lat->stats().upsert_micros.Record(dur / 1000);
-    } else {
-      lat->InsertBatch(run, run_size);
     }
   }
 }
@@ -2017,7 +2047,7 @@ Status MonitorEngine::ExecuteAction(const CompiledAction& action,
       }
       if (lat_sink != nullptr) {
         // Deferred-batch processing: buffer the upsert; the batch flush
-        // performs one vectorized Lat::InsertBatch per LAT (one shard
+        // performs one vectorized Lat::FoldBatch per LAT (one shard
         // latch per batch+shard). Per-upsert spans/timing are recorded at
         // flush granularity instead (ProcessDeferredBatch).
         lat_sink->push_back({action.lat, record, ctx->now_micros});
@@ -2090,7 +2120,7 @@ Status MonitorEngine::ExecuteAction(const CompiledAction& action,
       for (int attr : action.attr_indexes) {
         const AttributeDef& def =
             schema.attributes(action.source_class)[static_cast<size_t>(attr)];
-        row.push_back(def.getter(record));
+        row.push_back(def.Get(record));
         kinds.push_back(def.kind);
       }
       return PersistRowToTable(action.table_name, action.attr_names, kinds,

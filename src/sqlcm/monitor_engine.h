@@ -334,7 +334,7 @@ class MonitorEngine final : public engine::MonitorHooks,
   };
 
   /// One LAT upsert buffered during a deferred batch; flushed grouped by
-  /// LAT through Lat::InsertBatch (one shard latch per batch+shard). The
+  /// LAT through Lat::FoldBatch (one shard latch per batch+shard). The
   /// record pointer stays valid because the batch's DeferredEvent
   /// keepalives outlive the flush.
   struct DeferredLatInsert {
@@ -396,14 +396,16 @@ class MonitorEngine final : public engine::MonitorHooks,
   /// Worker thread body: batch-pop and process until shutdown + drained.
   void MonitorWorkerLoop();
   /// Dispatches one drained batch against one table snapshot, buffering LAT
-  /// upserts, then flushes them vectorized (Lat::InsertBatch).
+  /// upserts, then flushes them vectorized: each (group shape, run) is
+  /// mapped once (Lat::MapBatch) and folded into every LAT it serves
+  /// (Lat::FoldBatch).
   void ProcessDeferredBatch(DeferredEvent* events, size_t count);
   /// Returns true when the rule fired (condition passed, actions ran).
   /// `frame` is non-null only when the current trace is sampled for
   /// profiling: condition/action child spans are emitted and self-time is
   /// attributed to the rule. When `lat_sink` is non-null (deferred batch
   /// processing), Insert actions buffer into it instead of upserting
-  /// immediately; the caller flushes via Lat::InsertBatch. When `index` /
+  /// immediately; the caller flushes via Lat::FoldBatch. When `index` /
   /// `entry` / `memo` are set and the entry is indexed, the condition is
   /// answered by the memoized shared-conjunct walk (an error verdict falls
   /// back to the naive evaluator below for exact accounting), whose counts

@@ -27,26 +27,25 @@ Result<std::unique_ptr<ReferenceLat>> ReferenceLat::Create(LatSpec spec) {
       return Status::NotFound("ReferenceLat '" + s.name +
                               "': no attribute '" + col.attribute + "'");
     }
-    ref->group_getters_.push_back(
-        schema.attributes(s.object_class)[attr].getter);
+    ref->group_attrs_.push_back(&schema.attributes(s.object_class)[attr]);
     column_names.push_back(col.alias.empty() ? col.attribute : col.alias);
   }
   for (const LatAggColumn& col : s.aggregates) {
-    AttributeGetter getter = nullptr;
+    const AttributeDef* def = nullptr;
     if (!col.attribute.empty()) {
       const int attr = schema.FindAttribute(s.object_class, col.attribute);
       if (attr < 0) {
         return Status::NotFound("ReferenceLat '" + s.name +
                                 "': no attribute '" + col.attribute + "'");
       }
-      getter = schema.attributes(s.object_class)[attr].getter;
+      def = &schema.attributes(s.object_class)[attr];
     }
     if (col.aging && LatAggFuncIsSketch(col.func)) {
       return Status::InvalidArgument(
           "ReferenceLat '" + s.name + "': " + LatAggFuncName(col.func) +
           " has no aging variant");
     }
-    ref->agg_getters_.push_back(getter);
+    ref->agg_attrs_.push_back(def);
     std::string name = col.alias;
     if (name.empty()) {
       name = std::string(LatAggFuncName(col.func)) +
@@ -91,14 +90,13 @@ Result<std::unique_ptr<ReferenceLat>> ReferenceLat::Create(LatSpec spec) {
 
 void ReferenceLat::Insert(const void* record, int64_t now_micros) {
   Row key;
-  key.reserve(group_getters_.size());
-  for (AttributeGetter getter : group_getters_) key.push_back(getter(record));
+  key.reserve(group_attrs_.size());
+  for (const AttributeDef* def : group_attrs_) key.push_back(def->Get(record));
   Entry entry;
   entry.now_micros = now_micros;
-  entry.values.reserve(agg_getters_.size());
-  for (AttributeGetter getter : agg_getters_) {
-    entry.values.push_back(getter != nullptr ? getter(record)
-                                             : Value::Int(1));
+  entry.values.reserve(agg_attrs_.size());
+  for (const AttributeDef* def : agg_attrs_) {
+    entry.values.push_back(def != nullptr ? def->Get(record) : Value::Int(1));
   }
   groups_[std::move(key)].entries.push_back(std::move(entry));
   EvictOverBudget(now_micros);

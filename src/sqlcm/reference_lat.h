@@ -76,8 +76,8 @@ class ReferenceLat {
   void EvictOverBudget(int64_t now_micros);
 
   LatSpec spec_;
-  std::vector<AttributeGetter> group_getters_;
-  std::vector<AttributeGetter> agg_getters_;  // null entry for plain COUNT
+  std::vector<const AttributeDef*> group_attrs_;
+  std::vector<const AttributeDef*> agg_attrs_;  // null entry for plain COUNT
   std::vector<int> ordering_columns_;  // indexes into the materialized row
   std::unordered_map<common::Row, Group, common::RowHasher, common::RowEq>
       groups_;

@@ -677,7 +677,7 @@ bool TryCompileFastAtom(const CmExpr& expr, FastAtom* out) {
       (def.kind == common::ValueKind::kString && lit->literal.is_string()) ||
       (def.kind == common::ValueKind::kBool && lit->literal.is_bool());
   if (!comparable) return false;
-  out->getter = def.getter;
+  out->attr = &def;
   out->cls = attr->cls;
   out->op = expr.binary_op;
   out->literal = lit->literal;
@@ -688,7 +688,7 @@ bool TryCompileFastAtom(const CmExpr& expr, FastAtom* out) {
 bool EvalFastAtom(const FastAtom& atom, const EvalContext& ctx) {
   const void* record = ctx.Bound(atom.cls);
   if (record == nullptr) return false;
-  const common::Value v = atom.getter(record);
+  const BorrowedProbe v = atom.attr->Borrow(record);
   if (v.is_null()) return false;
   int cmp = v.Compare(atom.literal);
   if (!atom.attr_on_left) cmp = -cmp;

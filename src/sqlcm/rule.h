@@ -208,10 +208,11 @@ struct RuleSpec {
 /// events already run outside query threads — all stay inline.
 bool EventKindDeferrable(EventKind kind);
 
-/// Pre-extracted comparison atom for an indexed conjunct: one probe getter
-/// compared against a constant, evaluated without the tree interpreter.
+/// Pre-extracted comparison atom for an indexed conjunct: one probe, read
+/// borrowed (string attributes compare in place), against a constant,
+/// evaluated without the tree interpreter.
 struct FastAtom {
-  AttributeGetter getter = nullptr;
+  const AttributeDef* attr = nullptr;
   MonitoredClass cls = MonitoredClass::kQuery;
   uint8_t op = 0;  // sql::BinaryOp (comparison subset)
   common::Value literal;

@@ -35,6 +35,8 @@ Result<MonitoredClass> ParseMonitoredClassName(std::string_view name) {
 
 namespace {
 
+using View = std::string_view;
+
 const QueryRecord& AsQuery(const void* record) {
   return *static_cast<const QueryRecord*>(record);
 }
@@ -52,12 +54,12 @@ std::vector<AttributeDef> QueryAttributes() {
   return {
       {"ID", ValueKind::kInt,
        [](const void* r) { return Value::Int(static_cast<int64_t>(AsQuery(r).id)); }},
-      {"Query_Text", ValueKind::kString,
-       [](const void* r) { return Value::String(AsQuery(r).query_text()); }},
-      {"Logical_Signature", ValueKind::kString,
-       [](const void* r) { return Value::String(AsQuery(r).logical_sig()); }},
-      {"Physical_Signature", ValueKind::kString,
-       [](const void* r) { return Value::String(AsQuery(r).physical_sig()); }},
+      {"Query_Text", ValueKind::kString, nullptr,
+       [](const void* r) -> View { return AsQuery(r).query_text(); }},
+      {"Logical_Signature", ValueKind::kString, nullptr,
+       [](const void* r) -> View { return AsQuery(r).logical_sig(); }},
+      {"Physical_Signature", ValueKind::kString, nullptr,
+       [](const void* r) -> View { return AsQuery(r).physical_sig(); }},
       {"Start_Time", ValueKind::kInt,
        [](const void* r) { return Value::Int(AsQuery(r).start_micros); }},
       {"Duration", ValueKind::kDouble,
@@ -72,16 +74,16 @@ std::vector<AttributeDef> QueryAttributes() {
        [](const void* r) { return Value::Int(AsQuery(r).queries_blocked); }},
       {"Number_of_instances", ValueKind::kInt,
        [](const void* r) { return Value::Int(AsQuery(r).number_of_instances); }},
-      {"Query_Type", ValueKind::kString,
-       [](const void* r) { return Value::String(AsQuery(r).query_type); }},
+      {"Query_Type", ValueKind::kString, nullptr,
+       [](const void* r) -> View { return AsQuery(r).query_type; }},
       {"Session_ID", ValueKind::kInt,
        [](const void* r) { return Value::Int(static_cast<int64_t>(AsQuery(r).session_id)); }},
       {"Transaction_ID", ValueKind::kInt,
        [](const void* r) { return Value::Int(static_cast<int64_t>(AsQuery(r).txn_id)); }},
-      {"User", ValueKind::kString,
-       [](const void* r) { return Value::String(AsQuery(r).user); }},
-      {"Application", ValueKind::kString,
-       [](const void* r) { return Value::String(AsQuery(r).application); }},
+      {"User", ValueKind::kString, nullptr,
+       [](const void* r) -> View { return AsQuery(r).user; }},
+      {"Application", ValueKind::kString, nullptr,
+       [](const void* r) -> View { return AsQuery(r).application; }},
       {"Concurrent_User_Queries", ValueKind::kInt,
        [](const void* r) {
          return Value::Int(AsQuery(r).concurrent_user_queries);
@@ -95,12 +97,12 @@ std::vector<AttributeDef> BlockAttributes() {
   std::vector<AttributeDef> defs = {
       {"ID", ValueKind::kInt,
        [](const void* r) { return Value::Int(static_cast<int64_t>(AsBlock(r).query->id)); }},
-      {"Query_Text", ValueKind::kString,
-       [](const void* r) { return Value::String(AsBlock(r).query->query_text()); }},
-      {"Logical_Signature", ValueKind::kString,
-       [](const void* r) { return Value::String(AsBlock(r).query->logical_sig()); }},
-      {"Physical_Signature", ValueKind::kString,
-       [](const void* r) { return Value::String(AsBlock(r).query->physical_sig()); }},
+      {"Query_Text", ValueKind::kString, nullptr,
+       [](const void* r) -> View { return AsBlock(r).query->query_text(); }},
+      {"Logical_Signature", ValueKind::kString, nullptr,
+       [](const void* r) -> View { return AsBlock(r).query->logical_sig(); }},
+      {"Physical_Signature", ValueKind::kString, nullptr,
+       [](const void* r) -> View { return AsBlock(r).query->physical_sig(); }},
       {"Start_Time", ValueKind::kInt,
        [](const void* r) { return Value::Int(AsBlock(r).query->start_micros); }},
       {"Duration", ValueKind::kDouble,
@@ -113,21 +115,21 @@ std::vector<AttributeDef> BlockAttributes() {
        [](const void* r) { return Value::Int(AsBlock(r).query->times_blocked); }},
       {"Queries_Blocked", ValueKind::kInt,
        [](const void* r) { return Value::Int(AsBlock(r).query->queries_blocked); }},
-      {"Query_Type", ValueKind::kString,
-       [](const void* r) { return Value::String(AsBlock(r).query->query_type); }},
+      {"Query_Type", ValueKind::kString, nullptr,
+       [](const void* r) -> View { return AsBlock(r).query->query_type; }},
       {"Session_ID", ValueKind::kInt,
        [](const void* r) { return Value::Int(static_cast<int64_t>(AsBlock(r).query->session_id)); }},
       {"Transaction_ID", ValueKind::kInt,
        [](const void* r) { return Value::Int(static_cast<int64_t>(AsBlock(r).query->txn_id)); }},
-      {"User", ValueKind::kString,
-       [](const void* r) { return Value::String(AsBlock(r).query->user); }},
-      {"Application", ValueKind::kString,
-       [](const void* r) { return Value::String(AsBlock(r).query->application); }},
+      {"User", ValueKind::kString, nullptr,
+       [](const void* r) -> View { return AsBlock(r).query->user; }},
+      {"Application", ValueKind::kString, nullptr,
+       [](const void* r) -> View { return AsBlock(r).query->application; }},
       // Conflict context.
       {"Wait_Secs", ValueKind::kDouble,
        [](const void* r) { return Value::Double(AsBlock(r).wait_secs); }},
-      {"Resource", ValueKind::kString,
-       [](const void* r) { return Value::String(AsBlock(r).resource); }},
+      {"Resource", ValueKind::kString, nullptr,
+       [](const void* r) -> View { return AsBlock(r).resource; }},
   };
   return defs;
 }
@@ -136,10 +138,10 @@ std::vector<AttributeDef> TransactionAttributes() {
   return {
       {"ID", ValueKind::kInt,
        [](const void* r) { return Value::Int(static_cast<int64_t>(AsTxn(r).id)); }},
-      {"Logical_Signature", ValueKind::kString,
-       [](const void* r) { return Value::String(AsTxn(r).logical_signature); }},
-      {"Physical_Signature", ValueKind::kString,
-       [](const void* r) { return Value::String(AsTxn(r).physical_signature); }},
+      {"Logical_Signature", ValueKind::kString, nullptr,
+       [](const void* r) -> View { return AsTxn(r).logical_signature; }},
+      {"Physical_Signature", ValueKind::kString, nullptr,
+       [](const void* r) -> View { return AsTxn(r).physical_signature; }},
       {"Start_Time", ValueKind::kInt,
        [](const void* r) { return Value::Int(AsTxn(r).start_micros); }},
       {"Duration", ValueKind::kDouble,
@@ -148,17 +150,17 @@ std::vector<AttributeDef> TransactionAttributes() {
        [](const void* r) { return Value::Int(AsTxn(r).num_queries); }},
       {"Session_ID", ValueKind::kInt,
        [](const void* r) { return Value::Int(static_cast<int64_t>(AsTxn(r).session_id)); }},
-      {"User", ValueKind::kString,
-       [](const void* r) { return Value::String(AsTxn(r).user); }},
-      {"Application", ValueKind::kString,
-       [](const void* r) { return Value::String(AsTxn(r).application); }},
+      {"User", ValueKind::kString, nullptr,
+       [](const void* r) -> View { return AsTxn(r).user; }},
+      {"Application", ValueKind::kString, nullptr,
+       [](const void* r) -> View { return AsTxn(r).application; }},
   };
 }
 
 std::vector<AttributeDef> TimerAttributes() {
   return {
-      {"Name", ValueKind::kString,
-       [](const void* r) { return Value::String(AsTimer(r).name); }},
+      {"Name", ValueKind::kString, nullptr,
+       [](const void* r) -> View { return AsTimer(r).name; }},
       {"Current_Time", ValueKind::kDouble,
        [](const void* r) { return Value::Double(AsTimer(r).now_secs); }},
       {"Interval", ValueKind::kDouble,

@@ -14,6 +14,7 @@
 #include <cstdint>
 #include <memory>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "common/status.h"
@@ -129,10 +130,86 @@ struct TimerRecord {
 /// record type of the attribute's class).
 using AttributeGetter = common::Value (*)(const void* record);
 
+/// Borrowed accessor of a string attribute: a view of the bytes in the
+/// record, or in the pinned plan's SharedText (QueryRecord::plan).
+///
+/// Lifetime rule: a view is valid while its record is bound to the
+/// evaluation context that read it, or, for a deferred batch, while the
+/// batch's keepalives hold the record (the whole flush). Anything kept
+/// longer (a LAT group key, a persisted row, a mail body) must be
+/// materialised through AttributeDef::Get.
+using AttributeView = std::string_view (*)(const void* record);
+
+/// One probe read without copying: a string borrows its bytes (see the
+/// lifetime rule above); every other kind is held by value, which never
+/// allocates. Hash() and Compare() agree exactly with Value::Hash and
+/// Value::Compare of the materialised value (std::hash<std::string_view>
+/// equals std::hash<std::string> on the same bytes).
+struct BorrowedProbe {
+  common::Value scalar;   // every kind but STRING
+  std::string_view text;  // STRING
+  bool is_text = false;
+
+  /// Borrows `v`'s string (valid while `v` is).
+  static BorrowedProbe Of(const common::Value& v) {
+    if (!v.is_string()) return BorrowedProbe{v, {}, false};
+    return BorrowedProbe{common::Value(), v.string_value(), true};
+  }
+  bool is_null() const { return !is_text && scalar.is_null(); }
+  size_t Hash() const {
+    return is_text ? std::hash<std::string_view>()(text) : scalar.Hash();
+  }
+  /// Value::Compare(materialised, v), without materialising.
+  int Compare(const common::Value& v) const {
+    if (!is_text) return scalar.Compare(v);
+    if (!v.is_string()) {
+      return static_cast<int>(common::ValueKind::kString) <
+                     static_cast<int>(v.kind())
+                 ? -1
+                 : 1;
+    }
+    return text.compare(v.string_value());
+  }
+  common::Value Materialize() const {
+    return is_text ? common::Value::String(std::string(text)) : scalar;
+  }
+  /// Equality of the materialised values.
+  friend bool operator==(const BorrowedProbe& a, const BorrowedProbe& b) {
+    if (a.is_text || b.is_text) {
+      return a.is_text && b.is_text && a.text == b.text;
+    }
+    return a.scalar == b.scalar;
+  }
+};
+
+/// HashRow of the materialised key, computed from its borrowed probes.
+inline size_t HashProbes(const BorrowedProbe* probes, size_t count) {
+  size_t h = common::kHashRowSeed;
+  for (size_t i = 0; i < count; ++i) {
+    h = common::HashRowStep(h, probes[i].Hash());
+  }
+  return h;
+}
+
+/// One attribute of a monitored class. String attributes are read through
+/// `view` (getter null); every other kind through `getter` (view null).
 struct AttributeDef {
   const char* name;
   common::ValueKind kind;
-  AttributeGetter getter;
+  AttributeGetter getter = nullptr;
+  AttributeView view = nullptr;
+
+  /// The probe as a Value; copies a string attribute's bytes. For what
+  /// outlives the record: Persist, SendMail, ReferenceLat, new group keys.
+  common::Value Get(const void* record) const {
+    return view != nullptr ? common::Value::String(std::string(view(record)))
+                           : getter(record);
+  }
+  /// The probe without copying: key lookups and fast condition atoms.
+  BorrowedProbe Borrow(const void* record) const {
+    if (view == nullptr) return BorrowedProbe{getter(record), {}, false};
+    return BorrowedProbe{common::Value(), view(record), true};
+  }
 };
 
 /// Immutable registry of the static classes' attributes (kEvicted is
@@ -151,7 +228,7 @@ class ObjectSchema {
 
   common::Value GetValue(MonitoredClass cls, int attr_index,
                          const void* record) const {
-    return attributes(cls)[static_cast<size_t>(attr_index)].getter(record);
+    return attributes(cls)[static_cast<size_t>(attr_index)].Get(record);
   }
 
  private:

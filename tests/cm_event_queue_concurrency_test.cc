@@ -355,6 +355,8 @@ TEST_F(EventPipelineTest, EvictionCascadeInsideDeferredDrainMatchesSync) {
   // drain's arrival order within each LAT.
   constexpr int kPads = 20;
   constexpr int kQueriesPerRound = 40;
+  const std::string shape_a = "SELECT id FROM items WHERE id = @k";
+  const std::string shape_b = "SELECT val FROM items WHERE id = @k";
   struct EndState {
     std::vector<common::Row> top, spill, pads;
     std::vector<std::string> stats;
@@ -459,6 +461,139 @@ TEST_F(EventPipelineTest, EvictionCascadeInsideDeferredDrainMatchesSync) {
   ASSERT_EQ(states[1].pads.size(), static_cast<size_t>(kPads));
   EXPECT_EQ(as_text(states[0].pads), as_text(states[1].pads));
   EXPECT_EQ(states[0].stats, states[1].stats);
+}
+
+TEST_F(EventPipelineTest, SharedGroupMappingsMatchSync) {
+  // The drain maps each (GROUP BY, run) of a flush once and folds it into
+  // every LAT sharing both. Here the bounded, evicting ID-keyed LAT comes
+  // first in each flush, and its inline Evict rule inserts both timers
+  // into Spill; later ID-keyed LATs fold the same mapping after that
+  // cascade. Signature-keyed LATs share a GROUP BY but see different runs
+  // (selective conditions, one of them identical to another's), and one
+  // LAT groups the same records by (Sig, Type). The statement shapes
+  // alternate, so the two shape-selective LATs get runs of equal size but
+  // different records. Every LAT and every rule's
+  // stats must end as in the sync engine; rounds repeat until some batch
+  // held more than one event, and the sync run replays as many.
+  constexpr int kQueriesPerRound = 40;
+  const std::string shape_a = "SELECT id FROM items WHERE id = @k";
+  const std::string shape_b = "SELECT val FROM items WHERE id = @k";
+  struct Feed {
+    std::string lat;
+    std::vector<std::pair<std::string, std::string>> group_by;
+    std::string condition;
+    size_t max_rows = 0;
+  };
+  const std::vector<Feed> feeds = {
+      {"TopId", {{"ID", ""}}, "", 3},
+      {"IdA", {{"ID", ""}}, ""},
+      {"IdB", {{"ID", ""}}, ""},
+      {"IdLate", {{"ID", ""}}, "Query.ID >= 50"},
+      {"SigA", {{"Logical_Signature", "Sig"}}, ""},
+      {"SigB", {{"Logical_Signature", "Sig"}}, ""},
+      {"SigLate", {{"Logical_Signature", "Sig"}}, "Query.ID > 60"},
+      {"SigLate2", {{"Logical_Signature", "Sig"}}, "Query.ID > 60"},
+      {"SigEarly", {{"Logical_Signature", "Sig"}}, "Query.ID <= 60"},
+      {"SigShapeA",
+       {{"Logical_Signature", "Sig"}},
+       "Query.Query_Text = '" + shape_a + "'"},
+      {"SigShapeB",
+       {{"Logical_Signature", "Sig"}},
+       "Query.Query_Text = '" + shape_b + "'"},
+      {"SigType",
+       {{"Logical_Signature", "Sig"}, {"Query_Type", "Type"}},
+       ""},
+  };
+  std::vector<std::vector<std::string>> states;
+  int rounds = 0;
+  for (const bool async : {true, false}) {
+    MonitorEngine::Options options;
+    options.async_rule_eval = async;
+    options.monitor_threads = 1;
+    StartEngine(options);
+    ASSERT_TRUE(monitor_->CreateTimer("t1").ok());
+    ASSERT_TRUE(monitor_->CreateTimer("t2").ok());
+    LatSpec spill;
+    spill.name = "Spill";
+    spill.object_class = MonitoredClass::kTimer;
+    spill.group_by = {{"Name", ""}};
+    spill.aggregates = {{LatAggFunc::kCount, "", "N", false}};
+    ASSERT_TRUE(monitor_->DefineLat(std::move(spill)).ok());
+    for (const Feed& feed : feeds) {
+      LatSpec spec;
+      spec.name = feed.lat;
+      for (const auto& [attr, alias] : feed.group_by) {
+        spec.group_by.push_back({attr, alias});
+      }
+      spec.aggregates = {{LatAggFunc::kCount, "", "N", false},
+                         {LatAggFunc::kFirst, "ID", "FirstId", false},
+                         {LatAggFunc::kLast, "ID", "LastId", false},
+                         {LatAggFunc::kLast, "Query_Text", "Text", false}};
+      if (feed.max_rows > 0) {
+        spec.ordering = {{"ID", true}};
+        spec.max_rows = feed.max_rows;
+      }
+      ASSERT_TRUE(monitor_->DefineLat(std::move(spec)).ok());
+      RuleSpec rule;
+      rule.name = "feed_" + feed.lat;
+      rule.event = "Query.Commit";
+      rule.condition = feed.condition;
+      rule.action = "Query.Insert(" + feed.lat + ")";
+      ASSERT_TRUE(monitor_->AddRule(rule).ok());
+    }
+    RuleSpec on_evict;
+    on_evict.name = "on_evict";
+    on_evict.event = "TopId.Evict";
+    on_evict.action = "Timer.Insert(Spill)";
+    ASSERT_TRUE(monitor_->AddRule(on_evict).ok());
+
+    // Two statement shapes, so the signature-keyed LATs hold two groups.
+    const auto run_round = [&] {
+      ParamMap params;
+      for (int i = 0; i < kQueriesPerRound; ++i) {
+        params = {{"k", Value::Int(i % 20)}};
+        ASSERT_TRUE(
+            session_->Execute(i % 2 == 0 ? shape_a : shape_b, &params).ok());
+      }
+    };
+    if (async) {
+      const auto& m = monitor_->metrics();
+      while (rounds < 50 &&
+             m.queue_batch_events.value() == m.queue_batches.value()) {
+        run_round();
+        monitor_->DrainEventQueue();
+        ++rounds;
+      }
+      EXPECT_GT(m.queue_batch_events.value(), m.queue_batches.value());
+    } else {
+      for (int r = 0; r < rounds; ++r) run_round();
+    }
+    std::vector<std::string> state;
+    std::vector<std::string> lat_names = {"Spill"};
+    for (const Feed& feed : feeds) lat_names.push_back(feed.lat);
+    for (const std::string& name : lat_names) {
+      std::vector<std::string> rows;
+      for (const auto& row : monitor_->FindLat(name)->Snapshot(0)) {
+        std::string line = name + ":";
+        for (const auto& v : row) line += v.ToString() + "|";
+        rows.push_back(std::move(line));
+      }
+      std::sort(rows.begin(), rows.end());
+      state.insert(state.end(), rows.begin(), rows.end());
+    }
+    for (const auto& rule : monitor_->SnapshotRules()) {
+      state.push_back(rule->name + " evaluations=" +
+                      std::to_string(rule->stats.evaluations.value()) +
+                      " fires=" + std::to_string(rule->stats.fires.value()));
+    }
+    EXPECT_EQ(monitor_->total_errors(), 0u) << monitor_->last_error();
+    EXPECT_EQ(monitor_->FindLat("TopId")->size(), 3u);
+    EXPECT_EQ(monitor_->FindLat("Spill")->size(), 2u);
+    EXPECT_EQ(monitor_->FindLat("SigShapeA")->size(), 1u);
+    EXPECT_EQ(monitor_->FindLat("SigShapeB")->size(), 1u);
+    states.push_back(std::move(state));
+  }
+  EXPECT_EQ(states[0], states[1]);
 }
 
 TEST_F(EventPipelineTest, CancelRulesStaySynchronous) {

@@ -1139,5 +1139,165 @@ TEST(LatTest, EvictCallbackGatedOnListener) {
   EXPECT_EQ(reported, 1);
 }
 
+/// Two records of every monitored class whose string attributes differ
+/// pairwise, each leaving some of them empty. Query 0 is plan-backed (its
+/// text and signatures come from the plan's shared strings), query 1 is
+/// plan-less.
+struct ProbeRecords {
+  std::shared_ptr<engine::CachedPlan> plan =
+      std::make_shared<engine::CachedPlan>();
+  QueryRecord query[2];
+  BlockEventView block[2];
+  TransactionRecord txn[2];
+  TimerRecord timer[2];
+
+  ProbeRecords() {
+    plan->sql_text = "SELECT a FROM t WHERE id = ?";
+    plan->logical_signature = engine::SharedText::Intern("Filter(t.id=?)");
+    plan->physical_signature = engine::SharedText::Intern("");
+    query[0].plan = plan;
+    query[0].text = query[0].logical_signature = "ignored: plan wins";
+    query[0].physical_signature = "ignored too";
+    query[0].query_type = "SELECT";
+    query[0].user = "alice";
+    query[0].application = "";
+    query[1].id = 2;
+    query[1].text = "";
+    query[1].logical_signature = "L";
+    query[1].physical_signature = "P";
+    query[1].query_type = "";
+    query[1].user = "";
+    query[1].application = "app";
+    block[0] = {&query[0], 0.5, "row:t/1"};
+    block[1] = {&query[1], 0, ""};
+    txn[0].logical_signature = "[1,2]";
+    txn[0].user = "bob";
+    txn[1].physical_signature = "[3]";
+    txn[1].application = "app2";
+    timer[0].name = "t1";
+  }
+
+  const void* Record(MonitoredClass cls, int i) const {
+    switch (cls) {
+      case MonitoredClass::kQuery: return &query[i];
+      case MonitoredClass::kBlocker:
+      case MonitoredClass::kBlocked: return &block[i];
+      case MonitoredClass::kTransaction: return &txn[i];
+      case MonitoredClass::kTimer: return &timer[i];
+      default: return nullptr;
+    }
+  }
+};
+
+constexpr MonitoredClass kProbedClasses[] = {
+    MonitoredClass::kQuery, MonitoredClass::kBlocker, MonitoredClass::kBlocked,
+    MonitoredClass::kTransaction, MonitoredClass::kTimer};
+
+int Sign(int v) { return (v > 0) - (v < 0); }
+
+TEST(BorrowedProbeTest, EveryStringAttributeProbesLikeItsValue) {
+  // Each string attribute's borrowed probe hashes like HashRow of the
+  // materialised key (alone and next to an INT column), equals it, and
+  // orders against other values exactly as Value::Compare does.
+  const ProbeRecords recs;
+  const ObjectSchema& schema = ObjectSchema::Get();
+  size_t strings = 0;
+  for (const MonitoredClass cls : kProbedClasses) {
+    for (const AttributeDef& def : schema.attributes(cls)) {
+      if (def.kind != common::ValueKind::kString) {
+        EXPECT_EQ(def.view, nullptr) << def.name;
+        continue;
+      }
+      ++strings;
+      ASSERT_NE(def.view, nullptr) << def.name;
+      for (int i = 0; i < 2; ++i) {
+        SCOPED_TRACE(std::string(MonitoredClassName(cls)) + "." + def.name +
+                     " record " + std::to_string(i));
+        const void* record = recs.Record(cls, i);
+        const Value value = def.Get(record);
+        const BorrowedProbe probe = def.Borrow(record);
+        ASSERT_TRUE(probe.is_text);
+        ASSERT_TRUE(value.is_string());
+        EXPECT_EQ(probe.text, value.string_value());
+        EXPECT_EQ(HashProbes(&probe, 1), common::HashRow({value}));
+        const BorrowedProbe pair[] = {probe, BorrowedProbe::Of(Value::Int(7))};
+        EXPECT_EQ(HashProbes(pair, 2), common::HashRow({value, Value::Int(7)}));
+        EXPECT_EQ(probe.Materialize(), value);
+        EXPECT_TRUE(probe == BorrowedProbe::Of(value));
+        const Value other = def.Get(recs.Record(cls, 1 - i));
+        for (const Value& against :
+             {value, other, Value::String(value.string_value() + "x"),
+              Value::String(""), Value::Null(), Value::Int(0),
+              Value::Double(1.5), Value::Bool(true)}) {
+          EXPECT_EQ(Sign(probe.Compare(against)), Sign(value.Compare(against)))
+              << "against " << against.ToString();
+        }
+      }
+      // The pair differs in every string attribute.
+      EXPECT_NE(def.Borrow(recs.Record(cls, 0)).text,
+                def.Borrow(recs.Record(cls, 1)).text)
+          << def.name;
+    }
+  }
+  // Query 6, Blocker/Blocked 7 each (Query's plus Resource), Transaction
+  // 4, Timer 1.
+  EXPECT_EQ(strings, 6u + 7u + 7u + 4u + 1u);
+  // Plan-backed probes read the plan's shared strings in place.
+  const AttributeDef& sig = schema.attributes(MonitoredClass::kQuery)[
+      static_cast<size_t>(schema.FindAttribute(MonitoredClass::kQuery,
+                                               "Logical_Signature"))];
+  EXPECT_EQ(sig.Borrow(&recs.query[0]).text.data(),
+            recs.plan->logical_signature.str().data());
+}
+
+TEST(BorrowedProbeTest, EveryStringAttributeKeysALatAgainstStoredKeys) {
+  // A LAT grouped by each string attribute (and by it next to an INT
+  // column): per-item Insert and the batched fold find the groups they
+  // created, LookupForObject probes them in place, and LookupByKey's
+  // materialised key meets the same rows.
+  const ProbeRecords recs;
+  const ObjectSchema& schema = ObjectSchema::Get();
+  for (const MonitoredClass cls : kProbedClasses) {
+    for (const AttributeDef& def : schema.attributes(cls)) {
+      if (def.kind != common::ValueKind::kString) continue;
+      for (const bool with_int : {false, true}) {
+        SCOPED_TRACE(std::string(MonitoredClassName(cls)) + "." + def.name +
+                     (with_int ? " + int" : ""));
+        LatSpec spec;
+        spec.name = "probe";
+        spec.object_class = cls;
+        spec.group_by = {{def.name, "K"}};
+        const char* int_attr =
+            cls == MonitoredClass::kTimer ? "Remaining_Alarms" : "Session_ID";
+        if (with_int) spec.group_by.push_back({int_attr, "I"});
+        spec.aggregates = {{LatAggFunc::kCount, "", "N", false}};
+        auto lat = *Lat::Create(spec);
+        const void* a = recs.Record(cls, 0);
+        const void* b = recs.Record(cls, 1);
+        const LatBatchItem items[] = {{a, 1}, {b, 2}, {a, 3}};
+        lat->InsertBatch(items, 3);
+        lat->Insert(b, 4);
+        EXPECT_EQ(lat->size(), 2u);
+        for (const void* record : {a, b}) {
+          Row row;
+          ASSERT_TRUE(lat->LookupForObject(record, 0, &row));
+          EXPECT_EQ(row.back(), Value::Int(2));
+          Row key = {def.Get(record)};
+          if (with_int) {
+            const AttributeDef& i = schema.attributes(cls)[static_cast<size_t>(
+                schema.FindAttribute(cls, int_attr))];
+            key.push_back(i.Get(record));
+          }
+          Row by_key;
+          ASSERT_TRUE(lat->LookupByKey(key, 0, &by_key));
+          EXPECT_EQ(by_key, row);
+          key[0] = Value::String(key[0].string_value() + "x");
+          EXPECT_FALSE(lat->LookupByKey(key, 0, &by_key));
+        }
+      }
+    }
+  }
+}
+
 }  // namespace
 }  // namespace sqlcm::cm

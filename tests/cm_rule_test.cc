@@ -245,6 +245,83 @@ TEST_F(RuleTest, FastConditionPathMatchesGenericPath) {
   }
 }
 
+TEST_F(RuleTest, FastStringAtomsThroughViewsMatchGenericPath) {
+  // String atoms compare the borrowed view in place; every comparison
+  // operator, with the literal on either side, must agree with the tree
+  // interpreter (which materialises the probe) on plan-backed and
+  // plan-less queries, on Blocker/Blocked/Timer string attributes, and on
+  // empty strings. (TRANSACTION is a keyword of the condition grammar, so
+  // Transaction attributes never reach a condition.)
+  auto plan = std::make_shared<engine::CachedPlan>();
+  plan->sql_text = "SELECT 1 FROM t";
+  plan->logical_signature = engine::SharedText::Intern("abc");
+  const std::vector<std::string> texts = {"", "ab", "abc", "abd", "b"};
+  struct Target {
+    std::string event;
+    std::string attr;  // Class.Attribute
+  };
+  const std::vector<Target> targets = {
+      {"Query.Commit", "Query.Logical_Signature"},
+      {"Query.Commit", "Query.Application"},
+      {"Query.Commit", "Query.Query_Text"},
+      {"Query.Blocked", "Blocker.Resource"},
+      {"Query.Blocked", "Blocked.User"},
+      {"Timer.Alarm", "Timer.Name"},
+  };
+  const std::vector<std::string> ops = {"=", "<>", "<", "<=", ">", ">="};
+  size_t checked = 0;
+  for (const Target& target : targets) {
+    for (const std::string& op : ops) {
+      for (const char* literal : {"", "abc", "b"}) {
+        for (const bool attr_left : {true, false}) {
+          const std::string lit = std::string("'") + literal + "'";
+          RuleSpec spec;
+          spec.event = target.event;
+          spec.condition = attr_left ? target.attr + " " + op + " " + lit
+                                     : lit + " " + op + " " + target.attr;
+          spec.action = "Reset(Duration_LAT)";
+          auto rule = RuleCompiler::Compile(spec, resolver_);
+          ASSERT_TRUE(rule.ok()) << spec.condition << ": " << rule.status();
+          ASSERT_TRUE(AllConjunctsFast(**rule)) << spec.condition;
+          const FastAtom& atom = (*rule)->conjuncts[0].atom;
+          for (const std::string& text : texts) {
+            for (const bool planned : {false, true}) {
+              QueryRecord query;
+              query.text = text;
+              query.logical_signature = text;
+              query.application = text;
+              query.user = text;
+              if (planned) {
+                // The plan supplies text and signature; only "abc" can
+                // come from it, so other texts stay plan-less.
+                if (text != "abc") continue;
+                query.plan = plan;
+                query.text = query.logical_signature = "stale";
+              }
+              BlockEventView block{&query, 0.25, text};
+              TimerRecord timer;
+              timer.name = text;
+              EvalContext ctx;
+              ctx.Bind(MonitoredClass::kQuery, &query);
+              ctx.Bind(MonitoredClass::kBlocker, &block);
+              ctx.Bind(MonitoredClass::kBlocked, &block);
+              ctx.Bind(MonitoredClass::kTimer, &timer);
+              auto generic = (*rule)->condition->EvalCondition(&ctx);
+              ASSERT_TRUE(generic.ok()) << spec.condition;
+              EXPECT_EQ(EvalFastAtom(atom, ctx), *generic)
+                  << spec.condition << " on '" << text << "'"
+                  << (planned ? " (plan-backed)" : "");
+              ++checked;
+            }
+          }
+        }
+      }
+    }
+  }
+  // Per atom: every text plan-less, plus "abc" plan-backed.
+  EXPECT_EQ(checked, targets.size() * ops.size() * 3 * 2 * (texts.size() + 1));
+}
+
 TEST_F(RuleTest, FastPathNotUsedForComplexConditions) {
   const std::vector<std::string> generic_only = {
       "Query.Duration > 5 * Duration_LAT.Avg_Duration",  // LAT reference
