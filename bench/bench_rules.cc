@@ -5,20 +5,19 @@
 //
 // On top of the google-benchmark micro suite, the binary carries the
 // predicate-index acceptance harness (docs/PERFORMANCE.md §"Predicate
-// index & learned ordering"): a 120-rule Query.Commit workload whose
-// conditions are drawn Zipf-skewed from a small shared pool — every rule
-// is `<expensive LAT-arithmetic conjunct> AND <cheap always-false
-// rejector>`, authored worst-case-first — measured three ways over an
-// identical TPC-H point-select stream:
+// index"): a 120-rule Query.Commit workload whose conditions are drawn
+// Zipf-skewed from a small shared pool — every rule is `<expensive
+// LAT-arithmetic conjunct> AND <cheap always-false rejector>`, authored
+// worst-case-first — measured two ways over an identical TPC-H
+// point-select stream:
 //
 //   naive    Options::predicate_index = false (historical per-rule path)
-//   indexed  shared index on, learned ordering off (authoring order)
-//   learned  index + UCB1-learned cheapest-rejector-first ordering
+//   indexed  shared index on (conjuncts walked in authoring order)
 //
 // The final stdout line is a machine-readable `BENCH_JSON
 // {"bench":"rule_predicate_index",...}` row with per-mode wall time,
 // added-us-per-query and condition-eval throughput. The binary exits
-// non-zero if learned-over-naive speedup falls below the 2.0x acceptance
+// non-zero if indexed-over-naive speedup falls below the 2.0x acceptance
 // floor, so CI enforces the bar via the exit code.
 //
 //   build/bench/bench_rules [--quick] [--micro-only] [gbench flags...]
@@ -259,7 +258,7 @@ std::string JsonNum(double v) {
 /// Runs the 120-rule Zipf workload under one Options config and returns the
 /// measured wall time plus index counters. Each mode gets a fresh engine
 /// (only one may hook a Database at a time) and a warmup pass that feeds
-/// the LAT row and lets the learned ordering converge before measurement.
+/// the LAT row before measurement.
 /// The added cost is the median over `rounds` of (monitored run − an
 /// unmonitored run taken right before it, hooks detached): a baseline
 /// measured once drifts with host load and once made the difference
@@ -267,12 +266,10 @@ std::string JsonNum(double v) {
 ModeResult RunPredicateIndexMode(
     const char* mode, engine::Database* db, engine::Session* session,
     const std::vector<workload::WorkloadItem>& items, int64_t num_queries,
-    int rounds, bool index_on, bool learned_on) {
+    int rounds, bool index_on) {
   MonitorEngine::Options options;
   options.register_system_views = false;
   options.predicate_index = index_on;
-  options.learned_predicate_order = learned_on;
-  options.predicate_reorder_interval = 512;
   auto monitor = std::make_unique<MonitorEngine>(db, options);
 
   LatSpec lat;
@@ -308,8 +305,8 @@ ModeResult RunPredicateIndexMode(
     rule.name = "pi_r" + std::to_string(r);
     rule.event = "Query.Commit";
     // Worst-case authoring order: the expensive conjunct first, the cheap
-    // always-false rejector second. Learned ordering must discover the
-    // swap; the index alone must amortize the expensive eval via sharing.
+    // always-false rejector second. The index must amortize the expensive
+    // eval via sharing.
     rule.condition = expensive[ZipfPick(rng, expensive.size())] + " AND " +
                      cheap[ZipfPick(rng, cheap.size())];
     rule.action = "Query.Insert(PI_LAT)";
@@ -329,7 +326,7 @@ ModeResult RunPredicateIndexMode(
     return static_cast<double>(stats->wall_micros);
   };
 
-  run_once();  // warmup: feeds PI_LAT, warms caches, converges the ordering
+  run_once();  // warmup: feeds PI_LAT, warms caches
   (void)monitor->RemoveRule(*feed_id);
 
   const uint64_t evals_before = monitor->metrics().predindex_evals.value();
@@ -371,7 +368,7 @@ ModeResult RunPredicateIndexMode(
 }
 
 /// One `BENCH_JSON {"bench":"rule_predicate_index",...}` line; returns the
-/// process exit code (non-zero when the learned speedup misses the floor).
+/// process exit code (non-zero when the indexed speedup misses the floor).
 int RunPredicateIndexComparison(bool quick) {
   engine::Database db;
   workload::TpchConfig tpch;
@@ -399,7 +396,7 @@ int RunPredicateIndexComparison(bool quick) {
   const double baseline_us = run_once();
 
   std::printf(
-      "Predicate index & learned ordering: %d Zipf-shared rules, "
+      "Predicate index: %d Zipf-shared rules, "
       "%lld point selects (baseline %.2f us/query)\n",
       kHarnessRules, static_cast<long long>(num_queries),
       baseline_us / static_cast<double>(num_queries));
@@ -409,16 +406,10 @@ int RunPredicateIndexComparison(bool quick) {
   std::vector<ModeResult> modes;
   modes.push_back(RunPredicateIndexMode("naive", &db, session.get(), items,
                                         num_queries, rounds,
-                                        /*index_on=*/false,
-                                        /*learned_on=*/false));
+                                        /*index_on=*/false));
   modes.push_back(RunPredicateIndexMode("indexed", &db, session.get(), items,
                                         num_queries, rounds,
-                                        /*index_on=*/true,
-                                        /*learned_on=*/false));
-  modes.push_back(RunPredicateIndexMode("learned", &db, session.get(), items,
-                                        num_queries, rounds,
-                                        /*index_on=*/true,
-                                        /*learned_on=*/true));
+                                        /*index_on=*/true));
   for (const ModeResult& m : modes) {
     std::printf("%10s %12.1f %16.3f %20.0f %14llu %12llu\n", m.mode,
                 m.wall_ms, m.added_us_per_query, m.cond_evals_per_sec,
@@ -430,13 +421,8 @@ int RunPredicateIndexComparison(bool quick) {
       modes[1].added_us_per_query > 0.0
           ? modes[0].added_us_per_query / modes[1].added_us_per_query
           : 0.0;
-  const double speedup_learned =
-      modes[2].added_us_per_query > 0.0
-          ? modes[0].added_us_per_query / modes[2].added_us_per_query
-          : 0.0;
-  std::printf("\nspeedup over naive: indexed %.2fx, indexed+learned %.2fx "
-              "(floor %.1fx)\n",
-              speedup_indexed, speedup_learned, kSpeedupFloor);
+  std::printf("\nspeedup over naive: indexed %.2fx (floor %.1fx)\n",
+              speedup_indexed, kSpeedupFloor);
 
   std::string out = "BENCH_JSON {\"bench\":\"rule_predicate_index\"";
   out += ",\"rules\":" + std::to_string(kHarnessRules);
@@ -455,16 +441,15 @@ int RunPredicateIndexComparison(bool quick) {
     out += ",\"memo_hits\":" + std::to_string(m.memo_hits) + "}";
   }
   out += "],\"speedup_indexed\":" + JsonNum(speedup_indexed);
-  out += ",\"speedup_learned\":" + JsonNum(speedup_learned);
   out += ",\"floor\":" + JsonNum(kSpeedupFloor);
   out += "}";
   std::printf("%s\n", out.c_str());
 
-  if (speedup_learned < kSpeedupFloor) {
+  if (speedup_indexed < kSpeedupFloor) {
     std::fprintf(stderr,
-                 "FAIL: learned speedup %.2fx below the %.1fx acceptance "
+                 "FAIL: indexed speedup %.2fx below the %.1fx acceptance "
                  "floor\n",
-                 speedup_learned, kSpeedupFloor);
+                 speedup_indexed, kSpeedupFloor);
     return 1;
   }
   return 0;

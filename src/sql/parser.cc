@@ -13,13 +13,16 @@ using common::Status;
 
 namespace {
 
-constexpr std::array<std::string_view, 38> kKeywords = {
+// TRANSACTION is not reserved: it only ever follows BEGIN, COMMIT or
+// ROLLBACK (matched there by name), and rule conditions name the
+// monitored class `Transaction` in `Transaction.<attribute>` references.
+constexpr std::array<std::string_view, 37> kKeywords = {
     "SELECT", "FROM",   "WHERE",  "GROUP",   "BY",     "ORDER",  "ASC",
     "DESC",   "LIMIT",  "JOIN",   "INNER",   "ON",     "AS",     "INSERT",
     "INTO",   "VALUES", "UPDATE", "SET",     "DELETE", "CREATE", "TABLE",
     "INDEX",  "DROP",   "PRIMARY", "KEY",    "BEGIN",  "COMMIT", "ROLLBACK",
-    "EXEC",   "EXECUTE", "AND",   "OR",      "NOT",    "TRANSACTION",
-    "BETWEEN", "IN",    "LIKE",   "DISTINCT",
+    "EXEC",   "EXECUTE", "AND",   "OR",      "NOT",    "BETWEEN", "IN",
+    "LIKE",   "DISTINCT",
 };
 
 }  // namespace

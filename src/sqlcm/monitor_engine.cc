@@ -638,15 +638,7 @@ void MonitorEngine::RebuildRuleTableLocked() {
       BuildPredicateIndex(table->deferred_by_event[kind],
                           /*deferred_lane=*/true, &predicate_stats_,
                           &table->deferred_index[kind]);
-      // A rebuild resets walk orders to authoring order; re-apply the
-      // learned ranking immediately so CREATE/DROP RULE doesn't regress
-      // converged ordering until the next reorder interval.
-      if (options_.learned_predicate_order) {
-        ReorderPredicateIndex(&table->sync_index[kind]);
-        ReorderPredicateIndex(&table->deferred_index[kind]);
-      }
     }
-    BuildAllAccessGroups(table.get());
   }
   for (size_t kind = 0; kind < kNumEventKinds; ++kind) {
     has_rules_[kind].store(!table->by_event[kind].empty() ||
@@ -662,41 +654,6 @@ void MonitorEngine::RebuildRuleTableLocked() {
   track_concurrency_.store(track_concurrency, std::memory_order_release);
   track_blocking_.store(track_blocking, std::memory_order_release);
   monitoring_active_.store(any_enabled, std::memory_order_release);
-}
-
-void MonitorEngine::MaybeReorderPredicates() {
-  // Opportunistic: skip (and retry next interval) if a CREATE/DROP RULE
-  // holds the registry lock — dispatch must never wait on writers.
-  std::unique_lock<std::mutex> lock(registry_mutex_, std::try_to_lock);
-  if (!lock.owns_lock()) return;
-  // Copy-on-write republish: the live table is immutable to readers, so the
-  // re-ranked walk order lands as a fresh snapshot. Stats objects are
-  // shared (registry-owned), so EWMAs keep accumulating across the swap.
-  auto table = std::make_shared<RuleTable>(*LoadRuleTable());
-  for (size_t kind = 0; kind < kNumEventKinds; ++kind) {
-    ReorderPredicateIndex(&table->sync_index[kind]);
-    ReorderPredicateIndex(&table->deferred_index[kind]);
-  }
-  // New walk orders mean new access groups (and tallies) for this table;
-  // the replaced table's groups fold their tallies once it retires.
-  BuildAllAccessGroups(table.get());
-  PublishRuleTable(std::move(table));
-  metrics_.predindex_reorders.Inc();
-}
-
-void MonitorEngine::BuildAllAccessGroups(RuleTable* table) {
-  for (size_t kind = 0; kind < kNumEventKinds; ++kind) {
-    const struct {
-      const RuleList& rules;
-      PredicateIndex& index;
-    } lanes[] = {{table->by_event[kind], table->sync_index[kind]},
-                 {table->deferred_by_event[kind], table->deferred_index[kind]}};
-    for (const auto& lane : lanes) {
-      if (!lane.index.any_indexed) continue;
-      lane.index.groups =
-          std::make_shared<const AccessGroups>(lane.rules, lane.index);
-    }
-  }
 }
 
 void MonitorEngine::PublishRuleTable(std::shared_ptr<const RuleTable> table) {
@@ -759,9 +716,6 @@ MonitorEngine::SnapshotPredicateStats() const {
         row.subscribers = pred.subscribers;
         row.evals = pred.stats->evals.value();
         row.passes = pred.stats->passes.value();
-        row.mean_cost_ns = static_cast<double>(
-            pred.stats->cost_ewma_ns.load(std::memory_order_relaxed));
-        row.rank = pred.stats->rank.load(std::memory_order_relaxed);
         out.push_back(std::move(row));
       }
     }
@@ -1198,7 +1152,7 @@ void MonitorEngine::FireEvent(EventKind kind, const std::string& qualifier,
   const size_t k = static_cast<size_t>(kind);
   if (!has_rules_[k].load(std::memory_order_acquire)) return;
   // The thread's own snapshot of the dispatch table: no mutex and no
-  // shared write unless a DDL or reorder moved the version.
+  // shared write unless a rule DDL moved the version.
   std::shared_ptr<const RuleTable> pin;
   const RuleTable& table = ThreadRuleTable(&pin);
   const RuleList* rules = &table.by_event[k];
@@ -1254,17 +1208,6 @@ void MonitorEngine::FireEvent(EventKind kind, const std::string& qualifier,
   if (!rules->empty()) {
     DispatchEvent(kind, qualifier, seq, sampled, base_ctx, *rules, index,
                   /*lat_sink=*/nullptr, /*enqueue_nanos=*/0);
-  }
-
-  // Both lanes' walks re-rank here, including events whose rules are all
-  // deferred (the drain loop never reorders).
-  if (options_.predicate_index && options_.learned_predicate_order &&
-      options_.predicate_reorder_interval > 0 &&
-      seq % options_.predicate_reorder_interval ==
-          options_.predicate_reorder_interval - 1) {
-    // Periodic, contention-free (try_lock) re-rank of the shared predicate
-    // walk from the stats gathered since the last republish.
-    MaybeReorderPredicates();
   }
 }
 
@@ -1364,9 +1307,8 @@ void MonitorEngine::DispatchEvent(EventKind kind, const std::string& qualifier,
     memo = &ThreadPredicateMemo();
     memo->BeginEvent(index->preds.size());
     skipped = index->groups->Match(
-        *index, /*strict_order=*/!options_.learned_predicate_order,
-        breakers_not_closed_.load(std::memory_order_relaxed) != 0, ctx, memo,
-        &walk, visit);
+        *index, breakers_not_closed_.load(std::memory_order_relaxed) != 0, ctx,
+        memo, &walk, visit);
   } else {
     std::fill(visit, visit + words, ~RuleBitmap{0});
     if (rules.size() % 64 != 0) {
@@ -1859,13 +1801,9 @@ bool MonitorEngine::RunRule(const CompiledRule& rule, EvalContext* ctx,
   if (index != nullptr && entry != nullptr && entry->indexed &&
       memo != nullptr && walk != nullptr) {
     // Shared-conjunct walk: each distinct predicate evaluates once per
-    // event, memoized for every subscribed rule. Authoring order is kept
-    // exact unless learned ordering is on (then a NULL conjunct may
-    // short-circuit before an erroring one — strictly fewer errors, same
-    // firing decisions).
-    const IndexVerdict verdict = EvalIndexedCondition(
-        *index, *entry, /*strict_order=*/!options_.learned_predicate_order,
-        ctx, memo, walk);
+    // event, memoized for every subscribed rule, in authoring order.
+    const IndexVerdict verdict =
+        EvalIndexedCondition(*index, *entry, ctx, memo, walk);
     if (verdict == IndexVerdict::kError) {
       // A conjunct errored: replay this rule naively so the error text,
       // per-rule stats, and breaker accounting match index-off evaluation

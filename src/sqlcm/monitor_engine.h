@@ -126,15 +126,9 @@ class MonitorEngine final : public engine::MonitorHooks,
     /// rules sharing an attribute-only first conjunct are rejected as one
     /// access group (§"Subscription dispatch"). Off = exactly the
     /// historical per-rule evaluation path (differential-oracle toggle).
+    /// Either way each rule's conjuncts run in authoring order, and fires,
+    /// errors and error text are the same.
     bool predicate_index = true;
-    /// Online learned conjunct ordering on top of the index: per-predicate
-    /// pass-rate/cost EWMAs + UCB1 exploration periodically re-sort each
-    /// rule's walk so cheap, rejective conjuncts run first. Off = authoring
-    /// order with bit-exact naive error accounting.
-    bool learned_predicate_order = true;
-    /// Events between reorder passes (0 disables reordering; the pass
-    /// itself is a cheap table republish off the hot path).
-    uint64_t predicate_reorder_interval = 4096;
   };
 
   /// Attaches to `db` (registers the hook interface and lock observer).
@@ -164,14 +158,17 @@ class MonitorEngine final : public engine::MonitorHooks,
 
   /// Crash-safe file checkpoint of a LAT: exports the raw aggregation
   /// state (moments + aging blocks) through a transient staging table into
-  /// a checksummed atomic v2 snapshot (storage/table_io), retrying
-  /// transient write failures per Options::persist_attempts. Lossless:
+  /// a checksummed atomic snapshot (storage/table_io) — v3 when the LAT
+  /// carries sketch aggregates (their records hold extra `#sketch` cells),
+  /// v2 otherwise — retrying transient write failures per
+  /// Options::persist_attempts. Lossless:
   /// RestoreLat reproduces every aggregate — including STDEV and
   /// mid-window aging variants — bit-exactly.
   common::Status CheckpointLat(std::string_view lat_name,
                                const std::string& file_path);
   /// Restores a LAT from a CheckpointLat snapshot, negotiating the format:
-  /// v2 snapshots restore raw state exactly (Lat::ImportState); v1 and
+  /// a raw-state snapshot of the LAT's own version (v3 with sketch
+  /// aggregates, v2 without) restores exactly (Lat::ImportState); v1 and
   /// legacy headerless CSV snapshots seed from materialized values with
   /// the documented lossy semantics (Lat::SeedFrom). A corrupt or
   /// truncated primary snapshot falls back to the rotated `.bak` copy; the
@@ -272,7 +269,7 @@ class MonitorEngine final : public engine::MonitorHooks,
   std::vector<std::shared_ptr<const Lat>> SnapshotLats() const;
 
   /// One sqlcm_rule_predicate_stats row: a shared predicate of one
-  /// (event kind, dispatch lane) index with its learned statistics.
+  /// (event kind, dispatch lane) index with its evaluation counts.
   struct PredicateStatRow {
     const char* event = "";
     const char* lane = "";  // "sync" | "deferred"
@@ -281,8 +278,6 @@ class MonitorEngine final : public engine::MonitorHooks,
     uint64_t subscribers = 0;
     uint64_t evals = 0;
     uint64_t passes = 0;
-    double mean_cost_ns = 0;
-    int64_t rank = -1;
   };
   /// Walk of the current rule table's indexes (pinned for the walk).
   std::vector<PredicateStatRow> SnapshotPredicateStats() const;
@@ -344,9 +339,6 @@ class MonitorEngine final : public engine::MonitorHooks,
   };
 
   void RebuildRuleTableLocked();
-  /// Builds the subscription matcher of every index in `table` from its
-  /// current walk orders.
-  void BuildAllAccessGroups(RuleTable* table);
 
   /// Publishes `table` as the current dispatch table and moves the version
   /// so every thread refreshes its snapshot at its next outermost event.
@@ -435,12 +427,6 @@ class MonitorEngine final : public engine::MonitorHooks,
   void HandleTimerAlarm(const TimerRecord& timer);
   void RecordError(const common::Status& status);
 
-  /// Learned-ordering reorder pass: re-sorts every index's conjunct walks
-  /// by the UCB1 score and republishes the rule table. Runs every
-  /// Options::predicate_reorder_interval events; skips (retries next
-  /// interval) when the registry mutex is contended.
-  void MaybeReorderPredicates();
-
   /// True when event `seq` gets child spans + profiling attribution.
   bool SampleTrace(uint64_t seq) const;
   /// Engine-wide unique span id; never returns 0 (0 = "no parent").
@@ -460,7 +446,7 @@ class MonitorEngine final : public engine::MonitorHooks,
   /// persist_ts.
   common::Result<std::unique_ptr<storage::Table>> MakeLatStagingTable(
       const Lat& lat) const;
-  /// Builds the transient staging table for v2 raw-state snapshots:
+  /// Builds the transient staging table for v2/v3 raw-state snapshots:
   /// Lat::StateColumnNames + trailing persist_ts.
   common::Result<std::unique_ptr<storage::Table>> MakeLatStateStagingTable(
       const Lat& lat) const;
@@ -498,10 +484,11 @@ class MonitorEngine final : public engine::MonitorHooks,
   std::atomic<uint64_t> rule_table_version_{1};
   /// Process-unique, never reused (addresses are, across engine lifetimes).
   const uint64_t engine_id_;
-  /// Learned predicate state keyed by canonical hash; consulted at every
-  /// index build (under registry_mutex_) so selectivity/cost EWMAs survive
-  /// CREATE/DROP RULE swaps and reorders. Entries are never dropped — the
-  /// predicate universe is bounded by rule text ever created.
+  /// Per-predicate evaluation counts keyed by canonical hash; consulted at
+  /// every index build (under registry_mutex_) so the counts in
+  /// sqlcm_rule_predicate_stats stay cumulative across CREATE/DROP RULE.
+  /// Entries are never dropped — the predicate universe is bounded by rule
+  /// text ever created.
   PredicateStatsRegistry predicate_stats_;
   /// Rule breakers currently open or half-open (RuleBreaker::WatchState).
   /// While zero, dispatch rejects access groups without looking at their

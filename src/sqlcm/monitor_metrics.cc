@@ -76,7 +76,6 @@ MonitorMetrics::MonitorMetrics() {
   registry.RegisterCounter("predindex.memo_hits", &predindex_memo_hits);
   registry.RegisterCounter("predindex.fallbacks", &predindex_fallbacks);
   registry.RegisterCounter("predindex.invalidations", &predindex_invalidations);
-  registry.RegisterCounter("predindex.reorders", &predindex_reorders);
   for (size_t i = 0; i < kNumActionKinds; ++i) {
     const std::string base =
         std::string("profile.action.") +

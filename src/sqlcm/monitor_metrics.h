@@ -91,14 +91,13 @@ struct MonitorMetrics {
   obs::Counter profile_trace_overflows;  // spans dropped by per-trace cap
   obs::Counter metrics_exports;          // Prometheus dumps written
 
-  // Shared predicate index + learned ordering (docs/PERFORMANCE.md
+  // Shared predicate index (docs/PERFORMANCE.md
   // §Predicate index). memo_hits / (evals + memo_hits) is the sharing rate.
   obs::StripedCounter predindex_evals;      // distinct predicate evaluations
   obs::StripedCounter predindex_memo_hits;  // conjuncts answered from the memo
   obs::Counter predindex_fallbacks;      // rules replayed naively (error parity)
   // Mid-event LAT-mutation flushes (only when some predicate reads a LAT).
   obs::StripedCounter predindex_invalidations;
-  obs::Counter predindex_reorders;       // learned-order republishes
   // Per-action-kind attribution across all rules (sampled traces only).
   std::array<obs::Counter, kNumActionKinds> action_kind_spans;
   std::array<obs::Counter, kNumActionKinds> action_kind_nanos;

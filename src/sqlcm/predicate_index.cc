@@ -1,9 +1,6 @@
 #include "sqlcm/predicate_index.h"
 
 #include <algorithm>
-#include <chrono>
-#include <cmath>
-#include <numeric>
 #include <unordered_map>
 
 #include "common/string_util.h"
@@ -12,13 +9,6 @@
 namespace sqlcm::cm {
 
 namespace {
-
-inline uint64_t NowNanos() {
-  return static_cast<uint64_t>(
-      std::chrono::duration_cast<std::chrono::nanoseconds>(
-          std::chrono::steady_clock::now().time_since_epoch())
-          .count());
-}
 
 bool IsComparison(sql::BinaryOp op) {
   switch (op) {
@@ -140,33 +130,8 @@ PredOutcome EvaluatePredicate(const CompiledConjunct& conjunct,
   return PredOutcome::kError;
 }
 
-/// UCB1 explore/exploit score: expected rejections per nanosecond, plus an
-/// exploration bonus that decays as the predicate accumulates pulls
-/// (FrancoDB's QueryPlanOptimizer shape, adapted to condition ordering).
-double PredicateScore(const IndexedPredicate& pred, double ln_total) {
-  const PredicateStats& s = *pred.stats;
-  const double n = static_cast<double>(s.evals.value());
-  double bonus = std::sqrt(2.0 * ln_total / std::max(n, 1.0));
-  if (bonus > 1.0) bonus = 1.0;  // cap: never fully dominates observation
-  double cost =
-      static_cast<double>(s.cost_ewma_ns.load(std::memory_order_relaxed));
-  if (cost <= 0.0) cost = 100.0;  // unmeasured: assume a cheap comparison
-  return (1.0 - s.PassRate() + bonus) / cost;
-}
-
-/// 1-in-16 cost sampling from a per-thread xorshift stream: no shared
-/// counter to bump, and no fixed stride that could keep hitting the same
-/// predicate of a fixed-size walk.
-bool SampleCost() {
-  thread_local uint32_t state = 0x9e3779b9u;
-  state ^= state << 13;
-  state ^= state >> 17;
-  state ^= state << 5;
-  return (state & 0xF) == 0;
-}
-
 /// The memoized outcome of predicate `id` for the current event,
-/// evaluating it (and feeding its learned stats) on first lookup.
+/// evaluating it (and counting it in its stats) on first lookup.
 PredOutcome LookupPredicate(const PredicateIndex& index, uint32_t id,
                             EvalContext* ctx, PredicateMemo* memo,
                             PredWalkCounters* counters) {
@@ -176,18 +141,9 @@ PredOutcome LookupPredicate(const PredicateIndex& index, uint32_t id,
     return outcome;
   }
   const IndexedPredicate& pred = index.preds[id];
-  PredicateStats& stats = *pred.stats;
-  stats.evals.Inc();
-  const bool timed = SampleCost();
-  const uint64_t t0 = timed ? NowNanos() : 0;
+  pred.stats->evals.Inc();
   outcome = EvaluatePredicate(*pred.conjunct, ctx);
-  if (timed) {
-    const uint64_t dt = NowNanos() - t0;
-    const uint64_t prev = stats.cost_ewma_ns.load(std::memory_order_relaxed);
-    stats.cost_ewma_ns.store(prev == 0 ? dt : (prev * 7 + dt) / 8,
-                             std::memory_order_relaxed);
-  }
-  if (outcome == PredOutcome::kPass) stats.passes.Inc();
+  if (outcome == PredOutcome::kPass) pred.stats->passes.Inc();
   memo->Set(id, outcome);
   ++counters->evals;
   return outcome;
@@ -270,35 +226,8 @@ void BuildPredicateIndex(
       ++out->preds[id].subscribers;
     }
   }
-}
-
-void ReorderPredicateIndex(PredicateIndex* index) {
-  if (index->preds.empty()) return;
-  uint64_t total = 1;
-  for (const IndexedPredicate& pred : index->preds) {
-    total += pred.stats->evals.value();
-  }
-  const double ln_total = std::log(static_cast<double>(total));
-  std::vector<double> score(index->preds.size());
-  for (size_t i = 0; i < index->preds.size(); ++i) {
-    score[i] = PredicateScore(index->preds[i], ln_total);
-  }
-  for (IndexedRule& entry : index->entries) {
-    if (entry.preds.size() > 1) {
-      std::stable_sort(entry.preds.begin(), entry.preds.end(),
-                       [&score](uint32_t a, uint32_t b) {
-                         return score[a] > score[b];
-                       });
-    }
-  }
-  std::vector<uint32_t> order(index->preds.size());
-  std::iota(order.begin(), order.end(), 0u);
-  std::stable_sort(order.begin(), order.end(), [&score](uint32_t a, uint32_t b) {
-    return score[a] > score[b];
-  });
-  for (size_t r = 0; r < order.size(); ++r) {
-    index->preds[order[r]].stats->rank.store(static_cast<int64_t>(r),
-                                             std::memory_order_relaxed);
+  if (out->any_indexed) {
+    out->groups = std::make_unique<const AccessGroups>(rules, *out);
   }
 }
 
@@ -350,19 +279,18 @@ AccessGroups::~AccessGroups() {
   }
 }
 
-uint32_t AccessGroups::Match(const PredicateIndex& index, bool strict_order,
-                             bool check_breakers, EvalContext* ctx,
-                             PredicateMemo* memo, PredWalkCounters* counters,
+uint32_t AccessGroups::Match(const PredicateIndex& index, bool check_breakers,
+                             EvalContext* ctx, PredicateMemo* memo,
+                             PredWalkCounters* counters,
                              RuleBitmap* visit) const {
   std::copy(residual_.begin(), residual_.end(), visit);
   uint32_t skipped = 0;
   for (size_t g = 0; g < preds_.size(); ++g) {
-    const PredOutcome outcome =
-        LookupPredicate(index, preds_[g], ctx, memo, counters);
     // Exactly where each member's walk would reject on its first conjunct
-    // (EvalIndexedCondition): FALSE always, NULL only without strict order.
-    bool rejected = outcome == PredOutcome::kFalse ||
-                    (outcome == PredOutcome::kNull && !strict_order);
+    // (EvalIndexedCondition): on FALSE. A NULL first conjunct does not
+    // short-circuit, since a later one may still raise an error.
+    bool rejected = LookupPredicate(index, preds_[g], ctx, memo, counters) ==
+                    PredOutcome::kFalse;
     if (rejected && check_breakers) {
       // An open or half-open breaker must see the visit (it counts a skip
       // or admits a probe), so such a group is visited rule by rule.
@@ -387,8 +315,8 @@ uint32_t AccessGroups::Match(const PredicateIndex& index, bool strict_order,
 }
 
 IndexVerdict EvalIndexedCondition(const PredicateIndex& index,
-                                  const IndexedRule& entry, bool strict_order,
-                                  EvalContext* ctx, PredicateMemo* memo,
+                                  const IndexedRule& entry, EvalContext* ctx,
+                                  PredicateMemo* memo,
                                   PredWalkCounters* counters) {
   bool saw_null = false;
   for (uint32_t id : entry.preds) {
@@ -398,9 +326,8 @@ IndexVerdict EvalIndexedCondition(const PredicateIndex& index,
       case PredOutcome::kFalse:
         return IndexVerdict::kReject;  // naive short-circuits on FALSE too
       case PredOutcome::kNull:
-        if (!strict_order) return IndexVerdict::kReject;
-        // Strict mode mirrors naive AND: NULL does not short-circuit (a
-        // later conjunct may still raise the error naive would report).
+        // As in naive AND, NULL does not short-circuit (a later conjunct
+        // may still raise the error naive would report).
         saw_null = true;
         break;
       case PredOutcome::kError:

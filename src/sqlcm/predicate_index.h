@@ -1,6 +1,5 @@
-// Shared predicate index + online learned condition ordering (ROADMAP
-// item 2; paper §5 evaluates each rule's condition independently in
-// authoring order).
+// Shared predicate index (ROADMAP item 2; paper §5 evaluates each rule's
+// condition independently in authoring order).
 //
 // Rules on one event class typically share conjuncts — variants of
 // `Query.Duration > k * LAT.Avg_Duration` — so the engine decomposes every
@@ -13,22 +12,11 @@
 // whenever a fired rule mutates LAT state mid-event, so every rule still
 // sees exactly the LAT state naive evaluation would).
 //
-// On top of the shared index sits online learned ordering: each canonical
-// predicate carries observed pass-rate and cost EWMAs, and a UCB1-style
-// explore/exploit score (adapted from FrancoDB's QueryPlanOptimizer /
-// PredicateSelectivity) periodically re-sorts every rule's conjunct walk so
-// the cheapest, most-rejective predicates run first. Learned state is keyed
-// by canonical hash in an engine-level registry, so it survives CREATE
-// RULE / DROP RULE index rebuilds.
-//
-// Firing semantics are identical to naive per-rule evaluation: FALSE, NULL
-// and missing-LAT-row conjuncts all reject (§5.2). With learned ordering
-// off, error reporting is also bit-identical (the walk mirrors naive
-// left-to-right AND evaluation: FALSE short-circuits, NULL does not, and
-// any error falls back to the naive evaluator for exact accounting). With
-// learned ordering on, a reordered walk may reject before reaching a
-// conjunct whose evaluation would have raised an error — strictly fewer
-// errors, same fires.
+// Each rule's conjuncts are walked in authoring order with naive AND
+// semantics: FALSE short-circuits, NULL and a missing LAT row reject at the
+// end of the walk without short-circuiting (§5.2), and any error falls back
+// to the naive evaluator, so fires, errors and error text are identical to
+// per-rule evaluation.
 //
 // Dispatch by subscription: the index also clusters rules by an access
 // predicate (Fabret et al., SIGMOD 2001), so a predicate that fails rejects
@@ -38,8 +26,8 @@
 // its outcome cannot change mid-event) and is not rooted at OR/NOT. Every
 // other rule is residual and always visited. Per event, each group's
 // access predicate is evaluated once (through the memo); a group rejected
-// on FALSE (or on NULL with learned ordering — exactly where the rule walk
-// would reject on that conjunct) takes one striped add on its tally, and
+// on FALSE (exactly where the rule walk would reject on that conjunct)
+// takes one striped add on its tally, and
 // only residual rules and members of the other groups are visited, in
 // activation order. A group whose predicate errored, or that holds a rule
 // whose breaker is not closed, is visited rule by rule as before. Members'
@@ -49,7 +37,6 @@
 #ifndef SQLCM_SQLCM_PREDICATE_INDEX_H_
 #define SQLCM_SQLCM_PREDICATE_INDEX_H_
 
-#include <atomic>
 #include <cstdint>
 #include <memory>
 #include <string>
@@ -60,33 +47,20 @@
 
 namespace sqlcm::cm {
 
-/// Lock-free learning state for one canonical predicate. Shared (via
-/// shared_ptr) by every index generation containing the predicate so
-/// selectivity/cost learned before a CREATE/DROP RULE swap or a reorder is
-/// not thrown away.
+/// Evaluation counts of one canonical predicate, surfaced in
+/// sqlcm_rule_predicate_stats. Shared (via shared_ptr) by every index
+/// generation containing the predicate.
 struct PredicateStats {
   /// Striped per thread: every session evaluates the same access
   /// predicates on every event, so a shared word would bounce.
   obs::StripedCounter evals;   // conjunct evaluations actually run
   obs::StripedCounter passes;  // evaluations that yielded TRUE
-  /// EWMA of sampled evaluation cost in nanoseconds (alpha = 1/8; roughly
-  /// 1 in 16 evaluations is timed to keep the hot path at its one-clock-
-  /// read-per-event discipline). Updated racy-lossy — plain atomic
-  /// load/store, lost samples are harmless.
-  std::atomic<uint64_t> cost_ewma_ns{0};
-  /// Rank assigned by the most recent reorder (0 = tried first within its
-  /// index); -1 until a reorder ran. Surfaced in sqlcm_rule_predicate_stats.
-  std::atomic<int64_t> rank{-1};
-
-  double PassRate() const {
-    const uint64_t n = evals.value();
-    if (n == 0) return 0.5;  // uninformed prior
-    return static_cast<double>(passes.value()) / static_cast<double>(n);
-  }
 };
 
 /// Engine-owned registry keyed by canonical-text hash; read/extended at
-/// every index build under the engine's registry mutex.
+/// every index build under the engine's registry mutex. Each CREATE/DROP
+/// RULE rebuilds every index, so without it the view's counts would restart
+/// from zero at each rule DDL.
 using PredicateStatsRegistry =
     std::unordered_map<uint64_t, std::shared_ptr<PredicateStats>>;
 
@@ -123,8 +97,8 @@ struct IndexedRule {
   /// of the same event (sync lane: Insert/Reset actions; deferred lane:
   /// Reset only — Inserts are buffered until the batch flush).
   bool mutates_lats = false;
-  /// Predicate ids (indexes into PredicateIndex::preds) in walk order:
-  /// authoring order at build time, learned order after reorders.
+  /// Predicate ids (indexes into PredicateIndex::preds) in authoring
+  /// order.
   std::vector<uint32_t> preds;
 };
 
@@ -141,9 +115,9 @@ struct PredicateIndex {
   /// CmExpr::Eval fills the cache, and the naive path clears it first), so
   /// dispatch skips the invalidation.
   bool any_lat_reader = false;
-  /// Subscription matcher for the current walk orders; rebuilt whenever
-  /// they change, so every published table has its own.
-  std::shared_ptr<const AccessGroups> groups;
+  /// Subscription matcher; rebuilt with the index, so every published
+  /// table has its own.
+  std::unique_ptr<const AccessGroups> groups;
 };
 
 /// Per-thread memo of conjunct outcomes for the current event.
@@ -194,7 +168,7 @@ inline size_t RuleBitmapWords(size_t rules) { return (rules + 63) / 64; }
 /// The access groups of one index generation (see the header comment).
 /// Each group keeps a bitmap of its members' positions and a striped tally
 /// of the events that rejected it; the members' stats read the tallies
-/// while the generation is live, and the destructor — run once every table
+/// while the generation is live, and the destructor — run once the table
 /// holding the generation is released, so no dispatch can add to a tally
 /// any more — folds each final tally into its members.
 class AccessGroups {
@@ -209,13 +183,13 @@ class AccessGroups {
   /// writes into `visit` (RuleBitmapWords of the lane's rule count) the
   /// positions dispatch must visit:
   /// the residual rules plus the members of every group not rejected. A
-  /// group is rejected when its predicate is FALSE, or NULL unless
-  /// `strict_order`, and — when `check_breakers` (some breaker of the
-  /// engine is not closed) — all its members' breakers are closed. Each
-  /// rejected group takes one add on its tally, and its members count as
-  /// memo hits. Returns the number of members skipped.
-  uint32_t Match(const PredicateIndex& index, bool strict_order,
-                 bool check_breakers, EvalContext* ctx, PredicateMemo* memo,
+  /// group is rejected when its predicate is FALSE and — when
+  /// `check_breakers` (some breaker of the engine is not closed) — all its
+  /// members' breakers are closed. Each rejected group takes one add on
+  /// its tally, and its members count as memo hits. Returns the number of
+  /// members skipped.
+  uint32_t Match(const PredicateIndex& index, bool check_breakers,
+                 EvalContext* ctx, PredicateMemo* memo,
                  PredWalkCounters* counters, RuleBitmap* visit) const;
 
  private:
@@ -242,28 +216,21 @@ void CollectConjuncts(const CmExpr* expr, std::vector<const CmExpr*>* out);
 /// Builds the index for one lane's rule vector from each rule's compiled
 /// conjuncts (grouping by canonical hash). `deferred_lane` selects which
 /// actions count as mid-event LAT mutations. Stats objects are resolved
-/// through (and inserted into) `registry` by canonical hash. The access
-/// groups are left to the caller, once walk orders are final.
+/// through (and inserted into) `registry` by canonical hash, and the
+/// access groups are built last.
 void BuildPredicateIndex(
     const std::vector<std::shared_ptr<const CompiledRule>>& rules,
     bool deferred_lane, PredicateStatsRegistry* registry,
     PredicateIndex* out);
 
-/// Re-sorts every entry's walk order by the UCB1 explore/exploit score
-/// (high observed reject rate and low observed cost first; an exploration
-/// bonus keeps under-measured predicates from starving) and publishes
-/// per-predicate ranks into their stats. Ties keep their current order.
-void ReorderPredicateIndex(PredicateIndex* index);
-
-/// Memoized condition walk for one indexed rule. `strict_order` = walk in
-/// stored (authoring) order with naive short-circuit semantics (exact
-/// error parity); false = short-circuit on any rejecting conjunct (learned
-/// mode). Uses ctx's shared lat_rows cache; flags per-conjunct missing
-/// rows itself. Returns kError when any conjunct's evaluation errors or
-/// yields a non-boolean — the caller then re-runs the rule naively.
+/// Memoized condition walk for one indexed rule, in authoring order with
+/// naive short-circuit semantics (exact error parity). Uses ctx's shared
+/// lat_rows cache; flags per-conjunct missing rows itself. Returns kError
+/// when any conjunct's evaluation errors or yields a non-boolean — the
+/// caller then re-runs the rule naively.
 IndexVerdict EvalIndexedCondition(const PredicateIndex& index,
-                                  const IndexedRule& entry, bool strict_order,
-                                  EvalContext* ctx, PredicateMemo* memo,
+                                  const IndexedRule& entry, EvalContext* ctx,
+                                  PredicateMemo* memo,
                                   PredWalkCounters* counters);
 
 }  // namespace sqlcm::cm

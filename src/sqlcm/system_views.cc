@@ -188,9 +188,7 @@ SystemViews::SystemViews(MonitorEngine* monitor, engine::Database* db)
                                     {"rules", 'i'},
                                     {"eval_count", 'i'},
                                     {"pass_count", 'i'},
-                                    {"pass_rate", 'd'},
-                                    {"mean_cost_ns", 'd'},
-                                    {"rank", 'i'}},
+                                    {"pass_rate", 'd'}},
                                    {"event", "lane", "hash"})) {
     t->SetVirtualRefresh([this, t] {
       std::lock_guard<std::mutex> lock(refresh_mutex_);
@@ -366,8 +364,6 @@ void SystemViews::RefreshRulePredicateStats(storage::Table* table) {
         pred.evals == 0 ? 0.0
                         : static_cast<double>(pred.passes) /
                               static_cast<double>(pred.evals)));
-    row.push_back(Value::Double(pred.mean_cost_ns));
-    row.push_back(Value::Int(pred.rank));
     (void)table->Insert(std::move(row));
   }
 }

@@ -19,8 +19,8 @@
 //                       self-time and share of total monitoring overhead
 //   sqlcm_rule_predicate_stats
 //                       the shared predicate index: one row per distinct
-//                       conjunct per event/lane with subscriber count,
-//                       eval/pass totals and the learned walk rank
+//                       conjunct per event/lane with subscriber count
+//                       and eval/pass totals
 //
 // Refreshes run *before* the table latch is taken (storage::Table virtual
 // hook) and only read monitor snapshots, so no monitor mutex is ever held

@@ -368,6 +368,34 @@ TEST_F(MonitorTest, TransactionSignatureDistinguishesCodePaths) {
   EXPECT_EQ(total, 3);
 }
 
+TEST_F(MonitorTest, TransactionAttributesInConditions) {
+  // `Transaction.<attribute>` parses in a condition, and `BEGIN
+  // TRANSACTION` / `COMMIT TRANSACTION` still delimit a transaction.
+  RuleSpec rule;
+  rule.name = "multi_query_txn";
+  rule.event = "Transaction.Commit";
+  rule.condition = "Transaction.Num_Queries >= 2 AND Transaction.User <> ''";
+  rule.action =
+      "SendMail('txn by {Transaction.User} ran {Transaction.Num_Queries}', "
+      "'dba')";
+  auto id = monitor_.AddRule(rule);
+  ASSERT_TRUE(id.ok()) << id.status();
+
+  Exec("SELECT val FROM items WHERE id = 1");  // one-query transaction
+  Exec("BEGIN TRANSACTION");
+  Exec("SELECT val FROM items WHERE id = 2");
+  Exec("SELECT val FROM items WHERE id = 3");
+  Exec("COMMIT TRANSACTION");
+
+  const auto mails = monitor_.capturing_mailer()->mails();
+  ASSERT_EQ(mails.size(), 1u);
+  EXPECT_EQ(mails[0].body, "txn by dbo ran 2");
+  const auto rules = monitor_.SnapshotRules();
+  ASSERT_EQ(rules.size(), 1u);
+  EXPECT_EQ(rules[0]->stats.fires.value(), 1u);
+  EXPECT_EQ(rules[0]->stats.errors.value(), 0u);
+}
+
 TEST_F(MonitorTest, SendMailWithTemplateSubstitution) {
   RuleSpec rule;
   rule.name = "mail";

@@ -1,10 +1,9 @@
-// Differential oracle for the shared predicate index and online learned
-// condition ordering (docs/PERFORMANCE.md §Predicate index): randomized
-// rule sets and workloads must produce bit-identical firing decisions with
-// the index off (naive per-rule evaluation), the index on in
-// authoring-order mode, and the index on with learned ordering — including
-// three-valued edges (missing LAT rows, NULL-propagating ORs), mid-event
-// LAT mutation, mid-stream CREATE/DROP RULE, and the deferred lane.
+// Differential oracle for the shared predicate index (docs/PERFORMANCE.md
+// §Predicate index): randomized rule sets and workloads must produce
+// bit-identical firing decisions, rule counters and errors with the index
+// off (naive per-rule evaluation) and on — including three-valued edges
+// (missing LAT rows, NULL-propagating ORs), mid-event LAT mutation,
+// mid-stream CREATE/DROP RULE, and the deferred lane.
 #include "sqlcm/predicate_index.h"
 
 #include <gtest/gtest.h>
@@ -130,7 +129,6 @@ class EngineHarness {
 MonitorEngine::Options NaiveOptions() {
   MonitorEngine::Options options;
   options.predicate_index = false;
-  options.learned_predicate_order = false;
   options.register_system_views = false;
   return options;
 }
@@ -138,19 +136,13 @@ MonitorEngine::Options NaiveOptions() {
 MonitorEngine::Options IndexedOptions() {
   MonitorEngine::Options options;
   options.predicate_index = true;
-  options.learned_predicate_order = false;
   options.register_system_views = false;
   return options;
 }
 
-MonitorEngine::Options LearnedOptions() {
-  MonitorEngine::Options options;
-  options.predicate_index = true;
-  options.learned_predicate_order = true;
-  // Aggressively small interval so ordering republishes mid-test.
-  options.predicate_reorder_interval = 16;
-  options.register_system_views = false;
-  return options;
+/// Options of differential config `config`: 0 = naive, 1 = indexed.
+MonitorEngine::Options ConfigOptions(int config) {
+  return config == 0 ? NaiveOptions() : IndexedOptions();
 }
 
 /// Deterministic predicate pool: no wall-clock-dependent outcomes (query
@@ -210,10 +202,8 @@ void AddSeededRules(EngineHarness* h, uint32_t seed) {
 TEST(PredicateIndexDifferentialTest, RandomizedRuleSetsFireIdentically) {
   for (uint32_t seed = 1; seed <= 6; ++seed) {
     std::vector<OutcomeMap> outcomes;
-    for (int config = 0; config < 3; ++config) {
-      EngineHarness h(config == 0   ? NaiveOptions()
-                      : config == 1 ? IndexedOptions()
-                                    : LearnedOptions());
+    for (int config = 0; config < 2; ++config) {
+      EngineHarness h(ConfigOptions(config));
       AddSeededRules(&h, seed);
       h.RunWorkload(60);
       outcomes.push_back(h.Outcomes());
@@ -224,7 +214,6 @@ TEST(PredicateIndexDifferentialTest, RandomizedRuleSetsFireIdentically) {
       }
     }
     EXPECT_EQ(outcomes[0], outcomes[1]) << "naive vs indexed, seed " << seed;
-    EXPECT_EQ(outcomes[0], outcomes[2]) << "naive vs learned, seed " << seed;
   }
 }
 
@@ -232,10 +221,8 @@ TEST(PredicateIndexDifferentialTest, MissingLatRowRejectsWithoutLeaking) {
   // §5.2 implicit ∃: a predicate over a LAT with no matching row rejects
   // even when trivially true of the values — and the sticky missing-row
   // flag must not leak into the NEXT rule sharing the event's context.
-  for (int config = 0; config < 3; ++config) {
-    EngineHarness h(config == 0   ? NaiveOptions()
-                    : config == 1 ? IndexedOptions()
-                                  : LearnedOptions());
+  for (int config = 0; config < 2; ++config) {
+    EngineHarness h(ConfigOptions(config));
     h.DefineCountLat("Missing_LAT");
     h.AddRule("on_missing", "Missing_LAT.N >= 0",
               "Query.Persist(SinkM, ID)");
@@ -255,10 +242,8 @@ TEST(PredicateIndexDifferentialTest, MidEventLatMutationInvalidatesMemo) {
   // event reader2 must see N one higher than reader1 did. A stale memo
   // would replay reader1's verdict and over-fire reader2.
   std::vector<OutcomeMap> outcomes;
-  for (int config = 0; config < 3; ++config) {
-    EngineHarness h(config == 0   ? NaiveOptions()
-                    : config == 1 ? IndexedOptions()
-                                  : LearnedOptions());
+  for (int config = 0; config < 2; ++config) {
+    EngineHarness h(ConfigOptions(config));
     h.DefineCountLat("Count_LAT");
     h.AddRule("seed_feed", "", "Query.Insert(Count_LAT)");
     h.AddRule("reader1", "Count_LAT.N <= 1", "Query.Persist(Sink1, ID)");
@@ -278,7 +263,6 @@ TEST(PredicateIndexDifferentialTest, MidEventLatMutationInvalidatesMemo) {
     outcomes.push_back(oc);
   }
   EXPECT_EQ(outcomes[0], outcomes[1]);
-  EXPECT_EQ(outcomes[0], outcomes[2]);
 }
 
 TEST(PredicateIndexTest, AttributeOnlyConditionsSkipMemoInvalidation) {
@@ -312,10 +296,8 @@ TEST(PredicateIndexDifferentialTest, ThreeValuedOrEdgesAgree) {
   // orders; all strategies must agree (the conjunct is one predicate, so
   // this pins EvaluatePredicate's classification, not just the walk).
   std::vector<OutcomeMap> outcomes;
-  for (int config = 0; config < 3; ++config) {
-    EngineHarness h(config == 0   ? NaiveOptions()
-                    : config == 1 ? IndexedOptions()
-                                  : LearnedOptions());
+  for (int config = 0; config < 2; ++config) {
+    EngineHarness h(ConfigOptions(config));
     h.DefineCountLat("Missing_LAT");
     h.AddRule("or_left_live", "Query.ID >= 0 OR Missing_LAT.N > 0",
               "Query.Persist(SinkL, ID)");
@@ -329,17 +311,14 @@ TEST(PredicateIndexDifferentialTest, ThreeValuedOrEdgesAgree) {
         << "config " << config;
   }
   EXPECT_EQ(outcomes[0], outcomes[1]);
-  EXPECT_EQ(outcomes[0], outcomes[2]);
 }
 
 TEST(PredicateIndexDifferentialTest, MidStreamRuleChurnKeepsAgreement) {
   // CREATE/DROP RULE mid-stream republishes the RCU table and rebuilds the
-  // index (re-applying any learned ranks); outcomes must keep matching.
+  // index; outcomes must keep matching.
   std::vector<OutcomeMap> outcomes;
-  for (int config = 0; config < 3; ++config) {
-    EngineHarness h(config == 0   ? NaiveOptions()
-                    : config == 1 ? IndexedOptions()
-                                  : LearnedOptions());
+  for (int config = 0; config < 2; ++config) {
+    EngineHarness h(ConfigOptions(config));
     h.DefineCountLat("Count_LAT");
     h.AddRule("feed", "", "Query.Insert(Count_LAT)");
     RuleSpec dropme;
@@ -359,7 +338,6 @@ TEST(PredicateIndexDifferentialTest, MidStreamRuleChurnKeepsAgreement) {
     EXPECT_GT(outcomes.back().at("late").fires, 0u) << "config " << config;
   }
   EXPECT_EQ(outcomes[0], outcomes[1]);
-  EXPECT_EQ(outcomes[0], outcomes[2]);
 }
 
 TEST(PredicateIndexDifferentialTest, DeferredLaneFiresIdentically) {
@@ -369,10 +347,8 @@ TEST(PredicateIndexDifferentialTest, DeferredLaneFiresIdentically) {
   // batch-timing-dependent even naively — conditions here stick to event
   // attributes and a never-fed LAT (deterministically missing).
   std::vector<OutcomeMap> outcomes;
-  for (int config = 0; config < 3; ++config) {
-    MonitorEngine::Options options = config == 0   ? NaiveOptions()
-                                     : config == 1 ? IndexedOptions()
-                                                   : LearnedOptions();
+  for (int config = 0; config < 2; ++config) {
+    MonitorEngine::Options options = ConfigOptions(config);
     options.async_rule_eval = true;
     options.monitor_threads = 1;
     EngineHarness h(options);
@@ -395,41 +371,6 @@ TEST(PredicateIndexDifferentialTest, DeferredLaneFiresIdentically) {
         << "config " << config;
   }
   EXPECT_EQ(outcomes[0], outcomes[1]);
-  EXPECT_EQ(outcomes[0], outcomes[2]);
-}
-
-TEST(PredicateIndexTest, DeferredOnlyRulesStillReorder) {
-  // Every rule is deferrable, so no event has inline rules: the periodic
-  // re-rank must still run, and the learned deferred lane must still agree
-  // with naive deferred evaluation.
-  std::vector<OutcomeMap> outcomes;
-  for (int config = 0; config < 2; ++config) {
-    MonitorEngine::Options options =
-        config == 0 ? NaiveOptions() : LearnedOptions();
-    options.async_rule_eval = true;
-    options.monitor_threads = 1;
-    EngineHarness h(options);
-    h.DefineCountLat("Count_LAT");
-    h.DefineCountLat("Sparse_LAT");
-    h.AddRule("feed", "", "Query.Insert(Count_LAT)");
-    h.AddRule("d0", "Query.ID >= 0 AND Query.Duration >= 0",
-              "Query.Persist(Sink_d0, ID)");
-    h.AddRule("d1", "Sparse_LAT.N >= 0 AND Query.ID > 5",
-              "Query.Persist(Sink_d1, ID)");
-    h.AddRule("d2", "Query.Duration > 100000000 AND Query.ID >= 0",
-              "Query.Persist(Sink_d2, ID)");
-    h.RunWorkload(100);  // > 6 reorder intervals of 16 events
-    h.monitor()->DrainEventQueue();
-    outcomes.push_back(h.Outcomes());
-    if (config == 1) {
-      for (const auto& row : h.monitor()->SnapshotPredicateStats()) {
-        EXPECT_STREQ(row.lane, "deferred") << row.text;
-      }
-      EXPECT_GT(h.monitor()->metrics().predindex_reorders.value(), 0u);
-    }
-  }
-  EXPECT_EQ(outcomes[0], outcomes[1]);
-  EXPECT_EQ(outcomes[0].at("d0").fires, 100u);
 }
 
 TEST(PredicateIndexTest, SharedConjunctsDeduplicateAcrossRules) {
@@ -477,79 +418,66 @@ TEST(PredicateIndexTest, RulePredicateStatsViewIsQueryable) {
   h.AddRule("b", "Count_LAT.N >= 1", "Query.Persist(SinkB, ID)");
   h.RunWorkload(20);
 
-  const QueryResult result = h.Query(
-      "SELECT event, lane, predicate, rules, eval_count, pass_count, "
-      "pass_rate, rank FROM sqlcm_rule_predicate_stats");
-  ASSERT_GE(result.rows.size(), 2u);
-  bool found = false;
-  for (const auto& row : result.rows) {
-    if (row[2].ToDisplayString() != "(count_lat.N >= 1)") continue;
-    found = true;
-    EXPECT_EQ(row[0].ToDisplayString(), "Query.Commit");
-    EXPECT_EQ(row[1].ToDisplayString(), "sync");
-    EXPECT_EQ(row[3].int_value(), 2);
-    EXPECT_GT(row[4].int_value(), 0);
-    EXPECT_GT(row[6].double_value(), 0.0);  // passes once the row exists
-  }
-  EXPECT_TRUE(found);
-}
-
-TEST(PredicateIndexTest, LearnedOrderConvergesAndKeepsSemantics) {
-  // A cheap never-true conjunct authored AFTER an expensive LAT conjunct:
-  // learned ordering should promote the rejector to rank 0 among that
-  // rule's predicates, and the rule must never fire either way.
-  EngineHarness h(LearnedOptions());
-  h.DefineCountLat("Count_LAT");
-  h.AddRule("feed", "", "Query.Insert(Count_LAT)");
-  h.AddRule("expensive_first",
-            "Count_LAT.N + Count_LAT.N + Count_LAT.N >= 0 AND Query.ID < 0",
-            "Query.Persist(SinkE, ID)");
-  h.RunWorkload(200);
-
-  const OutcomeMap oc = h.Outcomes();
-  EXPECT_EQ(oc.at("expensive_first").fires, 0u);
-  EXPECT_EQ(oc.at("expensive_first").cond_false, 200u);
-  EXPECT_GT(h.monitor()->metrics().predindex_reorders.value(), 0u);
-
-  int64_t rejector_rank = -1;
-  int64_t expensive_rank = -1;
-  for (const auto& row : h.monitor()->SnapshotPredicateStats()) {
-    if (row.text == "(Query.ID < 0)") rejector_rank = row.rank;
-    if (row.text.find("count_lat.N + count_lat.N") != std::string::npos) {
-      expensive_rank = row.rank;
+  // The eval_count of the shared LAT conjunct, or -1 when it has no row.
+  auto shared_evals = [&h] {
+    const QueryResult result = h.Query(
+        "SELECT event, lane, predicate, rules, eval_count, pass_count, "
+        "pass_rate FROM sqlcm_rule_predicate_stats");
+    EXPECT_GE(result.rows.size(), 2u);
+    int64_t evals = -1;
+    for (const auto& row : result.rows) {
+      if (row[2].ToDisplayString() != "(count_lat.N >= 1)") continue;
+      EXPECT_EQ(row[0].ToDisplayString(), "Query.Commit");
+      EXPECT_EQ(row[1].ToDisplayString(), "sync");
+      EXPECT_EQ(row[3].int_value(), 2);
+      EXPECT_GT(row[6].double_value(), 0.0);  // passes once the row exists
+      evals = row[4].int_value();
     }
-  }
-  ASSERT_GE(rejector_rank, 0);
-  ASSERT_GE(expensive_rank, 0);
-  EXPECT_LT(rejector_rank, expensive_rank)
-      << "always-false cheap conjunct should be walked first";
+    return evals;
+  };
+  const int64_t before = shared_evals();
+  EXPECT_GE(before, 20);
+  // Rule DDL rebuilds every index; the counts carry over.
+  h.AddRule("c", "Query.ID < 0", "Query.Persist(SinkC, ID)");
+  h.RunWorkload(1);
+  EXPECT_GT(shared_evals(), before);
+
+  const QueryResult all =
+      h.Query("SELECT * FROM sqlcm_rule_predicate_stats");
+  EXPECT_EQ(all.column_names,
+            (std::vector<std::string>{"event", "lane", "hash", "predicate",
+                                      "rules", "eval_count", "pass_count",
+                                      "pass_rate"}));
 }
 
-TEST(PredicateIndexTest, ConcurrentEvalChurnAndReorderIsRaceFree) {
+TEST(PredicateIndexTest, ConcurrentEvalAndRuleChurnIsRaceFree) {
   // TSan target: query threads evaluating through the index while a churn
-  // thread republishes the rule table and the reorderer republishes ranks.
-  MonitorEngine::Options options = LearnedOptions();
-  EngineHarness h(options);
+  // thread's CREATE/DROP RULE republishes the rule table under them.
+  EngineHarness h(IndexedOptions());
   h.DefineCountLat("Count_LAT");
   h.AddRule("feed", "", "Query.Insert(Count_LAT)");
   h.AddRule("stable", "Count_LAT.N >= 1 AND Query.Duration >= 0",
             "Query.Persist(SinkS, ID)");
 
+  std::atomic<int> running{3};
   std::vector<std::thread> workers;
   for (int t = 0; t < 3; ++t) {
-    workers.emplace_back([&h, t] {
+    workers.emplace_back([&h, &running, t] {
       auto session = h.db()->CreateSession();
       ParamMap params;
       for (int i = 0; i < 200; ++i) {
         params = {{"k", Value::Int((t * 7 + i) % 20)}};
         auto result =
             session->Execute("SELECT val FROM items WHERE id = @k", &params);
-        ASSERT_TRUE(result.ok()) << result.status();
+        EXPECT_TRUE(result.ok()) << result.status();
       }
+      running.fetch_sub(1, std::memory_order_release);
     });
   }
-  std::thread churn([&h] {
-    for (int i = 0; i < 40; ++i) {
+  // Churns until every worker is done, so republishes overlap dispatch.
+  std::thread churn([&h, &running] {
+    for (int i = 0; i < 40 || running.load(std::memory_order_acquire) > 0;
+         ++i) {
       RuleSpec spec;
       spec.name = "churn";
       spec.event = "Query.Commit";
@@ -616,6 +544,8 @@ struct DispatchRecord {
   std::map<std::string, std::vector<std::string>> lats;  // sorted rows
   uint64_t visited = 0;
   uint64_t skipped = 0;
+  uint64_t evals = 0;      // predindex_evals
+  uint64_t memo_hits = 0;  // predindex_memo_hits
   uint64_t total_errors = 0;
   std::vector<std::string> error_messages;  // recent_errors(), sorted
 };
@@ -728,6 +658,8 @@ class SubscriptionScript {
     }
     out.visited = m->metrics().rules_visited.value();
     out.skipped = m->metrics().rules_skipped.value();
+    out.evals = m->metrics().predindex_evals.value();
+    out.memo_hits = m->metrics().predindex_memo_hits.value();
     out.total_errors = m->total_errors();
     for (const auto& error : m->recent_errors()) {
       out.error_messages.push_back(error.message);
@@ -790,15 +722,18 @@ void ExpectSameDispatch(const DispatchRecord& naive,
   EXPECT_EQ(naive.fires, indexed.fires) << what;
   EXPECT_EQ(naive.rules, indexed.rules) << what;
   EXPECT_EQ(naive.lats, indexed.lats) << what;
+  // The error reports themselves, not only the per-rule counts.
+  EXPECT_EQ(naive.total_errors, indexed.total_errors) << what;
+  EXPECT_EQ(naive.error_messages, indexed.error_messages) << what;
   // Every rule naive dispatch considered was either visited or answered by
   // its group.
   EXPECT_EQ(naive.skipped, 0u) << what;
   EXPECT_EQ(naive.visited, indexed.visited + indexed.skipped) << what;
 }
 
-TEST(SubscriptionDispatchTest, StrictOrderMatchesNaiveDispatchWithErrors) {
-  // Authoring order keeps error parity, so even erroring conjuncts (and
-  // the breaker trips they cause) must agree event by event.
+TEST(SubscriptionDispatchTest, IndexMatchesNaiveDispatchWithErrors) {
+  // The index walks authoring order, so even erroring conjuncts (and the
+  // breaker trips they cause) must agree event by event.
   uint64_t skipped = 0;
   uint64_t trip_skips = 0;
   for (uint32_t seed = 1; seed <= 8; ++seed) {
@@ -807,9 +742,6 @@ TEST(SubscriptionDispatchTest, StrictOrderMatchesNaiveDispatchWithErrors) {
     const DispatchRecord indexed = script.Run(IndexedOptions());
     const std::string what = "seed " + std::to_string(seed);
     ExpectSameDispatch(naive, indexed, what);
-    // The error reports themselves, not only the per-rule counts.
-    EXPECT_EQ(naive.total_errors, indexed.total_errors) << what;
-    EXPECT_EQ(naive.error_messages, indexed.error_messages) << what;
     EXPECT_GT(indexed.total_errors, 0u) << what;
     skipped += indexed.skipped;
     for (const auto& [name, stats] : indexed.rules) trip_skips += stats[5];
@@ -820,28 +752,31 @@ TEST(SubscriptionDispatchTest, StrictOrderMatchesNaiveDispatchWithErrors) {
   EXPECT_GT(trip_skips, 0u);
 }
 
-TEST(SubscriptionDispatchTest, LearnedOrderMatchesNaiveDispatch) {
-  // Learned ordering may skip errors naive evaluation reports (documented),
-  // so this pool has none; groups follow each republished walk order.
-  uint64_t skipped = 0;
-  for (uint32_t seed = 11; seed <= 18; ++seed) {
-    SubscriptionScript script(seed, /*with_errors=*/false);
-    const DispatchRecord naive = script.Run(NaiveOptions());
-    const DispatchRecord learned = script.Run(LearnedOptions());
-    ExpectSameDispatch(naive, learned, "seed " + std::to_string(seed));
-    skipped += learned.skipped;
+TEST(SubscriptionDispatchTest, WalkCountsRepeatExactly) {
+  // The walk order is the authoring order, so the work the index does
+  // depends only on the rule set and the event stream: two engines fed
+  // one scripted stream count the same conjunct evaluations, memo hits,
+  // visits and skips.
+  for (uint32_t seed = 1; seed <= 4; ++seed) {
+    SubscriptionScript script(seed, /*with_errors=*/true);
+    const DispatchRecord first = script.Run(IndexedOptions());
+    const DispatchRecord second = script.Run(IndexedOptions());
+    const std::string what = "seed " + std::to_string(seed);
+    EXPECT_GT(first.evals, 0u) << what;
+    EXPECT_GT(first.skipped, 0u) << what;
+    EXPECT_EQ(first.evals, second.evals) << what;
+    EXPECT_EQ(first.memo_hits, second.memo_hits) << what;
+    EXPECT_EQ(first.visited, second.visited) << what;
+    EXPECT_EQ(first.skipped, second.skipped) << what;
   }
-  EXPECT_GT(skipped, 0u);
 }
 
 TEST(SubscriptionDispatchTest, DeferredLaneMatchesNaiveDispatch) {
   // The deferred lane dispatches through the same matcher.
   std::vector<OutcomeMap> outcomes;
   std::vector<uint64_t> skipped;
-  for (int config = 0; config < 3; ++config) {
-    MonitorEngine::Options options = config == 0   ? NaiveOptions()
-                                     : config == 1 ? IndexedOptions()
-                                                   : LearnedOptions();
+  for (int config = 0; config < 2; ++config) {
+    MonitorEngine::Options options = ConfigOptions(config);
     options.async_rule_eval = true;
     options.monitor_threads = 1;
     EngineHarness h(options);
@@ -859,19 +794,16 @@ TEST(SubscriptionDispatchTest, DeferredLaneMatchesNaiveDispatch) {
     skipped.push_back(h.monitor()->metrics().rules_skipped.value());
   }
   EXPECT_EQ(outcomes[0], outcomes[1]);
-  EXPECT_EQ(outcomes[0], outcomes[2]);
   EXPECT_EQ(skipped[0], 0u);
   EXPECT_GT(skipped[1], 0u);
 }
 
 TEST(SubscriptionDispatchTest, FourSessionsKeepDerivedStatsExact) {
-  // Four sessions dispatch while learned reorders republish the table
-  // (retiring access-group generations, whose tallies fold into the rules)
-  // and a reader samples the derived counters. At quiescence every count
-  // must be exact.
-  MonitorEngine::Options options = LearnedOptions();
-  options.predicate_reorder_interval = 8;
-  EngineHarness h(options);
+  // Four sessions dispatch while rule DDL republishes the table (retiring
+  // access-group generations, whose tallies fold into the rules) and a
+  // reader samples the derived counters. At quiescence every count must be
+  // exact.
+  EngineHarness h(IndexedOptions());
   h.DefineCountLat("Count_LAT");
   h.AddRule("feed", "", "Query.Insert(Count_LAT)");
   for (int r = 0; r < 24; ++r) {
@@ -896,6 +828,22 @@ TEST(SubscriptionDispatchTest, FourSessionsKeepDerivedStatsExact) {
       }
     }
   });
+  // CREATE/DROP RULE on an event the sessions never raise: every DDL
+  // rebuilds the Query.Commit groups without changing what they dispatch.
+  uint64_t churns = 0;
+  std::thread churn([&h, &done, &churns] {
+    RuleSpec spec;
+    spec.name = "churn";
+    spec.event = "Query.Cancel";
+    spec.condition = "Query.ID < 0";
+    spec.action = "Query.Persist(SinkC, ID)";
+    while (!done.load(std::memory_order_acquire)) {
+      auto id = h.monitor()->AddRule(spec);
+      ASSERT_TRUE(id.ok()) << id.status();
+      ASSERT_TRUE(h.monitor()->RemoveRule(*id).ok());
+      ++churns;
+    }
+  });
   std::vector<std::thread> sessions;
   for (int t = 0; t < kSessions; ++t) {
     sessions.emplace_back([&h, t] {
@@ -912,6 +860,7 @@ TEST(SubscriptionDispatchTest, FourSessionsKeepDerivedStatsExact) {
   for (auto& t : sessions) t.join();
   done.store(true, std::memory_order_release);
   reader.join();
+  churn.join();
 
   const uint64_t events = uint64_t{kSessions} * kQueries;
   const MonitorMetrics& metrics = h.monitor()->metrics();
@@ -919,7 +868,7 @@ TEST(SubscriptionDispatchTest, FourSessionsKeepDerivedStatsExact) {
   EXPECT_EQ(metrics.rules_visited.value() + metrics.rules_skipped.value(),
             events * rule_count);
   EXPECT_GT(metrics.rules_skipped.value(), 0u);
-  EXPECT_GT(metrics.predindex_reorders.value(), 0u);
+  EXPECT_GT(churns, 0u);
   uint64_t fires = 0;
   for (const auto& rule : h.monitor()->SnapshotRules()) {
     SCOPED_TRACE(rule->name);

@@ -249,9 +249,8 @@ TEST_F(RuleTest, FastStringAtomsThroughViewsMatchGenericPath) {
   // String atoms compare the borrowed view in place; every comparison
   // operator, with the literal on either side, must agree with the tree
   // interpreter (which materialises the probe) on plan-backed and
-  // plan-less queries, on Blocker/Blocked/Timer string attributes, and on
-  // empty strings. (TRANSACTION is a keyword of the condition grammar, so
-  // Transaction attributes never reach a condition.)
+  // plan-less queries, on Transaction/Blocker/Blocked/Timer string
+  // attributes, and on empty strings.
   auto plan = std::make_shared<engine::CachedPlan>();
   plan->sql_text = "SELECT 1 FROM t";
   plan->logical_signature = engine::SharedText::Intern("abc");
@@ -264,6 +263,7 @@ TEST_F(RuleTest, FastStringAtomsThroughViewsMatchGenericPath) {
       {"Query.Commit", "Query.Logical_Signature"},
       {"Query.Commit", "Query.Application"},
       {"Query.Commit", "Query.Query_Text"},
+      {"Transaction.Commit", "Transaction.User"},
       {"Query.Blocked", "Blocker.Resource"},
       {"Query.Blocked", "Blocked.User"},
       {"Timer.Alarm", "Timer.Name"},
@@ -301,8 +301,11 @@ TEST_F(RuleTest, FastStringAtomsThroughViewsMatchGenericPath) {
               BlockEventView block{&query, 0.25, text};
               TimerRecord timer;
               timer.name = text;
+              TransactionRecord txn;
+              txn.user = text;
               EvalContext ctx;
               ctx.Bind(MonitoredClass::kQuery, &query);
+              ctx.Bind(MonitoredClass::kTransaction, &txn);
               ctx.Bind(MonitoredClass::kBlocker, &block);
               ctx.Bind(MonitoredClass::kBlocked, &block);
               ctx.Bind(MonitoredClass::kTimer, &timer);

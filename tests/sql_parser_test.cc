@@ -133,9 +133,29 @@ TEST(ParserTest, CreateIndexAndDrop) {
 TEST(ParserTest, TransactionControl) {
   EXPECT_EQ((*Parser::ParseStatement("BEGIN TRANSACTION"))->kind,
             StatementKind::kBegin);
+  EXPECT_EQ((*Parser::ParseStatement("begin transaction;"))->kind,
+            StatementKind::kBegin);
+  EXPECT_EQ((*Parser::ParseStatement("BEGIN"))->kind, StatementKind::kBegin);
+  EXPECT_EQ((*Parser::ParseStatement("COMMIT TRANSACTION"))->kind,
+            StatementKind::kCommit);
   EXPECT_EQ((*Parser::ParseStatement("commit"))->kind, StatementKind::kCommit);
+  EXPECT_EQ((*Parser::ParseStatement("ROLLBACK TRANSACTION"))->kind,
+            StatementKind::kRollback);
   EXPECT_EQ((*Parser::ParseStatement("ROLLBACK;"))->kind,
             StatementKind::kRollback);
+  auto script = Parser::ParseScript(
+      "BEGIN TRANSACTION; SELECT a FROM t; COMMIT TRANSACTION;");
+  ASSERT_TRUE(script.ok()) << script.status();
+  ASSERT_EQ(script->size(), 3u);
+  EXPECT_EQ((*script)[0]->kind, StatementKind::kBegin);
+  EXPECT_EQ((*script)[2]->kind, StatementKind::kCommit);
+}
+
+TEST(ParserTest, TransactionQualifiesAColumnInExpressions) {
+  // Rule conditions reference the monitored class `Transaction`.
+  auto expr = Parser::ParseExpression("Transaction.User = ''");
+  ASSERT_TRUE(expr.ok()) << expr.status();
+  EXPECT_EQ((*expr)->ToString(), "(Transaction.User = '')");
 }
 
 TEST(ParserTest, ExecWithArgs) {
