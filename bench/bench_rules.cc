@@ -8,17 +8,21 @@
 // index"): a 120-rule Query.Commit workload whose conditions are drawn
 // Zipf-skewed from a small shared pool — every rule is `<expensive
 // LAT-arithmetic conjunct> AND <cheap always-false rejector>`, authored
-// worst-case-first — measured two ways over an identical TPC-H
+// worst-case-first — measured three ways over an identical TPC-H
 // point-select stream:
 //
-//   naive    Options::predicate_index = false (historical per-rule path)
-//   indexed  shared index on (conjuncts walked in authoring order)
+//   naive     Options::predicate_index = false (historical per-rule path)
+//   indexed   shared index on (conjuncts walked in authoring order)
+//   deferred  indexed, with async_rule_eval and one monitor worker: the
+//             run-at-a-time drain (docs/PERFORMANCE.md §"Async pipeline"),
+//             timed until DrainEventQueue returns
 //
 // The final stdout line is a machine-readable `BENCH_JSON
 // {"bench":"rule_predicate_index",...}` row with per-mode wall time,
-// added-us-per-query and condition-eval throughput. The binary exits
-// non-zero if indexed-over-naive speedup falls below the 2.0x acceptance
-// floor, so CI enforces the bar via the exit code.
+// added-us-per-query, wall ns per (event × rule) and condition-eval
+// throughput. The binary exits non-zero if indexed-over-naive speedup
+// falls below the 2.0x acceptance floor, so CI enforces the bar via the
+// exit code; the deferred row is reported only.
 //
 //   build/bench/bench_rules [--quick] [--micro-only] [gbench flags...]
 //
@@ -27,6 +31,7 @@
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
+#include <chrono>
 #include <cmath>
 #include <cstdio>
 #include <cstring>
@@ -244,6 +249,7 @@ struct ModeResult {
   const char* mode;
   double wall_ms;
   double added_us_per_query;
+  double ns_per_event_rule;  // monitored wall time per (event × rule)
   double cond_evals_per_sec;  // naive-equivalent rule-conditions decided/s
   uint64_t predindex_evals;
   uint64_t memo_hits;
@@ -258,7 +264,8 @@ std::string JsonNum(double v) {
 /// Runs the 120-rule Zipf workload under one Options config and returns the
 /// measured wall time plus index counters. Each mode gets a fresh engine
 /// (only one may hook a Database at a time) and a warmup pass that feeds
-/// the LAT row before measurement.
+/// the LAT row before measurement. A deferred mode's monitored run lasts
+/// until the event queue has drained.
 /// The added cost is the median over `rounds` of (monitored run − an
 /// unmonitored run taken right before it, hooks detached): a baseline
 /// measured once drifts with host load and once made the difference
@@ -266,10 +273,12 @@ std::string JsonNum(double v) {
 ModeResult RunPredicateIndexMode(
     const char* mode, engine::Database* db, engine::Session* session,
     const std::vector<workload::WorkloadItem>& items, int64_t num_queries,
-    int rounds, bool index_on) {
+    int rounds, bool index_on, bool deferred) {
   MonitorEngine::Options options;
   options.register_system_views = false;
   options.predicate_index = index_on;
+  options.async_rule_eval = deferred;
+  options.monitor_threads = 1;
   auto monitor = std::make_unique<MonitorEngine>(db, options);
 
   LatSpec lat;
@@ -317,13 +326,17 @@ ModeResult RunPredicateIndexMode(
   }
 
   auto run_once = [&]() -> double {
+    const auto start = std::chrono::steady_clock::now();
     auto stats = workload::RunWorkload(session, items);
     if (!stats.ok()) {
       std::fprintf(stderr, "workload: %s\n",
                    stats.status().ToString().c_str());
       std::exit(1);
     }
-    return static_cast<double>(stats->wall_micros);
+    monitor->DrainEventQueue();  // deferred work counts until it landed
+    return std::chrono::duration<double, std::micro>(
+               std::chrono::steady_clock::now() - start)
+        .count();
   };
 
   run_once();  // warmup: feeds PI_LAT, warms caches
@@ -351,6 +364,8 @@ ModeResult RunPredicateIndexMode(
   out.mode = mode;
   out.wall_ms = wall_us / 1000.0;
   out.added_us_per_query = added_us / static_cast<double>(num_queries);
+  out.ns_per_event_rule =
+      wall_us * 1000.0 / (static_cast<double>(num_queries) * kHarnessRules);
   // Throughput in naive-equivalent units: every event decides all rules'
   // conditions, however few predicate evals the index actually spent.
   out.cond_evals_per_sec =
@@ -400,19 +415,27 @@ int RunPredicateIndexComparison(bool quick) {
       "%lld point selects (baseline %.2f us/query)\n",
       kHarnessRules, static_cast<long long>(num_queries),
       baseline_us / static_cast<double>(num_queries));
-  std::printf("%10s %12s %16s %20s %14s %12s\n", "mode", "wall(ms)",
-              "us/query added", "cond evals/sec", "index evals", "memo hits");
+  std::printf("%10s %12s %16s %14s %20s %14s %12s\n", "mode", "wall(ms)",
+              "us/query added", "ns/(ev*rule)", "cond evals/sec",
+              "index evals", "memo hits");
 
   std::vector<ModeResult> modes;
   modes.push_back(RunPredicateIndexMode("naive", &db, session.get(), items,
                                         num_queries, rounds,
-                                        /*index_on=*/false));
+                                        /*index_on=*/false,
+                                        /*deferred=*/false));
   modes.push_back(RunPredicateIndexMode("indexed", &db, session.get(), items,
                                         num_queries, rounds,
-                                        /*index_on=*/true));
+                                        /*index_on=*/true,
+                                        /*deferred=*/false));
+  modes.push_back(RunPredicateIndexMode("deferred", &db, session.get(), items,
+                                        num_queries, rounds,
+                                        /*index_on=*/true,
+                                        /*deferred=*/true));
   for (const ModeResult& m : modes) {
-    std::printf("%10s %12.1f %16.3f %20.0f %14llu %12llu\n", m.mode,
-                m.wall_ms, m.added_us_per_query, m.cond_evals_per_sec,
+    std::printf("%10s %12.1f %16.3f %14.1f %20.0f %14llu %12llu\n", m.mode,
+                m.wall_ms, m.added_us_per_query, m.ns_per_event_rule,
+                m.cond_evals_per_sec,
                 static_cast<unsigned long long>(m.predindex_evals),
                 static_cast<unsigned long long>(m.memo_hits));
   }
@@ -436,6 +459,7 @@ int RunPredicateIndexComparison(bool quick) {
     out += std::string("{\"mode\":\"") + m.mode + "\"";
     out += ",\"wall_ms\":" + JsonNum(m.wall_ms);
     out += ",\"added_us_per_query\":" + JsonNum(m.added_us_per_query);
+    out += ",\"ns_per_event_rule\":" + JsonNum(m.ns_per_event_rule);
     out += ",\"cond_evals_per_sec\":" + JsonNum(m.cond_evals_per_sec);
     out += ",\"predindex_evals\":" + std::to_string(m.predindex_evals);
     out += ",\"memo_hits\":" + std::to_string(m.memo_hits) + "}";

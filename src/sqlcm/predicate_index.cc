@@ -1,6 +1,7 @@
 #include "sqlcm/predicate_index.h"
 
 #include <algorithm>
+#include <bit>
 #include <unordered_map>
 
 #include "common/string_util.h"
@@ -169,8 +170,7 @@ void CollectConjuncts(const CmExpr* expr, std::vector<const CmExpr*>* out) {
 
 void BuildPredicateIndex(
     const std::vector<std::shared_ptr<const CompiledRule>>& rules,
-    bool deferred_lane, PredicateStatsRegistry* registry,
-    PredicateIndex* out) {
+    PredicateStatsRegistry* registry, PredicateIndex* out) {
   out->preds.clear();
   out->entries.clear();
   out->any_indexed = false;
@@ -182,10 +182,8 @@ void BuildPredicateIndex(
     const std::shared_ptr<const CompiledRule>& rule = rules[i];
     IndexedRule& entry = out->entries[i];
     for (const CompiledAction& action : rule->actions) {
-      // On the deferred lane Inserts are buffered in the batch's lat_sink
-      // and flushed after every rule ran, so only Reset mutates mid-event.
       if (action.kind == ActionKind::kReset ||
-          (action.kind == ActionKind::kInsert && !deferred_lane)) {
+          action.kind == ActionKind::kInsert) {
         entry.mutates_lats = true;
       }
     }
@@ -234,7 +232,9 @@ void BuildPredicateIndex(
 AccessGroups::AccessGroups(
     const std::vector<std::shared_ptr<const CompiledRule>>& rules,
     const PredicateIndex& index)
-    : words_(RuleBitmapWords(rules.size())), residual_(words_, 0) {
+    : words_(RuleBitmapWords(rules.size())),
+      group_of_(rules.size(), -1),
+      residual_(words_, 0) {
   std::unordered_map<uint32_t, size_t> group_of;  // access pred -> group
   for (size_t pos = 0; pos < rules.size(); ++pos) {
     const CompiledRule& rule = *rules[pos];
@@ -262,6 +262,7 @@ AccessGroups::AccessGroups(
     }
     bits_[it->second * words_ + pos / 64] |= bit;
     members_[it->second].push_back(rules[pos]);
+    group_of_[pos] = static_cast<int32_t>(it->second);
   }
   tallies_ = std::make_unique<obs::StripedCounter[]>(preds_.size());
   for (size_t g = 0; g < preds_.size(); ++g) {
@@ -289,18 +290,10 @@ uint32_t AccessGroups::Match(const PredicateIndex& index, bool check_breakers,
     // Exactly where each member's walk would reject on its first conjunct
     // (EvalIndexedCondition): on FALSE. A NULL first conjunct does not
     // short-circuit, since a later one may still raise an error.
-    bool rejected = LookupPredicate(index, preds_[g], ctx, memo, counters) ==
-                    PredOutcome::kFalse;
-    if (rejected && check_breakers) {
-      // An open or half-open breaker must see the visit (it counts a skip
-      // or admits a probe), so such a group is visited rule by rule.
-      for (const auto& rule : members_[g]) {
-        if (rule->breaker.state() != RuleBreaker::State::kClosed) {
-          rejected = false;
-          break;
-        }
-      }
-    }
+    const bool rejected =
+        LookupPredicate(index, preds_[g], ctx, memo, counters) ==
+            PredOutcome::kFalse &&
+        !Unrejectable(g, check_breakers);
     if (rejected) {
       tallies_[g].Inc();
       const auto n = static_cast<uint32_t>(members_[g].size());
@@ -312,6 +305,123 @@ uint32_t AccessGroups::Match(const PredicateIndex& index, bool check_breakers,
     for (size_t w = 0; w < words_; ++w) visit[w] |= bits[w];
   }
   return skipped;
+}
+
+bool AccessGroups::Unrejectable(size_t g, bool check_breakers) const {
+  if (!check_breakers) return false;
+  // An open or half-open breaker must see the visit (it counts a skip or
+  // admits a probe), so such a group is visited rule by rule.
+  for (const auto& rule : members_[g]) {
+    if (rule->breaker.state() != RuleBreaker::State::kClosed) return true;
+  }
+  return false;
+}
+
+void AccessGroups::MatchRun(bool check_breakers, PredicateRun* run,
+                            const EventBitmap* mask, EventBitmap* rejected,
+                            PredWalkCounters* counters) const {
+  const size_t words = run->words();
+  for (size_t g = 0; g < preds_.size(); ++g) {
+    // As in Match, every group's access predicate is looked up on every
+    // event, rejectable or not.
+    EventBitmap* out = rejected + g * words;
+    run->Falses(preds_[g], mask, out, counters);
+    if (Unrejectable(g, check_breakers)) std::fill(out, out + words, 0);
+  }
+}
+
+uint64_t AccessGroups::Reject(size_t g, uint64_t events) const {
+  tallies_[g].Inc(events);
+  return events * members_[g].size();
+}
+
+void PredicateRun::Begin(const PredicateIndex& index, EvalContext* ctxs,
+                         size_t events) {
+  index_ = &index;
+  ctxs_ = ctxs;
+  words_ = EventBitmapWords(events);
+  bits_.resize(index.preds.size() * kRows * words_);
+  for (uint32_t id = 0; id < index.preds.size(); ++id) {
+    std::fill(row(id, kKnown), row(id, kKnown) + words_, 0);
+  }
+  live_.resize(words_);
+  nulls_.resize(words_);
+}
+
+void PredicateRun::Resolve(uint32_t id, const EventBitmap* mask,
+                           PredWalkCounters* counters) {
+  EventBitmap* known = row(id, kKnown);
+  const IndexedPredicate& pred = index_->preds[id];
+  uint64_t evals = 0;
+  uint64_t passes = 0;
+  for (size_t w = 0; w < words_; ++w) {
+    const EventBitmap todo = mask[w] & ~known[w];
+    counters->memo_hits +=
+        static_cast<uint64_t>(std::popcount(mask[w] & known[w]));
+    if (todo == 0) continue;
+    for (size_t r = kPass; r < kRows; ++r) {
+      row(id, static_cast<Row>(r))[w] &= ~todo;
+    }
+    for (EventBitmap bits = todo; bits != 0; bits &= bits - 1) {
+      const size_t bit = static_cast<size_t>(std::countr_zero(bits));
+      Row r = kError;
+      switch (EvaluatePredicate(*pred.conjunct, &ctxs_[w * 64 + bit])) {
+        case PredOutcome::kPass: r = kPass; ++passes; break;
+        case PredOutcome::kFalse: r = kFalse; break;
+        case PredOutcome::kNull: r = kNull; break;
+        default: break;
+      }
+      row(id, r)[w] |= EventBitmap{1} << bit;
+    }
+    known[w] |= todo;
+    evals += static_cast<uint64_t>(std::popcount(todo));
+  }
+  if (evals != 0) {
+    pred.stats->evals.Inc(evals);
+    counters->evals += evals;
+  }
+  if (passes != 0) pred.stats->passes.Inc(passes);
+}
+
+void PredicateRun::Walk(const IndexedRule& entry, const EventBitmap* mask,
+                        EventBitmap* fire, EventBitmap* error,
+                        PredWalkCounters* counters) {
+  EventBitmap* live = live_.data();
+  EventBitmap* nulls = nulls_.data();
+  std::copy(mask, mask + words_, live);
+  std::fill(nulls, nulls + words_, 0);
+  std::fill(error, error + words_, 0);
+  for (uint32_t id : entry.preds) {
+    if (std::all_of(live, live + words_,
+                    [](EventBitmap w) { return w == 0; })) {
+      break;  // every event's walk already ended
+    }
+    Resolve(id, live, counters);
+    const EventBitmap* falses = row(id, kFalse);
+    const EventBitmap* nulled = row(id, kNull);
+    const EventBitmap* errors = row(id, kError);
+    for (size_t w = 0; w < words_; ++w) {
+      error[w] |= live[w] & errors[w];
+      live[w] &= ~(falses[w] | errors[w]);
+      nulls[w] |= live[w] & nulled[w];
+    }
+  }
+  for (size_t w = 0; w < words_; ++w) fire[w] = live[w] & ~nulls[w];
+}
+
+void PredicateRun::Falses(uint32_t id, const EventBitmap* mask,
+                          EventBitmap* out, PredWalkCounters* counters) {
+  Resolve(id, mask, counters);
+  const EventBitmap* falses = row(id, kFalse);
+  for (size_t w = 0; w < words_; ++w) out[w] = mask[w] & falses[w];
+}
+
+void PredicateRun::InvalidateLatReaders(size_t event) {
+  for (uint32_t id = 0; id < index_->preds.size(); ++id) {
+    if (index_->preds[id].reads_lats) {
+      row(id, kKnown)[event / 64] &= ~(EventBitmap{1} << (event % 64));
+    }
+  }
 }
 
 IndexVerdict EvalIndexedCondition(const PredicateIndex& index,

@@ -34,6 +34,11 @@
 // `evaluations`, `condition_false` and breaker successes are derived from
 // the tallies (GroupRejectionTally in rule.h). See docs/PERFORMANCE.md
 // §"Subscription dispatch".
+//
+// The deferred drain decides a run of same-kind events at a time with the
+// same walk in bitwise form: PredicateRun keeps each predicate's outcomes
+// over the run's events, and AccessGroups::MatchRun rejects groups on the
+// events where their access predicate is FALSE.
 #ifndef SQLCM_SQLCM_PREDICATE_INDEX_H_
 #define SQLCM_SQLCM_PREDICATE_INDEX_H_
 
@@ -93,9 +98,11 @@ struct IndexedRule {
   /// False = the rule bypasses the index (unbound-class iteration or
   /// evicted-row context) and runs through the naive path unchanged.
   bool indexed = false;
-  /// Firing this rule on this lane mutates LAT state before the next rule
-  /// of the same event (sync lane: Insert/Reset actions; deferred lane:
-  /// Reset only — Inserts are buffered until the batch flush).
+  /// Firing this rule runs an Insert or Reset action, which mutates LAT
+  /// state before the next rule of the same event wherever actions run at
+  /// each rule's turn (the sync lane, and the deferred drain's lists that
+  /// Reset a LAT; other deferred runs fold their inserts after every rule
+  /// was decided).
   bool mutates_lats = false;
   /// Predicate ids (indexes into PredicateIndex::preds) in authoring
   /// order.
@@ -165,6 +172,59 @@ struct PredWalkCounters {
 using RuleBitmap = uint64_t;
 inline size_t RuleBitmapWords(size_t rules) { return (rules + 63) / 64; }
 
+/// The events of one deferred-drain run, one bit each (bit i = the run's
+/// i-th event).
+using EventBitmap = uint64_t;
+inline size_t EventBitmapWords(size_t events) { return (events + 63) / 64; }
+
+/// Run-at-a-time counterpart of PredicateMemo for the deferred drain
+/// (docs/PERFORMANCE.md §"Async pipeline"): each predicate's outcomes over
+/// the events of one run, kept as pass / FALSE / NULL / error bitmaps and
+/// filled only for the events some walk reaches. A walk resolves one
+/// conjunct for all its live events before moving to the next, so each
+/// distinct predicate is evaluated at most once per event of the run, and
+/// the evaluation and memo-hit counts equal those of per-event walks.
+class PredicateRun {
+ public:
+  /// Starts a run of `events` events over `index`'s predicates; event i is
+  /// evaluated under ctxs[i], which must stay valid for the run.
+  void Begin(const PredicateIndex& index, EvalContext* ctxs, size_t events);
+  size_t words() const { return words_; }
+
+  /// Walks `entry`'s conjuncts in authoring order over the events of
+  /// `mask`, with EvalIndexedCondition's naive AND semantics in bitwise
+  /// form: FALSE short-circuits, NULL rejects at the end of the walk, and
+  /// an error ends the walk of that event. Writes the events whose
+  /// condition passes to `fire` and those that errored (to be decided by
+  /// the naive evaluator) to `error`.
+  void Walk(const IndexedRule& entry, const EventBitmap* mask,
+            EventBitmap* fire, EventBitmap* error,
+            PredWalkCounters* counters);
+  /// Writes to `out` the events of `mask` on which predicate `id` is FALSE
+  /// (evaluating it where its outcome is not known yet).
+  void Falses(uint32_t id, const EventBitmap* mask, EventBitmap* out,
+              PredWalkCounters* counters);
+  /// Forgets the LAT-reading predicates' outcomes on event `event` (a
+  /// fired rule just mutated LAT state).
+  void InvalidateLatReaders(size_t event);
+
+ private:
+  enum Row : size_t { kKnown, kPass, kFalse, kNull, kError, kRows };
+  EventBitmap* row(uint32_t id, Row r) {
+    return bits_.data() + (id * kRows + r) * words_;
+  }
+  /// Evaluates predicate `id` on the events of `mask` whose outcome is not
+  /// known yet.
+  void Resolve(uint32_t id, const EventBitmap* mask,
+               PredWalkCounters* counters);
+
+  const PredicateIndex* index_ = nullptr;
+  EvalContext* ctxs_ = nullptr;
+  size_t words_ = 0;
+  std::vector<EventBitmap> bits_;  // per predicate: kRows bitmaps
+  std::vector<EventBitmap> live_, nulls_;  // Walk's working masks
+};
+
 /// The access groups of one index generation (see the header comment).
 /// Each group keeps a bitmap of its members' positions and a striped tally
 /// of the events that rejected it; the members' stats read the tallies
@@ -192,8 +252,29 @@ class AccessGroups {
                  EvalContext* ctx, PredicateMemo* memo,
                  PredWalkCounters* counters, RuleBitmap* visit) const;
 
+  /// Run form of Match (deferred drain): writes to
+  /// rejected[g * run->words(), +run->words()) the events of `mask` on
+  /// which group g's access predicate is FALSE — none when
+  /// `check_breakers` and some member's breaker is not closed. Tallies
+  /// nothing: the caller commits a group's rejections with Reject once its
+  /// members' walks confirmed them.
+  void MatchRun(bool check_breakers, PredicateRun* run,
+                const EventBitmap* mask, EventBitmap* rejected,
+                PredWalkCounters* counters) const;
+  /// Commits `events` rejections of group g (one add on its tally) and
+  /// returns the member visits they stand for.
+  uint64_t Reject(size_t g, uint64_t events) const;
+  /// True when `check_breakers` and some member's breaker is not closed:
+  /// such a group is visited rule by rule.
+  bool Unrejectable(size_t g, bool check_breakers) const;
+  size_t size() const { return preds_.size(); }
+  /// Access group of the rule at lane position `pos`; -1 when residual.
+  int32_t group_of(size_t pos) const { return group_of_[pos]; }
+
  private:
+
   size_t words_ = 0;
+  std::vector<int32_t> group_of_;    // per rule position; -1 = residual
   std::vector<uint32_t> preds_;      // access predicate id per group
   std::vector<RuleBitmap> bits_;     // group g's members: [g * words_, +words_)
   std::vector<RuleBitmap> residual_;
@@ -214,14 +295,12 @@ std::string CanonicalPredicateText(const CmExpr& expr);
 void CollectConjuncts(const CmExpr* expr, std::vector<const CmExpr*>* out);
 
 /// Builds the index for one lane's rule vector from each rule's compiled
-/// conjuncts (grouping by canonical hash). `deferred_lane` selects which
-/// actions count as mid-event LAT mutations. Stats objects are resolved
+/// conjuncts (grouping by canonical hash). Stats objects are resolved
 /// through (and inserted into) `registry` by canonical hash, and the
 /// access groups are built last.
 void BuildPredicateIndex(
     const std::vector<std::shared_ptr<const CompiledRule>>& rules,
-    bool deferred_lane, PredicateStatsRegistry* registry,
-    PredicateIndex* out);
+    PredicateStatsRegistry* registry, PredicateIndex* out);
 
 /// Memoized condition walk for one indexed rule, in authoring order with
 /// naive short-circuit semantics (exact error parity). Uses ctx's shared

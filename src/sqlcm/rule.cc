@@ -974,9 +974,10 @@ bool RuleBreaker::Allow(int64_t now_micros) {
   return true;
 }
 
-void RuleBreaker::OnSuccess(int64_t) {
+void RuleBreaker::OnSuccess(int64_t, uint64_t n) {
+  if (n == 0) return;
   if (state_.load(std::memory_order_relaxed) == State::kClosed) {
-    pending_successes_.Inc();  // folded by the next locked path
+    pending_successes_.Inc(n);  // folded by the next locked path
     return;
   }
   std::lock_guard<std::mutex> lock(mutex_);
@@ -989,6 +990,7 @@ void RuleBreaker::OnSuccess(int64_t) {
     consecutive_failures_ = 0;
     window_events_ = 0;
     window_errors_ = 0;
+    if (n > 1) pending_successes_.Inc(n - 1);  // the rest, once closed
   }
 }
 

@@ -351,7 +351,9 @@ class RuleBreaker {
   /// True when the rule may be evaluated now. Open breakers whose cooldown
   /// has elapsed move to half-open and admit exactly one probe.
   bool Allow(int64_t now_micros);
-  void OnSuccess(int64_t now_micros);
+  /// Records `n` successful evaluations in a row (the deferred drain
+  /// reports a run's closed-state successes with one call).
+  void OnSuccess(int64_t now_micros, uint64_t n = 1);
   /// Records a failed evaluation; returns true when this failure tripped
   /// (or re-tripped) the breaker.
   bool OnFailure(int64_t now_micros);

@@ -101,7 +101,8 @@ SystemViews::SystemViews(MonitorEngine* monitor, engine::Database* db)
                                     {"upsert_count", 'i'},
                                     {"upsert_p50_us", 'd'},
                                     {"upsert_p95_us", 'd'},
-                                    {"upsert_p99_us", 'd'}},
+                                    {"upsert_p99_us", 'd'},
+                                    {"events_sampled_out", 'i'}},
                                    {"name"})) {
     t->SetVirtualRefresh([this, t] {
       std::lock_guard<std::mutex> lock(refresh_mutex_);
@@ -336,15 +337,7 @@ void SystemViews::RefreshRuleStats(storage::Table* table) {
         Value::Int(static_cast<int64_t>(stats.actions_suppressed.value())));
     row.push_back(Value::String(rule->deferrable ? "deferred" : "inline"));
     row.push_back(Value::String(rule->inline_reason));
-    // Events of the rule's kind sampled out since it was added; sampling
-    // never skips an inline rule.
-    const obs::Counter& kind_sampled_out =
-        monitor_->metrics().events_sampled_out_by_kind[static_cast<size_t>(
-            rule->event.kind)];
-    row.push_back(Value::Int(
-        rule->deferrable ? static_cast<int64_t>(kind_sampled_out.value() -
-                                                rule->sampled_out_baseline)
-                         : 0));
+    row.push_back(Value::Int(SampledOut(*rule)));
     (void)table->Insert(std::move(row));
   }
 }
@@ -382,8 +375,33 @@ void SystemViews::RefreshFaultPoints(storage::Table* table) {
   }
 }
 
+int64_t SystemViews::SampledOut(const CompiledRule& rule) const {
+  // Events of the rule's kind sampled out since it was added; sampling
+  // never skips an inline rule.
+  if (!rule.deferrable) return 0;
+  return static_cast<int64_t>(
+      monitor_->metrics()
+          .events_sampled_out_by_kind[static_cast<size_t>(rule.event.kind)]
+          .value() -
+      rule.sampled_out_baseline);
+}
+
 void SystemViews::RefreshLatStats(storage::Table* table) {
   table->Truncate();
+  // A LAT's fidelity loss: the events_sampled_out of every rule that
+  // Inserts into it (inline rules, which sampling never skips, add 0).
+  std::unordered_map<const Lat*, int64_t> sampled_out;
+  for (const auto& rule : monitor_->SnapshotRules()) {
+    const int64_t lost = SampledOut(*rule);
+    std::vector<const Lat*> fed;
+    for (const CompiledAction& action : rule->actions) {
+      if (action.kind == ActionKind::kInsert &&
+          std::find(fed.begin(), fed.end(), action.lat) == fed.end()) {
+        fed.push_back(action.lat);
+        sampled_out[action.lat] += lost;
+      }
+    }
+  }
   for (const auto& lat : monitor_->SnapshotLats()) {
     const LatStats& stats = lat->stats();
     const auto pct = stats.upsert_micros.ComputePercentiles();
@@ -413,6 +431,8 @@ void SystemViews::RefreshLatStats(storage::Table* table) {
     row.push_back(Value::Double(pct.p50));
     row.push_back(Value::Double(pct.p95));
     row.push_back(Value::Double(pct.p99));
+    const auto lost = sampled_out.find(lat.get());
+    row.push_back(Value::Int(lost != sampled_out.end() ? lost->second : 0));
     (void)table->Insert(std::move(row));
   }
 }

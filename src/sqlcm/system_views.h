@@ -45,6 +45,7 @@ class Table;
 namespace sqlcm::cm {
 
 class MonitorEngine;
+struct CompiledRule;
 
 inline constexpr const char* kEngineStatsView = "sqlcm_engine_stats";
 inline constexpr const char* kRuleStatsView = "sqlcm_rule_stats";
@@ -82,6 +83,9 @@ class SystemViews {
   void RefreshSlowEvents(storage::Table* table);
   void RefreshProfile(storage::Table* table);
   void RefreshRulePredicateStats(storage::Table* table);
+  /// Events of `rule`'s kind the governor's sampling kept from it since it
+  /// was added (sqlcm_rule_stats.events_sampled_out).
+  int64_t SampledOut(const CompiledRule& rule) const;
 
   MonitorEngine* monitor_;
   engine::Database* db_;

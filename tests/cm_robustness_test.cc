@@ -1110,6 +1110,38 @@ TEST_F(GovernorIntegrationTest, AsyncSamplingShedsOnlyTheDeferredLane) {
   EXPECT_EQ(metrics.queue_dropped.value(), 0u);
 }
 
+TEST_F(GovernorIntegrationTest, LatStatsCountTheInsertsSamplingKeptOut) {
+  // Per-LAT fidelity: sqlcm_lat_stats.events_sampled_out sums the loss of
+  // the deferrable rules that Insert into each LAT. A LAT fed only by an
+  // inline rule, which sampling never skips, loses nothing.
+  Start(SamplingOptions(/*async=*/true));
+  LatSpec spec;
+  spec.name = "InlineLat";
+  spec.group_by = {{"Logical_Signature", "Sig"}};
+  spec.aggregates = {{LatAggFunc::kCount, "", "N", false}};
+  ASSERT_TRUE(monitor_->DefineLat(std::move(spec)).ok());
+  RuleSpec inline_feed;
+  inline_feed.name = "inline_feed";
+  inline_feed.event = "Query.Commit";
+  inline_feed.action = "Query.Insert(InlineLat)";
+  inline_feed.eval_mode = "inline";
+  ASSERT_TRUE(monitor_->AddRule(inline_feed).ok());
+  monitor_->governor()->ForceLevel(LoadGovernor::kLevelSampleEvents);
+  ASSERT_NO_FATAL_FAILURE(RunWorkload());
+  monitor_->DrainEventQueue();
+  constexpr int kKept = kQueries >> kSampleShift;
+  ASSERT_EQ(FeedCount(), kKept);
+
+  auto rows = session_->Execute(
+      "SELECT name, events_sampled_out FROM sqlcm_lat_stats ORDER BY name");
+  ASSERT_TRUE(rows.ok()) << rows.status();
+  ASSERT_EQ(rows->rows.size(), 2u);
+  EXPECT_EQ(rows->rows[0][0].string_value(), "FeedLat");
+  EXPECT_EQ(rows->rows[0][1].int_value(), kQueries - kKept);
+  EXPECT_EQ(rows->rows[1][0].string_value(), "InlineLat");
+  EXPECT_EQ(rows->rows[1][1].int_value(), 0);
+}
+
 TEST_F(GovernorIntegrationTest, EachEventKindIsSampledOnItsOwnSequence) {
   // Every point query raises Query.Commit then Transaction.Commit. On one
   // shared sequence the two kinds would alias (one kind kept twice as
