@@ -9,10 +9,11 @@
 //
 // The sweep ends with the sketch row, the evicting shared-LAT cells
 // ("lat_evict", 100 ten-row LATs at 1 and 3 threads, the shape of
-// perfbench's e2_rules) and the batched-insert cells ("lat_batch", the
-// map-once fold on deferred_fanin's LAT). Those two report the median of 3
-// repetitions and the heap allocations per item, counted by the operator
-// new this binary replaces.
+// perfbench's e2_rules, and ten 1,000-row LATs at 3 threads) and the
+// batched-insert cells ("lat_batch", the map-once fold on deferred_fanin's
+// LAT). Those two report the median of 3 repetitions (lat_evict also the
+// fastest and slowest) and the steady-state heap allocations per item,
+// counted by the operator new this binary replaces.
 //
 // The sweep measures the same LAT twice per cell: once with the directory
 // forced to a single shard (the pre-sharding layout) and once with the
@@ -366,10 +367,13 @@ void RunSketchBench(bool quick) {
 
 /// Evicting shared-LAT cell, shaped like perfbench's e2_rules: `threads`
 /// workers each raise statements with fresh IDs, and every statement
-/// inserts into all 100 LATs (group by ID; COUNT, LAST(Query_Text),
-/// LAST(Duration); ordering ID DESC; 10 rows), so every insert creates a row
-/// and evicts one. All threads share the LATs. One BENCH_JSON row;
-/// `ns_per_insert` is wall time × threads / inserts (thread-time per insert).
+/// inserts into all `lats` LATs (group by ID; COUNT, LAST(Query_Text),
+/// LAST(Duration); ordering ID DESC; `max_rows` rows; automatic shard
+/// count), so every insert creates a row and evicts one. All threads share
+/// the LATs. Each worker first raises `max_rows` + 1 warm-up statements with
+/// lower IDs, untimed, so the LATs are full and `allocs` counts the steady
+/// state. `ns_per_insert` is wall time × threads / inserts (thread-time per
+/// insert) over the timed statements.
 struct EvictCell {
   size_t shards = 0;
   uint64_t inserts = 0;
@@ -379,12 +383,12 @@ struct EvictCell {
   double ns_per_insert = 0;
 };
 
-EvictCell RunEvictCell(int threads, bool quick) {
-  constexpr size_t kLats = 100;
-  constexpr size_t kRows = 10;
+EvictCell RunEvictCell(size_t lat_count, size_t max_rows, int threads,
+                       bool quick) {
   const uint64_t stmts_per_thread = quick ? 5'000 : 50'000;
+  const uint64_t warmup_per_thread = max_rows + 1;
   std::vector<std::unique_ptr<Lat>> lats;
-  for (size_t i = 0; i < kLats; ++i) {
+  for (size_t i = 0; i < lat_count; ++i) {
     LatSpec spec;
     spec.name = "evict_" + std::to_string(i);
     spec.group_by = {{"ID", ""}};
@@ -392,7 +396,7 @@ EvictCell RunEvictCell(int threads, bool quick) {
                        {LatAggFunc::kLast, "Query_Text", "Text", false},
                        {LatAggFunc::kLast, "Duration", "Dur", false}};
     spec.ordering = {{"ID", true}};
-    spec.max_rows = kRows;
+    spec.max_rows = max_rows;
     lats.push_back(std::move(*Lat::Create(std::move(spec))));
   }
 
@@ -406,15 +410,23 @@ EvictCell RunEvictCell(int threads, bool quick) {
       rec.text =
           "SELECT L_QUANTITY, L_EXTENDEDPRICE FROM LINEITEM WHERE "
           "L_ORDERKEY = 4711 AND L_LINENUMBER = 3";
+      // Thread-interleaved fresh IDs: every insert creates a new group.
+      const auto id_of = [&](uint64_t i) {
+        return 1 + i * static_cast<uint64_t>(threads) +
+               static_cast<uint64_t>(t);
+      };
+      for (uint64_t i = 0; i < warmup_per_thread; ++i) {
+        rec.id = id_of(i);
+        for (auto& lat : lats) lat->Insert(&rec, 0);
+      }
       ready.fetch_add(1, std::memory_order_acq_rel);
       while (!go.load(std::memory_order_acquire)) {
         std::this_thread::yield();
       }
       const uint64_t allocs_before = t_allocs;
-      for (uint64_t i = 0; i < stmts_per_thread; ++i) {
-        // Thread-interleaved fresh IDs: every insert creates a new group.
-        rec.id = 1 + i * static_cast<uint64_t>(threads) +
-                 static_cast<uint64_t>(t);
+      for (uint64_t i = warmup_per_thread;
+           i < warmup_per_thread + stmts_per_thread; ++i) {
+        rec.id = id_of(i);
         for (auto& lat : lats) lat->Insert(&rec, 0);
       }
       allocs.fetch_add(t_allocs - allocs_before, std::memory_order_relaxed);
@@ -422,6 +434,14 @@ EvictCell RunEvictCell(int threads, bool quick) {
   }
   while (ready.load(std::memory_order_acquire) != threads) {
     std::this_thread::yield();
+  }
+  uint64_t inserts_before = 0, evictions_before = 0, acq_before = 0,
+           con_before = 0;
+  for (const auto& lat : lats) {
+    inserts_before += lat->stats().inserts.value();
+    evictions_before += lat->stats().evictions.value();
+    acq_before += lat->stats().latch_acquisitions.value();
+    con_before += lat->stats().latch_contention.value();
   }
   const auto start = std::chrono::steady_clock::now();
   go.store(true, std::memory_order_release);
@@ -437,8 +457,12 @@ EvictCell RunEvictCell(int threads, bool quick) {
     cell.evictions += lat->stats().evictions.value();
     cell.acq += lat->stats().latch_acquisitions.value();
     cell.con += lat->stats().latch_contention.value();
-    cell.exact = cell.exact && lat->size() == kRows;
+    cell.exact = cell.exact && lat->size() == max_rows;
   }
+  cell.inserts -= inserts_before;
+  cell.evictions -= evictions_before;
+  cell.acq -= acq_before;
+  cell.con -= con_before;
   const double n = static_cast<double>(cell.inserts);
   cell.ns_per_insert = n > 0 ? 1e9 * cell.secs * threads / n : 0;
   return cell;
@@ -457,16 +481,17 @@ size_t MedianIndex(const std::vector<double>& values) {
 /// mostly noise, so every cell reports the median of three.
 constexpr int kCellReps = 3;
 
-/// One BENCH_JSON row for the evicting shared-LAT cell (RunEvictCell);
-/// `sizes_exact` holds only if every repetition ended at the row budget.
-void RunEvictBench(int threads, bool quick) {
-  constexpr size_t kLats = 100;
-  constexpr size_t kRows = 10;
+/// One BENCH_JSON row for the evicting shared-LAT cell (RunEvictCell):
+/// the median repetition, with the fastest and slowest repetitions'
+/// `ns_per_insert` beside it; `sizes_exact` holds only if every repetition
+/// ended at the row budget.
+void RunEvictBench(size_t lat_count, size_t max_rows, int threads,
+                   bool quick) {
   std::vector<EvictCell> cells;
   std::vector<double> ns;
   bool exact = true;
   for (int r = 0; r < kCellReps; ++r) {
-    cells.push_back(RunEvictCell(threads, quick));
+    cells.push_back(RunEvictCell(lat_count, max_rows, threads, quick));
     ns.push_back(cells.back().ns_per_insert);
     exact = exact && cells.back().exact;
   }
@@ -476,12 +501,15 @@ void RunEvictBench(int threads, bool quick) {
       "BENCH_JSON {\"bench\":\"lat_evict\",\"lats\":%zu,\"max_rows\":%zu,"
       "\"shards\":%zu,\"threads\":%d,\"reps\":%d,\"inserts\":%llu,"
       "\"inserts_per_sec\":%.0f,\"ns_per_insert\":%.1f,"
+      "\"ns_per_insert_min\":%.1f,\"ns_per_insert_max\":%.1f,"
       "\"evictions_per_insert\":%.4f,\"latch_acq_per_insert\":%.3f,"
       "\"latch_contention_pct\":%.3f,\"allocs_per_item\":%.3g,"
       "\"sizes_exact\":%s}\n",
-      kLats, kRows, c.shards, threads, kCellReps,
+      lat_count, max_rows, c.shards, threads, kCellReps,
       static_cast<unsigned long long>(c.inserts),
       c.secs > 0 ? n / c.secs : 0, c.ns_per_insert,
+      *std::min_element(ns.begin(), ns.end()),
+      *std::max_element(ns.begin(), ns.end()),
       n > 0 ? static_cast<double>(c.evictions) / n : 0,
       n > 0 ? static_cast<double>(c.acq) / n : 0,
       c.acq > 0
@@ -740,7 +768,11 @@ int RunSweep(bool quick) {
         sharded_1t_contended / single_1t_contended);
   }
   RunSketchBench(quick);
-  for (const int threads : {1, 3}) RunEvictBench(threads, quick);
+  // e2_rules' shape (100 ten-row LATs: one shard each) at 1 and 3 threads,
+  // and ten 1,000-row LATs (16 shards on a 4-core host) at 3 threads, so
+  // the max_rows -> shard-count rule is measured at both ends.
+  for (const int threads : {1, 3}) RunEvictBench(100, 10, threads, quick);
+  RunEvictBench(10, 1000, 3, quick);
   RunBatchBench(quick);
   return 0;
 }

@@ -10,6 +10,7 @@
 #include <cstdint>
 #include <ostream>
 #include <string>
+#include <string_view>
 #include <variant>
 #include <vector>
 
@@ -42,6 +43,16 @@ class Value {
   }
   static Value String(std::string v) {
     return Value(Rep(std::in_place_index<4>, std::move(v)));
+  }
+
+  /// Makes this a STRING holding `text`, reusing the current string's
+  /// capacity when this already is one (no allocation when it fits).
+  void AssignString(std::string_view text) {
+    if (std::string* s = std::get_if<4>(&rep_)) {
+      s->assign(text);
+    } else {
+      rep_.emplace<4>(text);
+    }
   }
 
   ValueKind kind() const { return static_cast<ValueKind>(rep_.index()); }

@@ -131,6 +131,9 @@ std::vector<AttributeDef> BlockAttributes() {
       {"Resource", ValueKind::kString, nullptr,
        [](const void* r) -> View { return AsBlock(r).resource; }},
   };
+  for (AttributeDef& def : defs) {
+    def.absent = [](const void* r) { return AsBlock(r).query == nullptr; };
+  }
   return defs;
 }
 

@@ -102,7 +102,8 @@ SystemViews::SystemViews(MonitorEngine* monitor, engine::Database* db)
                                     {"upsert_p50_us", 'd'},
                                     {"upsert_p95_us", 'd'},
                                     {"upsert_p99_us", 'd'},
-                                    {"events_sampled_out", 'i'}},
+                                    {"events_sampled_out", 'i'},
+                                    {"events_breaker_skipped", 'i'}},
                                    {"name"})) {
     t->SetVirtualRefresh([this, t] {
       std::lock_guard<std::mutex> lock(refresh_mutex_);
@@ -389,16 +390,23 @@ int64_t SystemViews::SampledOut(const CompiledRule& rule) const {
 void SystemViews::RefreshLatStats(storage::Table* table) {
   table->Truncate();
   // A LAT's fidelity loss: the events_sampled_out of every rule that
-  // Inserts into it (inline rules, which sampling never skips, add 0).
-  std::unordered_map<const Lat*, int64_t> sampled_out;
+  // Inserts into it (inline rules, which sampling never skips, add 0), and
+  // the evaluations those rules' circuit breakers skipped.
+  struct Loss {
+    int64_t sampled_out = 0;
+    int64_t breaker_skipped = 0;
+  };
+  std::unordered_map<const Lat*, Loss> losses;
   for (const auto& rule : monitor_->SnapshotRules()) {
-    const int64_t lost = SampledOut(*rule);
+    const int64_t sampled = SampledOut(*rule);
+    const auto skipped = static_cast<int64_t>(rule->breaker.skipped());
     std::vector<const Lat*> fed;
     for (const CompiledAction& action : rule->actions) {
       if (action.kind == ActionKind::kInsert &&
           std::find(fed.begin(), fed.end(), action.lat) == fed.end()) {
         fed.push_back(action.lat);
-        sampled_out[action.lat] += lost;
+        losses[action.lat].sampled_out += sampled;
+        losses[action.lat].breaker_skipped += skipped;
       }
     }
   }
@@ -431,8 +439,10 @@ void SystemViews::RefreshLatStats(storage::Table* table) {
     row.push_back(Value::Double(pct.p50));
     row.push_back(Value::Double(pct.p95));
     row.push_back(Value::Double(pct.p99));
-    const auto lost = sampled_out.find(lat.get());
-    row.push_back(Value::Int(lost != sampled_out.end() ? lost->second : 0));
+    const auto it = losses.find(lat.get());
+    const Loss loss = it != losses.end() ? it->second : Loss{};
+    row.push_back(Value::Int(loss.sampled_out));
+    row.push_back(Value::Int(loss.breaker_skipped));
     (void)table->Insert(std::move(row));
   }
 }

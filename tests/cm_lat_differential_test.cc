@@ -430,11 +430,23 @@ INSTANTIATE_TEST_SUITE_P(
                       DiffCase{true, 8, false, false, 0,
                                DiffOrder::kLastStringDesc},
                       DiffCase{false, 8, true, false, 0,
-                               DiffOrder::kCountDesc, /*fresh_groups=*/true}),
+                               DiffOrder::kCountDesc, /*fresh_groups=*/true},
+                      // Automatic shard count: one shard at 24 rows, so
+                      // every insert once the LAT is full is a new group
+                      // decided against the heap root in place, which it
+                      // sometimes beats and sometimes loses to.
+                      DiffCase{true, 0, false, false, 0,
+                               DiffOrder::kCountDesc, /*fresh_groups=*/true},
+                      DiffCase{true, 0, false, false, 0,
+                               DiffOrder::kMinDoubleAsc,
+                               /*fresh_groups=*/true}),
     [](const ::testing::TestParamInfo<DiffCase>& info) {
       std::string name =
           std::string(info.param.bounded ? "Bounded" : "Unbounded") +
-          "Shards" + std::to_string(info.param.shard_count);
+          "Shards" +
+          (info.param.shard_count == 0
+               ? std::string("Auto")
+               : std::to_string(info.param.shard_count));
       if (info.param.batched) name += "Batched";
       if (info.param.fresh_groups) name += "FreshGroups";
       if (info.param.sketch) {

@@ -606,6 +606,57 @@ INSTANTIATE_TEST_SUITE_P(AgingAndShards, LatStateSnapshotTest,
 
 // The tagged-value codec must survive payloads containing its own
 // delimiters, quotes and the literal "NULL".
+TEST(LatTest, RecycledSlotExportsLikeAFreshRow) {
+  // A seeded row carries values in cells its aggregate does not maintain
+  // (SeedFrom fills a LAST column's min/max/first too). Once it is evicted,
+  // the group that reuses its slot must export exactly what a fresh LAT
+  // exports for that group.
+  LatSpec spec;
+  spec.name = "recycle";
+  spec.group_by = {{"ID", ""}};
+  spec.aggregates = {{LatAggFunc::kCount, "", "N", false},
+                     {LatAggFunc::kLast, "Query_Text", "Text", false}};
+  spec.ordering = {{"ID", true}};
+  spec.max_rows = 1;
+  auto lat = *Lat::Create(spec);
+  ASSERT_EQ(lat->shard_count(), 1u);
+  storage::Catalog catalog;
+  auto schema = catalog::TableSchema::Create(
+      "seed",
+      {{"ID", catalog::ColumnType::kInt},
+       {"N", catalog::ColumnType::kInt},
+       {"Text", catalog::ColumnType::kString}},
+      {});
+  storage::Table* seed = *catalog.CreateTable(std::move(*schema));
+  ASSERT_TRUE(
+      seed->Insert({Value::Int(1), Value::Int(5), Value::String("seeded")})
+          .ok());
+  ASSERT_TRUE(lat->SeedFrom(*seed, 0).ok());
+  QueryRecord rec;
+  rec.text = "fresh";
+  rec.id = 2;
+  lat->Insert(&rec, 0);  // evicts the seeded row, freeing its slot
+  rec.id = 3;
+  lat->Insert(&rec, 0);  // takes the seeded row's slot
+  auto fresh = *Lat::Create(spec);
+  fresh->Insert(&rec, 0);
+
+  auto export_of = [](const Lat& l) {
+    auto table = MakeStateTable(l);
+    EXPECT_TRUE(l.ExportState(table.get(), 0).ok());
+    std::vector<Row> keys, rows;
+    EXPECT_EQ(table->ScanBatch(std::nullopt, 16, &keys, &rows), 1u);
+    return rows.empty() ? Row() : rows[0];
+  };
+  const Row got = export_of(*lat);
+  const Row want = export_of(*fresh);
+  ASSERT_EQ(got.size(), want.size());
+  for (size_t c = 0; c < got.size(); ++c) {
+    EXPECT_EQ(got[c].ToString(), want[c].ToString())
+        << lat->StateColumnNames()[c];
+  }
+}
+
 TEST(LatTest, StateRoundTripPreservesHostileStrings) {
   LatSpec spec = BasicSpec();
   auto lat = *Lat::Create(spec);

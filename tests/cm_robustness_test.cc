@@ -678,6 +678,35 @@ class QuarantineTest : public ::testing::Test {
   uint64_t bad_id_ = 0;
 };
 
+TEST_F(QuarantineTest, LatStatsCountBreakerSkipsOfFeederRules) {
+  // A rule that Inserts into FedLat and then fails: its breaker trips after
+  // three failures, and each later event it skips is an event FedLat lost.
+  LatSpec spec;
+  spec.name = "FedLat";
+  spec.group_by = {{"Logical_Signature", "Sig"}};
+  spec.aggregates = {{LatAggFunc::kCount, "", "N", false}};
+  ASSERT_TRUE(monitor_.DefineLat(std::move(spec)).ok());
+  RuleSpec feeder;
+  feeder.name = "feeder";
+  feeder.event = "Query.Commit";
+  feeder.action = "Query.Insert(FedLat); Query.Persist(Clash, ID, Duration)";
+  ASSERT_TRUE(monitor_.AddRule(feeder).ok());
+
+  constexpr int kQueries = 10;
+  for (int i = 0; i < kQueries; ++i) Exec("SELECT val FROM items WHERE id = 1");
+
+  const QueryResult result = Query(
+      "SELECT name, inserts, events_breaker_skipped FROM sqlcm_lat_stats "
+      "ORDER BY name");
+  ASSERT_EQ(result.rows.size(), 2u);
+  EXPECT_EQ(result.rows[0][0].string_value(), "FedLat");
+  EXPECT_EQ(result.rows[0][1].int_value(), 3);
+  EXPECT_EQ(result.rows[0][2].int_value(), kQueries - 3);
+  // GoodLat's feeder never failed; the bad rule feeds no LAT.
+  EXPECT_EQ(result.rows[1][0].string_value(), "GoodLat");
+  EXPECT_EQ(result.rows[1][2].int_value(), 0);
+}
+
 TEST_F(QuarantineTest, FailingRuleIsQuarantinedWhileOthersKeepFiring) {
   constexpr int kQueries = 10;
   for (int i = 0; i < kQueries; ++i) Exec("SELECT val FROM items WHERE id = 1");
