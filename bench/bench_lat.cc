@@ -7,19 +7,21 @@
 //                                    # one BENCH_JSON line per cell
 //   build/bench/bench_lat --sweep --quick   # CI-sized sweep
 //
-// The sweep ends with the sketch row, the evicting shared-LAT cells
-// ("lat_evict", 100 ten-row LATs at 1 and 3 threads, the shape of
-// perfbench's e2_rules, and ten 1,000-row LATs at 3 threads) and the
-// batched-insert cells ("lat_batch", the map-once fold on deferred_fanin's
-// LAT). Those two report the median of 3 repetitions (lat_evict also the
-// fastest and slowest) and the steady-state heap allocations per item,
-// counted by the operator new this binary replaces.
+// The sweep ends with the sketch row, the shared bounded-LAT cells
+// ("lat_evict": 100 ten-row LATs at 1 and 3 threads, the shape of
+// perfbench's e2_rules; ten 1,000-row LATs at 3 threads; and one 256- or
+// 1,000-row LAT at 1 and 3 threads under evicting and hit-heavy traffic,
+// unpaced and paced) and the batched-insert cells ("lat_batch", the
+// map-once fold on deferred_fanin's LAT). Those two report the median of 3
+// repetitions (lat_evict also the fastest and slowest) and the
+// steady-state heap allocations per item, counted by the operator new this
+// binary replaces.
 //
-// The sweep measures the same LAT twice per cell: once with the directory
-// forced to a single shard (the pre-sharding layout) and once with the
-// automatic shard count (which honours the SQLCM_LAT_SHARDS environment
-// override), so one binary produces both sides of the comparison in the
-// same run. docs/PERFORMANCE.md documents the output schema.
+// The lat_sweep cells measure the same unbounded LAT twice: once with the
+// directory forced to a single shard (LatSpec::shard_count = 1) and once
+// with the automatic shard count, so one binary produces both sides of the
+// comparison in the same run. A bounded LAT always has one shard.
+// docs/PERFORMANCE.md documents the output schema.
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
@@ -365,15 +367,42 @@ void RunSketchBench(bool quick) {
   std::fflush(stdout);
 }
 
-/// Evicting shared-LAT cell, shaped like perfbench's e2_rules: `threads`
-/// workers each raise statements with fresh IDs, and every statement
-/// inserts into all `lats` LATs (group by ID; COUNT, LAST(Query_Text),
-/// LAST(Duration); ordering ID DESC; `max_rows` rows; automatic shard
-/// count), so every insert creates a row and evicts one. All threads share
-/// the LATs. Each worker first raises `max_rows` + 1 warm-up statements with
-/// lower IDs, untimed, so the LATs are full and `allocs` counts the steady
-/// state. `ns_per_insert` is wall time × threads / inserts (thread-time per
-/// insert) over the timed statements.
+/// Shared bounded-LAT cell: `threads` workers raise statements, and every
+/// statement inserts into all `lats` LATs (group by ID; COUNT,
+/// LAST(Query_Text), LAST(Duration); `max_rows` rows). All threads share
+/// the LATs.
+///   evicting   each statement has a fresh ID and the LATs are ordered by
+///              ID DESC, so every insert creates a row and evicts one (the
+///              shape of perfbench's e2_rules). Each worker first raises
+///              `max_rows` + 1 warm-up statements with lower IDs, untimed.
+///   hits       the LATs are ordered by N DESC and hold the IDs
+///              1..`max_rows`, inserted once, untimed; every statement then
+///              hits one of them, so every insert folds into a resident
+///              row and moves it in the heap.
+/// The warm-up fills the LATs, so `allocs` counts the steady state. A
+/// positive `pace_ns` spins that long before each statement, so inserts
+/// from different threads meet less often. `ns_per_insert` is wall time ×
+/// threads / inserts (thread-time per insert, the spin included) over the
+/// timed statements.
+enum class Traffic { kEvicting, kHits };
+
+struct EvictShape {
+  size_t lats;
+  size_t max_rows;
+  int threads;
+  Traffic traffic = Traffic::kEvicting;
+  int pace_ns = 0;
+};
+
+/// Busy-waits `ns` nanoseconds (no sleep: a sleeping thread would leave
+/// its core and come back cold).
+void Spin(int ns) {
+  const auto until =
+      std::chrono::steady_clock::now() + std::chrono::nanoseconds(ns);
+  while (std::chrono::steady_clock::now() < until) {
+  }
+}
+
 struct EvictCell {
   size_t shards = 0;
   uint64_t inserts = 0;
@@ -383,20 +412,21 @@ struct EvictCell {
   double ns_per_insert = 0;
 };
 
-EvictCell RunEvictCell(size_t lat_count, size_t max_rows, int threads,
-                       bool quick) {
+EvictCell RunEvictCell(const EvictShape& shape, bool quick) {
   const uint64_t stmts_per_thread = quick ? 5'000 : 50'000;
-  const uint64_t warmup_per_thread = max_rows + 1;
+  const bool hits = shape.traffic == Traffic::kHits;
+  const int threads = shape.threads;
+  const uint64_t max_rows = shape.max_rows;
   std::vector<std::unique_ptr<Lat>> lats;
-  for (size_t i = 0; i < lat_count; ++i) {
+  for (size_t i = 0; i < shape.lats; ++i) {
     LatSpec spec;
     spec.name = "evict_" + std::to_string(i);
     spec.group_by = {{"ID", ""}};
     spec.aggregates = {{LatAggFunc::kCount, "", "N", false},
                        {LatAggFunc::kLast, "Query_Text", "Text", false},
                        {LatAggFunc::kLast, "Duration", "Dur", false}};
-    spec.ordering = {{"ID", true}};
-    spec.max_rows = max_rows;
+    spec.ordering = {{hits ? "N" : "ID", true}};
+    spec.max_rows = shape.max_rows;
     lats.push_back(std::move(*Lat::Create(std::move(spec))));
   }
 
@@ -410,12 +440,15 @@ EvictCell RunEvictCell(size_t lat_count, size_t max_rows, int threads,
       rec.text =
           "SELECT L_QUANTITY, L_EXTENDEDPRICE FROM LINEITEM WHERE "
           "L_ORDERKEY = 4711 AND L_LINENUMBER = 3";
-      // Thread-interleaved fresh IDs: every insert creates a new group.
+      // Thread-interleaved IDs: all fresh when evicting, else the
+      // resident 1..max_rows in turn.
       const auto id_of = [&](uint64_t i) {
-        return 1 + i * static_cast<uint64_t>(threads) +
-               static_cast<uint64_t>(t);
+        const uint64_t n =
+            i * static_cast<uint64_t>(threads) + static_cast<uint64_t>(t);
+        return 1 + (hits ? n % max_rows : n);
       };
-      for (uint64_t i = 0; i < warmup_per_thread; ++i) {
+      const uint64_t warmup = hits ? max_rows : max_rows + 1;
+      for (uint64_t i = 0; i < warmup; ++i) {
         rec.id = id_of(i);
         for (auto& lat : lats) lat->Insert(&rec, 0);
       }
@@ -424,8 +457,8 @@ EvictCell RunEvictCell(size_t lat_count, size_t max_rows, int threads,
         std::this_thread::yield();
       }
       const uint64_t allocs_before = t_allocs;
-      for (uint64_t i = warmup_per_thread;
-           i < warmup_per_thread + stmts_per_thread; ++i) {
+      for (uint64_t i = warmup; i < warmup + stmts_per_thread; ++i) {
+        if (shape.pace_ns > 0) Spin(shape.pace_ns);
         rec.id = id_of(i);
         for (auto& lat : lats) lat->Insert(&rec, 0);
       }
@@ -481,17 +514,16 @@ size_t MedianIndex(const std::vector<double>& values) {
 /// mostly noise, so every cell reports the median of three.
 constexpr int kCellReps = 3;
 
-/// One BENCH_JSON row for the evicting shared-LAT cell (RunEvictCell):
-/// the median repetition, with the fastest and slowest repetitions'
+/// One BENCH_JSON row for a shared bounded-LAT cell (RunEvictCell): the
+/// median repetition, with the fastest and slowest repetitions'
 /// `ns_per_insert` beside it; `sizes_exact` holds only if every repetition
 /// ended at the row budget.
-void RunEvictBench(size_t lat_count, size_t max_rows, int threads,
-                   bool quick) {
+void RunEvictBench(const EvictShape& shape, bool quick) {
   std::vector<EvictCell> cells;
   std::vector<double> ns;
   bool exact = true;
   for (int r = 0; r < kCellReps; ++r) {
-    cells.push_back(RunEvictCell(lat_count, max_rows, threads, quick));
+    cells.push_back(RunEvictCell(shape, quick));
     ns.push_back(cells.back().ns_per_insert);
     exact = exact && cells.back().exact;
   }
@@ -499,13 +531,16 @@ void RunEvictBench(size_t lat_count, size_t max_rows, int threads,
   const double n = static_cast<double>(c.inserts);
   std::printf(
       "BENCH_JSON {\"bench\":\"lat_evict\",\"lats\":%zu,\"max_rows\":%zu,"
+      "\"traffic\":\"%s\",\"pace_ns\":%d,"
       "\"shards\":%zu,\"threads\":%d,\"reps\":%d,\"inserts\":%llu,"
       "\"inserts_per_sec\":%.0f,\"ns_per_insert\":%.1f,"
       "\"ns_per_insert_min\":%.1f,\"ns_per_insert_max\":%.1f,"
       "\"evictions_per_insert\":%.4f,\"latch_acq_per_insert\":%.3f,"
       "\"latch_contention_pct\":%.3f,\"allocs_per_item\":%.3g,"
       "\"sizes_exact\":%s}\n",
-      lat_count, max_rows, c.shards, threads, kCellReps,
+      shape.lats, shape.max_rows,
+      shape.traffic == Traffic::kHits ? "hits" : "evicting", shape.pace_ns,
+      c.shards, shape.threads, kCellReps,
       static_cast<unsigned long long>(c.inserts),
       c.secs > 0 ? n / c.secs : 0, c.ns_per_insert,
       *std::min_element(ns.begin(), ns.end()),
@@ -732,7 +767,7 @@ int RunSweep(bool quick) {
   const uint64_t ops_per_thread = quick ? 50'000 : 200'000;
 
   std::printf("lat insert sweep: single-shard vs auto-sharded directory\n");
-  std::printf("(ops/thread=%llu; SQLCM_LAT_SHARDS overrides the auto side)\n",
+  std::printf("(ops/thread=%llu)\n",
               static_cast<unsigned long long>(ops_per_thread));
 
   double single_1t_contended = 0, sharded_1t_contended = 0;
@@ -768,11 +803,20 @@ int RunSweep(bool quick) {
         sharded_1t_contended / single_1t_contended);
   }
   RunSketchBench(quick);
-  // e2_rules' shape (100 ten-row LATs: one shard each) at 1 and 3 threads,
-  // and ten 1,000-row LATs (16 shards on a 4-core host) at 3 threads, so
-  // the max_rows -> shard-count rule is measured at both ends.
-  for (const int threads : {1, 3}) RunEvictBench(100, 10, threads, quick);
-  RunEvictBench(10, 1000, 3, quick);
+  // e2_rules' shape (100 ten-row LATs) at 1 and 3 threads, ten 1,000-row
+  // LATs at 3 threads, then one shared 256- or 1,000-row LAT under each
+  // traffic, unpaced and with about 3 µs between statements.
+  for (const int threads : {1, 3}) RunEvictBench({100, 10, threads}, quick);
+  RunEvictBench({10, 1000, 3}, quick);
+  for (const size_t max_rows : {size_t{256}, size_t{1000}}) {
+    for (const Traffic traffic : {Traffic::kEvicting, Traffic::kHits}) {
+      for (const int pace_ns : {0, 3000}) {
+        for (const int threads : {1, 3}) {
+          RunEvictBench({1, max_rows, threads, traffic, pace_ns}, quick);
+        }
+      }
+    }
+  }
   RunBatchBench(quick);
   return 0;
 }

@@ -82,28 +82,15 @@ size_t NextPowerOfTwo(size_t n) {
   return p;
 }
 
-/// A row-bounded LAT below this many rows gets one automatic shard, where
-/// an evicting insert takes a single latch (measured at 10 rows; larger
-/// bounds keep the default until a bench shows one shard is no slower).
-constexpr size_t kSingleShardRows = 128;
-
-/// Resolves LatSpec::shard_count: explicit spec value, else the
-/// SQLCM_LAT_SHARDS environment override, else one shard for a LAT bounded
-/// to fewer than kSingleShardRows rows, else 4 stripes per hardware thread
-/// (≥16: containers often under-report concurrency, and idle stripes cost
-/// ~200 bytes each).
+/// Resolves LatSpec::shard_count: one shard for a bounded LAT, whose
+/// evictions are then decided under one latch; else the explicit spec
+/// value, else 4 stripes per hardware thread (≥16: containers often
+/// under-report concurrency, and idle stripes cost ~200 bytes each).
 size_t ResolveShardCount(const LatSpec& spec) {
+  if (spec.max_rows > 0 || spec.max_bytes > 0) return 1;
   size_t n = spec.shard_count;
   if (n == 0) {
-    if (const char* env = std::getenv("SQLCM_LAT_SHARDS")) {
-      n = static_cast<size_t>(std::strtoul(env, nullptr, 10));
-    }
-  }
-  if (n == 0) {
-    const size_t hw = std::thread::hardware_concurrency();
-    n = spec.max_rows > 0 && spec.max_rows < kSingleShardRows
-            ? 1
-            : std::max<size_t>(16, 4 * hw);
+    n = std::max<size_t>(16, 4 * std::thread::hardware_concurrency());
   }
   return NextPowerOfTwo(std::clamp<size_t>(n, 1, 1024));
 }
@@ -214,14 +201,8 @@ Result<std::unique_ptr<Lat>> Lat::Create(LatSpec spec) {
   const ObjectSchema& schema = ObjectSchema::Get();
   lat->lower_name_ = common::ToLower(s.name);
   lat->shard_count_ = ResolveShardCount(s);
-  lat->replace_in_place_ =
-      lat->shard_count_ == 1 && s.max_rows > 0 && s.max_bytes == 0;
+  lat->replace_in_place_ = s.max_rows > 0 && s.max_bytes == 0;
   lat->shards_ = std::make_unique<Shard[]>(lat->shard_count_);
-  lat->root_ranks_ =
-      std::make_unique<std::atomic<uint64_t>[]>(lat->shard_count_);
-  for (size_t i = 0; i < lat->shard_count_; ++i) {
-    lat->root_ranks_[i].store(kLatRankEmpty, std::memory_order_relaxed);
-  }
   if (any_aging) {
     // §4.3 bound ⌈2t/Δ⌉, with enough slack (t/Δ + 3) that in-order folds,
     // which pruning keeps within t/Δ + 2 blocks, never reach it.
@@ -396,6 +377,13 @@ const Value& Held(const Value& v, bool any) {
   return any ? v : kNull;
 }
 
+/// A cell's sketch, or null while it holds none: an emptied sketch (kept
+/// by a recycled slot) counts as none.
+template <typename Sketch>
+const Sketch* HeldSketch(const std::unique_ptr<Sketch>& sketch) {
+  return sketch != nullptr && !sketch->empty() ? sketch.get() : nullptr;
+}
+
 }  // namespace
 
 uint32_t Lat::FindLocked(const Shard& shard, uint64_t hash,
@@ -443,7 +431,8 @@ uint32_t Lat::TakeSlotLocked(Shard* shard, uint64_t hash,
 void Lat::ClearAggs(AggState* aggs) const {
   for (size_t a = 0; a < spec_.aggregates.size(); ++a) {
     // The cells the aggregate maintains keep the previous occupant's values
-    // (and string capacity); `any` hides them until the first fold. The
+    // (and string capacity); `any` hides them until the first fold. Its
+    // side structures are emptied in place, keeping their capacity. The
     // others are empty (DropUnmaintained), so only a column that uses a
     // side structure reads its pointer, and a plain column's reset writes
     // one cache line.
@@ -452,9 +441,13 @@ void Lat::ClearAggs(AggState* aggs) const {
     state.sum = state.sumsq = 0;
     state.any = false;
     const LatAggColumn& col = spec_.aggregates[a];
-    if (col.aging) state.blocks.reset();
-    if (col.func == LatAggFunc::kQuantile) state.qsketch.reset();
-    if (col.func == LatAggFunc::kDistinct) state.hll.reset();
+    if (col.aging && state.blocks != nullptr) state.blocks->clear();
+    if (col.func == LatAggFunc::kQuantile && state.qsketch != nullptr) {
+      state.qsketch->Clear();
+    }
+    if (col.func == LatAggFunc::kDistinct && state.hll != nullptr) {
+      state.hll->Clear();
+    }
   }
 }
 
@@ -813,8 +806,8 @@ size_t Lat::ApproxSlotBytesLocked(Shard& shard, uint32_t slot) const {
     if (state.blocks != nullptr) {
       bytes += state.blocks->size() * sizeof(AgingBlock);
     }
-    if (state.qsketch != nullptr) bytes += state.qsketch->ApproxBytes();
-    if (state.hll != nullptr) bytes += state.hll->ApproxBytes();
+    if (const auto* q = HeldSketch(state.qsketch)) bytes += q->ApproxBytes();
+    if (const auto* h = HeldSketch(state.hll)) bytes += h->ApproxBytes();
   }
   return bytes;
 }
@@ -829,13 +822,13 @@ void Lat::SketchFootprint(size_t* sketch_bytes, size_t* sketch_cells) const {
       if (e.slot1 == 0) continue;
       const AggState* aggs = SlotAggs(shard, e.slot1 - 1);
       for (size_t a = 0; a < spec_.aggregates.size(); ++a) {
-        if (aggs[a].qsketch != nullptr) {
-          bytes += aggs[a].qsketch->ApproxBytes();
-          cells += aggs[a].qsketch->bucket_count();
+        if (const auto* q = HeldSketch(aggs[a].qsketch)) {
+          bytes += q->ApproxBytes();
+          cells += q->bucket_count();
         }
-        if (aggs[a].hll != nullptr) {
-          bytes += aggs[a].hll->ApproxBytes();
-          cells += aggs[a].hll->register_count();
+        if (const auto* h = HeldSketch(aggs[a].hll)) {
+          bytes += h->ApproxBytes();
+          cells += h->register_count();
         }
       }
     }
@@ -882,9 +875,8 @@ void Lat::FoldRecord(AggState* aggs, const void* record, int64_t now_micros) {
   }
 }
 
-bool Lat::RefreshOrderingLocked(size_t shard_idx, uint32_t slot,
+bool Lat::RefreshOrderingLocked(Shard& shard, uint32_t slot,
                                 int64_t now_micros) {
-  Shard& shard = shards_[shard_idx];
   const size_t width = ordering_columns_.size();
   Row& fresh = shard.scratch;
   fresh.resize(width);
@@ -919,12 +911,11 @@ bool Lat::RefreshOrderingLocked(size_t shard_idx, uint32_t slot,
     SiftUpLocked(&shard, meta.heap_index);
     SiftDownLocked(&shard, meta.heap_index);
   }
-  PublishRootLocked(shard_idx);
   return true;
 }
 
 void Lat::ReplaceRootLocked(Shard* shard, uint32_t slot, int64_t now_micros,
-                            Row* evicted) {
+                            std::vector<Row>* evicted) {
   Value* order = OrderCells(*shard, slot);
   for (size_t i = 0; i < ordering_columns_.size(); ++i) {
     OrderingValueInto(KeyCells(*shard, slot), SlotAggs(*shard, slot), i,
@@ -942,10 +933,32 @@ void Lat::ReplaceRootLocked(Shard* shard, uint32_t slot, int64_t now_micros,
     SiftDownLocked(shard, 0);
   }
   if (evicted != nullptr) {
-    *evicted = MaterializeLocked(*shard, victim, now_micros);
+    evicted->push_back(MaterializeLocked(*shard, victim, now_micros));
   }
   shard->meta[victim].tenure = 0;
   shard->free.push_back(victim);
+}
+
+size_t Lat::EvictOverBudgetLocked(Shard* shard, int64_t now_micros,
+                                  std::vector<Row>* evicted) {
+  size_t victims = 0;
+  while (OverBudget() && !shard->heap.empty()) {
+    const uint32_t victim = shard->heap[0];
+    HeapEraseLocked(shard, victim);
+    if (evicted != nullptr) {
+      evicted->push_back(MaterializeLocked(*shard, victim, now_micros));
+    }
+    FreeSlotLocked(shard, victim);
+    ++victims;
+  }
+  return victims;
+}
+
+void Lat::NotifyEvicted(size_t victims, std::vector<Row>* evicted) {
+  if (victims == 0) return;
+  stats_.evictions.Inc(victims);
+  if (evicted == nullptr) return;
+  for (Row& row : *evicted) evict_callback_(std::move(row));
 }
 
 void Lat::Insert(const void* record, int64_t now_micros) {
@@ -954,41 +967,32 @@ void Lat::Insert(const void* record, int64_t now_micros) {
   // directory compares against them in place.
   BorrowedProbe* key = KeyScratch(group_width());
   const uint64_t hash = ProbeKey(record, key);
-  const size_t s = ShardIndex(hash);
-  Shard& shard = shards_[s];
+  Shard& shard = ShardFor(hash);
 
-  bool replaced = false;
-  bool refreshed = false;
-  Row evicted;
+  size_t victims = 0;
+  std::vector<Row> evicted;  // filled only while someone listens
   {
     CountedLatchGuard guard(shard.latch, stats_);
+    std::vector<Row>* out = bounded() && Listening() ? &evicted : nullptr;
     uint32_t slot = FindLocked(shard, hash, key);
-    if (slot != kNoSlot) {
-      FoldRecord(SlotAggs(shard, slot), record, now_micros);
-      if (bounded()) refreshed = RefreshOrderingLocked(s, slot, now_micros);
-    } else if (replace_in_place_ && !shard.heap.empty() &&
-               total_rows_.load(std::memory_order_relaxed) >=
-                   spec_.max_rows) {
-      // A full single-shard LAT: the new group and the root it would
+    if (slot == kNoSlot && replace_in_place_ && !shard.heap.empty() &&
+        total_rows_.load(std::memory_order_relaxed) >= spec_.max_rows) {
+      // A full row-bounded LAT: the new group and the root it would
       // displace are decided here, and the loser's slot takes the next
       // new group.
       slot = TakeSlotLocked(&shard, hash, key);
       FoldRecord(SlotAggs(shard, slot), record, now_micros);
-      ReplaceRootLocked(&shard, slot, now_micros,
-                        Listening() ? &evicted : nullptr);
-      replaced = true;
+      ReplaceRootLocked(&shard, slot, now_micros, out);
+      victims = 1;
     } else {
-      slot = CreateLocked(&shard, hash, key);
+      if (slot == kNoSlot) slot = CreateLocked(&shard, hash, key);
       FoldRecord(SlotAggs(shard, slot), record, now_micros);
-      if (bounded()) refreshed = RefreshOrderingLocked(s, slot, now_micros);
+      if (bounded() && RefreshOrderingLocked(shard, slot, now_micros)) {
+        victims = EvictOverBudgetLocked(&shard, now_micros, out);
+      }
     }
   }
-  if (replaced) {
-    stats_.evictions.Inc();
-    if (!evicted.empty()) evict_callback_(std::move(evicted));
-    return;
-  }
-  if (refreshed) EvictOverBudget(now_micros, /*notify=*/true);
+  NotifyEvicted(victims, &evicted);
 }
 
 /// FoldBatch's per-LAT working set. Every vector keeps its capacity across
@@ -1095,11 +1099,14 @@ void Lat::FoldBatch(const LatBatchItem* items, size_t count,
 
   // Fold per distinct group in first-appearance order — one latch per
   // group, that group's items in arrival order. A slot freed since it was
-  // resolved (its tenure moved on) is resolved again.
+  // resolved (its tenure moved on) is resolved again. A bounded LAT (one
+  // shard) evicts down to its budget in the last group's latch hold, once
+  // every group of the batch is in the heap.
   const bool bounded_lat = bounded();
+  size_t victims = 0;
+  std::vector<Row> evicted;  // filled only while someone listens
   for (size_t g = 0; g < groups; ++g) {
-    const size_t shard_idx = ShardIndex(m.hashes_[g]);
-    Shard& shard = shards_[shard_idx];
+    Shard& shard = ShardFor(m.hashes_[g]);
     CountedLatchGuard guard(shard.latch, stats_);
     uint32_t slot = sc.slots[g];
     if (slot >= shard.meta.size() ||
@@ -1111,89 +1118,17 @@ void Lat::FoldBatch(const LatBatchItem* items, size_t count,
          i = m.next_[i]) {
       FoldRecord(aggs, items[i].record, items[i].now_micros);
     }
-    if (bounded_lat) {
-      RefreshOrderingLocked(shard_idx, slot, items[m.last_[g]].now_micros);
+    if (!bounded_lat) continue;
+    RefreshOrderingLocked(shard, slot, items[m.last_[g]].now_micros);
+    if (g + 1 == groups) {
+      victims = EvictOverBudgetLocked(&shard, items[count - 1].now_micros,
+                                      Listening() ? &evicted : nullptr);
     }
   }
-  if (bounded_lat) {
-    EvictOverBudget(items[count - 1].now_micros, /*notify=*/true);
-  }
-}
-
-size_t Lat::PickVictimShard() const {
-  // Lowest published rank wins outright. Rows leave heaps only under the
-  // evict latch, so a rank read here can have moved only by a concurrent
-  // insert or update, exactly as a latched scan could have raced one.
-  uint64_t best_rank = kLatRankEmpty;
-  size_t best_shard = SIZE_MAX;
-  size_t ties = 0;
-  bool unordered = false;
-  for (size_t s = 0; s < shard_count_; ++s) {
-    const uint64_t rank = root_ranks_[s].load(std::memory_order_acquire);
-    if (rank == kLatRankUnordered) {
-      unordered = true;
-    } else if (rank < best_rank) {
-      best_rank = rank;
-      best_shard = s;
-      ties = 1;
-    } else if (rank == best_rank && rank != kLatRankEmpty) {
-      ++ties;
-    }
-  }
-  if (ties <= 1 && !unordered) return best_shard;
-  // Tied (or unordered) roots: compare their full ordering keys under each
-  // shard latch, first shard winning a full tie.
-  best_shard = SIZE_MAX;
-  Row best_key;
-  for (size_t s = 0; s < shard_count_; ++s) {
-    const uint64_t rank = root_ranks_[s].load(std::memory_order_acquire);
-    if (rank > best_rank && rank != kLatRankUnordered) continue;
-    Shard& shard = shards_[s];
-    std::lock_guard<common::SpinLatch> guard(shard.latch);
-    if (shard.heap.empty()) continue;
-    const Value* root_key = OrderCells(shard, shard.heap[0]);
-    if (best_shard == SIZE_MAX || LessImportant(root_key, best_key.data())) {
-      best_shard = s;
-      best_key.assign(root_key, root_key + ordering_columns_.size());
-    }
-  }
-  return best_shard;
-}
-
-void Lat::EvictOverBudget(int64_t now_micros, bool notify) {
-  if (!OverBudget()) return;
-  const bool materialize = notify && Listening();
-  std::vector<Row> evicted_rows;  // filled only while someone listens
-  size_t victims = 0;
-  {
-    // The evict latch serializes budget enforcement so concurrent inserters
-    // do not over-evict.
-    std::lock_guard<common::SpinLatch> evict_guard(evict_latch_);
-    while (OverBudget()) {
-      const size_t s = shard_count_ == 1 ? 0 : PickVictimShard();
-      if (s == SIZE_MAX) break;  // every heap empty: nothing to evict
-      Shard& shard = shards_[s];
-      std::lock_guard<common::SpinLatch> guard(shard.latch);
-      // Rows a batch has created but not folded yet are not in the heap.
-      if (shard.heap.empty()) break;
-      const uint32_t victim = shard.heap[0];
-      HeapEraseLocked(&shard, victim);
-      PublishRootLocked(s);
-      if (materialize) {
-        evicted_rows.push_back(MaterializeLocked(shard, victim, now_micros));
-      }
-      FreeSlotLocked(&shard, victim);
-      ++victims;
-    }
-  }
-  if (victims == 0) return;
-  stats_.evictions.Inc(victims);
-  // Notify outside all latches: the callback may re-enter LATs.
-  for (Row& evicted : evicted_rows) evict_callback_(std::move(evicted));
+  NotifyEvicted(victims, &evicted);
 }
 
 void Lat::Reset() {
-  std::lock_guard<common::SpinLatch> evict_guard(evict_latch_);
   size_t removed_rows = 0;
   size_t removed_bytes = 0;
   for (size_t s = 0; s < shard_count_; ++s) {
@@ -1212,7 +1147,6 @@ void Lat::Reset() {
     shard.aggs = std::vector<AggState>();
     shard.free = std::vector<uint32_t>();
     shard.heap = std::vector<uint32_t>();
-    PublishRootLocked(s);
   }
   // Subtract what was actually removed (rather than storing zero) so rows
   // added concurrently in already-cleared shards stay accounted.
@@ -1469,8 +1403,8 @@ bool Lat::AdoptSeededRow(const Row& group_key, std::vector<AggState>* aggs,
                          int64_t now_micros) {
   BorrowedProbe* key = KeyScratch(group_width());
   const uint64_t hash = ProbeKey(group_key, key);
-  const size_t s = ShardIndex(hash);
-  Shard& shard = shards_[s];
+  Shard& shard = ShardFor(hash);
+  size_t victims = 0;
   {
     std::lock_guard<common::SpinLatch> guard(shard.latch);
     if (FindLocked(shard, hash, key) != kNoSlot) return false;  // live wins
@@ -1480,9 +1414,12 @@ bool Lat::AdoptSeededRow(const Row& group_key, std::vector<AggState>* aggs,
       dst[a] = std::move((*aggs)[a]);
     }
     DropUnmaintained(dst);
-    if (bounded()) RefreshOrderingLocked(s, slot, now_micros);
+    if (bounded()) {
+      RefreshOrderingLocked(shard, slot, now_micros);
+      victims = EvictOverBudgetLocked(&shard, now_micros, nullptr);
+    }
   }
-  if (bounded()) EvictOverBudget(now_micros, /*notify=*/false);
+  NotifyEvicted(victims, nullptr);
   return true;
 }
 
@@ -2137,8 +2074,8 @@ Status Lat::MergeState(const storage::Table& table, int64_t now_micros) {
               persisted.begin() + static_cast<long>(group_width()));
       BorrowedProbe* probes = KeyScratch(group_width());
       const uint64_t hash = ProbeKey(key, probes);
-      const size_t s = ShardIndex(hash);
-      Shard& shard = shards_[s];
+      Shard& shard = ShardFor(hash);
+      size_t victims = 0;
       {
         std::lock_guard<common::SpinLatch> guard(shard.latch);
         const uint32_t slot = FindOrCreateLocked(&shard, hash, probes);
@@ -2148,9 +2085,12 @@ Status Lat::MergeState(const storage::Table& table, int64_t now_micros) {
           PruneMergedBlocks(&aggs[a], now_micros);
         }
         DropUnmaintained(aggs);
-        if (bounded_lat) RefreshOrderingLocked(s, slot, now_micros);
+        if (bounded_lat) {
+          RefreshOrderingLocked(shard, slot, now_micros);
+          victims = EvictOverBudgetLocked(&shard, now_micros, nullptr);
+        }
       }
-      if (bounded_lat) EvictOverBudget(now_micros, /*notify=*/false);
+      NotifyEvicted(victims, nullptr);
     }
   }
   return Status::OK();

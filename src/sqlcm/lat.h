@@ -14,27 +14,23 @@
 //   * persist-to-table and seed-from-table (restart continuity).
 //
 // Concurrency (paper §6.1): rule evaluation and LAT updates run in the
-// threads that trigger events, so the directory is split into 2^k
+// threads that trigger events. A LAT keeps its rows in shards; each shard
+// holds a slab of fixed-width slots (group key, aggregate states, one
+// ordering key and its rank), an open-addressing index from hash to slot and
+// an eviction heap of slots, all guarded by the one shard latch: there is no
+// per-row latch. This departs from the paper's per-row latching: an insert
+// holds its shard latch for a single fold, and one latch per insert costs
+// less than the map, row and heap latches it replaced (bench_lat's lat_evict
+// rows, PERFORMANCE.md).
+// A bounded LAT (max_rows or max_bytes) has exactly one shard, the paper's
+// one hash index and one heap. Every eviction is decided under its latch, in
+// the same latch hold as the insert, seed or merge that went over budget, so
+// the survivors are an exact top-k however many threads insert. A
+// row-bounded LAT at its bound decides a new group against the heap root:
+// the loser is evicted and its slot takes the next new group in place. An
+// unbounded LAT never evicts, so its directory is split into 2^k
 // latch-striped shards selected by a precomputed 64-bit group-key hash.
-// Each shard keeps its rows in a slab of fixed-width slots (group key,
-// aggregate states, one ordering key and its rank), an open-addressing
-// index from hash to slot and an eviction heap of slots, all guarded by
-// the one shard latch: there is no per-row latch. This departs from the
-// paper's per-row latching: an insert into a shard holds its latch for a
-// single fold, and one latch per insert costs less than the map, row and
-// heap latches it replaced (bench_lat's lat_evict rows, PERFORMANCE.md).
-// Eviction is not rare: every insert into a bounded LAT at its budget
-// evicts. A row-bounded LAT with one shard (the automatic count for small
-// bounds) decides a new group under that latch alone: the group, or the
-// heap root it beats, is evicted, and the freed slot takes the next group
-// in place. Multi-shard and byte-budget LATs serialize eviction on a
-// dedicated evict latch and pick the cross-shard victim from published
-// root ranks (an order-preserving 64-bit encoding of each shard heap
-// root's first ordering value, see LatEvictionRank), latching only the
-// winning shard; shards whose ranks tie fall back to a latched compare of
-// their roots. The hierarchy evict > shard is acyclic, so the scheme stays
-// deadlock-free by construction.
-// bench/bench_lat.cc --sweep measures the scaling (see docs/PERFORMANCE.md).
+// bench/bench_lat.cc --sweep measures both (see docs/PERFORMANCE.md).
 #ifndef SQLCM_SQLCM_LAT_H_
 #define SQLCM_SQLCM_LAT_H_
 
@@ -89,13 +85,12 @@ inline bool LatAggFuncIsSketch(LatAggFunc func) {
   return func == LatAggFunc::kQuantile || func == LatAggFunc::kDistinct;
 }
 
-/// Root ranks (LatEvictionRank): smaller ranks are less important. An empty
-/// shard heap publishes kLatRankEmpty; a value the encoding cannot order
-/// (NaN, or a kind foreign to the column) ranks kLatRankUnordered, which
-/// joins every latched tie-break. Real ranks lie in [0, kLatRankMax].
-inline constexpr uint64_t kLatRankEmpty = UINT64_MAX;
-inline constexpr uint64_t kLatRankUnordered = UINT64_MAX - 1;
-inline constexpr uint64_t kLatRankMax = UINT64_MAX - 2;
+/// Ranks (LatEvictionRank): smaller ranks are less important. A value the
+/// encoding cannot order (NaN, or a kind foreign to the column) ranks
+/// kLatRankUnordered, which sends every compare to the full ordering key.
+/// Real ranks lie in [0, kLatRankMax].
+inline constexpr uint64_t kLatRankUnordered = UINT64_MAX;
+inline constexpr uint64_t kLatRankMax = UINT64_MAX - 1;
 
 /// Order-preserving rank of an ordering value in a column of
 /// `column_kind`, with the column's direction applied: if a ranks below b
@@ -105,7 +100,7 @@ inline constexpr uint64_t kLatRankMax = UINT64_MAX - 2;
 /// DOUBLE columns use the sign-flip encoding of the IEEE bits with −0.0
 /// folded onto +0.0; NULL takes Compare's lowest position; every other
 /// non-NULL value shares one constant rank, so those ties always go to the
-/// latched compare.
+/// full compare.
 uint64_t LatEvictionRank(const common::Value& v, common::ValueKind column_kind,
                          bool descending);
 
@@ -180,12 +175,11 @@ struct LatSpec {
   /// Aging parameters (apply to aggregates flagged `aging`).
   int64_t aging_window_micros = 0;  // t
   int64_t aging_block_micros = 0;   // Δ
-  /// Directory shard count. 0 = automatic: the SQLCM_LAT_SHARDS environment
-  /// override when set; otherwise one shard for a LAT bounded to fewer than
-  /// 128 rows (an evicting insert then takes a single latch) and 4 per
-  /// hardware thread, at least 16, for every other LAT. Rounded up to a
-  /// power of two and clamped to [1, 1024]. Aggregate results are independent of
-  /// the shard count (only contention behaviour changes).
+  /// Directory shard count of an unbounded LAT. 0 = automatic: 4 per
+  /// hardware thread, at least 16. Rounded up to a power of two and clamped
+  /// to [1, 1024]. Aggregate results are independent of the shard count
+  /// (only contention behaviour changes). Ignored when max_rows or max_bytes
+  /// is set: a bounded LAT always has one shard, so that eviction is exact.
   size_t shard_count = 0;
   /// Per-cell byte budget for each QUANTILE sketch: when a fold pushes a
   /// cell's sketch over this, it collapses (level-up, halving resolution
@@ -301,10 +295,10 @@ class Lat {
   /// identical to calling Insert() per item; only the latch schedule
   /// changes — with S touched shards and G distinct groups the
   /// latch-acquisition count is S + G versus `count` for the per-row path
-  /// (observable via LatStats::latch_acquisitions). Bounded LATs run a
-  /// single budget-eviction pass at the end, after the last read of
-  /// `mapping` and of the per-thread scratch (the evict callback may
-  /// re-enter LATs).
+  /// (observable via LatStats::latch_acquisitions). A bounded LAT evicts
+  /// down to its budget once, in the latch hold of the last group's fold,
+  /// and runs the evict callback after the last read of `mapping` and of
+  /// the per-thread scratch (the callback may re-enter LATs).
   void FoldBatch(const LatBatchItem* items, size_t count,
                  const LatBatchMapping& mapping);
 
@@ -481,9 +475,12 @@ class Lat {
     /// Aging variant only; lazily allocated (a default-constructed deque
     /// allocates, and non-aging rows are the hot path).
     std::unique_ptr<std::deque<AgingBlock>> blocks;
-    /// kQuantile only; lazily allocated on the first numeric fold.
+    /// kQuantile only; lazily allocated on the first numeric fold. A slot
+    /// taken by a new group keeps its sketch emptied, which reads, exports,
+    /// merges and is charged like no sketch.
     std::unique_ptr<QuantileSketch> qsketch;
-    /// kDistinct only; lazily allocated on the first non-NULL fold.
+    /// kDistinct only; lazily allocated on the first non-NULL fold, and
+    /// emptied in place like qsketch.
     std::unique_ptr<HllSketch> hll;
   };
 
@@ -515,9 +512,7 @@ class Lat {
   /// erase, load ≤ 1/2); the heap orders the slots of a bounded LAT with
   /// the least important row at the root. A freed slot keeps its values and
   /// their string capacity for the next group it takes. Padded so
-  /// neighbouring shards' latches do not share a cache line. The root's
-  /// rank lives in Lat::root_ranks_, packed apart from the latches, so the
-  /// evictor reads every shard's rank from a few cache lines.
+  /// neighbouring shards' latches do not share a cache line.
   struct alignas(64) Shard {
     // What an evicting insert writes shares the latch's cache line.
     mutable common::SpinLatch latch;
@@ -571,7 +566,8 @@ class Lat {
   uint32_t TakeSlotLocked(Shard* shard, uint64_t hash,
                           const BorrowedProbe* key);
   /// Empties `aggs` for a new group, keeping the values (and string
-  /// capacity) of the cells each aggregate maintains.
+  /// capacity) of the cells each aggregate maintains and the capacity of
+  /// its sketches.
   void ClearAggs(AggState* aggs) const;
   /// Empties the cells and side structures each aggregate of `aggs` does
   /// not maintain (say, a LAST column's min), which seeded or merged state
@@ -600,7 +596,7 @@ class Lat {
   /// Recomputes `slot`'s ordering key and byte charge after folds into a
   /// bounded LAT and applies them to the heap. Returns false, counting a
   /// heap skip, when the key is unchanged and no byte budget applies.
-  bool RefreshOrderingLocked(size_t shard_idx, uint32_t slot,
+  bool RefreshOrderingLocked(Shard& shard, uint32_t slot,
                              int64_t now_micros);
   /// Ordering column `i` of the row (key, aggs) into `*out`; a stored
   /// string is copied into `out`'s kept capacity.
@@ -655,42 +651,31 @@ class Lat {
   uint64_t RankOf(const common::Value& first) const {
     return LatEvictionRank(first, rank_kind_, spec_.ordering[0].descending);
   }
-  /// Republishes shard `s`'s root rank (multi-shard LATs; one shard needs
-  /// no victim pick). Caller holds its latch.
-  void PublishRootLocked(size_t s) {
-    if (shard_count_ == 1) return;
-    const Shard& shard = shards_[s];
-    const uint64_t rank =
-        shard.heap.empty() ? kLatRankEmpty : shard.meta[shard.heap[0]].rank;
-    if (root_ranks_[s].load(std::memory_order_relaxed) != rank) {
-      root_ranks_[s].store(rank, std::memory_order_release);
-    }
-  }
-  /// The shard holding the globally least-important heap root, or SIZE_MAX
-  /// when every heap is empty. Reads the published ranks without latching;
-  /// only shards tied at the lowest rank (or unordered) are latched and
-  /// compared. Caller holds the evict latch.
-  size_t PickVictimShard() const;
-
-  /// A new group arriving at a full single-shard LAT, decided under the
+  /// A new group arriving at a full row-bounded LAT, decided under the
   /// shard latch: `slot` (folded, not indexed) gets its ordering key and
   /// rank, and is evicted itself when it sorts after the heap root;
   /// otherwise, and on a tie, it takes the root's place. The victim's slot
-  /// is freed for the next new group, after being materialized into
+  /// is freed for the next new group, after being materialized onto
   /// `*evicted` when that is non-null.
   void ReplaceRootLocked(Shard* shard, uint32_t slot, int64_t now_micros,
-                         common::Row* evicted);
+                         std::vector<common::Row>* evicted);
   /// True when a Lat.Evict listener wants victims materialized.
   bool Listening() const {
     return evict_callback_ &&
            (evict_listening_ == nullptr ||
             evict_listening_->load(std::memory_order_acquire));
   }
-  /// While over the row/byte budget, evicts the globally least-important
-  /// row (PickVictimShard, under the evict latch). Materializes and
-  /// notifies victims via the evict callback when `notify` is set and a
-  /// listener is on.
-  void EvictOverBudget(int64_t now_micros, bool notify);
+  /// While over the row/byte budget, evicts the heap root of a bounded
+  /// LAT's one shard; caller holds its latch. Appends each victim,
+  /// materialized, to `*evicted` when that is non-null, and returns how
+  /// many it evicted. Rows a batch has created but not folded yet are not
+  /// in the heap and are not evicted.
+  size_t EvictOverBudgetLocked(Shard* shard, int64_t now_micros,
+                               std::vector<common::Row>* evicted);
+  /// Counts `victims` evictions and hands the materialized rows, if any,
+  /// to the evict callback; runs outside all latches (the callback may
+  /// re-enter LATs).
+  void NotifyEvicted(size_t victims, std::vector<common::Row>* evicted);
   bool OverBudget() const {
     const size_t rows = total_rows_.load(std::memory_order_acquire);
     if (spec_.max_rows > 0 && rows > spec_.max_rows) return true;
@@ -724,8 +709,8 @@ class Lat {
   const std::atomic<bool>* evict_listening_ = nullptr;
 
   size_t shard_count_ = 1;  // power of two
-  /// A row-bounded LAT with one shard and no byte budget: a new group at
-  /// the bound replaces the heap root under the shard latch alone.
+  /// A row-bounded LAT without a byte budget: a new group at the bound
+  /// replaces the heap root in place.
   bool replace_in_place_ = false;
   /// Any QUANTILE/DISTINCT aggregate in the spec (state records then use
   /// the v3 codec with `#sketch` cells and SeedFrom is rejected).
@@ -743,15 +728,10 @@ class Lat {
   /// spec has no aging aggregates.
   size_t max_aging_blocks_ = 0;
   std::unique_ptr<Shard[]> shards_;
-  /// Published heap-root rank per shard (PublishRootLocked), written under
-  /// that shard's latch and read without latching by the evictor.
-  std::unique_ptr<std::atomic<uint64_t>[]> root_ranks_;
 
-  /// Serializes cross-shard eviction and Reset; never acquired while any
-  /// other LAT latch is held. It and the budget atomics below each get
-  /// their own cache line: every insert reads shards_ and root_ranks_
-  /// above, and the evictor spins on this latch and bumps the budgets.
-  alignas(64) mutable common::SpinLatch evict_latch_;
+  /// The budgets get their own cache line: every insert reads shards_
+  /// above, and inserts into an unbounded LAT's shards all bump
+  /// total_rows_. A bounded LAT changes them only under its one latch.
   alignas(64) std::atomic<size_t> total_rows_{0};
   std::atomic<size_t> total_bytes_{0};
   std::atomic<uint64_t> reset_generation_{0};

@@ -32,6 +32,7 @@
 #ifndef SQLCM_SQLCM_SKETCH_H_
 #define SQLCM_SQLCM_SKETCH_H_
 
+#include <algorithm>
 #include <cstdint>
 #include <string>
 #include <string_view>
@@ -83,6 +84,15 @@ class QuantileSketch {
   /// deltas. Counts never go negative when `baseline` really is a past
   /// state of `this` (bucket counts are monotone under Add/Merge).
   void Subtract(const QuantileSketch& baseline);
+
+  /// Back to a new sketch (level 0, no buckets), keeping the bucket
+  /// stores' capacity.
+  void Clear() {
+    level_ = 0;
+    zero_count_ = neg_count_ = pos_count_ = 0;
+    neg_.clear();
+    pos_.clear();
+  }
 
   /// q ∈ [0,1]; the value at rank ⌊q·(count−1)⌋ of the folded multiset,
   /// within alpha() relative error (exact for zeros). Requires count() > 0.
@@ -158,6 +168,14 @@ class HllSketch {
   /// exact up to rounding while any register is still zero and the true
   /// cardinality is well under 2^p.
   int64_t Estimate() const;
+
+  /// Zeroes every register (a new sketch of the same precision).
+  void Clear() { std::fill(registers_.begin(), registers_.end(), 0); }
+  /// True while every register is zero: nothing was folded.
+  bool empty() const {
+    return std::all_of(registers_.begin(), registers_.end(),
+                       [](uint8_t r) { return r == 0; });
+  }
 
   int precision() const { return precision_; }
   size_t register_count() const { return registers_.size(); }

@@ -83,96 +83,27 @@ TEST(LatShardDeterminismTest, AggregatesIndependentOfShardCount) {
   }
 }
 
-TEST(LatShardDeterminismTest, EvictionOrderIndependentOfShardCount) {
-  // Eviction must pick the globally least-important row even though each
-  // shard keeps its own heap — so a size-limited LAT retains exactly the
-  // same top-k set at any shard count.
-  auto make = [](size_t shard_count) {
-    LatSpec spec;
-    spec.name = "top";
-    spec.group_by = {{"ID", ""}};
-    spec.aggregates = {{LatAggFunc::kMax, "Duration", "Dur", false}};
-    spec.ordering = {{"Dur", true}};
-    spec.max_rows = 12;
-    spec.shard_count = shard_count;
-    return *Lat::Create(std::move(spec));
-  };
-  auto one = make(1);
-  auto many = make(8);
-
-  common::Random rng(11);
-  for (int i = 1; i <= 500; ++i) {
-    QueryRecord rec;
-    rec.id = static_cast<uint64_t>(i);
-    // Unique durations -> an unambiguous top-12 set.
-    rec.duration_secs =
-        static_cast<double>(i) + static_cast<double>(rng.Uniform(50)) * 1000.0;
-    one->Insert(&rec, 0);
-    many->Insert(&rec, 0);
-  }
-  const auto rows1 = one->Snapshot(0);
-  const auto rows8 = many->Snapshot(0);
-  ASSERT_EQ(rows1.size(), 12u);
-  ASSERT_EQ(rows8.size(), 12u);
-  for (size_t i = 0; i < rows1.size(); ++i) {
-    EXPECT_EQ(rows1[i][0].int_value(), rows8[i][0].int_value()) << "rank " << i;
-    EXPECT_DOUBLE_EQ(rows1[i][1].AsDouble(), rows8[i][1].AsDouble());
-  }
-}
-
-TEST(LatShardDeterminismTest, ByteBudgetEvictionIndependentOfShardCount) {
-  // A row's byte charge counts its strings' lengths, not the capacity its
-  // slot kept from earlier occupants, so a byte-bounded LAT fed texts of
-  // varying length keeps the same rows at any shard count although each
-  // shard recycles its own slots.
-  auto make = [](size_t shard_count) {
-    LatSpec spec;
-    spec.name = "bytes";
-    spec.group_by = {{"Logical_Signature", "Sig"}};
-    spec.aggregates = {{LatAggFunc::kMax, "Duration", "Dur", false},
-                       {LatAggFunc::kLast, "Query_Text", "Text", false}};
-    spec.ordering = {{"Dur", true}};
-    spec.max_bytes = 8192;
-    spec.shard_count = shard_count;
-    return *Lat::Create(std::move(spec));
-  };
-  auto one = make(1);
-  auto four = make(4);
-
-  common::Random rng(23);
-  for (int i = 1; i <= 3000; ++i) {
-    QueryRecord rec;
-    rec.logical_signature = "sig" + std::to_string(rng.Uniform(200));
-    rec.text = std::string(1 + rng.Uniform(300), 'x');
-    // Unique durations -> an unambiguous eviction order.
-    rec.duration_secs =
-        static_cast<double>(rng.Uniform(1000)) * 10000.0 + i;
-    one->Insert(&rec, 0);
-    four->Insert(&rec, 0);
-    ASSERT_EQ(one->approx_bytes(), four->approx_bytes()) << "insert " << i;
-  }
-  EXPECT_GT(one->stats().evictions.value(), 0u);
-  EXPECT_EQ(one->stats().evictions.value(), four->stats().evictions.value());
-  EXPECT_EQ(SortedByKey(one->Snapshot(0)), SortedByKey(four->Snapshot(0)));
-}
-
 TEST(LatShardDeterminismTest, AutomaticShardCountFollowsMaxRows) {
-  if (std::getenv("SQLCM_LAT_SHARDS") != nullptr) {
-    GTEST_SKIP() << "SQLCM_LAT_SHARDS overrides the automatic count";
-  }
-  // Fewer than 128 rows: one shard; any other bound keeps the default.
-  const auto shards = [](size_t max_rows) {
-    LatSpec spec = CountSumSpec("auto", 0);
+  // Every LAT with a row or byte budget has one shard, even when its spec
+  // asks for more; an unbounded LAT keeps the default or its explicit count.
+  const auto shards = [](size_t max_rows, size_t max_bytes,
+                         size_t shard_count) {
+    LatSpec spec = CountSumSpec("auto", shard_count);
     spec.ordering = {{"N", true}};
     spec.max_rows = max_rows;
+    spec.max_bytes = max_bytes;
     return (*Lat::Create(std::move(spec)))->shard_count();
   };
-  EXPECT_EQ(shards(10), 1u);
-  EXPECT_EQ(shards(127), 1u);
-  const size_t default_count = shards(0);
-  EXPECT_GE(default_count, 16u);
-  EXPECT_EQ(shards(128), default_count);
-  EXPECT_EQ(shards(1000), default_count);
+  for (const size_t requested : {size_t{0}, size_t{8}}) {
+    EXPECT_EQ(shards(10, 0, requested), 1u);
+    EXPECT_EQ(shards(127, 0, requested), 1u);
+    EXPECT_EQ(shards(128, 0, requested), 1u);
+    EXPECT_EQ(shards(1000, 0, requested), 1u);
+    EXPECT_EQ(shards(0, 4096, requested), 1u);
+    EXPECT_EQ(shards(1000, 4096, requested), 1u);
+  }
+  EXPECT_GE(shards(0, 0, 0), 16u);
+  EXPECT_EQ(shards(0, 0, 8), 8u);
 }
 
 // ---------------------------------------------------------------------------
@@ -242,7 +173,6 @@ TEST(LatConcurrencyTest, EvictionRaceAcrossShards) {
   spec.aggregates = {{LatAggFunc::kMax, "Duration", "D", false}};
   spec.ordering = {{"D", true}};
   spec.max_rows = 24;
-  spec.shard_count = 8;
   auto lat = *Lat::Create(std::move(spec));
   std::atomic<size_t> evictions{0};
   lat->set_evict_callback([&](Row row) {
@@ -284,7 +214,6 @@ TEST(LatConcurrencyTest, ByteBudgetRace) {
   spec.aggregates = {{LatAggFunc::kCount, "", "N", false}};
   spec.ordering = {{"N", true}};
   spec.max_bytes = 4096;
-  spec.shard_count = 4;
   auto lat = *Lat::Create(std::move(spec));
 
   constexpr int kThreads = 4;
@@ -300,12 +229,11 @@ TEST(LatConcurrencyTest, ByteBudgetRace) {
     });
   }
   for (auto& t : threads) t.join();
-  // The budget may overshoot transiently but must hold once quiesced
-  // (one more insert runs the eviction loop to completion).
-  auto rec = MakeQuery("final", 1.0);
-  lat->Insert(&rec, 0);
-  EXPECT_LE(lat->approx_bytes(), 4096u + 512u);  // one row of slack
+  // Each insert evicts down to the budget in its own latch hold, so the
+  // budget holds as soon as the inserting threads have joined.
+  EXPECT_LE(lat->approx_bytes(), 4096u);
   EXPECT_GE(lat->size(), 1u);
+  EXPECT_GT(lat->stats().evictions.value(), 0u);
 }
 
 TEST(LatConcurrencyTest, CheckpointRestoreRace) {
@@ -384,8 +312,9 @@ TEST(LatConcurrencyTest, HeapSkipOnUnchangedOrderingKey) {
   EXPECT_DOUBLE_EQ(row[1].AsDouble(), 9.0);
 }
 
-TEST(LatConcurrencyTest, ShardCountEnvOverrideAndClamp) {
-  // spec.shard_count is rounded up to a power of two and clamped.
+TEST(LatConcurrencyTest, ShardCountRoundedUpAndClamped) {
+  // An unbounded LAT's spec.shard_count is rounded up to a power of two
+  // and clamped to [1, 1024].
   auto spec = CountSumSpec("clamp", 5);
   auto lat = *Lat::Create(std::move(spec));
   EXPECT_EQ(lat->shard_count(), 8u);
@@ -400,7 +329,7 @@ TEST(LatConcurrencyTest, ShardCountEnvOverrideAndClamp) {
 // Evicting inserts into shared LATs (perfbench e2_rules' shape)
 // ---------------------------------------------------------------------------
 
-LatSpec EvictSpec(const std::string& name, size_t shard_count) {
+LatSpec EvictSpec(const std::string& name, size_t max_rows = 10) {
   LatSpec spec;
   spec.name = name;
   spec.group_by = {{"ID", ""}};
@@ -408,15 +337,14 @@ LatSpec EvictSpec(const std::string& name, size_t shard_count) {
                      {LatAggFunc::kLast, "Query_Text", "Text", false},
                      {LatAggFunc::kLast, "Duration", "Dur", false}};
   spec.ordering = {{"ID", true}};
-  spec.max_rows = 10;
-  spec.shard_count = shard_count;
+  spec.max_rows = max_rows;
   return spec;
 }
 
 /// Like EvictSpec but ordered by a heavily tied DOUBLE first (ASC), so most
-/// victims are chosen by the latched tie-break on the second column.
-LatSpec TiedEvictSpec(const std::string& name, size_t shard_count) {
-  LatSpec spec = EvictSpec(name, shard_count);
+/// victims are chosen by the full compare of the second column.
+LatSpec TiedEvictSpec(const std::string& name) {
+  LatSpec spec = EvictSpec(name);
   spec.ordering = {{"Dur", false}, {"ID", true}};
   return spec;
 }
@@ -440,133 +368,148 @@ std::vector<int64_t> SurvivorIds(const Lat& lat) {
 TEST(LatConcurrencyTest, EvictingInsertsIntoSharedLats) {
   // Three threads raise statements with fresh IDs and insert each into
   // every shared 10-row LAT, so every insert creates a row and evicts one
-  // while the other threads do the same on the same shards. It runs at 16
-  // shards (cross-shard eviction under the evict latch) and at the
-  // automatic count (one shard: each new group is decided against the
-  // heap root in place), with an evict listener on every LAT and a reader
-  // thread taking snapshots and lookups throughout.
+  // while the other threads do the same on the same LATs. Each LAT has one
+  // shard, and each new group is decided against the heap root in place,
+  // with an evict listener on every LAT and a reader thread taking
+  // snapshots and lookups throughout.
   constexpr int kThreads = 3;
   constexpr int kLats = 20;
   constexpr uint64_t kPerThread = 1500;
   const uint64_t inserts = kThreads * kPerThread;
-  for (const size_t shards : {size_t{16}, size_t{0}}) {
-    std::vector<std::unique_ptr<Lat>> lats;
-    std::vector<std::mutex> evicted_mu(kLats);
-    std::vector<std::vector<int64_t>> evicted_ids(kLats);
-    for (int i = 0; i < kLats; ++i) {
-      const std::string name = "shared" + std::to_string(i);
-      lats.push_back(*Lat::Create(i % 2 == 0 ? EvictSpec(name, shards)
-                                             : TiedEvictSpec(name, shards)));
-      lats.back()->set_evict_callback([&evicted_mu, &evicted_ids, i](Row row) {
-        std::lock_guard<std::mutex> lock(evicted_mu[i]);
-        evicted_ids[i].push_back(row[0].int_value());
-      });
-    }
-    EXPECT_EQ(lats[0]->shard_count(), shards == 0 ? 1u : shards);
-    std::atomic<bool> done{false};
-    std::vector<std::thread> threads;
-    for (int t = 0; t < kThreads; ++t) {
-      threads.emplace_back([&lats, t] {
-        for (uint64_t i = 0; i < kPerThread; ++i) {
-          const QueryRecord rec = EvictRecord(1 + i * kThreads + t);
-          for (auto& lat : lats) lat->Insert(&rec, 0);
-        }
-      });
-    }
-    std::thread reader([&lats, &done] {
-      size_t round = 0;
-      while (!done.load(std::memory_order_acquire)) {
-        const Lat& lat = *lats[round++ % lats.size()];
-        for (const Row& row : lat.Snapshot(0)) {
-          ASSERT_EQ(row[1].int_value(), 1);  // every ID is inserted once
-          QueryRecord probe;
-          probe.id = static_cast<uint64_t>(row[0].int_value());
-          Row found;
-          if (lat.LookupForObject(&probe, 0, &found)) {
-            ASSERT_EQ(found[0].int_value(), row[0].int_value());
-          }
-        }
+  std::vector<std::unique_ptr<Lat>> lats;
+  std::vector<std::mutex> evicted_mu(kLats);
+  std::vector<std::vector<int64_t>> evicted_ids(kLats);
+  for (int i = 0; i < kLats; ++i) {
+    const std::string name = "shared" + std::to_string(i);
+    lats.push_back(*Lat::Create(i % 2 == 0 ? EvictSpec(name)
+                                           : TiedEvictSpec(name)));
+    lats.back()->set_evict_callback([&evicted_mu, &evicted_ids, i](Row row) {
+      std::lock_guard<std::mutex> lock(evicted_mu[i]);
+      evicted_ids[i].push_back(row[0].int_value());
+    });
+  }
+  EXPECT_EQ(lats[0]->shard_count(), 1u);
+  std::atomic<bool> done{false};
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&lats, t] {
+      for (uint64_t i = 0; i < kPerThread; ++i) {
+        const QueryRecord rec = EvictRecord(1 + i * kThreads + t);
+        for (auto& lat : lats) lat->Insert(&rec, 0);
       }
     });
-    for (auto& t : threads) t.join();
-    done.store(true, std::memory_order_release);
-    reader.join();
-
-    for (int i = 0; i < kLats; ++i) {
-      const Lat& lat = *lats[static_cast<size_t>(i)];
-      EXPECT_EQ(lat.stats().inserts.value(), inserts) << lat.name();
-      EXPECT_EQ(lat.stats().evictions.value(), inserts - 10) << lat.name();
-      EXPECT_EQ(evicted_ids[static_cast<size_t>(i)].size(), inserts - 10)
-          << lat.name();
-      EXPECT_EQ(lat.size(), lat.spec().max_rows) << lat.name();
-      EXPECT_EQ(lat.Snapshot(0).size(), lat.spec().max_rows) << lat.name();
-      // No evicted ID is still live.
-      std::vector<int64_t> evicted = evicted_ids[static_cast<size_t>(i)];
-      std::sort(evicted.begin(), evicted.end());
-      for (const int64_t id : SurvivorIds(lat)) {
-        EXPECT_FALSE(std::binary_search(evicted.begin(), evicted.end(), id))
-            << lat.name() << " shards=" << shards << " id=" << id;
+  }
+  std::thread reader([&lats, &done] {
+    size_t round = 0;
+    while (!done.load(std::memory_order_acquire)) {
+      const Lat& lat = *lats[round++ % lats.size()];
+      for (const Row& row : lat.Snapshot(0)) {
+        ASSERT_EQ(row[1].int_value(), 1);  // every ID is inserted once
+        QueryRecord probe;
+        probe.id = static_cast<uint64_t>(row[0].int_value());
+        Row found;
+        if (lat.LookupForObject(&probe, 0, &found)) {
+          ASSERT_EQ(found[0].int_value(), row[0].int_value());
+        }
       }
     }
-  }
+  });
+  for (auto& t : threads) t.join();
+  done.store(true, std::memory_order_release);
+  reader.join();
 
-  // A serial replay of the same statements keeps the same survivors at 16
-  // shards and at the automatic count as at one: the published root ranks
-  // pick the global victim.
-  for (const bool tied : {false, true}) {
-    auto one = *Lat::Create(tied ? TiedEvictSpec("one", 1)
-                                 : EvictSpec("one", 1));
-    auto many = *Lat::Create(tied ? TiedEvictSpec("many", 16)
-                                  : EvictSpec("many", 16));
-    auto automatic = *Lat::Create(tied ? TiedEvictSpec("auto", 0)
-                                       : EvictSpec("auto", 0));
-    for (uint64_t id = 1; id <= inserts; ++id) {
-      const QueryRecord rec = EvictRecord(id);
-      one->Insert(&rec, 0);
-      many->Insert(&rec, 0);
-      automatic->Insert(&rec, 0);
+  for (int i = 0; i < kLats; ++i) {
+    const Lat& lat = *lats[static_cast<size_t>(i)];
+    EXPECT_EQ(lat.stats().inserts.value(), inserts) << lat.name();
+    EXPECT_EQ(lat.stats().evictions.value(), inserts - 10) << lat.name();
+    EXPECT_EQ(evicted_ids[static_cast<size_t>(i)].size(), inserts - 10)
+        << lat.name();
+    EXPECT_EQ(lat.size(), lat.spec().max_rows) << lat.name();
+    EXPECT_EQ(lat.Snapshot(0).size(), lat.spec().max_rows) << lat.name();
+    // No evicted ID is still live.
+    std::vector<int64_t> evicted = evicted_ids[static_cast<size_t>(i)];
+    std::sort(evicted.begin(), evicted.end());
+    for (const int64_t id : SurvivorIds(lat)) {
+      EXPECT_FALSE(std::binary_search(evicted.begin(), evicted.end(), id))
+          << lat.name() << " id=" << id;
     }
-    EXPECT_EQ(SurvivorIds(*one), SurvivorIds(*many)) << "tied=" << tied;
-    EXPECT_EQ(SurvivorIds(*one), SurvivorIds(*automatic)) << "tied=" << tied;
-    EXPECT_EQ(one->stats().evictions.value(), many->stats().evictions.value());
-    EXPECT_EQ(one->stats().evictions.value(),
-              automatic->stats().evictions.value());
   }
 }
 
 TEST(LatConcurrencyTest, ConcurrentFreshIdsKeepTheExactTopTen) {
   // Three threads insert disjoint fresh IDs, each in its own shuffled
-  // order, into one automatically sharded 10-row LAT ordered by ID DESC.
-  // One shard decides every new group under its latch, so concurrent
-  // eviction is an exact top-k: the survivors are the 10 largest IDs.
+  // order, into one bounded LAT ordered by ID DESC, at 10 and at 256 rows.
+  // Its one shard decides every new group under its latch, so concurrent
+  // eviction is an exact top-k: the survivors are the largest IDs.
   constexpr int kThreads = 3;
   constexpr uint64_t kPerThread = 3000;
-  auto lat = *Lat::Create(EvictSpec("topk", 0));
-  ASSERT_EQ(lat->shard_count(), 1u);
+  for (const size_t max_rows : {size_t{10}, size_t{256}}) {
+    auto lat = *Lat::Create(EvictSpec("topk", max_rows));
+    ASSERT_EQ(lat->shard_count(), 1u);
+    std::vector<std::thread> threads;
+    for (int t = 0; t < kThreads; ++t) {
+      threads.emplace_back([&lat, t] {
+        std::vector<uint64_t> ids;
+        for (uint64_t i = 0; i < kPerThread; ++i) {
+          ids.push_back(1 + i * kThreads + t);
+        }
+        common::Random rng(static_cast<uint64_t>(t) + 7);
+        for (size_t i = ids.size(); i > 1; --i) {
+          std::swap(ids[i - 1], ids[rng.Uniform(i)]);
+        }
+        for (const uint64_t id : ids) {
+          const QueryRecord rec = EvictRecord(id);
+          lat->Insert(&rec, 0);
+        }
+      });
+    }
+    for (auto& t : threads) t.join();
+    const auto total = static_cast<int64_t>(kThreads * kPerThread);
+    const auto kept = static_cast<int64_t>(max_rows);
+    std::vector<int64_t> want;
+    for (int64_t id = total - kept + 1; id <= total; ++id) want.push_back(id);
+    EXPECT_EQ(SurvivorIds(*lat), want) << "max_rows=" << max_rows;
+    EXPECT_EQ(lat->stats().evictions.value(),
+              static_cast<uint64_t>(total - kept))
+        << "max_rows=" << max_rows;
+  }
+}
+
+TEST(LatConcurrencyTest, SnapshotNeverExceedsMaxRows) {
+  // Writers insert fresh IDs (each evicts) and repeat recent ones (hits)
+  // into one 256-row LAT while a reader takes snapshots: an insert evicts
+  // in the latch hold that put the LAT over its bound, so no snapshot ever
+  // sees more than max_rows rows.
+  constexpr size_t kMaxRows = 256;
+  constexpr int kThreads = 3;
+  constexpr uint64_t kPerThread = 6000;
+  auto lat = *Lat::Create(EvictSpec("bound", kMaxRows));
+  std::atomic<bool> done{false};
+  std::atomic<size_t> snapshots{0};
+  std::thread reader([&] {
+    while (!done.load(std::memory_order_acquire)) {
+      ASSERT_LE(lat->Snapshot(0).size(), kMaxRows);
+      ASSERT_LE(lat->size(), kMaxRows);
+      snapshots.fetch_add(1, std::memory_order_relaxed);
+    }
+  });
   std::vector<std::thread> threads;
   for (int t = 0; t < kThreads; ++t) {
     threads.emplace_back([&lat, t] {
-      std::vector<uint64_t> ids;
       for (uint64_t i = 0; i < kPerThread; ++i) {
-        ids.push_back(1 + i * kThreads + t);
-      }
-      common::Random rng(static_cast<uint64_t>(t) + 7);
-      for (size_t i = ids.size(); i > 1; --i) {
-        std::swap(ids[i - 1], ids[rng.Uniform(i)]);
-      }
-      for (const uint64_t id : ids) {
-        const QueryRecord rec = EvictRecord(id);
+        // Every fourth insert repeats an ID this thread inserted lately.
+        const uint64_t step = i % 4 == 3 ? i - 3 : i;
+        const QueryRecord rec = EvictRecord(1 + step * kThreads + t);
         lat->Insert(&rec, 0);
       }
     });
   }
   for (auto& t : threads) t.join();
-  const int64_t total = static_cast<int64_t>(kThreads * kPerThread);
-  std::vector<int64_t> want;
-  for (int64_t id = total - 9; id <= total; ++id) want.push_back(id);
-  EXPECT_EQ(SurvivorIds(*lat), want);
-  EXPECT_EQ(lat->stats().evictions.value(),
-            static_cast<uint64_t>(total - 10));
+  done.store(true, std::memory_order_release);
+  reader.join();
+  EXPECT_GT(snapshots.load(), 0u);
+  EXPECT_EQ(lat->size(), kMaxRows);
+  EXPECT_EQ(lat->Snapshot(0).size(), kMaxRows);
 }
 
 TEST(LatShardDeterminismTest, TieEvictsTheResidentRoot) {
@@ -610,7 +553,7 @@ TEST(LatShardDeterminismTest, SeededNullAndSignedZeroRanksIndependentOfShardCoun
   // Query probes never yield NULL, so NULL ordering values come in through
   // SeedFrom. ASC over a DOUBLE column with NULL (most important under
   // ASC), negatives, −0.0 and +0.0 (which tie) and a DESC string second
-  // column: the survivors match a full sort at one shard and at sixteen.
+  // column: the survivors match a full sort.
   storage::Catalog catalog;
   auto schema = catalog::TableSchema::Create(
       "seed",
@@ -627,16 +570,12 @@ TEST(LatShardDeterminismTest, SeededNullAndSignedZeroRanksIndependentOfShardCoun
     seeded.push_back(row);
     ASSERT_TRUE(table->Insert(std::move(row)).ok());
   }
-  auto make = [](size_t shard_count) {
-    LatSpec spec;
-    spec.name = "seeded";
-    spec.group_by = {{"Logical_Signature", "Sig"}};
-    spec.aggregates = {{LatAggFunc::kMin, "Duration", "MinDur", false}};
-    spec.ordering = {{"MinDur", false}, {"Sig", true}};
-    spec.max_rows = 9;
-    spec.shard_count = shard_count;
-    return *Lat::Create(std::move(spec));
-  };
+  LatSpec spec;
+  spec.name = "seeded";
+  spec.group_by = {{"Logical_Signature", "Sig"}};
+  spec.aggregates = {{LatAggFunc::kMin, "Duration", "MinDur", false}};
+  spec.ordering = {{"MinDur", false}, {"Sig", true}};
+  spec.max_rows = 9;
   // Most important first: smaller MinDur (NULL smallest), then larger Sig.
   std::sort(seeded.begin(), seeded.end(), [](const Row& a, const Row& b) {
     const int c = a[1].Compare(b[1]);
@@ -646,16 +585,14 @@ TEST(LatShardDeterminismTest, SeededNullAndSignedZeroRanksIndependentOfShardCoun
   std::vector<std::string> want;
   for (size_t i = 0; i < 9; ++i) want.push_back(seeded[i][0].string_value());
   std::sort(want.begin(), want.end());
-  for (const size_t shards : {1, 16}) {
-    auto lat = make(shards);
-    ASSERT_TRUE(lat->SeedFrom(*table, 0).ok());
-    std::vector<std::string> got;
-    for (const Row& row : lat->Snapshot(0)) {
-      got.push_back(row[0].string_value());
-    }
-    std::sort(got.begin(), got.end());
-    EXPECT_EQ(got, want) << "shards=" << shards;
+  auto lat = *Lat::Create(std::move(spec));
+  ASSERT_TRUE(lat->SeedFrom(*table, 0).ok());
+  std::vector<std::string> got;
+  for (const Row& row : lat->Snapshot(0)) {
+    got.push_back(row[0].string_value());
   }
+  std::sort(got.begin(), got.end());
+  EXPECT_EQ(got, want);
 }
 
 }  // namespace

@@ -657,6 +657,116 @@ TEST(LatTest, RecycledSlotExportsLikeAFreshRow) {
   }
 }
 
+TEST(LatTest, ByteChargeIndependentOfSlotHistory) {
+  // A row's byte charge counts its strings' lengths, not the capacity its
+  // slot kept from earlier occupants: a byte-bounded LAT fed texts of
+  // varying length, whose recycled slots keep long strings' capacity,
+  // charges its survivors what a fresh LAT charges for the same rows.
+  LatSpec spec;
+  spec.name = "bytes";
+  spec.group_by = {{"Logical_Signature", "Sig"}};
+  spec.aggregates = {{LatAggFunc::kMax, "Duration", "Dur", false},
+                     {LatAggFunc::kLast, "Query_Text", "Text", false}};
+  spec.ordering = {{"Dur", true}};
+  spec.max_bytes = 8192;
+  auto lat = *Lat::Create(spec);
+  common::Random rng(23);
+  for (int i = 1; i <= 3000; ++i) {
+    QueryRecord rec;
+    rec.logical_signature = "sig" + std::to_string(rng.Uniform(200));
+    rec.text = std::string(1 + rng.Uniform(300), 'x');
+    rec.duration_secs = static_cast<double>(rng.Uniform(1000)) * 10000.0 + i;
+    lat->Insert(&rec, 0);
+  }
+  EXPECT_GT(lat->stats().evictions.value(), 0u);
+  EXPECT_LE(lat->approx_bytes(), spec.max_bytes);
+  auto state = MakeStateTable(*lat);
+  ASSERT_TRUE(lat->ExportState(state.get(), 0).ok());
+  auto fresh = *Lat::Create(spec);
+  ASSERT_TRUE(fresh->ImportState(*state, 0).ok());
+  EXPECT_EQ(fresh->size(), lat->size());
+  EXPECT_EQ(fresh->approx_bytes(), lat->approx_bytes());
+}
+
+TEST(LatTest, RecycledSlotSketchesActLikeAbsentOnes) {
+  // A recycled slot keeps its sketches emptied rather than freed. A group
+  // merged into that slot without sketch data must read, export, merge and
+  // be charged bytes exactly like the same group in a fresh LAT, where the
+  // sketches were never allocated.
+  LatSpec spec;
+  spec.name = "sketchy";
+  spec.group_by = {{"ID", ""}};
+  spec.aggregates = {{LatAggFunc::kCount, "", "N", false},
+                     {LatAggFunc::kQuantile, "Duration", "P50", false, 0.5},
+                     {LatAggFunc::kDistinct, "Query_Text", "DQ", false}};
+  spec.ordering = {{"ID", true}};
+  spec.max_rows = 1;
+  spec.max_bytes = 1 << 20;  // keeps approx_bytes() maintained
+  auto lat = *Lat::Create(spec);
+  auto fresh = *Lat::Create(spec);
+  // A state record for group `id` with one observation and no sketch cells
+  // (what a federation delta carries for a group whose inputs were NULL).
+  const auto bare_record = [&spec](int64_t id) {
+    auto table = MakeStateTable(**Lat::Create(spec));
+    Row record = {Value::Int(id)};
+    for (const LatAggColumn& col : spec.aggregates) {
+      record.insert(record.end(), {Value::Int(1), Value::Double(0),
+                                   Value::Double(0), Value::Bool(false),
+                                   Value::Null(), Value::Null(), Value::Null(),
+                                   Value::Null(), Value::String("")});
+      if (LatAggFuncIsSketch(col.func)) record.push_back(Value::String(""));
+    }
+    record.push_back(Value::Int(0));  // persist_ts
+    EXPECT_TRUE(table->Insert(std::move(record)).ok());
+    return table;
+  };
+  QueryRecord rec;
+  rec.id = 1;
+  rec.duration_secs = 2.5;
+  rec.text = "filled";
+  lat->Insert(&rec, 0);  // slot 0: both sketches hold data
+  ASSERT_TRUE(lat->MergeState(*bare_record(2), 0).ok());  // evicts group 1
+  ASSERT_TRUE(lat->MergeState(*bare_record(3), 0).ok());  // reuses slot 0
+  ASSERT_TRUE(fresh->MergeState(*bare_record(3), 0).ok());
+  const auto expect_same = [&](const char* when) {
+    SCOPED_TRACE(when);
+    EXPECT_EQ(RenderRows(lat->Snapshot(0)), RenderRows(fresh->Snapshot(0)));
+    auto got = MakeStateTable(*lat);
+    auto want = MakeStateTable(*fresh);
+    ASSERT_TRUE(lat->ExportState(got.get(), 0).ok());
+    ASSERT_TRUE(fresh->ExportState(want.get(), 0).ok());
+    EXPECT_EQ(RenderRows(AllTableRows(*got)), RenderRows(AllTableRows(*want)));
+    EXPECT_EQ(lat->approx_bytes(), fresh->approx_bytes());
+    size_t got_bytes = 1, got_cells = 1, want_bytes = 0, want_cells = 0;
+    lat->SketchFootprint(&got_bytes, &got_cells);
+    fresh->SketchFootprint(&want_bytes, &want_cells);
+    EXPECT_EQ(got_bytes, want_bytes);
+    EXPECT_EQ(got_cells, want_cells);
+  };
+  expect_same("emptied");
+  Row row;
+  ASSERT_TRUE(lat->LookupByKey({Value::Int(3)}, 0, &row));
+  EXPECT_TRUE(row[2].is_null());     // QUANTILE of nothing
+  EXPECT_EQ(row[3].int_value(), 0);  // DISTINCT of nothing
+
+  // Merging real sketch state into the emptied sketches equals merging it
+  // into absent ones.
+  LatSpec source_spec = spec;
+  source_spec.name = "source";
+  auto source = *Lat::Create(source_spec);
+  rec.id = 3;
+  for (int i = 0; i < 20; ++i) {
+    rec.duration_secs = 0.5 * i;
+    rec.text = "t" + std::to_string(i % 7);
+    source->Insert(&rec, 0);
+  }
+  auto shipped = MakeStateTable(*source);
+  ASSERT_TRUE(source->ExportState(shipped.get(), 0).ok());
+  ASSERT_TRUE(lat->MergeState(*shipped, 0).ok());
+  ASSERT_TRUE(fresh->MergeState(*shipped, 0).ok());
+  expect_same("merged");
+}
+
 TEST(LatTest, StateRoundTripPreservesHostileStrings) {
   LatSpec spec = BasicSpec();
   auto lat = *Lat::Create(spec);
