@@ -17,16 +17,27 @@
 //             run-at-a-time drain (docs/PERFORMANCE.md §"Async pipeline"),
 //             timed until DrainEventQueue returns
 //
-// The final stdout line is a machine-readable `BENCH_JSON
-// {"bench":"rule_predicate_index",...}` row with per-mode wall time,
-// added-us-per-query, wall ns per (event × rule) and condition-eval
-// throughput. The binary exits non-zero if indexed-over-naive speedup
-// falls below the 2.0x acceptance floor, so CI enforces the bar via the
-// exit code; the deferred row is reported only.
+// plus a fourth workload that prices what a rejected rule costs:
+//
+//   grouped   indexed sync dispatch over 400 rules behind always-FALSE
+//             access predicates (six access groups) plus 20 rules that
+//             fire on every event; its ns per event is the visit cost
+//             that must stay flat however many rules the groups reject
+//
+// The four are measured `reps` times, the order of modes alternating
+// between reps, and each mode reports the median of its reps with the
+// smallest and largest rep beside it (`_min`, `_max`). The final stdout
+// line is a machine-readable `BENCH_JSON {"bench":"rule_predicate_index",
+// ...}` row with per-mode wall time, added-us-per-query, wall ns per
+// (event × rule) and condition-eval throughput. The binary exits non-zero
+// if indexed-over-naive speedup (of the median reps) falls below the 2.0x
+// acceptance floor, so CI enforces the bar via the exit code; the deferred
+// and grouped rows are reported only.
 //
 //   build/bench/bench_rules [--quick] [--micro-only] [gbench flags...]
 //
-//   --quick       2k-query predicate-index harness only (CI bench-smoke)
+//   --quick       2k-query predicate-index harness only, 5 reps (CI
+//                 bench-smoke)
 //   --micro-only  skip the harness, run only the micro benchmarks
 #include <benchmark/benchmark.h>
 
@@ -206,6 +217,10 @@ BENCHMARK(BM_ProbeGetter);
 
 constexpr int kHarnessRules = 120;
 constexpr double kSpeedupFloor = 2.0;
+/// The grouped workload: rules every event rejects through their access
+/// group, and rules that fire on every event.
+constexpr int kGroupedRejected = 400;
+constexpr int kGroupedFiring = 20;
 
 /// Expensive conjuncts: LAT-row lookup plus an arithmetic chain over the
 /// looked-up aggregates. All evaluate TRUE once the LAT row exists, so the
@@ -245,10 +260,22 @@ size_t ZipfPick(std::mt19937& rng, size_t n) {
   return dist(rng);
 }
 
+enum class Mode { kNaive, kIndexed, kDeferred, kGrouped };
+
+const char* ModeName(Mode mode) {
+  switch (mode) {
+    case Mode::kNaive: return "naive";
+    case Mode::kIndexed: return "indexed";
+    case Mode::kDeferred: return "deferred";
+    case Mode::kGrouped: return "grouped";
+  }
+  return "";
+}
+
 struct ModeResult {
-  const char* mode;
   double wall_ms;
   double added_us_per_query;
+  double ns_per_event;       // added wall time per event
   double ns_per_event_rule;  // monitored wall time per (event × rule)
   double cond_evals_per_sec;  // naive-equivalent rule-conditions decided/s
   uint64_t predindex_evals;
@@ -261,8 +288,13 @@ std::string JsonNum(double v) {
   return buf;
 }
 
-/// Runs the 120-rule Zipf workload under one Options config and returns the
-/// measured wall time plus index counters. Each mode gets a fresh engine
+double Median(std::vector<double> v) {
+  std::nth_element(v.begin(), v.begin() + v.size() / 2, v.end());
+  return v[v.size() / 2];
+}
+
+/// Runs one mode's workload under its Options config and returns the
+/// measured wall time plus index counters. Each run gets a fresh engine
 /// (only one may hook a Database at a time) and a warmup pass that feeds
 /// the LAT row before measurement. A deferred mode's monitored run lasts
 /// until the event queue has drained.
@@ -271,13 +303,13 @@ std::string JsonNum(double v) {
 /// measured once drifts with host load and once made the difference
 /// negative.
 ModeResult RunPredicateIndexMode(
-    const char* mode, engine::Database* db, engine::Session* session,
+    Mode mode, engine::Database* db, engine::Session* session,
     const std::vector<workload::WorkloadItem>& items, int64_t num_queries,
-    int rounds, bool index_on, bool deferred) {
+    int rounds) {
   MonitorEngine::Options options;
   options.register_system_views = false;
-  options.predicate_index = index_on;
-  options.async_rule_eval = deferred;
+  options.predicate_index = mode != Mode::kNaive;
+  options.async_rule_eval = mode == Mode::kDeferred;
   options.monitor_threads = 1;
   auto monitor = std::make_unique<MonitorEngine>(db, options);
 
@@ -290,38 +322,49 @@ ModeResult RunPredicateIndexMode(
     std::fprintf(stderr, "lat: %s\n", s.ToString().c_str());
     std::exit(1);
   }
+  const auto add_rule = [&](const std::string& name,
+                            const std::string& condition) {
+    RuleSpec rule;
+    rule.name = name;
+    rule.event = "Query.Commit";
+    rule.condition = condition;
+    rule.action = "Query.Insert(PI_LAT)";
+    auto id = monitor->AddRule(rule);
+    if (!id.ok()) {
+      std::fprintf(stderr, "rule: %s\n", id.status().ToString().c_str());
+      std::exit(1);
+    }
+    return *id;
+  };
 
   // Feed rule: populates PI_LAT for the workload's signature during warmup
   // so the expensive conjuncts read a live row. Removed before measurement
   // (its Insert would otherwise invalidate LAT-reader memos every event).
-  RuleSpec feed;
-  feed.name = "pi_feed";
-  feed.event = "Query.Commit";
-  feed.condition = "Query.ID >= 0";
-  feed.action = "Query.Insert(PI_LAT)";
-  auto feed_id = monitor->AddRule(feed);
-  if (!feed_id.ok()) {
-    std::fprintf(stderr, "feed rule: %s\n",
-                 feed_id.status().ToString().c_str());
-    std::exit(1);
-  }
+  const uint64_t feed_id = add_rule("pi_feed", "Query.ID >= 0");
 
-  std::mt19937 rng(271828);  // same seed => identical rule set per mode
-  const std::vector<std::string> expensive = ExpensivePredicatePool();
   const std::vector<std::string> cheap = CheapRejectorPool();
-  for (int r = 0; r < kHarnessRules; ++r) {
-    RuleSpec rule;
-    rule.name = "pi_r" + std::to_string(r);
-    rule.event = "Query.Commit";
-    // Worst-case authoring order: the expensive conjunct first, the cheap
-    // always-false rejector second. The index must amortize the expensive
-    // eval via sharing.
-    rule.condition = expensive[ZipfPick(rng, expensive.size())] + " AND " +
-                     cheap[ZipfPick(rng, cheap.size())];
-    rule.action = "Query.Insert(PI_LAT)";
-    if (auto id = monitor->AddRule(rule); !id.ok()) {
-      std::fprintf(stderr, "rule: %s\n", id.status().ToString().c_str());
-      std::exit(1);
+  int rules = kHarnessRules;
+  if (mode == Mode::kGrouped) {
+    // Each rejected rule's first conjunct is an always-FALSE attribute
+    // compare, so it joins that compare's access group.
+    rules = kGroupedRejected + kGroupedFiring;
+    for (int r = 0; r < rules; ++r) {
+      add_rule("pi_g" + std::to_string(r),
+               r % (rules / kGroupedFiring) == 0
+                   ? "Query.Duration >= 0"
+                   : cheap[static_cast<size_t>(r) % cheap.size()] +
+                         " AND Query.Duration >= 0");
+    }
+  } else {
+    std::mt19937 rng(271828);  // same seed => identical rule set per mode
+    const std::vector<std::string> expensive = ExpensivePredicatePool();
+    for (int r = 0; r < kHarnessRules; ++r) {
+      // Worst-case authoring order: the expensive conjunct first, the cheap
+      // always-false rejector second. The index must amortize the
+      // expensive eval via sharing.
+      add_rule("pi_r" + std::to_string(r),
+               expensive[ZipfPick(rng, expensive.size())] + " AND " +
+                   cheap[ZipfPick(rng, cheap.size())]);
     }
   }
 
@@ -340,7 +383,7 @@ ModeResult RunPredicateIndexMode(
   };
 
   run_once();  // warmup: feeds PI_LAT, warms caches
-  (void)monitor->RemoveRule(*feed_id);
+  (void)monitor->RemoveRule(feed_id);
 
   const uint64_t evals_before = monitor->metrics().predindex_evals.value();
   const uint64_t hits_before = monitor->metrics().predindex_memo_hits.value();
@@ -353,25 +396,19 @@ ModeResult RunPredicateIndexMode(
     walls.push_back(wall_us);
     added.push_back(wall_us - baseline_us);
   }
-  auto median = [](std::vector<double> v) {
-    std::nth_element(v.begin(), v.begin() + v.size() / 2, v.end());
-    return v[v.size() / 2];
-  };
-  const double wall_us = median(walls);
-  const double added_us = median(added);
+  const double wall_us = Median(walls);
+  const double added_us = Median(added);
+  const auto events = static_cast<double>(num_queries);
 
   ModeResult out;
-  out.mode = mode;
   out.wall_ms = wall_us / 1000.0;
-  out.added_us_per_query = added_us / static_cast<double>(num_queries);
-  out.ns_per_event_rule =
-      wall_us * 1000.0 / (static_cast<double>(num_queries) * kHarnessRules);
+  out.added_us_per_query = added_us / events;
+  out.ns_per_event = added_us * 1000.0 / events;
+  out.ns_per_event_rule = wall_us * 1000.0 / (events * rules);
   // Throughput in naive-equivalent units: every event decides all rules'
   // conditions, however few predicate evals the index actually spent.
   out.cond_evals_per_sec =
-      added_us > 0.0
-          ? static_cast<double>(num_queries) * kHarnessRules / (added_us / 1e6)
-          : 0.0;
+      added_us > 0.0 ? events * rules / (added_us / 1e6) : 0.0;
   // Per monitored run (every round replays the same stream).
   out.predindex_evals =
       (monitor->metrics().predindex_evals.value() - evals_before) /
@@ -395,6 +432,7 @@ int RunPredicateIndexComparison(bool quick) {
   }
   const int64_t num_queries = quick ? 2'000 : 10'000;
   const int rounds = quick ? 3 : 5;
+  const int reps = 5;
   auto items = workload::GeneratePointSelectWorkload(tpch, num_queries, 17);
   auto session = db.CreateSession();
 
@@ -411,38 +449,74 @@ int RunPredicateIndexComparison(bool quick) {
   const double baseline_us = run_once();
 
   std::printf(
-      "Predicate index: %d Zipf-shared rules, "
-      "%lld point selects (baseline %.2f us/query)\n",
-      kHarnessRules, static_cast<long long>(num_queries),
-      baseline_us / static_cast<double>(num_queries));
-  std::printf("%10s %12s %16s %14s %20s %14s %12s\n", "mode", "wall(ms)",
-              "us/query added", "ns/(ev*rule)", "cond evals/sec",
-              "index evals", "memo hits");
+      "Predicate index: %d Zipf-shared rules (grouped: %d rejected + %d "
+      "firing), %lld point selects (baseline %.2f us/query), %d reps\n",
+      kHarnessRules, kGroupedRejected, kGroupedFiring,
+      static_cast<long long>(num_queries),
+      baseline_us / static_cast<double>(num_queries), reps);
 
-  std::vector<ModeResult> modes;
-  modes.push_back(RunPredicateIndexMode("naive", &db, session.get(), items,
-                                        num_queries, rounds,
-                                        /*index_on=*/false,
-                                        /*deferred=*/false));
-  modes.push_back(RunPredicateIndexMode("indexed", &db, session.get(), items,
-                                        num_queries, rounds,
-                                        /*index_on=*/true,
-                                        /*deferred=*/false));
-  modes.push_back(RunPredicateIndexMode("deferred", &db, session.get(), items,
-                                        num_queries, rounds,
-                                        /*index_on=*/true,
-                                        /*deferred=*/true));
-  for (const ModeResult& m : modes) {
-    std::printf("%10s %12.1f %16.3f %14.1f %20.0f %14llu %12llu\n", m.mode,
-                m.wall_ms, m.added_us_per_query, m.ns_per_event_rule,
-                m.cond_evals_per_sec,
-                static_cast<unsigned long long>(m.predindex_evals),
-                static_cast<unsigned long long>(m.memo_hits));
+  // Every rep runs every mode; odd reps run them in reverse order, so a
+  // drift in host load does not always favour the same mode.
+  constexpr Mode kModes[] = {Mode::kNaive, Mode::kIndexed, Mode::kDeferred,
+                             Mode::kGrouped};
+  constexpr size_t kNumModes = sizeof(kModes) / sizeof(kModes[0]);
+  std::vector<ModeResult> results[kNumModes];
+  for (int rep = 0; rep < reps; ++rep) {
+    for (size_t i = 0; i < kNumModes; ++i) {
+      const size_t m = rep % 2 == 0 ? i : kNumModes - 1 - i;
+      results[m].push_back(RunPredicateIndexMode(
+          kModes[m], &db, session.get(), items, num_queries, rounds));
+    }
+  }
+
+  // Per mode: the median rep of each measure, and the spread of the
+  // headline one (ns per event for grouped, per event × rule otherwise).
+  struct Summary {
+    ModeResult median;
+    double headline_min;
+    double headline_max;
+  };
+  std::vector<Summary> summaries;
+  std::printf("%10s %12s %16s %14s %14s %24s %20s\n", "mode", "wall(ms)",
+              "us/query added", "ns/event", "ns/(ev*rule)",
+              "headline [min-max]", "cond evals/sec");
+  for (size_t m = 0; m < kNumModes; ++m) {
+    const std::vector<ModeResult>& runs = results[m];
+    const auto median_of = [&runs](double ModeResult::*field) {
+      std::vector<double> v;
+      for (const ModeResult& r : runs) v.push_back(r.*field);
+      return Median(std::move(v));
+    };
+    const bool grouped = kModes[m] == Mode::kGrouped;
+    const auto headline = grouped ? &ModeResult::ns_per_event
+                                  : &ModeResult::ns_per_event_rule;
+    Summary sum;
+    sum.median = runs.back();
+    sum.median.wall_ms = median_of(&ModeResult::wall_ms);
+    sum.median.added_us_per_query = median_of(&ModeResult::added_us_per_query);
+    sum.median.ns_per_event = median_of(&ModeResult::ns_per_event);
+    sum.median.ns_per_event_rule = median_of(&ModeResult::ns_per_event_rule);
+    sum.median.cond_evals_per_sec = median_of(&ModeResult::cond_evals_per_sec);
+    sum.headline_min = sum.headline_max = runs.front().*headline;
+    for (const ModeResult& r : runs) {
+      sum.headline_min = std::min(sum.headline_min, r.*headline);
+      sum.headline_max = std::max(sum.headline_max, r.*headline);
+    }
+    const ModeResult& med = sum.median;
+    char spread[64];
+    std::snprintf(spread, sizeof(spread), "[%.1f-%.1f]", sum.headline_min,
+                  sum.headline_max);
+    std::printf("%10s %12.1f %16.3f %14.1f %14.1f %24s %20.0f\n",
+                ModeName(kModes[m]), med.wall_ms, med.added_us_per_query,
+                med.ns_per_event, med.ns_per_event_rule, spread,
+                med.cond_evals_per_sec);
+    summaries.push_back(sum);
   }
 
   const double speedup_indexed =
-      modes[1].added_us_per_query > 0.0
-          ? modes[0].added_us_per_query / modes[1].added_us_per_query
+      summaries[1].median.added_us_per_query > 0.0
+          ? summaries[0].median.added_us_per_query /
+                summaries[1].median.added_us_per_query
           : 0.0;
   std::printf("\nspeedup over naive: indexed %.2fx (floor %.1fx)\n",
               speedup_indexed, kSpeedupFloor);
@@ -450,19 +524,31 @@ int RunPredicateIndexComparison(bool quick) {
   std::string out = "BENCH_JSON {\"bench\":\"rule_predicate_index\"";
   out += ",\"rules\":" + std::to_string(kHarnessRules);
   out += ",\"queries\":" + std::to_string(num_queries);
+  out += ",\"reps\":" + std::to_string(reps);
   out += ",\"baseline_us_per_query\":" +
          JsonNum(baseline_us / static_cast<double>(num_queries));
   out += ",\"modes\":[";
-  for (size_t i = 0; i < modes.size(); ++i) {
-    const ModeResult& m = modes[i];
-    if (i > 0) out += ",";
-    out += std::string("{\"mode\":\"") + m.mode + "\"";
-    out += ",\"wall_ms\":" + JsonNum(m.wall_ms);
-    out += ",\"added_us_per_query\":" + JsonNum(m.added_us_per_query);
-    out += ",\"ns_per_event_rule\":" + JsonNum(m.ns_per_event_rule);
-    out += ",\"cond_evals_per_sec\":" + JsonNum(m.cond_evals_per_sec);
-    out += ",\"predindex_evals\":" + std::to_string(m.predindex_evals);
-    out += ",\"memo_hits\":" + std::to_string(m.memo_hits) + "}";
+  for (size_t m = 0; m < kNumModes; ++m) {
+    const Summary& sum = summaries[m];
+    const ModeResult& med = sum.median;
+    const std::string headline = kModes[m] == Mode::kGrouped
+                                     ? "ns_per_event"
+                                     : "ns_per_event_rule";
+    if (m > 0) out += ",";
+    out += std::string("{\"mode\":\"") + ModeName(kModes[m]) + "\"";
+    if (kModes[m] == Mode::kGrouped) {
+      out += ",\"rules\":" +
+             std::to_string(kGroupedRejected + kGroupedFiring);
+    }
+    out += ",\"wall_ms\":" + JsonNum(med.wall_ms);
+    out += ",\"added_us_per_query\":" + JsonNum(med.added_us_per_query);
+    out += ",\"ns_per_event\":" + JsonNum(med.ns_per_event);
+    out += ",\"ns_per_event_rule\":" + JsonNum(med.ns_per_event_rule);
+    out += ",\"" + headline + "_min\":" + JsonNum(sum.headline_min);
+    out += ",\"" + headline + "_max\":" + JsonNum(sum.headline_max);
+    out += ",\"cond_evals_per_sec\":" + JsonNum(med.cond_evals_per_sec);
+    out += ",\"predindex_evals\":" + std::to_string(med.predindex_evals);
+    out += ",\"memo_hits\":" + std::to_string(med.memo_hits) + "}";
   }
   out += "],\"speedup_indexed\":" + JsonNum(speedup_indexed);
   out += ",\"floor\":" + JsonNum(kSpeedupFloor);

@@ -33,7 +33,8 @@ namespace sqlcm::cm {
 /// One deferred event, captured at hook time. Only terminal events are
 /// deferrable (EventKindDeferrable), so the bound record is immutable by
 /// enqueue time; the shared_ptr keepalives let the worker evaluate it after
-/// the engine registries dropped their references.
+/// the engine registries dropped their references. The sync lane hands its
+/// event to the same dispatch routine in this record, without keepalives.
 struct DeferredEvent {
   EventKind kind = EventKind::kQueryCommit;
   /// Event sequence number allocated by the hook (trace id = seq + 1).

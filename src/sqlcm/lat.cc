@@ -975,24 +975,34 @@ void Lat::Insert(const void* record, int64_t now_micros) {
     CountedLatchGuard guard(shard.latch, stats_);
     std::vector<Row>* out = bounded() && Listening() ? &evicted : nullptr;
     uint32_t slot = FindLocked(shard, hash, key);
-    if (slot == kNoSlot && replace_in_place_ && !shard.heap.empty() &&
-        total_rows_.load(std::memory_order_relaxed) >= spec_.max_rows) {
-      // A full row-bounded LAT: the new group and the root it would
-      // displace are decided here, and the loser's slot takes the next
-      // new group.
-      slot = TakeSlotLocked(&shard, hash, key);
-      FoldRecord(SlotAggs(shard, slot), record, now_micros);
-      ReplaceRootLocked(&shard, slot, now_micros, out);
-      victims = 1;
-    } else {
-      if (slot == kNoSlot) slot = CreateLocked(&shard, hash, key);
-      FoldRecord(SlotAggs(shard, slot), record, now_micros);
-      if (bounded() && RefreshOrderingLocked(shard, slot, now_micros)) {
-        victims = EvictOverBudgetLocked(&shard, now_micros, out);
-      }
+    const bool replace = slot == kNoSlot && FullLocked(shard);
+    if (slot == kNoSlot) {
+      slot = replace ? TakeSlotLocked(&shard, hash, key)
+                     : CreateLocked(&shard, hash, key);
     }
+    FoldRecord(SlotAggs(shard, slot), record, now_micros);
+    victims = SettleLocked(&shard, slot, replace, now_micros, out);
   }
   NotifyEvicted(victims, &evicted);
+}
+
+bool Lat::FullLocked(const Shard& shard) const {
+  return replace_in_place_ && !shard.heap.empty() &&
+         total_rows_.load(std::memory_order_relaxed) >= spec_.max_rows;
+}
+
+size_t Lat::SettleLocked(Shard* shard, uint32_t slot, bool replace,
+                         int64_t now_micros, std::vector<Row>* evicted) {
+  if (replace) {
+    // A full row-bounded LAT: the new group and the root it would displace
+    // are decided here, and the loser's slot takes the next new group.
+    ReplaceRootLocked(shard, slot, now_micros, evicted);
+    return 1;
+  }
+  if (bounded() && RefreshOrderingLocked(*shard, slot, now_micros)) {
+    return EvictOverBudgetLocked(shard, now_micros, evicted);
+  }
+  return 0;
 }
 
 /// FoldBatch's per-LAT working set. Every vector keeps its capacity across
@@ -1071,7 +1081,10 @@ void Lat::FoldBatch(const LatBatchItem* items, size_t count,
   // Resolve each distinct group's slot once, shard by shard, so each
   // touched shard's latch is taken once for the lookups. Within a shard
   // groups are created in first-appearance order, as per-item inserts
-  // would create them.
+  // would create them. A bounded LAT only looks its groups up here: a new
+  // group enters in the hold that folds it and evicts for it, so the LAT
+  // never holds more than its budget between two holds.
+  const bool bounded_lat = bounded();
   sc.by_shard.resize(groups);
   std::iota(sc.by_shard.begin(), sc.by_shard.end(), 0u);
   std::sort(sc.by_shard.begin(), sc.by_shard.end(),
@@ -1090,40 +1103,45 @@ void Lat::FoldBatch(const LatBatchItem* items, size_t count,
            ShardIndex(m.hashes_[sc.by_shard[pos]]) == shard_idx;
          ++pos) {
       const uint32_t g = sc.by_shard[pos];
-      const uint32_t slot =
-          FindOrCreateLocked(&shard, m.hashes_[g], &m.keys_[g * width]);
+      const BorrowedProbe* key = &m.keys_[g * width];
+      const uint32_t slot = bounded_lat
+                                ? FindLocked(shard, m.hashes_[g], key)
+                                : FindOrCreateLocked(&shard, m.hashes_[g], key);
       sc.slots[g] = slot;
-      sc.tenures[g] = shard.meta[slot].tenure;
+      sc.tenures[g] = slot != kNoSlot ? shard.meta[slot].tenure : 0;
     }
   }
 
   // Fold per distinct group in first-appearance order — one latch per
   // group, that group's items in arrival order. A slot freed since it was
-  // resolved (its tenure moved on) is resolved again. A bounded LAT (one
-  // shard) evicts down to its budget in the last group's latch hold, once
-  // every group of the batch is in the heap.
-  const bool bounded_lat = bounded();
+  // resolved (its tenure moved on) is resolved again. In a bounded LAT each
+  // group then settles as one Insert would: a new group arriving at a full
+  // row-bounded LAT is decided against the heap root in place, any other
+  // evicts down to the budget in the same hold.
   size_t victims = 0;
   std::vector<Row> evicted;  // filled only while someone listens
+  std::vector<Row>* out = bounded_lat && Listening() ? &evicted : nullptr;
   for (size_t g = 0; g < groups; ++g) {
     Shard& shard = ShardFor(m.hashes_[g]);
     CountedLatchGuard guard(shard.latch, stats_);
+    const BorrowedProbe* key = &m.keys_[g * width];
     uint32_t slot = sc.slots[g];
     if (slot >= shard.meta.size() ||
         shard.meta[slot].tenure != sc.tenures[g]) {
-      slot = FindOrCreateLocked(&shard, m.hashes_[g], &m.keys_[g * width]);
+      slot = FindLocked(shard, m.hashes_[g], key);
+    }
+    const bool replace = slot == kNoSlot && FullLocked(shard);
+    if (slot == kNoSlot) {
+      slot = replace ? TakeSlotLocked(&shard, m.hashes_[g], key)
+                     : CreateLocked(&shard, m.hashes_[g], key);
     }
     AggState* aggs = SlotAggs(shard, slot);
     for (uint32_t i = m.first_[g]; i != LatBatchMapping::kNoItem;
          i = m.next_[i]) {
       FoldRecord(aggs, items[i].record, items[i].now_micros);
     }
-    if (!bounded_lat) continue;
-    RefreshOrderingLocked(shard, slot, items[m.last_[g]].now_micros);
-    if (g + 1 == groups) {
-      victims = EvictOverBudgetLocked(&shard, items[count - 1].now_micros,
-                                      Listening() ? &evicted : nullptr);
-    }
+    victims += SettleLocked(&shard, slot, replace,
+                            items[m.last_[g]].now_micros, out);
   }
   NotifyEvicted(victims, &evicted);
 }

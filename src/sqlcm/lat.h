@@ -295,10 +295,13 @@ class Lat {
   /// identical to calling Insert() per item; only the latch schedule
   /// changes — with S touched shards and G distinct groups the
   /// latch-acquisition count is S + G versus `count` for the per-row path
-  /// (observable via LatStats::latch_acquisitions). A bounded LAT evicts
-  /// down to its budget once, in the latch hold of the last group's fold,
-  /// and runs the evict callback after the last read of `mapping` and of
-  /// the per-thread scratch (the callback may re-enter LATs).
+  /// (observable via LatStats::latch_acquisitions). A bounded LAT's
+  /// resolve step only looks groups up: each group settles in the hold
+  /// that folds it, as one Insert would (a new group at a full row-bounded
+  /// LAT replaces the root or loses to it in place; otherwise the LAT
+  /// evicts down to its budget), so no reader sees it over budget. The
+  /// evict callback runs after the last read of `mapping` and of the
+  /// per-thread scratch (the callback may re-enter LATs).
   void FoldBatch(const LatBatchItem* items, size_t count,
                  const LatBatchMapping& mapping);
 
@@ -659,6 +662,15 @@ class Lat {
   /// `*evicted` when that is non-null.
   void ReplaceRootLocked(Shard* shard, uint32_t slot, int64_t now_micros,
                          std::vector<common::Row>* evicted);
+  /// True when a new group must replace the heap root in place: the LAT is
+  /// row-bounded and full (see ReplaceRootLocked).
+  bool FullLocked(const Shard& shard) const;
+  /// Settles `slot` after folds, under its shard latch: with `replace` (a
+  /// new group taken by TakeSlotLocked at a full LAT) ReplaceRootLocked
+  /// decides it; otherwise a bounded LAT refreshes the slot's ordering and
+  /// evicts down to its budget. Returns the number of victims.
+  size_t SettleLocked(Shard* shard, uint32_t slot, bool replace,
+                      int64_t now_micros, std::vector<common::Row>* evicted);
   /// True when a Lat.Evict listener wants victims materialized.
   bool Listening() const {
     return evict_callback_ &&
@@ -668,8 +680,7 @@ class Lat {
   /// While over the row/byte budget, evicts the heap root of a bounded
   /// LAT's one shard; caller holds its latch. Appends each victim,
   /// materialized, to `*evicted` when that is non-null, and returns how
-  /// many it evicted. Rows a batch has created but not folded yet are not
-  /// in the heap and are not evicted.
+  /// many it evicted.
   size_t EvictOverBudgetLocked(Shard* shard, int64_t now_micros,
                                std::vector<common::Row>* evicted);
   /// Counts `victims` evictions and hands the materialized rows, if any,

@@ -108,10 +108,6 @@ std::deque<PendingEviction>& PendingEvictions() {
   return pending;
 }
 
-/// Visit-bitmap words kept on the stack (rule lanes of up to 2,048 rules;
-/// larger ones allocate per event).
-constexpr size_t kInlineVisitWords = 32;
-
 /// Cap on the Lat.Evict events one root dispatch drains (guards against
 /// rule cycles such as an Evict rule re-inserting into its own LAT).
 constexpr size_t kMaxCascadeEvents = 100000;
@@ -169,15 +165,6 @@ RuleTableSnapshot& ThreadRuleTableSnapshot() {
 uint64_t NextEngineId() {
   static std::atomic<uint64_t> next{1};
   return next.fetch_add(1, std::memory_order_relaxed);
-}
-
-/// Per-thread memo for the shared-conjunct walk. One event is in flight per
-/// thread at a time for any indexed kind (nested dispatch only happens for
-/// kLatEvict, which is never indexed), so a single slot suffices.
-PredicateMemo& ThreadPredicateMemo() {
-  // Value-type thread_local: destroyed at thread exit.
-  thread_local PredicateMemo memo;
-  return memo;
 }
 
 /// Per-thread reusable EvalContext for hook dispatch: clearing retains the
@@ -1244,118 +1231,15 @@ void MonitorEngine::FireEvent(EventKind kind, const std::string& qualifier,
   }
 
   if (!rules->empty()) {
-    DispatchEvent(kind, qualifier, seq, sampled, base_ctx, *rules, index);
+    // The sync lane's rules decide the event as a run of one.
+    DeferredEvent event;
+    event.kind = kind;
+    event.seq = seq;
+    event.now_micros = base_ctx->now_micros;
+    event.sampled = sampled;
+    DispatchRun(&event, base_ctx, 1, qualifier, *rules, index, /*plan=*/nullptr,
+                spans_.enabled() ? SteadyNanos() : 0);
   }
-}
-
-void MonitorEngine::DispatchEvent(EventKind kind, const std::string& qualifier,
-                                  uint64_t seq, bool sampled, EvalContext* ctx,
-                                  const RuleList& rules,
-                                  const PredicateIndex* index) {
-  const int64_t start_nanos = spans_.enabled() ? SteadyNanos() : 0;
-  // Causal span plane: open an event span. The first dispatch on this
-  // thread roots a new trace (id = event seq + 1); nested dispatches attach
-  // under the inherited parent.
-  const EventSpan span = OpenEventSpan(kind, qualifier, seq, sampled,
-                                       start_nanos, /*enqueue_nanos=*/0);
-  TraceFrame* frame = span.frame;
-  TraceFrame* profiled = (frame != nullptr && frame->sampled) ? frame : nullptr;
-
-  // Shared-conjunct walk state: one memo per event, fanned out to every
-  // indexed rule below (docs/PERFORMANCE.md §"Predicate index").
-  PredicateMemo* memo = nullptr;
-  // Walk and fire counts add up here and reach the (striped) engine
-  // counters once per event rather than once per rule.
-  PredWalkCounters walk;
-
-  // The rule positions to visit. With the index on, the subscription
-  // matcher probes each access group once and leaves out the members of
-  // rejected groups (their stats are derived from the group tallies);
-  // without it every rule is visited.
-  const size_t words = RuleBitmapWords(rules.size());
-  std::array<RuleBitmap, kInlineVisitWords> inline_visit{};
-  std::vector<RuleBitmap> heap_visit;
-  RuleBitmap* visit = inline_visit.data();
-  if (words > inline_visit.size()) {
-    heap_visit.resize(words);
-    visit = heap_visit.data();
-  }
-  uint32_t skipped = 0;
-  if (index != nullptr) {
-    memo = &ThreadPredicateMemo();
-    memo->BeginEvent(index->preds.size());
-    skipped = index->groups->Match(
-        *index, breakers_not_closed_.load(std::memory_order_relaxed) != 0, ctx,
-        memo, &walk, visit);
-  } else {
-    std::fill(visit, visit + words, ~RuleBitmap{0});
-    if (rules.size() % 64 != 0) {
-      visit[words - 1] = (RuleBitmap{1} << (rules.size() % 64)) - 1;
-    }
-  }
-  // The last position to visit: a LAT mutation by the rule there needs no
-  // memo invalidation, since no later rule reads the memo.
-  size_t last_pos = 0;
-  for (size_t w = words; w-- > 0;) {
-    if (visit[w] != 0) {
-      last_pos = w * 64 + 63 - static_cast<size_t>(std::countl_zero(visit[w]));
-      break;
-    }
-  }
-
-  uint32_t fired_here = 0;
-  uint32_t visited = 0;
-  ++RuleDepth();
-  for (size_t w = 0; w < words; ++w) {
-    for (RuleBitmap bits = visit[w]; bits != 0; bits &= bits - 1) {
-      const size_t rule_pos =
-          w * 64 + static_cast<size_t>(std::countr_zero(bits));
-      const CompiledRule& rule = *rules[rule_pos];
-      if (!rule.event.qualifier.empty() &&
-          rule.event.qualifier != qualifier) {
-        continue;
-      }
-      ++visited;
-      const IndexedRule* entry =
-          index != nullptr ? &index->entries[rule_pos] : nullptr;
-      const uint32_t fired =
-          rule.iterate_classes.empty()
-              ? RunRule(rule, ctx, profiled, index, entry, memo, &walk)
-              : RunIteratingRule(rule, ctx, profiled);
-      fired_here += fired;
-      if (fired != 0 && memo != nullptr && index->any_lat_reader &&
-          entry->mutates_lats && rule_pos != last_pos) {
-        // The fired rule's actions changed LAT state mid-event: memoized
-        // LAT-reading conjuncts and the shared row cache no longer match
-        // what naive per-rule evaluation would see for the rules still to
-        // come. Access predicates read no LAT, so the matcher's verdicts
-        // stand.
-        memo->InvalidateLatReaders(*index);
-        ctx->lat_rows.clear();
-        metrics_.predindex_invalidations.Inc();
-      }
-    }
-  }
-  if (frame != nullptr) {
-    CloseEventSpan(span, kind, qualifier, start_nanos,
-                   EventSpanEnd(*frame, start_nanos));
-  }
-  // Published after the event span closes: the span's self-time is split
-  // among the rules' condition/action windows, and this is bookkeeping.
-  if (walk.evals != 0) metrics_.predindex_evals.Inc(walk.evals);
-  if (walk.memo_hits != 0) metrics_.predindex_memo_hits.Inc(walk.memo_hits);
-  if (fired_here != 0) metrics_.rules_fired.Inc(fired_here);
-  if (visited != 0) metrics_.rules_visited.Inc(visited);
-  if (skipped != 0) metrics_.rules_skipped.Inc(skipped);
-  if (trace_.enabled()) {
-    // The clock read here is trace-gated; the untraced path stays at one
-    // read per event. Measured from the hook's clock read.
-    trace_.Record(static_cast<uint8_t>(kind), qualifier, fired_here,
-                  ctx->now_micros, db_->clock()->NowMicros() - ctx->now_micros);
-  }
-  if (RuleDepth() == 1) DrainPendingEvictions(frame);
-  --RuleDepth();
-  FinishTrace(span);
 }
 
 MonitorEngine::EventSpan MonitorEngine::OpenEventSpan(
@@ -1582,7 +1466,17 @@ uint32_t MonitorEngine::RunIteratingRule(const CompiledRule& rule,
           ctx.Bind(cls, ptr);
         }
       }
-      if (RunRule(rule, &ctx, frame)) ++fired;
+      if (!rule.breaker.Allow(ctx.now_micros)) {
+        metrics_.breaker_skips.Inc();
+      } else {
+        rule.stats.evaluations.Inc();
+        if (ConcludeRule(rule, &ctx, frame,
+                         rule.condition != nullptr ? Decision::kEvaluate
+                                                   : Decision::kFire,
+                         /*fold_inserts=*/false)) {
+          ++fired;
+        }
+      }
       size_t l = 0;
       for (; l < lists.size(); ++l) {
         if (++idx[l] < lists[l].size()) break;
@@ -1613,6 +1507,8 @@ void MonitorEngine::EnqueueDeferred(DeferredEvent&& ev) {
 void MonitorEngine::MonitorWorkerLoop() {
   std::vector<DeferredEvent> batch(
       std::max<size_t>(1, options_.drain_batch_size));
+  // One evaluation context per batch slot, reused across batches.
+  std::vector<EvalContext> ctxs(batch.size());
   for (;;) {
     batches_in_flight_.fetch_add(1, std::memory_order_acq_rel);
     const size_t n = event_queue_->PopBatch(batch.data(), batch.size());
@@ -1632,7 +1528,7 @@ void MonitorEngine::MonitorWorkerLoop() {
     }
     metrics_.queue_batches.Inc();
     metrics_.queue_batch_events.Inc(n);
-    ProcessDeferredBatch(batch.data(), n);
+    ProcessDeferredBatch(batch.data(), ctxs.data(), n);
     // Drop record keepalives before signalling the drain barrier.
     for (size_t i = 0; i < n; ++i) batch[i] = DeferredEvent();
     batches_in_flight_.fetch_sub(1, std::memory_order_acq_rel);
@@ -1652,12 +1548,27 @@ void MonitorEngine::DrainEventQueue() {
   });
 }
 
-void MonitorEngine::ProcessDeferredBatch(DeferredEvent* events, size_t count) {
+void MonitorEngine::ProcessDeferredBatch(DeferredEvent* events,
+                                         EvalContext* ctxs, size_t count) {
+  static const std::string kNoQualifier;  // terminal events carry none
   // One table snapshot per batch (taken at depth 0, so it may refresh).
-  // Each run's eviction cascades dispatch nested (DrainRun), where the
+  // Each run's eviction cascades dispatch nested (DispatchRun), where the
   // snapshot is never replaced.
   std::shared_ptr<const RuleTable> pin;
   const RuleTable& table = ThreadRuleTable(&pin);
+  for (size_t e = 0; e < count; ++e) {
+    EvalContext& ctx = ctxs[e];
+    ctx.ResetForEvent();
+    // Reuse the hook's clock read: deferred rules see the same event
+    // timestamp sync evaluation would have.
+    ctx.now_micros = events[e].now_micros;
+    if (events[e].query != nullptr) {
+      ctx.Bind(MonitoredClass::kQuery, events[e].query.get());
+    }
+    if (events[e].txn != nullptr) {
+      ctx.Bind(MonitoredClass::kTransaction, events[e].txn.get());
+    }
+  }
   // Runs are cut at every kind change, so the rule list and predicate index
   // resolve once per run. Events are NOT re-sorted across kinds: commits
   // and rollbacks feeding one LAT must keep arrival order or FIRST/LAST
@@ -1679,15 +1590,20 @@ void MonitorEngine::ProcessDeferredBatch(DeferredEvent* events, size_t count) {
         options_.predicate_index && table.deferred_index[kind].any_indexed
             ? &table.deferred_index[kind]
             : nullptr;
-    DrainRun(events + i, run, rules, index, plan);
+    const int64_t start_nanos = SteadyNanos();
+    for (size_t e = i; e < i + run; ++e) {
+      metrics_.queue_wait_micros.Record(
+          (start_nanos - events[e].enqueue_nanos) / 1000);
+    }
+    DispatchRun(events + i, ctxs + i, run, kNoQualifier, rules, index, &plan,
+                start_nanos);
     i += run;
   }
 }
 
 namespace {
 
-/// How DrainRun handles one rule of a run. Deferrable rules listen to
-/// terminal events, which carry no qualifier, so every rule is visited.
+/// How DispatchRun handles one rule of a run.
 enum RuleMode : uint8_t {
   kBulk,      // walked over the run, accounted with one add per counter
               // (concluded at its turn on a span-sampled event)
@@ -1696,7 +1612,7 @@ enum RuleMode : uint8_t {
 };
 
 /// A span-sampled event's trace, rooted at the event's turn in a run and
-/// closed once the run's folds are done (DrainRun).
+/// closed once the run's folds are done (DispatchRun).
 struct HeldTrace {
   size_t event = 0;          // position in the run
   uint64_t trace_id = 0;
@@ -1717,15 +1633,19 @@ struct RunMapping {
   LatBatchMapping mapping;
 };
 
-/// Per-thread scratch of the deferred drain: every vector keeps its
-/// capacity across runs, so a steady-state run allocates nothing of its
-/// own. Only a worker's loop drains, never a nested dispatch (eviction
-/// cascades dispatch through the sync lane), so the scratch is never in
-/// use twice on one thread. Per-rule and per-group bitmaps are laid out
-/// [index * words, +words).
-struct DrainScratch {
-  std::vector<EvalContext> ctxs;        // per event
+}  // namespace
+
+/// The working set of one DispatchRun: every vector keeps its capacity
+/// across runs, so a steady-state run allocates nothing of its own. There
+/// is one per (thread, dispatch depth): the outermost run dispatches its
+/// Lat.Evict cascade through DispatchRun one level deeper, and a deferred
+/// run still reads its own state after that (its event-trace rows).
+/// Per-rule bitmaps are laid out [rule * words, +words) and written only
+/// for the rules in `visit` of a run that is not immediate; per-group
+/// ones [group * words, +words).
+struct DispatchScratch {
   PredicateRun preds;
+  std::vector<RuleBitmap> visit;        // rules some event of the run visits
   std::vector<EventBitmap> run;         // every event of the run
   std::vector<EventBitmap> rejected;    // per access group
   std::vector<EventBitmap> masks;       // per rule: events it is visited on
@@ -1744,25 +1664,39 @@ struct DrainScratch {
   std::vector<uint32_t> fired_per_event;
 };
 
-DrainScratch& ThreadDrainScratch() {
-  // Value-type thread_local: destroyed at thread exit.
-  thread_local DrainScratch scratch;
-  return scratch;
+namespace {
+
+DispatchScratch& DispatchScratchAt(size_t depth) {
+  thread_local std::vector<std::unique_ptr<DispatchScratch>> pool;
+  while (pool.size() <= depth) {
+    pool.push_back(std::make_unique<DispatchScratch>());
+  }
+  return *pool[depth];
 }
 
-bool TestBit(const EventBitmap* bits, size_t e) {
-  return (bits[e / 64] >> (e % 64) & 1) != 0;
+bool TestBit(const uint64_t* bits, size_t i) {
+  return (bits[i / 64] >> (i % 64) & 1) != 0;
 }
 
-void AssignBit(EventBitmap* bits, size_t e, bool on) {
-  const EventBitmap bit = EventBitmap{1} << (e % 64);
-  bits[e / 64] = on ? bits[e / 64] | bit : bits[e / 64] & ~bit;
+void AssignBit(uint64_t* bits, size_t i, bool on) {
+  const uint64_t bit = uint64_t{1} << (i % 64);
+  bits[i / 64] = on ? bits[i / 64] | bit : bits[i / 64] & ~bit;
+}
+
+/// Calls fn(i) for every bit i set in `bits`, in ascending order.
+template <typename Fn>
+void ForEachBit(const uint64_t* bits, size_t words, Fn&& fn) {
+  for (size_t w = 0; w < words; ++w) {
+    for (uint64_t rest = bits[w]; rest != 0; rest &= rest - 1) {
+      fn(w * 64 + static_cast<size_t>(std::countr_zero(rest)));
+    }
+  }
 }
 
 uint64_t CountBits(const EventBitmap* bits, size_t words) {
   uint64_t n = 0;
   for (size_t w = 0; w < words; ++w) {
-    n += static_cast<uint64_t>(std::popcount(bits[w]));
+    n += CountEvents(bits[w]);
   }
   return n;
 }
@@ -1772,21 +1706,22 @@ uint64_t CountBitsExcept(const EventBitmap* bits, const EventBitmap* except,
                          size_t words) {
   uint64_t n = 0;
   for (size_t w = 0; w < words; ++w) {
-    n += static_cast<uint64_t>(std::popcount(bits[w] & ~except[w]));
+    n += CountEvents(bits[w] & ~except[w]);
   }
   return n;
 }
 
-/// The run's events (its first `n` contexts) that bind an object of
-/// `cls`, computed once per class and run.
-const EventBitmap* BoundEvents(DrainScratch& s, MonitoredClass cls, size_t n) {
+/// The run's events (contexts ctxs[0, n)) that bind an object of `cls`,
+/// computed once per class and run.
+const EventBitmap* BoundEvents(DispatchScratch& s, const EvalContext* ctxs,
+                               MonitoredClass cls, size_t n) {
   const size_t words = EventBitmapWords(n);
   EventBitmap* bits = s.bound.data() + static_cast<size_t>(cls) * words;
   if (!s.bound_known[static_cast<size_t>(cls)]) {
     s.bound_known[static_cast<size_t>(cls)] = 1;
     std::fill(bits, bits + words, 0);
     for (size_t e = 0; e < n; ++e) {
-      if (s.ctxs[e].Bound(cls) != nullptr) AssignBit(bits, e, true);
+      if (ctxs[e].Bound(cls) != nullptr) AssignBit(bits, e, true);
     }
   }
   return bits;
@@ -1807,42 +1742,29 @@ Result<const void*> InsertRecord(const CompiledAction& action,
 
 }  // namespace
 
-void MonitorEngine::DrainRun(const DeferredEvent* events, size_t n,
-                             const RuleList& rules,
-                             const PredicateIndex* index,
-                             const RuleTable::DeferredPlan& plan) {
-  DrainScratch& s = ThreadDrainScratch();
-  static const std::string kNoQualifier;  // terminal events carry none
+void MonitorEngine::DispatchRun(const DeferredEvent* events,
+                                EvalContext* ctxs, size_t n,
+                                const std::string& qualifier,
+                                const RuleList& rules,
+                                const PredicateIndex* index,
+                                const RuleTable::DeferredPlan* plan,
+                                int64_t start_nanos) {
+  DispatchScratch& s = DispatchScratchAt(static_cast<size_t>(RuleDepth()));
   const EventKind kind = events[0].kind;
   const size_t words = EventBitmapWords(n);
   const size_t count = rules.size();
-  // A run of a list that Resets a LAT holds one event
-  // (ProcessDeferredBatch): every rule is decided at its turn, its actions,
-  // inserts included, run right away, and its trace roots the eviction
-  // cascade, as in the sync lane.
-  const bool immediate = plan.has_reset;
+  const size_t rule_words = RuleBitmapWords(count);
+  // A sync event, and a run of a deferred list that Resets a LAT (one
+  // event, ProcessDeferredBatch), is immediate: every rule is decided at
+  // its turn, its actions, inserts included, run right away, and the run's
+  // event span roots the eviction cascade.
+  const bool immediate = plan == nullptr || plan->has_reset;
 
-  if (s.ctxs.size() < n) s.ctxs.resize(n);
-  for (size_t e = 0; e < n; ++e) {
-    EvalContext& ctx = s.ctxs[e];
-    ctx.ResetForEvent();
-    // Reuse the hook's clock read: deferred rules see the same event
-    // timestamp sync evaluation would have.
-    ctx.now_micros = events[e].now_micros;
-    if (events[e].query != nullptr) {
-      ctx.Bind(MonitoredClass::kQuery, events[e].query.get());
-    }
-    if (events[e].txn != nullptr) {
-      ctx.Bind(MonitoredClass::kTransaction, events[e].txn.get());
-    }
-  }
-  const int64_t start_nanos = SteadyNanos();
-  for (size_t e = 0; e < n; ++e) {
-    metrics_.queue_wait_micros.Record(
-        (start_nanos - events[e].enqueue_nanos) / 1000);
-  }
+  // Causal span plane: the first dispatch on this thread roots a new trace
+  // (id = event seq + 1); nested dispatches attach under the inherited
+  // parent.
   const EventSpan span =
-      immediate ? OpenEventSpan(kind, kNoQualifier, events[0].seq,
+      immediate ? OpenEventSpan(kind, qualifier, events[0].seq,
                                 events[0].sampled, start_nanos,
                                 events[0].enqueue_nanos)
                 : EventSpan{};
@@ -1861,10 +1783,6 @@ void MonitorEngine::DrainRun(const DeferredEvent* events, size_t n,
 
   s.run.assign(words, ~EventBitmap{0});
   if (n % 64 != 0) s.run[words - 1] = (EventBitmap{1} << (n % 64)) - 1;
-  s.masks.assign(count * words, 0);
-  s.fires.assign(count * words, 0);
-  s.errors.assign(count * words, 0);
-  s.modes.assign(count, kPerEvent);
   const auto mask_of = [&](size_t r) { return s.masks.data() + r * words; };
   const auto fire_of = [&](size_t r) { return s.fires.data() + r * words; };
   const auto error_of = [&](size_t r) { return s.errors.data() + r * words; };
@@ -1873,45 +1791,78 @@ void MonitorEngine::DrainRun(const DeferredEvent* events, size_t n,
   };
 
   // Access groups: a group is rejected on the events where its access
-  // predicate is FALSE; its members are not visited there.
+  // predicate is FALSE; its members are not visited there. The rules to
+  // visit are the ungrouped ones and the members of every group some event
+  // of the run keeps; every per-rule pass below walks only them.
   PredWalkCounters walk;
   const AccessGroups* groups = index != nullptr ? index->groups.get() : nullptr;
   const size_t num_groups = groups != nullptr ? groups->size() : 0;
   const auto group_of = [&](size_t r) {
     return groups != nullptr ? groups->group_of(r) : -1;
   };
-  if (index != nullptr) s.preds.Begin(*index, s.ctxs.data(), n);
-  s.rejected.assign(num_groups * words, 0);
+  if (index != nullptr) s.preds.Begin(*index, ctxs, n);
+  s.rejected.resize(num_groups * words);
+  s.visit.resize(rule_words);
   if (groups != nullptr) {
     groups->MatchRun(breakers_not_closed_.load(std::memory_order_relaxed) != 0,
-                     &s.preds, s.run.data(), s.rejected.data(), &walk);
+                     &s.preds, s.run.data(), s.rejected.data(), s.visit.data(),
+                     &walk);
+  } else {
+    std::fill(s.visit.begin(), s.visit.end(), ~RuleBitmap{0});
+    if (count % 64 != 0) {
+      s.visit[rule_words - 1] = (RuleBitmap{1} << (count % 64)) - 1;
+    }
   }
+  const RuleBitmap* visit = s.visit.data();
+  // The last rule to visit: a LAT mutation by the rule there needs no memo
+  // invalidation, since no later rule reads the memo.
+  size_t last_pos = 0;
+  for (size_t w = rule_words; w-- > 0;) {
+    if (visit[w] != 0) {
+      last_pos = w * 64 + 63 - static_cast<size_t>(std::countl_zero(visit[w]));
+      break;
+    }
+  }
+  // An immediate run holds one event, on which every visited rule is
+  // decided at its turn: no group is rejected on it only in part, and no
+  // rule needs per-rule scratch. A longer run walks conditions first.
+  bool any_stepwise = immediate || any_sampled;
+  const size_t bulk_words = immediate ? 0 : rule_words;  // rules in bulk
+  s.watched.assign(num_groups, 0);
+  if (!immediate) {
+    if (s.masks.size() < count * words) {  // grown only, never re-zeroed
+      s.masks.resize(count * words);
+      s.fires.resize(count * words);
+      s.errors.resize(count * words);
+    }
+    if (s.modes.size() < count) s.modes.resize(count);
 
-  // Condition pass, rule-major: each rule's conjuncts over its events.
-  for (size_t r = 0; r < count; ++r) {
-    const CompiledRule& rule = *rules[r];
-    EventBitmap* mask = mask_of(r);
-    const int32_t g = group_of(r);
-    for (size_t w = 0; w < words; ++w) {
-      mask[w] = s.run[w] & ~(g >= 0 ? s.rejected[g * words + w] : 0);
-    }
-    // In a Reset list's run, and for a rule whose breaker is not closed
-    // (the breaker must gate each evaluation), the walk waits for its turn.
-    if (immediate || rule.breaker.state() != RuleBreaker::State::kClosed) {
-      s.modes[r] = kStepped;
-      continue;
-    }
-    EventBitmap* fire = fire_of(r);
-    EventBitmap* error = error_of(r);
-    if (indexed(r)) {
-      s.preds.Walk(index->entries[r], mask, fire, error, &walk);
-    } else if (rule.condition == nullptr) {
-      std::copy(mask, mask + words, fire);
-    } else {
+    // Condition pass, rule-major: each rule's conjuncts over its events.
+    ForEachBit(visit, rule_words, [&](size_t r) {
+      const CompiledRule& rule = *rules[r];
+      EventBitmap* mask = mask_of(r);
+      EventBitmap* fire = fire_of(r);
+      EventBitmap* error = error_of(r);
+      const int32_t g = group_of(r);
       for (size_t w = 0; w < words; ++w) {
-        for (EventBitmap bits = mask[w]; bits != 0; bits &= bits - 1) {
-          const size_t e = w * 64 + static_cast<size_t>(std::countr_zero(bits));
-          EvalContext& ctx = s.ctxs[e];
+        mask[w] = s.run[w] & ~(g >= 0 ? s.rejected[g * words + w] : 0);
+        fire[w] = 0;
+        error[w] = 0;
+      }
+      // A rule whose breaker is not closed (the breaker must gate each
+      // evaluation) waits for its turn.
+      if (rule.breaker.state() != RuleBreaker::State::kClosed) {
+        s.modes[r] = kStepped;
+        return;
+      }
+      s.modes[r] = kPerEvent;
+      if (indexed(r)) {
+        s.preds.Walk(index->entries[r], mask, fire, error, &walk);
+      } else if (rule.condition == nullptr) {
+        std::copy(mask, mask + words, fire);
+      } else {
+        ForEachBit(mask, words, [&](size_t e) {
+          EvalContext& ctx = ctxs[e];
           ctx.lat_rows.clear();
           ctx.lat_row_missing = false;
           const auto pass = rule.condition->EvalCondition(&ctx);
@@ -1920,32 +1871,35 @@ void MonitorEngine::DrainRun(const DeferredEvent* events, size_t n,
           } else if (*pass) {
             AssignBit(fire, e, true);
           }
-        }
+        });
       }
-    }
-  }
+    });
 
-  // A rule whose actions are all Inserts of records its fired events bind,
-  // and whose walk saw no error, cannot fail: it is accounted in bulk. Its
-  // breaker is read again here, since another worker may have tripped it
-  // during the walk; an open one must gate each event.
-  s.bound_known.assign(kNumMonitoredClasses, 0);
-  s.bound.resize(kNumMonitoredClasses * words);
-  bool any_stepwise = any_sampled;
-  for (size_t r = 0; r < count; ++r) {
-    if (s.modes[r] == kPerEvent && plan.insert_only[r] &&
-        rules[r]->breaker.state() == RuleBreaker::State::kClosed &&
-        CountBits(error_of(r), words) == 0) {
-      const EventBitmap* fire = fire_of(r);
-      bool binds = true;
-      for (const CompiledAction& action : rules[r]->actions) {
-        const EventBitmap* bound =
-            BoundEvents(s, action.lat->spec().object_class, n);
-        for (size_t w = 0; w < words; ++w) binds &= (fire[w] & ~bound[w]) == 0;
+    // A rule whose actions are all Inserts of records its fired events
+    // bind, and whose walk saw no error, cannot fail: it is accounted in
+    // bulk. Its breaker is read again here, since another worker may have
+    // tripped it during the walk; an open one must gate each event.
+    s.bound_known.assign(kNumMonitoredClasses, 0);
+    s.bound.resize(kNumMonitoredClasses * words);
+    ForEachBit(visit, rule_words, [&](size_t r) {
+      if (s.modes[r] == kPerEvent && plan->insert_only[r] &&
+          rules[r]->breaker.state() == RuleBreaker::State::kClosed &&
+          CountBits(error_of(r), words) == 0) {
+        const EventBitmap* fire = fire_of(r);
+        bool binds = true;
+        for (const CompiledAction& action : rules[r]->actions) {
+          const EventBitmap* bound =
+              BoundEvents(s, ctxs, action.lat->spec().object_class, n);
+          for (size_t w = 0; w < words; ++w) {
+            binds &= (fire[w] & ~bound[w]) == 0;
+          }
+        }
+        if (binds) s.modes[r] = kBulk;
       }
-      if (binds) s.modes[r] = kBulk;
-    }
-    any_stepwise |= s.modes[r] != kBulk;
+      if (s.modes[r] == kBulk) return;
+      any_stepwise = true;
+      if (group_of(r) >= 0) s.watched[static_cast<size_t>(group_of(r))] = 1;
+    });
   }
 
   // Every other rule is concluded per event, event-major in rule order, so
@@ -1955,19 +1909,14 @@ void MonitorEngine::DrainRun(const DeferredEvent* events, size_t n,
   uint64_t fired = 0;
   uint64_t visited = 0;
   uint64_t skipped = 0;
+  s.fired_per_event.assign(n, 0);
   ++RuleDepth();
   if (any_stepwise) {
-    s.watched.assign(num_groups, 0);
-    for (size_t r = 0; r < count; ++r) {
-      if (group_of(r) >= 0 && s.modes[r] != kBulk) {
-        s.watched[static_cast<size_t>(group_of(r))] = 1;
-      }
-    }
     s.one.assign(words, 0);
     s.one_fire.resize(words);
     s.one_error.resize(words);
     for (size_t e = 0; e < n; ++e) {
-      EvalContext* ctx = &s.ctxs[e];
+      EvalContext* ctx = &ctxs[e];
       // A group with a stepwise member commits its rejections event by
       // event, as a per-event dispatch does at the event's start: the
       // member's breaker counts each one as a success in order, and a group
@@ -1982,11 +1931,8 @@ void MonitorEngine::DrainRun(const DeferredEvent* events, size_t n,
           skipped += groups->Reject(g, 1);
           continue;
         }
-        for (size_t r = 0; r < count; ++r) {
-          if (group_of(r) == static_cast<int32_t>(g)) {
-            AssignBit(mask_of(r), e, true);
-          }
-        }
+        ForEachBit(groups->members(g), rule_words,
+                   [&](size_t r) { AssignBit(mask_of(r), e, true); });
       }
       const bool traced = any_sampled && TestBit(s.sampled.data(), e);
       TraceFrame* profiled = run_profiled;
@@ -1996,57 +1942,75 @@ void MonitorEngine::DrainRun(const DeferredEvent* events, size_t n,
         // The event's trace: its queue_wait ends where the run started,
         // and its rules' windows tile its turn.
         turn_start = SteadyNanos();
-        root = OpenEventSpan(kind, kNoQualifier, events[e].seq,
+        root = OpenEventSpan(kind, qualifier, events[e].seq,
                              /*sampled=*/true, start_nanos,
                              events[e].enqueue_nanos);
         if (root.frame != nullptr) root.frame->chain_ns = turn_start;
         profiled = root.frame != nullptr && root.frame->sampled ? root.frame
                                                                 : nullptr;
       }
-      for (size_t r = 0; r < count; ++r) {
-        const uint8_t mode = s.modes[r];
-        if ((mode == kBulk && !traced) || !TestBit(mask_of(r), e)) continue;
+      ForEachBit(visit, rule_words, [&](size_t r) {
+        const uint8_t mode = immediate ? uint8_t{kStepped} : s.modes[r];
+        if (!immediate &&
+            ((mode == kBulk && !traced) || !TestBit(mask_of(r), e))) {
+          return;
+        }
         const CompiledRule& rule = *rules[r];
+        if (!rule.event.qualifier.empty() && rule.event.qualifier != qualifier) {
+          return;
+        }
         ++visited;
-        EventBitmap* fire = fire_of(r);
-        if (!rule.breaker.Allow(ctx->now_micros)) {
+        uint32_t did_fire = 0;
+        if (!rule.iterate_classes.empty()) {
+          // Unbound-class iteration gates and concludes each binding.
+          did_fire = RunIteratingRule(rule, ctx, profiled);
+        } else if (!rule.breaker.Allow(ctx->now_micros)) {
+          // Quarantine gate: a tripped breaker takes the rule out of
+          // dispatch until its cooldown admits a half-open probe (or
+          // ReinstateRule intervenes).
           metrics_.breaker_skips.Inc();
-          AssignBit(fire, e, false);
-          continue;
+        } else {
+          rule.stats.evaluations.Inc();
+          Decision decision = Decision::kFire;
+          if (mode != kStepped) {
+            decision = TestBit(error_of(r), e) ? Decision::kEvaluate
+                       : TestBit(fire_of(r), e) ? Decision::kFire
+                                                : Decision::kReject;
+          } else if (indexed(r)) {
+            AssignBit(s.one.data(), e, true);
+            s.preds.Walk(index->entries[r], s.one.data(), s.one_fire.data(),
+                         s.one_error.data(), &walk);
+            AssignBit(s.one.data(), e, false);
+            decision = TestBit(s.one_error.data(), e) ? Decision::kEvaluate
+                       : TestBit(s.one_fire.data(), e) ? Decision::kFire
+                                                       : Decision::kReject;
+          } else if (rule.condition != nullptr) {
+            decision = Decision::kEvaluate;
+          }
+          // A conjunct errored: the naive evaluator decides the rule, so
+          // the error text, stats and breaker accounting match index-off
+          // evaluation exactly.
+          if (decision == Decision::kEvaluate && indexed(r)) {
+            metrics_.predindex_fallbacks.Inc();
+          }
+          did_fire = ConcludeRule(rule, ctx, profiled, decision, !immediate);
         }
-        rule.stats.evaluations.Inc();
-        Decision decision = Decision::kFire;
-        if (mode != kStepped) {
-          decision = TestBit(error_of(r), e) ? Decision::kEvaluate
-                     : TestBit(fire, e)      ? Decision::kFire
-                                             : Decision::kReject;
-        } else if (indexed(r)) {
-          AssignBit(s.one.data(), e, true);
-          s.preds.Walk(index->entries[r], s.one.data(), s.one_fire.data(),
-                       s.one_error.data(), &walk);
-          AssignBit(s.one.data(), e, false);
-          decision = TestBit(s.one_error.data(), e) ? Decision::kEvaluate
-                     : TestBit(s.one_fire.data(), e) ? Decision::kFire
-                                                     : Decision::kReject;
-        } else if (rule.condition != nullptr) {
-          decision = Decision::kEvaluate;
-        }
-        if (decision == Decision::kEvaluate && indexed(r)) {
-          metrics_.predindex_fallbacks.Inc();
-        }
-        const bool did_fire =
-            ConcludeRule(rule, ctx, profiled, decision, !immediate);
-        AssignBit(fire, e, did_fire);
-        if (!did_fire) continue;
-        ++fired;
+        if (!immediate) AssignBit(fire_of(r), e, did_fire != 0);
+        if (did_fire == 0) return;
+        fired += did_fire;
+        s.fired_per_event[e] += did_fire;
         if (immediate && index != nullptr && index->any_lat_reader &&
-            index->entries[r].mutates_lats) {
-          // As in the sync lane: later rules must see the mutation.
+            index->entries[r].mutates_lats && r != last_pos) {
+          // The fired rule's actions changed LAT state mid-event: memoized
+          // LAT-reading conjuncts and the shared row cache no longer match
+          // what naive per-rule evaluation would see for the rules still
+          // to come. Access predicates read no LAT, so the matcher's
+          // verdicts stand.
           s.preds.InvalidateLatReaders(e);
           ctx->lat_rows.clear();
           metrics_.predindex_invalidations.Inc();
         }
-      }
+      });
       if (root.root) {
         // Held until the run's folds are done (CloseRunTraces).
         TraceFrame* frame = root.frame;
@@ -2063,8 +2027,8 @@ void MonitorEngine::DrainRun(const DeferredEvent* events, size_t n,
       }
     }
   }
-  for (size_t r = 0; r < count; ++r) {
-    if (s.modes[r] != kBulk) continue;
+  ForEachBit(visit, bulk_words, [&](size_t r) {
+    if (s.modes[r] != kBulk) return;
     const CompiledRule& rule = *rules[r];
     // Sampled events were concluded at their turn.
     const uint64_t live =
@@ -2073,59 +2037,72 @@ void MonitorEngine::DrainRun(const DeferredEvent* events, size_t n,
         CountBitsExcept(fire_of(r), s.sampled.data(), words);
     visited += live;
     fired += fires;
-    if (live == 0) continue;
+    if (live == 0) return;
     rule.stats.evaluations.Inc(live);
     if (live != fires) rule.stats.condition_false.Inc(live - fires);
     if (fires != 0) rule.stats.fires.Inc(fires);
     rule.breaker.OnSuccess(events[n - 1].now_micros, live);
-  }
+  });
   for (size_t g = 0; g < num_groups; ++g) {
     const uint64_t rejected = CountBits(s.rejected.data() + g * words, words);
     if (rejected != 0) skipped += groups->Reject(g, rejected);
   }
   walk.memo_hits += skipped;
 
-  if (!immediate) FoldRun(events, n, plan);
+  if (!immediate) FoldRun(s, events, ctxs, n, *plan);
   if (span.frame != nullptr) {
-    CloseEventSpan(span, kind, kNoQualifier, start_nanos,
+    CloseEventSpan(span, kind, qualifier, start_nanos,
                    EventSpanEnd(*span.frame, start_nanos));
   } else if (!immediate && (spans_.enabled() || s.held_count != 0)) {
-    CloseRunTraces(events, n, start_nanos);
+    CloseRunTraces(s, events, n, qualifier, start_nanos);
   }
+  // Published after the event spans close: their self-time is split among
+  // the rules' condition/action windows, and this is bookkeeping.
   if (walk.evals != 0) metrics_.predindex_evals.Inc(walk.evals);
   if (walk.memo_hits != 0) metrics_.predindex_memo_hits.Inc(walk.memo_hits);
   if (fired != 0) metrics_.rules_fired.Inc(fired);
   if (visited != 0) metrics_.rules_visited.Inc(visited);
   if (skipped != 0) metrics_.rules_skipped.Inc(skipped);
-  // The run's Lat.Evict events, queued by its inserts, dispatch only now
-  // that the run completed (paper §5).
-  if (RuleDepth() == 1) DrainPendingEvictions(span.frame);
-  --RuleDepth();
-  FinishTrace(span);
-
-  if (trace_.enabled()) {
-    // Measured from the hook's clock read: end-to-end, enqueue wait
-    // included — "when did this event's effects land".
-    s.fired_per_event.assign(n, 0);
-    for (size_t r = 0; r < count; ++r) {
+  // The event trace's row per event. The clock read is trace-gated; the
+  // untraced path stays at one read per event. Measured from the hook's
+  // clock read: a sync event's row precedes its eviction cascade's rows; a
+  // deferred event's row is written once the cascade landed too, so it
+  // covers the enqueue wait and every effect ("when did this event's
+  // effects land"), and reads this depth's scratch after the cascade's
+  // nested dispatches ran.
+  const auto record_trace = [&] {
+    if (!trace_.enabled()) return;
+    ForEachBit(visit, bulk_words, [&](size_t r) {
+      if (s.modes[r] != kBulk) return;
       const EventBitmap* fire = fire_of(r);
       for (size_t w = 0; w < words; ++w) {
-        for (EventBitmap bits = fire[w]; bits != 0; bits &= bits - 1) {
+        for (EventBitmap bits = fire[w] & ~s.sampled[w]; bits != 0;
+             bits &= bits - 1) {
           ++s.fired_per_event[w * 64 +
                               static_cast<size_t>(std::countr_zero(bits))];
         }
       }
-    }
+    });
     const int64_t now = db_->clock()->NowMicros();
     for (size_t e = 0; e < n; ++e) {
-      trace_.Record(static_cast<uint8_t>(kind), kNoQualifier,
+      trace_.Record(static_cast<uint8_t>(kind), qualifier,
                     s.fired_per_event[e], events[e].now_micros,
                     now - events[e].now_micros);
     }
-  }
+  };
+  const bool sync = plan == nullptr;
+  if (sync) record_trace();
+  // The Lat.Evict events the run's actions queued dispatch only now that
+  // the run completed (paper §5).
+  if (RuleDepth() == 1) DrainPendingEvictions(span.frame);
+  --RuleDepth();
+  FinishTrace(span);
+  if (!sync) record_trace();
 }
 
-void MonitorEngine::CloseRunTraces(const DeferredEvent* events, size_t n,
+void MonitorEngine::CloseRunTraces(DispatchScratch& s,
+                                   const DeferredEvent* events, size_t n,
+                                   const std::string& qualifier,
                                    int64_t start_nanos) {
   // Each event of the run roots its own trace. Its event span starts where
   // the run started (its queue_wait ends there) and lasts its share of the
@@ -2133,8 +2110,6 @@ void MonitorEngine::CloseRunTraces(const DeferredEvent* events, size_t n,
   // work the run's events shared (condition pass, bulk accounting, folds).
   // The shares add up to the run's time, so no event's trace, and no
   // sqlcm_slow_events entry, claims the cost of the others.
-  static const std::string kNoQualifier;
-  DrainScratch& s = ThreadDrainScratch();
   const EventKind kind = events[0].kind;
   int64_t own = 0;
   for (size_t h = 0; h < s.held_count; ++h) own += s.held[h].own_nanos;
@@ -2162,18 +2137,19 @@ void MonitorEngine::CloseRunTraces(const DeferredEvent* events, size_t n,
       span.id = held.span_id;
       length += held.own_nanos;
     } else {
-      span = OpenEventSpan(kind, kNoQualifier, events[e].seq,
+      span = OpenEventSpan(kind, qualifier, events[e].seq,
                            /*sampled=*/false, start_nanos,
                            events[e].enqueue_nanos);
       if (span.frame == nullptr) continue;  // spans were turned off
     }
-    CloseEventSpan(span, kind, kNoQualifier, start_nanos, start_nanos + length);
+    CloseEventSpan(span, kind, qualifier, start_nanos, start_nanos + length);
     FinishTrace(span);
   }
   s.held_count = 0;
 }
 
-void MonitorEngine::FoldRun(const DeferredEvent* events, size_t n,
+void MonitorEngine::FoldRun(DispatchScratch& s, const DeferredEvent* events,
+                            const EvalContext* ctxs, size_t n,
                             const RuleTable::DeferredPlan& plan) {
   // Each LAT's items are its feeders' fired events in (event, rule,
   // action) order, records re-read from the run's contexts. A LAT fed by
@@ -2182,11 +2158,15 @@ void MonitorEngine::FoldRun(const DeferredEvent* events, size_t n,
   // (Lat::MapBatch once, Lat::FoldBatch per LAT); the run pins its records
   // until the folds end, and mappings never outlive the run (their keys
   // borrow from the records). Upsert attribution is one span-plane sample
-  // and one upsert_micros sample per (run, LAT).
-  DrainScratch& s = ThreadDrainScratch();
+  // and one upsert_micros sample per (run, LAT). A feeder the run never
+  // visited (its access group rejected every event) fired on none.
   const size_t words = EventBitmapWords(n);
   const bool profiled = spans_.enabled();
   const bool timed = detailed_timing_.load(std::memory_order_relaxed);
+  const auto fired_on = [&](uint32_t pos, size_t e) {
+    return TestBit(s.visit.data(), pos) &&
+           TestBit(s.fires.data() + pos * words, e);
+  };
   size_t used = 0;
   s.selection.resize(words);
   for (const RuleTable::DeferredPlan::Feed& feed : plan.feeds) {
@@ -2196,10 +2176,11 @@ void MonitorEngine::FoldRun(const DeferredEvent* events, size_t n,
     EventBitmap* selection = s.selection.data();
     std::fill(selection, selection + words, 0);
     for (const auto& [pos, copies] : feed.feeders) {
+      if (!TestBit(s.visit.data(), pos)) continue;
       const EventBitmap* fire = s.fires.data() + pos * words;
       for (size_t w = 0; w < words; ++w) selection[w] |= fire[w];
     }
-    const EventBitmap* bound = BoundEvents(s, cls, n);
+    const EventBitmap* bound = BoundEvents(s, ctxs, cls, n);
     for (size_t w = 0; w < words; ++w) selection[w] &= bound[w];
     if (CountBits(selection, words) == 0) continue;
     const int64_t start = profiled || timed ? SteadyNanos() : 0;
@@ -2218,17 +2199,14 @@ void MonitorEngine::FoldRun(const DeferredEvent* events, size_t n,
       mapping->shared = single;
       mapping->selection.assign(selection, selection + words);
       mapping->items.clear();
-      for (size_t w = 0; w < words; ++w) {
-        for (EventBitmap bits = selection[w]; bits != 0; bits &= bits - 1) {
-          const size_t e = w * 64 + static_cast<size_t>(std::countr_zero(bits));
-          const LatBatchItem item{s.ctxs[e].Bound(cls), events[e].now_micros};
-          for (const auto& [pos, copies] : feed.feeders) {
-            if (TestBit(s.fires.data() + pos * words, e)) {
-              mapping->items.insert(mapping->items.end(), copies, item);
-            }
+      ForEachBit(selection, words, [&](size_t e) {
+        const LatBatchItem item{ctxs[e].Bound(cls), events[e].now_micros};
+        for (const auto& [pos, copies] : feed.feeders) {
+          if (fired_on(pos, e)) {
+            mapping->items.insert(mapping->items.end(), copies, item);
           }
         }
-      }
+      });
       lat->MapBatch(mapping->items.data(), mapping->items.size(),
                     &mapping->mapping);
     }
@@ -2243,38 +2221,6 @@ void MonitorEngine::FoldRun(const DeferredEvent* events, size_t n,
       if (timed) lat->stats().upsert_micros.Record(dur / 1000);
     }
   }
-}
-
-bool MonitorEngine::RunRule(const CompiledRule& rule, EvalContext* ctx,
-                            TraceFrame* frame, const PredicateIndex* index,
-                            const IndexedRule* entry, PredicateMemo* memo,
-                            PredWalkCounters* walk) {
-  // Quarantine gate: a tripped breaker takes the rule out of dispatch until
-  // its cooldown admits a half-open probe (or ReinstateRule intervenes).
-  if (!rule.breaker.Allow(ctx->now_micros)) {
-    metrics_.breaker_skips.Inc();
-    return false;
-  }
-  rule.stats.evaluations.Inc();
-  Decision decision =
-      rule.condition != nullptr ? Decision::kEvaluate : Decision::kFire;
-  if (index != nullptr && entry != nullptr && entry->indexed &&
-      memo != nullptr && walk != nullptr) {
-    // Shared-conjunct walk: each distinct predicate evaluates once per
-    // event, memoized for every subscribed rule, in authoring order.
-    switch (EvalIndexedCondition(*index, *entry, ctx, memo, walk)) {
-      case IndexVerdict::kFire: decision = Decision::kFire; break;
-      case IndexVerdict::kReject: decision = Decision::kReject; break;
-      case IndexVerdict::kError:
-        // A conjunct errored: replay this rule naively so the error text,
-        // per-rule stats, and breaker accounting match index-off
-        // evaluation exactly (the walk result is discarded).
-        metrics_.predindex_fallbacks.Inc();
-        decision = Decision::kEvaluate;
-        break;
-    }
-  }
-  return ConcludeRule(rule, ctx, frame, decision, /*fold_inserts=*/false);
 }
 
 bool MonitorEngine::ConcludeRule(const CompiledRule& rule, EvalContext* ctx,

@@ -3,11 +3,12 @@
 // Implements the engine's instrumentation hooks (engine::MonitorHooks) and
 // the lock manager's conflict observer, assembles monitored objects from
 // probes, dispatches ECA rules, and owns the LATs, timers and action
-// backends. Rules run in two lanes: sync, in the triggering thread, one
-// event at a time (DispatchEvent), and deferred, in the monitor worker pool
-// (Options::async_rule_eval), one run of same-kind events at a time
-// (DrainRun). Both walk each rule's conjuncts in authoring order with
-// naive AND semantics and conclude it with the same routine (ConcludeRule).
+// backends. Rules run in two lanes: sync, in the triggering thread, and
+// deferred, in the monitor worker pool (Options::async_rule_eval). One
+// routine (DispatchRun) decides every event of both: a sync event is a run
+// of one event, a drained batch is cut into runs of same-kind events. It
+// walks each rule's conjuncts in authoring order with naive AND semantics
+// and concludes the rule with ConcludeRule.
 //
 // Threading: hook methods run concurrently in session threads. The
 // dispatch hot path takes no lock and writes no cache line another session
@@ -50,6 +51,9 @@ namespace sqlcm::cm {
 class SystemViews;
 /// Per-thread causal-trace bookkeeping (defined in monitor_engine.cc).
 struct TraceFrame;
+/// Per-(thread, dispatch depth) working set of DispatchRun (defined in
+/// monitor_engine.cc).
+struct DispatchScratch;
 
 /// Fault-injection point honoured by every instrumented hook
 /// (common/fault.h): `slow` sleeps the hook for kFaultHookSlowMicros,
@@ -377,25 +381,15 @@ class MonitorEngine final : public engine::MonitorHooks,
 
   /// Sync-lane entry for one event: asks the governor whether it is
   /// sampled out, enqueues it for the deferred lane when deferrable rules
-  /// listen, and dispatches the sync-lane rules. A sampled-out event skips
-  /// the enqueue and dispatches only inline_by_event. `query_keepalive` /
-  /// `txn_keepalive` carry the bound record's owning reference for
-  /// terminal events so the async pipeline can evaluate the event after
-  /// the registries drop it.
+  /// listen, and dispatches the sync-lane rules as a run of one event
+  /// (DispatchRun). A sampled-out event skips the enqueue and dispatches
+  /// only inline_by_event. `query_keepalive` / `txn_keepalive` carry the
+  /// bound record's owning reference for terminal events so the async
+  /// pipeline can evaluate the event after the registries drop it.
   void FireEvent(EventKind kind, const std::string& qualifier,
                  EvalContext* base_ctx,
                  std::shared_ptr<QueryRecord> query_keepalive = nullptr,
                  std::shared_ptr<TransactionRecord> txn_keepalive = nullptr);
-  /// Sync lane: evaluates `rules` in order against `ctx`, with the event
-  /// span and trace row; the outermost dispatch on the thread also drains
-  /// the Lat.Evict events raised meanwhile. `sampled` decides profiling
-  /// when this dispatch roots the trace; `index` is null when indexing is
-  /// off. With an index, the subscription matcher first rejects whole
-  /// access groups and only the remaining rules are visited
-  /// (predicate_index.h).
-  void DispatchEvent(EventKind kind, const std::string& qualifier,
-                     uint64_t seq, bool sampled, EvalContext* ctx,
-                     const RuleList& rules, const PredicateIndex* index);
   /// Opens an event span at `start_nanos` (rooting a trace when none is
   /// active on this thread); a non-zero `enqueue_nanos` adds the deferred
   /// lane's queue_wait child. With spans off it drops a stale frame.
@@ -413,8 +407,9 @@ class MonitorEngine final : public engine::MonitorHooks,
   /// eviction's causing action.
   void DrainPendingEvictions(TraceFrame* frame);
   /// Unbound-class iteration (paper §5.2) for one rule: runs it once per
-  /// combination of live objects of the classes the event did not bind.
-  /// Returns the number of firings.
+  /// combination of live objects of the classes the event did not bind,
+  /// each time through the breaker gate and ConcludeRule. Returns the
+  /// number of firings.
   uint32_t RunIteratingRule(const CompiledRule& rule, EvalContext* base_ctx,
                             TraceFrame* frame);
 
@@ -424,43 +419,47 @@ class MonitorEngine final : public engine::MonitorHooks,
   void EnqueueDeferred(DeferredEvent&& ev);
   /// Worker thread body: batch-pop and process until shutdown + drained.
   void MonitorWorkerLoop();
-  /// Cuts one drained batch into runs (DrainRun) against one table
-  /// snapshot.
-  void ProcessDeferredBatch(DeferredEvent* events, size_t count);
-  /// Deferred lane: decides `rules` for a run of `n` same-kind events
-  /// (docs/PERFORMANCE.md §"Async pipeline"). Conditions are walked
-  /// rule-major over the run's event bitmaps, each distinct predicate once
-  /// per event; a rule whose breaker is closed, whose actions are all
-  /// Inserts and whose walk saw no error is accounted with one add per
-  /// counter, every other rule is concluded per event, event-major; on a
-  /// span-sampled event every rule is concluded at its turn, with spans.
-  /// Then each LAT folds the events its feeders selected. A run of a list
-  /// that Resets a LAT is one event whose rules are decided, and whose
-  /// inserts land, at their turn.
-  void DrainRun(const DeferredEvent* events, size_t n, const RuleList& rules,
-                const PredicateIndex* index,
-                const RuleTable::DeferredPlan& plan);
+  /// Cuts one drained batch into runs (DispatchRun) against one table
+  /// snapshot; `ctxs` holds one context per event.
+  void ProcessDeferredBatch(DeferredEvent* events, EvalContext* ctxs,
+                            size_t count);
+  /// The one dispatch routine of both lanes: decides `rules` for a run of
+  /// `n` same-kind events, event i evaluated under ctxs[i]
+  /// (docs/PERFORMANCE.md §"Async pipeline"). The sync lane passes each
+  /// event as a run of one with no `plan`; the deferred lane passes the
+  /// runs of a drained batch with their list's plan. `index` is null when
+  /// indexing is off; with one, the subscription matcher first rejects
+  /// whole access groups per event, and only the rules of the groups some
+  /// event keeps, plus the ungrouped ones, are visited (predicate_index.h).
+  /// A rule whose event qualifier differs from `qualifier` is skipped.
+  ///
+  /// An immediate run (no plan, or a plan whose list Resets a LAT) decides
+  /// each rule at its turn and runs its actions, inserts included, right
+  /// away, under one event span opened at `start_nanos`. Otherwise
+  /// conditions are walked rule-major over the run's event bitmaps, each
+  /// distinct predicate once per event; a rule whose breaker is closed,
+  /// whose actions are all Inserts and whose walk saw no error is
+  /// accounted with one add per counter, every other rule is concluded per
+  /// event, event-major; on a span-sampled event every rule is concluded at
+  /// its turn, with spans; then each LAT folds the events its feeders
+  /// selected. Either way the outermost dispatch on the thread then drains
+  /// the Lat.Evict events raised meanwhile (paper §5).
+  void DispatchRun(const DeferredEvent* events, EvalContext* ctxs, size_t n,
+                   const std::string& qualifier, const RuleList& rules,
+                   const PredicateIndex* index,
+                   const RuleTable::DeferredPlan* plan, int64_t start_nanos);
   /// Roots each event of a finished run in its own trace (the sampled
   /// events' traces held since their turn), with an event span of the
   /// event's share of the run's time, and offers it to the slow-trace
   /// table.
-  void CloseRunTraces(const DeferredEvent* events, size_t n,
+  void CloseRunTraces(DispatchScratch& s, const DeferredEvent* events,
+                      size_t n, const std::string& qualifier,
                       int64_t start_nanos);
   /// Folds each LAT `plan` feeds with the run's fired events, mapping
   /// each (group shape, selection) once (Lat::MapBatch, Lat::FoldBatch).
-  void FoldRun(const DeferredEvent* events, size_t n,
+  void FoldRun(DispatchScratch& s, const DeferredEvent* events,
+               const EvalContext* ctxs, size_t n,
                const RuleTable::DeferredPlan& plan);
-  /// Sync-lane rule visit (and unbound-class iteration): the breaker gate,
-  /// then the condition — through the memoized shared-conjunct walk when
-  /// `index` / `entry` / `memo` are set and the entry is indexed (an error
-  /// verdict falls back to the naive evaluator for exact accounting; walk
-  /// counts add into `walk`) — then ConcludeRule. Returns true when the
-  /// rule fired.
-  bool RunRule(const CompiledRule& rule, EvalContext* ctx, TraceFrame* frame,
-               const PredicateIndex* index = nullptr,
-               const IndexedRule* entry = nullptr,
-               PredicateMemo* memo = nullptr,
-               PredWalkCounters* walk = nullptr);
   /// Concludes an admitted visit (evaluations already counted) whose
   /// condition was decided as `decision`: counts the outcome, runs the
   /// actions and feeds the breaker. `frame` is non-null only when the

@@ -99,6 +99,13 @@ void AppendCanonical(const CmExpr& e, std::string* out) {
   }
 }
 
+/// Outcome of one conjunct under one event's context. kFalse and kNull are
+/// kept distinct because naive AND evaluation short-circuits on FALSE but
+/// keeps evaluating past NULL (a later conjunct may still raise an error);
+/// kNull also covers missing-LAT-row (§5.2 both reject). kError sends the
+/// whole rule to the naive evaluator.
+enum class PredOutcome : uint8_t { kPass, kFalse, kNull, kError };
+
 /// Evaluates one conjunct under ctx and classifies its three-valued
 /// outcome. Mirrors the naive AND-chain evaluator exactly:
 ///   FALSE            → kFalse (naive short-circuits here)
@@ -129,25 +136,6 @@ PredOutcome EvaluatePredicate(const CompiledConjunct& conjunct,
   }
   if (v.is_null()) return PredOutcome::kNull;
   return PredOutcome::kError;
-}
-
-/// The memoized outcome of predicate `id` for the current event,
-/// evaluating it (and counting it in its stats) on first lookup.
-PredOutcome LookupPredicate(const PredicateIndex& index, uint32_t id,
-                            EvalContext* ctx, PredicateMemo* memo,
-                            PredWalkCounters* counters) {
-  PredOutcome outcome = memo->Get(id);
-  if (outcome != PredOutcome::kUnknown) {
-    ++counters->memo_hits;
-    return outcome;
-  }
-  const IndexedPredicate& pred = index.preds[id];
-  pred.stats->evals.Inc();
-  outcome = EvaluatePredicate(*pred.conjunct, ctx);
-  if (outcome == PredOutcome::kPass) pred.stats->passes.Inc();
-  memo->Set(id, outcome);
-  ++counters->evals;
-  return outcome;
 }
 
 }  // namespace
@@ -280,33 +268,6 @@ AccessGroups::~AccessGroups() {
   }
 }
 
-uint32_t AccessGroups::Match(const PredicateIndex& index, bool check_breakers,
-                             EvalContext* ctx, PredicateMemo* memo,
-                             PredWalkCounters* counters,
-                             RuleBitmap* visit) const {
-  std::copy(residual_.begin(), residual_.end(), visit);
-  uint32_t skipped = 0;
-  for (size_t g = 0; g < preds_.size(); ++g) {
-    // Exactly where each member's walk would reject on its first conjunct
-    // (EvalIndexedCondition): on FALSE. A NULL first conjunct does not
-    // short-circuit, since a later one may still raise an error.
-    const bool rejected =
-        LookupPredicate(index, preds_[g], ctx, memo, counters) ==
-            PredOutcome::kFalse &&
-        !Unrejectable(g, check_breakers);
-    if (rejected) {
-      tallies_[g].Inc();
-      const auto n = static_cast<uint32_t>(members_[g].size());
-      skipped += n;
-      counters->memo_hits += n;
-      continue;
-    }
-    const RuleBitmap* bits = &bits_[g * words_];
-    for (size_t w = 0; w < words_; ++w) visit[w] |= bits[w];
-  }
-  return skipped;
-}
-
 bool AccessGroups::Unrejectable(size_t g, bool check_breakers) const {
   if (!check_breakers) return false;
   // An open or half-open breaker must see the visit (it counts a skip or
@@ -319,14 +280,21 @@ bool AccessGroups::Unrejectable(size_t g, bool check_breakers) const {
 
 void AccessGroups::MatchRun(bool check_breakers, PredicateRun* run,
                             const EventBitmap* mask, EventBitmap* rejected,
+                            RuleBitmap* visit,
                             PredWalkCounters* counters) const {
   const size_t words = run->words();
+  std::copy(residual_.begin(), residual_.end(), visit);
   for (size_t g = 0; g < preds_.size(); ++g) {
-    // As in Match, every group's access predicate is looked up on every
-    // event, rejectable or not.
+    // Every group's access predicate is looked up on every event,
+    // rejectable or not. It is FALSE exactly where each member's walk
+    // would reject on its first conjunct; a NULL one does not
+    // short-circuit, since a later conjunct may still raise an error.
     EventBitmap* out = rejected + g * words;
     run->Falses(preds_[g], mask, out, counters);
     if (Unrejectable(g, check_breakers)) std::fill(out, out + words, 0);
+    if (std::equal(out, out + words, mask)) continue;  // rejected throughout
+    const RuleBitmap* bits = &bits_[g * words_];
+    for (size_t w = 0; w < words_; ++w) visit[w] |= bits[w];
   }
 }
 
@@ -340,41 +308,38 @@ void PredicateRun::Begin(const PredicateIndex& index, EvalContext* ctxs,
   index_ = &index;
   ctxs_ = ctxs;
   words_ = EventBitmapWords(events);
+  known_.assign(index.preds.size() * words_, 0);
   bits_.resize(index.preds.size() * kRows * words_);
-  for (uint32_t id = 0; id < index.preds.size(); ++id) {
-    std::fill(row(id, kKnown), row(id, kKnown) + words_, 0);
-  }
   live_.resize(words_);
   nulls_.resize(words_);
 }
 
 void PredicateRun::Resolve(uint32_t id, const EventBitmap* mask,
                            PredWalkCounters* counters) {
-  EventBitmap* known = row(id, kKnown);
+  EventBitmap* done = known(id);
   const IndexedPredicate& pred = index_->preds[id];
   uint64_t evals = 0;
   uint64_t passes = 0;
   for (size_t w = 0; w < words_; ++w) {
-    const EventBitmap todo = mask[w] & ~known[w];
-    counters->memo_hits +=
-        static_cast<uint64_t>(std::popcount(mask[w] & known[w]));
+    const EventBitmap todo = mask[w] & ~done[w];
+    counters->memo_hits += CountEvents(mask[w] & done[w]);
     if (todo == 0) continue;
-    for (size_t r = kPass; r < kRows; ++r) {
+    for (size_t r = 0; r < kRows; ++r) {
       row(id, static_cast<Row>(r))[w] &= ~todo;
     }
     for (EventBitmap bits = todo; bits != 0; bits &= bits - 1) {
       const size_t bit = static_cast<size_t>(std::countr_zero(bits));
       Row r = kError;
       switch (EvaluatePredicate(*pred.conjunct, &ctxs_[w * 64 + bit])) {
-        case PredOutcome::kPass: r = kPass; ++passes; break;
+        case PredOutcome::kPass: ++passes; continue;
         case PredOutcome::kFalse: r = kFalse; break;
         case PredOutcome::kNull: r = kNull; break;
-        default: break;
+        case PredOutcome::kError: break;
       }
       row(id, r)[w] |= EventBitmap{1} << bit;
     }
-    known[w] |= todo;
-    evals += static_cast<uint64_t>(std::popcount(todo));
+    done[w] |= todo;
+    evals += CountEvents(todo);
   }
   if (evals != 0) {
     pred.stats->evals.Inc(evals);
@@ -388,22 +353,25 @@ void PredicateRun::Walk(const IndexedRule& entry, const EventBitmap* mask,
                         PredWalkCounters* counters) {
   EventBitmap* live = live_.data();
   EventBitmap* nulls = nulls_.data();
-  std::copy(mask, mask + words_, live);
-  std::fill(nulls, nulls + words_, 0);
-  std::fill(error, error + words_, 0);
+  EventBitmap any = 0;  // some event's walk goes on
+  for (size_t w = 0; w < words_; ++w) {
+    live[w] = mask[w];
+    nulls[w] = 0;
+    error[w] = 0;
+    any |= mask[w];
+  }
   for (uint32_t id : entry.preds) {
-    if (std::all_of(live, live + words_,
-                    [](EventBitmap w) { return w == 0; })) {
-      break;  // every event's walk already ended
-    }
+    if (any == 0) break;  // every event's walk already ended
     Resolve(id, live, counters);
     const EventBitmap* falses = row(id, kFalse);
     const EventBitmap* nulled = row(id, kNull);
     const EventBitmap* errors = row(id, kError);
+    any = 0;
     for (size_t w = 0; w < words_; ++w) {
       error[w] |= live[w] & errors[w];
       live[w] &= ~(falses[w] | errors[w]);
       nulls[w] |= live[w] & nulled[w];
+      any |= live[w];
     }
   }
   for (size_t w = 0; w < words_; ++w) fire[w] = live[w] & ~nulls[w];
@@ -419,34 +387,9 @@ void PredicateRun::Falses(uint32_t id, const EventBitmap* mask,
 void PredicateRun::InvalidateLatReaders(size_t event) {
   for (uint32_t id = 0; id < index_->preds.size(); ++id) {
     if (index_->preds[id].reads_lats) {
-      row(id, kKnown)[event / 64] &= ~(EventBitmap{1} << (event % 64));
+      known(id)[event / 64] &= ~(EventBitmap{1} << (event % 64));
     }
   }
-}
-
-IndexVerdict EvalIndexedCondition(const PredicateIndex& index,
-                                  const IndexedRule& entry, EvalContext* ctx,
-                                  PredicateMemo* memo,
-                                  PredWalkCounters* counters) {
-  bool saw_null = false;
-  for (uint32_t id : entry.preds) {
-    switch (LookupPredicate(index, id, ctx, memo, counters)) {
-      case PredOutcome::kPass:
-        break;
-      case PredOutcome::kFalse:
-        return IndexVerdict::kReject;  // naive short-circuits on FALSE too
-      case PredOutcome::kNull:
-        // As in naive AND, NULL does not short-circuit (a later conjunct
-        // may still raise the error naive would report).
-        saw_null = true;
-        break;
-      case PredOutcome::kError:
-        return IndexVerdict::kError;
-      case PredOutcome::kUnknown:
-        break;  // unreachable: Set() never stores kUnknown
-    }
-  }
-  return saw_null ? IndexVerdict::kReject : IndexVerdict::kFire;
 }
 
 }  // namespace sqlcm::cm

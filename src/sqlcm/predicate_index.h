@@ -27,21 +27,23 @@
 // other rule is residual and always visited. Per event, each group's
 // access predicate is evaluated once (through the memo); a group rejected
 // on FALSE (exactly where the rule walk would reject on that conjunct)
-// takes one striped add on its tally, and
-// only residual rules and members of the other groups are visited, in
-// activation order. A group whose predicate errored, or that holds a rule
-// whose breaker is not closed, is visited rule by rule as before. Members'
-// `evaluations`, `condition_false` and breaker successes are derived from
-// the tallies (GroupRejectionTally in rule.h). See docs/PERFORMANCE.md
+// takes one striped add on its tally, and only residual rules and members
+// of the other groups are visited, in activation order. A group whose
+// predicate errored, or that holds a rule whose breaker is not closed, is
+// visited rule by rule as before. Members' `evaluations`,
+// `condition_false` and breaker successes are derived from the tallies
+// (GroupRejectionTally in rule.h). See docs/PERFORMANCE.md
 // §"Subscription dispatch".
 //
-// The deferred drain decides a run of same-kind events at a time with the
-// same walk in bitwise form: PredicateRun keeps each predicate's outcomes
-// over the run's events, and AccessGroups::MatchRun rejects groups on the
-// events where their access predicate is FALSE.
+// Dispatch decides a run of same-kind events at a time (a sync event is a
+// run of one) with the walk in bitwise form: PredicateRun is the memo,
+// keeping each predicate's outcomes over the run's events, and
+// AccessGroups::MatchRun rejects groups on the events where their access
+// predicate is FALSE.
 #ifndef SQLCM_SQLCM_PREDICATE_INDEX_H_
 #define SQLCM_SQLCM_PREDICATE_INDEX_H_
 
+#include <bit>
 #include <cstdint>
 #include <memory>
 #include <string>
@@ -69,16 +71,6 @@ struct PredicateStats {
 using PredicateStatsRegistry =
     std::unordered_map<uint64_t, std::shared_ptr<PredicateStats>>;
 
-/// Memoized outcome of one conjunct under the current event's context.
-/// kFalse and kNull are kept distinct because naive AND evaluation
-/// short-circuits on FALSE but keeps evaluating past NULL (a later conjunct
-/// may still raise an error); kNull also covers missing-LAT-row (§5.2 both
-/// reject). kError sends the whole rule to the naive evaluator.
-enum class PredOutcome : uint8_t { kUnknown = 0, kPass, kFalse, kNull, kError };
-
-/// Verdict of a memoized condition walk.
-enum class IndexVerdict : uint8_t { kFire, kReject, kError };
-
 /// One shared conjunct. `conjunct` (expression, canonical text, hash,
 /// fast atom) lives in the owning rule, which `owner` pins for the life of
 /// the index snapshot.
@@ -100,9 +92,9 @@ struct IndexedRule {
   bool indexed = false;
   /// Firing this rule runs an Insert or Reset action, which mutates LAT
   /// state before the next rule of the same event wherever actions run at
-  /// each rule's turn (the sync lane, and the deferred drain's lists that
-  /// Reset a LAT; other deferred runs fold their inserts after every rule
-  /// was decided).
+  /// each rule's turn (immediate runs: the sync lane, and the deferred
+  /// lists that Reset a LAT; other deferred runs fold their inserts after
+  /// every rule was decided).
   bool mutates_lats = false;
   /// Predicate ids (indexes into PredicateIndex::preds) in authoring
   /// order.
@@ -127,40 +119,6 @@ struct PredicateIndex {
   std::unique_ptr<const AccessGroups> groups;
 };
 
-/// Per-thread memo of conjunct outcomes for the current event.
-/// Epoch-stamped: BeginEvent is O(1), no per-event clearing.
-class PredicateMemo {
- public:
-  void BeginEvent(size_t num_preds) {
-    ++epoch_;
-    if (stamp_.size() < num_preds) {
-      stamp_.resize(num_preds, 0);
-      state_.resize(num_preds, PredOutcome::kUnknown);
-    }
-  }
-  PredOutcome Get(uint32_t id) const {
-    return stamp_[id] == epoch_ ? state_[id] : PredOutcome::kUnknown;
-  }
-  void Set(uint32_t id, PredOutcome outcome) {
-    stamp_[id] = epoch_;
-    state_[id] = outcome;
-  }
-  /// Drops memoized outcomes of LAT-reading predicates (a fired rule just
-  /// mutated LAT state); attribute-only outcomes stay valid.
-  void InvalidateLatReaders(const PredicateIndex& index) {
-    for (uint32_t id = 0; id < index.preds.size(); ++id) {
-      if (index.preds[id].reads_lats && stamp_[id] == epoch_) {
-        state_[id] = PredOutcome::kUnknown;
-      }
-    }
-  }
-
- private:
-  std::vector<uint64_t> stamp_;
-  std::vector<PredOutcome> state_;
-  uint64_t epoch_ = 0;
-};
-
 /// Locally accumulated walk counters, flushed to engine metrics once per
 /// dispatch (keeps per-conjunct atomics off the hot path).
 struct PredWalkCounters {
@@ -172,18 +130,26 @@ struct PredWalkCounters {
 using RuleBitmap = uint64_t;
 inline size_t RuleBitmapWords(size_t rules) { return (rules + 63) / 64; }
 
-/// The events of one deferred-drain run, one bit each (bit i = the run's
-/// i-th event).
+/// The events of one dispatch run, one bit each (bit i = the run's i-th
+/// event).
 using EventBitmap = uint64_t;
 inline size_t EventBitmapWords(size_t events) { return (events + 63) / 64; }
+/// Events set in `bits`. A run of one event (every sync event) sets at most
+/// one bit and needs no population count, which is a library call on
+/// x86-64 builds without POPCNT.
+inline uint64_t CountEvents(EventBitmap bits) {
+  return (bits & (bits - 1)) == 0 ? uint64_t{bits != 0}
+                                  : static_cast<uint64_t>(std::popcount(bits));
+}
 
-/// Run-at-a-time counterpart of PredicateMemo for the deferred drain
-/// (docs/PERFORMANCE.md §"Async pipeline"): each predicate's outcomes over
-/// the events of one run, kept as pass / FALSE / NULL / error bitmaps and
-/// filled only for the events some walk reaches. A walk resolves one
-/// conjunct for all its live events before moving to the next, so each
-/// distinct predicate is evaluated at most once per event of the run, and
-/// the evaluation and memo-hit counts equal those of per-event walks.
+/// The memo of conjunct outcomes for one dispatch run (a sync event is a
+/// run of one; docs/PERFORMANCE.md §"Async pipeline"): each predicate's
+/// outcomes over the events of the run, kept as known / FALSE / NULL /
+/// error bitmaps and filled only for the events some walk reaches. A walk
+/// resolves one conjunct for all its live events before moving to the
+/// next, so each distinct predicate is evaluated at most once per event of
+/// the run, and the evaluation and memo-hit counts equal those of
+/// per-event walks.
 class PredicateRun {
  public:
   /// Starts a run of `events` events over `index`'s predicates; event i is
@@ -192,11 +158,13 @@ class PredicateRun {
   size_t words() const { return words_; }
 
   /// Walks `entry`'s conjuncts in authoring order over the events of
-  /// `mask`, with EvalIndexedCondition's naive AND semantics in bitwise
-  /// form: FALSE short-circuits, NULL rejects at the end of the walk, and
-  /// an error ends the walk of that event. Writes the events whose
-  /// condition passes to `fire` and those that errored (to be decided by
-  /// the naive evaluator) to `error`.
+  /// `mask`, with naive AND semantics in bitwise form: FALSE
+  /// short-circuits, NULL (or a missing LAT row) rejects at the end of the
+  /// walk without short-circuiting, since a later conjunct may still raise
+  /// the error naive evaluation would report, and an error ends the walk
+  /// of that event. Writes the events whose condition passes to `fire` and
+  /// those that errored (to be decided by the naive evaluator) to
+  /// `error`.
   void Walk(const IndexedRule& entry, const EventBitmap* mask,
             EventBitmap* fire, EventBitmap* error,
             PredWalkCounters* counters);
@@ -209,7 +177,8 @@ class PredicateRun {
   void InvalidateLatReaders(size_t event);
 
  private:
-  enum Row : size_t { kKnown, kPass, kFalse, kNull, kError, kRows };
+  enum Row : size_t { kFalse, kNull, kError, kRows };  // outcomes but TRUE
+  EventBitmap* known(uint32_t id) { return known_.data() + id * words_; }
   EventBitmap* row(uint32_t id, Row r) {
     return bits_.data() + (id * kRows + r) * words_;
   }
@@ -221,7 +190,8 @@ class PredicateRun {
   const PredicateIndex* index_ = nullptr;
   EvalContext* ctxs_ = nullptr;
   size_t words_ = 0;
-  std::vector<EventBitmap> bits_;  // per predicate: kRows bitmaps
+  std::vector<EventBitmap> known_;  // per predicate: events resolved
+  std::vector<EventBitmap> bits_;   // per predicate: kRows bitmaps
   std::vector<EventBitmap> live_, nulls_;  // Walk's working masks
 };
 
@@ -239,28 +209,17 @@ class AccessGroups {
   AccessGroups(const AccessGroups&) = delete;
   AccessGroups& operator=(const AccessGroups&) = delete;
 
-  /// Probes every group's access predicate once for the current event and
-  /// writes into `visit` (RuleBitmapWords of the lane's rule count) the
-  /// positions dispatch must visit:
-  /// the residual rules plus the members of every group not rejected. A
-  /// group is rejected when its predicate is FALSE and — when
-  /// `check_breakers` (some breaker of the engine is not closed) — all its
-  /// members' breakers are closed. Each rejected group takes one add on
-  /// its tally, and its members count as memo hits. Returns the number of
-  /// members skipped.
-  uint32_t Match(const PredicateIndex& index, bool check_breakers,
-                 EvalContext* ctx, PredicateMemo* memo,
-                 PredWalkCounters* counters, RuleBitmap* visit) const;
-
-  /// Run form of Match (deferred drain): writes to
-  /// rejected[g * run->words(), +run->words()) the events of `mask` on
-  /// which group g's access predicate is FALSE — none when
-  /// `check_breakers` and some member's breaker is not closed. Tallies
-  /// nothing: the caller commits a group's rejections with Reject once its
-  /// members' walks confirmed them.
+  /// Probes every group's access predicate once per event of `mask` and
+  /// writes to rejected[g * run->words(), +run->words()) the events on
+  /// which group g's predicate is FALSE — none when `check_breakers` (some
+  /// breaker of the engine is not closed) and some member's breaker is not
+  /// closed. Writes into `visit` (RuleBitmapWords of the lane's rule
+  /// count) the positions dispatch must visit: the residual rules plus the
+  /// members of every group some event of `mask` keeps. Tallies nothing:
+  /// the caller commits a group's rejections with Reject.
   void MatchRun(bool check_breakers, PredicateRun* run,
                 const EventBitmap* mask, EventBitmap* rejected,
-                PredWalkCounters* counters) const;
+                RuleBitmap* visit, PredWalkCounters* counters) const;
   /// Commits `events` rejections of group g (one add on its tally) and
   /// returns the member visits they stand for.
   uint64_t Reject(size_t g, uint64_t events) const;
@@ -270,6 +229,8 @@ class AccessGroups {
   size_t size() const { return preds_.size(); }
   /// Access group of the rule at lane position `pos`; -1 when residual.
   int32_t group_of(size_t pos) const { return group_of_[pos]; }
+  /// Group g's members' positions (RuleBitmapWords of the rule count).
+  const RuleBitmap* members(size_t g) const { return &bits_[g * words_]; }
 
  private:
 
@@ -301,16 +262,6 @@ void CollectConjuncts(const CmExpr* expr, std::vector<const CmExpr*>* out);
 void BuildPredicateIndex(
     const std::vector<std::shared_ptr<const CompiledRule>>& rules,
     PredicateStatsRegistry* registry, PredicateIndex* out);
-
-/// Memoized condition walk for one indexed rule, in authoring order with
-/// naive short-circuit semantics (exact error parity). Uses ctx's shared
-/// lat_rows cache; flags per-conjunct missing rows itself. Returns kError
-/// when any conjunct's evaluation errors or yields a non-boolean — the
-/// caller then re-runs the rule naively.
-IndexVerdict EvalIndexedCondition(const PredicateIndex& index,
-                                  const IndexedRule& entry, EvalContext* ctx,
-                                  PredicateMemo* memo,
-                                  PredWalkCounters* counters);
 
 }  // namespace sqlcm::cm
 

@@ -512,6 +512,53 @@ TEST(LatConcurrencyTest, SnapshotNeverExceedsMaxRows) {
   EXPECT_EQ(lat->Snapshot(0).size(), kMaxRows);
 }
 
+TEST(LatConcurrencyTest, BatchNeverExceedsMaxRows) {
+  // A writer folds 64 fresh IDs per InsertBatch into a 10-row LAT (every
+  // item a new group) while a reader polls size() and takes snapshots. Each
+  // new group enters the LAT in the latch hold that evicts for it, so no
+  // reader ever sees more than max_rows rows.
+  constexpr size_t kMaxRows = 10;
+  constexpr size_t kBatch = 64;
+  constexpr uint64_t kBatches = 400;
+  auto lat = *Lat::Create(EvictSpec("batch_bound", kMaxRows));
+  std::atomic<bool> done{false};
+  std::atomic<size_t> polls{0};
+  std::atomic<size_t> worst{0};
+  std::thread reader([&] {
+    while (!done.load(std::memory_order_acquire)) {
+      size_t seen = lat->size();
+      if (polls.load(std::memory_order_relaxed) % 8 == 0) {
+        seen = std::max(seen, lat->Snapshot(0).size());
+      }
+      if (seen > worst.load(std::memory_order_relaxed)) {
+        worst.store(seen, std::memory_order_relaxed);
+      }
+      polls.fetch_add(1, std::memory_order_relaxed);
+    }
+  });
+  std::vector<QueryRecord> records(kBatch);
+  std::vector<LatBatchItem> items(kBatch);
+  for (uint64_t b = 0; b < kBatches; ++b) {
+    for (size_t i = 0; i < kBatch; ++i) {
+      records[i] = EvictRecord(1 + b * kBatch + i);
+      items[i] = {&records[i], 0};
+    }
+    lat->InsertBatch(items.data(), items.size());
+  }
+  done.store(true, std::memory_order_release);
+  reader.join();
+  EXPECT_GT(polls.load(), 0u);
+  EXPECT_LE(worst.load(), kMaxRows);
+  EXPECT_EQ(lat->size(), kMaxRows);
+  const auto total = static_cast<int64_t>(kBatches * kBatch);
+  std::vector<int64_t> want;
+  for (int64_t id = total - static_cast<int64_t>(kMaxRows) + 1; id <= total;
+       ++id) {
+    want.push_back(id);
+  }
+  EXPECT_EQ(SurvivorIds(*lat), want);
+}
+
 TEST(LatShardDeterminismTest, TieEvictsTheResidentRoot) {
   // In a one-shard LAT a new group that ties the heap root evicts the
   // root; one that sorts strictly after it is evicted itself. The

@@ -373,6 +373,99 @@ TEST(PredicateIndexDifferentialTest, DeferredLaneFiresIdentically) {
   EXPECT_EQ(outcomes[0], outcomes[1]);
 }
 
+TEST(PredicateIndexDifferentialTest, EvictionCascadeKeepsOuterRunScratch) {
+  // Every Query.Commit fires feed, a and c. feed's insert into the 1-row
+  // One_LAT evicts the previous query's row, so every event after the
+  // first raises a Lat.Evict whose rule iterates the one timer and inserts
+  // it into Two_LAT. The cascade dispatches nested, after the outer run's
+  // rules, through the same routine: it must not overwrite the outer run's
+  // per-rule state, which the deferred lane reads (for its trace rows)
+  // after the cascade.
+  constexpr int kEvents = 30;
+  for (const bool deferred : {false, true}) {
+    SCOPED_TRACE(deferred ? "deferred" : "sync");
+    std::vector<OutcomeMap> outcomes;
+    std::vector<std::vector<common::Row>> lats;
+    std::vector<std::vector<std::pair<uint8_t, uint32_t>>> traced;
+    for (int config = 0; config < 2; ++config) {
+      MonitorEngine::Options options = ConfigOptions(config);
+      options.async_rule_eval = deferred;
+      options.monitor_threads = 1;
+      EngineHarness h(options);
+      h.DefineCountLat("Count_LAT");
+      LatSpec one;
+      one.name = "One_LAT";
+      one.group_by = {{"ID", ""}};
+      one.aggregates = {{LatAggFunc::kCount, "", "N", false}};
+      one.ordering = {{"ID", true}};
+      one.max_rows = 1;
+      ASSERT_TRUE(h.monitor()->DefineLat(std::move(one)).ok());
+      LatSpec two;
+      two.name = "Two_LAT";
+      two.object_class = MonitoredClass::kTimer;
+      two.group_by = {{"Name", ""}};
+      two.aggregates = {{LatAggFunc::kCount, "", "N", false}};
+      ASSERT_TRUE(h.monitor()->DefineLat(std::move(two)).ok());
+      ASSERT_TRUE(h.monitor()->CreateTimer("tick").ok());
+      h.AddRule("feed", "Query.Duration >= 0", "Query.Insert(One_LAT)");
+      h.AddRule("a", "Query.ID >= 0", "Query.Insert(Count_LAT)");
+      h.AddRule("b", "Query.ID < 0", "Query.Insert(Count_LAT)");
+      h.AddRule("c", "Query.ID >= 0 AND Query.Duration >= 0",
+                "Query.Insert(Count_LAT)");
+      RuleSpec spill;
+      spill.name = "spill";
+      spill.event = "One_LAT.Evict";
+      spill.action = "Timer.Insert(Two_LAT)";
+      ASSERT_TRUE(h.monitor()->AddRule(spill).ok());
+      h.monitor()->trace_ring()->set_enabled(true);
+      ParamMap params;
+      for (int i = 0; i < kEvents; ++i) {
+        params = {{"k", Value::Int(i % 20)}};
+        h.Exec("SELECT val FROM items WHERE id = @k", &params);
+        h.monitor()->DrainEventQueue();
+      }
+      outcomes.push_back(h.Outcomes());
+      std::vector<common::Row> rows;
+      for (const char* lat : {"Count_LAT", "One_LAT", "Two_LAT"}) {
+        for (common::Row& row : h.monitor()->FindLat(lat)->Snapshot(0)) {
+          rows.push_back(std::move(row));
+        }
+      }
+      lats.push_back(std::move(rows));
+      std::vector<std::pair<uint8_t, uint32_t>> fired;
+      size_t commits = 0;
+      size_t evicts = 0;
+      for (const obs::TraceEvent& ev : h.monitor()->trace_ring()->Snapshot()) {
+        fired.emplace_back(ev.kind, ev.rules_fired);
+        if (ev.kind == static_cast<uint8_t>(EventKind::kQueryCommit)) {
+          ++commits;
+          EXPECT_EQ(ev.rules_fired, 3u) << "config " << config;
+        } else {
+          ++evicts;
+          EXPECT_EQ(ev.kind, static_cast<uint8_t>(EventKind::kLatEvict));
+          EXPECT_EQ(ev.rules_fired, 1u) << "config " << config;
+        }
+      }
+      EXPECT_EQ(commits, static_cast<size_t>(kEvents)) << "config " << config;
+      EXPECT_EQ(evicts, static_cast<size_t>(kEvents - 1))
+          << "config " << config;
+      std::sort(fired.begin(), fired.end());
+      traced.push_back(std::move(fired));
+      EXPECT_EQ(outcomes.back().at("spill").fires,
+                static_cast<uint64_t>(kEvents - 1));
+    }
+    EXPECT_EQ(outcomes[0], outcomes[1]);
+    ASSERT_EQ(lats[0].size(), lats[1].size());
+    for (size_t r = 0; r < lats[0].size(); ++r) {
+      ASSERT_EQ(lats[0][r].size(), lats[1][r].size());
+      for (size_t c = 0; c < lats[0][r].size(); ++c) {
+        EXPECT_EQ(lats[0][r][c].ToString(), lats[1][r][c].ToString());
+      }
+    }
+    EXPECT_EQ(traced[0], traced[1]);
+  }
+}
+
 TEST(PredicateIndexTest, SharedConjunctsDeduplicateAcrossRules) {
   EngineHarness h(IndexedOptions());
   h.DefineCountLat("Count_LAT");
