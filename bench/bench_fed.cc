@@ -11,12 +11,16 @@
 //      through a MockClock, so the reported p50/p95 drain latency is
 //      *virtual* (publish -> removed, including backoff), while retry
 //      counts and wall-clock drain time show the real resilience cost.
+// After each drain the fleet LAT must answer exactly what the node LAT
+// answers (same groups and counts, doubles within 1 ulp); `"exact"` in the
+// JSON line reports it and CI fails on `"exact":false`.
 //
 // The final stdout line is machine-readable: `BENCH_JSON
 // {"bench":"fed",...}` so CI can diff runs (schema in docs/PERFORMANCE.md).
 //
 //   build/bench/bench_fed [--quick]
 #include <chrono>
+#include <cmath>
 #include <cstdio>
 #include <cstring>
 #include <filesystem>
@@ -73,7 +77,33 @@ struct DrainResult {
   double wall_micros = 0;
   uint64_t retries = 0;
   double p50_us = 0, p95_us = 0;
+  bool exact = false;  // fleet LAT == node LAT after the drain
 };
+
+/// Equal cells; doubles may differ by 1 ulp (the fed_chaos_test bound).
+bool CellsAgree(const common::Value& a, const common::Value& b) {
+  if (a.kind() != b.kind()) return false;
+  if (!a.is_double()) return a.Compare(b) == 0;
+  const double x = a.double_value(), y = b.double_value();
+  if (std::isnan(x) || std::isnan(y)) return std::isnan(x) && std::isnan(y);
+  return x == y || std::nextafter(x, y) == y;
+}
+
+/// True when `fleet` holds exactly `node`'s groups, every cell agreeing.
+bool FleetMatchesNode(const cm::Lat& node, const cm::Lat& fleet,
+                      int64_t now_micros) {
+  if (fleet.size() != node.size()) return false;
+  for (const common::Row& want : node.Snapshot(now_micros)) {
+    const common::Row key(want.begin(),
+                          want.begin() + static_cast<long>(node.group_width()));
+    common::Row got;
+    if (!fleet.LookupByKey(key, now_micros, &got)) return false;
+    for (size_t c = 0; c < want.size(); ++c) {
+      if (!CellsAgree(want[c], got[c])) return false;
+    }
+  }
+  return true;
+}
 
 /// Inserts `records_per_epoch` rows across `groups` keys per epoch, exports
 /// `epochs` epochs, then drains them into a fresh aggregator. Returns the
@@ -143,6 +173,7 @@ DrainResult RunPipeline(const std::string& dir, int epochs,
   const auto pct = sender.stats().drain_micros.ComputePercentiles();
   result.p50_us = pct.p50;
   result.p95_us = pct.p95;
+  result.exact = FleetMatchesNode(*node_lat, *fleet_lat, clock->NowMicros());
   std::filesystem::remove_all(dir);
   return result;
 }
@@ -189,6 +220,9 @@ int main(int argc, char** argv) {
                                          &faulty_clock,
                                          &faulty_export_micros);
   common::FaultRegistry::Get()->Reset();
+  const bool exact = clean.exact && faulty.exact;
+  std::printf("fleet LAT == node LAT: clean %s, faulty %s\n",
+              clean.exact ? "yes" : "NO", faulty.exact ? "yes" : "NO");
   std::printf("drain @ %.0f%% send failure: %llu retries, virtual latency "
               "p50 %.0fus p95 %.0fus, wall %.1fms\n",
               kSendFailureProb * 100,
@@ -202,6 +236,7 @@ int main(int argc, char** argv) {
   out += ",\"export_epochs_per_sec\":" + JsonNum(export_eps);
   out += ",\"export_records_per_sec\":" + JsonNum(export_rps);
   out += ",\"ingest_epochs_per_sec\":" + JsonNum(ingest_eps);
+  out += std::string(",\"exact\":") + (exact ? "true" : "false");
   out += ",\"faulty_drain\":{\"send_failure_prob\":" +
          JsonNum(kSendFailureProb);
   out += ",\"retries\":" + std::to_string(faulty.retries);

@@ -12,7 +12,6 @@
 
 #include "common/fault.h"
 #include "common/string_util.h"
-#include "fed/state_table.h"
 #include "storage/table_io.h"
 
 namespace sqlcm::fed {
@@ -193,14 +192,10 @@ Status FleetAggregator::ApplyDelta(const Delta& delta, bool replay,
     peer.last_ingest_micros = now_micros;
     return Status::OK();
   }
-  // Validation pass: stage every section before merging anything, so a bad
-  // record can never leave the fleet LATs partially updated.
-  struct Staged {
-    FleetLat* fl;
-    std::unique_ptr<storage::Table> table;
-    size_t records;
-  };
-  std::vector<Staged> staged;
+  // Validation pass: check every record of every section before merging
+  // anything, so a bad record can never leave the fleet LATs partially
+  // updated; MergeState below then cannot fail.
+  std::vector<std::pair<FleetLat*, std::vector<Row>>> staged;
   staged.reserve(delta.lats.size());
   for (const LatSection& section : delta.lats) {
     FleetLat* fl = FindLat(section.lat_name);
@@ -208,26 +203,22 @@ Status FleetAggregator::ApplyDelta(const Delta& delta, bool replay,
       return Status::InvalidArgument("delta for unknown fleet LAT '" +
                                      section.lat_name + "'");
     }
-    SQLCM_ASSIGN_OR_RETURN(auto table, MakeStateStagingTable(*fl->lat));
+    std::vector<Row> records;
+    records.reserve(section.records.size());
     for (const DeltaRecord& record : section.records) {
-      // Dry-parse the codec cells (width + block grammar) up front;
-      // MergeState below can then only fail on real I/O.
-      Row scratch;
-      SQLCM_RETURN_IF_ERROR(
-          fl->lat->DiffStateRecord(record.cells, nullptr, &scratch)
-              .status());
-      SQLCM_RETURN_IF_ERROR(table->Insert(record.cells).status());
+      SQLCM_RETURN_IF_ERROR(fl->lat->CheckStateRecord(record.cells));
+      records.push_back(record.cells);
     }
-    staged.push_back({fl, std::move(table), section.records.size()});
+    staged.emplace_back(fl, std::move(records));
   }
   // Durability before effect: once journaled (fsync'd), the delta survives
   // an aggregator crash even though the ack races the merge.
   if (!replay) SQLCM_RETURN_IF_ERROR(AppendJournal(payload));
-  for (Staged& s : staged) {
-    SQLCM_RETURN_IF_ERROR(s.fl->lat->MergeState(*s.table, now_micros));
-    ++s.fl->deltas_applied;
-    s.fl->records_merged += s.records;
-    s.fl->last_ingest_micros = now_micros;
+  for (auto& [fl, records] : staged) {
+    SQLCM_RETURN_IF_ERROR(fl->lat->MergeState(records, now_micros));
+    ++fl->deltas_applied;
+    fl->records_merged += records.size();
+    fl->last_ingest_micros = now_micros;
   }
   if (delta.epoch < peer.last_epoch) {
     ++peer.reorders;
@@ -358,21 +349,11 @@ Status FleetAggregator::Checkpoint() {
   state.node_id = "fleet";
   state.created_micros = now_micros;
   for (FleetLat& fl : lats_) {
-    SQLCM_ASSIGN_OR_RETURN(auto staging, MakeStateStagingTable(*fl.lat));
-    SQLCM_RETURN_IF_ERROR(fl.lat->ExportState(staging.get(), now_micros));
     LatSection section;
     section.lat_name = fl.lat->name();
-    std::optional<Row> after;
-    std::vector<Row> keys, rows;
-    for (;;) {
-      keys.clear();
-      rows.clear();
-      if (staging->ScanBatch(after, 256, &keys, &rows) == 0) break;
-      after = keys.back();
-      for (Row& row : rows) {
-        section.records.push_back(
-            {cm::Lat::StateDeltaMode::kFresh, std::move(row)});
-      }
+    for (Row& record : fl.lat->ExportState()) {
+      section.records.push_back(
+          {cm::Lat::StateDeltaMode::kFresh, std::move(record)});
     }
     if (!section.records.empty()) state.lats.push_back(std::move(section));
   }
@@ -471,18 +452,17 @@ Status FleetAggregator::LoadCheckpoint() {
         return Status::ParseError("checkpoint state truncated");
       }
       SQLCM_ASSIGN_OR_RETURN(
-          const Delta state,
-          DecodeDelta(body.substr(pos, static_cast<size_t>(len))));
+          Delta state, DecodeDelta(body.substr(pos, static_cast<size_t>(len))));
       const int64_t now_micros = clock_->NowMicros();
-      for (const LatSection& section : state.lats) {
+      for (LatSection& section : state.lats) {
         FleetLat* fl = FindLat(section.lat_name);
         if (fl == nullptr) continue;  // LAT retired since the checkpoint
-        SQLCM_ASSIGN_OR_RETURN(auto staging,
-                               MakeStateStagingTable(*fl->lat));
-        for (const DeltaRecord& record : section.records) {
-          SQLCM_RETURN_IF_ERROR(staging->Insert(record.cells).status());
+        std::vector<Row> records;
+        records.reserve(section.records.size());
+        for (DeltaRecord& record : section.records) {
+          records.push_back(std::move(record.cells));
         }
-        SQLCM_RETURN_IF_ERROR(fl->lat->MergeState(*staging, now_micros));
+        SQLCM_RETURN_IF_ERROR(fl->lat->MergeState(records, now_micros));
       }
       pos += static_cast<size_t>(len);
     }

@@ -1,8 +1,9 @@
 // Federation delta container (docs/FEDERATION.md).
 //
 // A *delta* is one node's epoch-numbered shipment of LAT state changes: for
-// every LAT the node exports, the state records (v2 snapshot codec — raw
-// moments + aging-block deques; see Lat::ExportState) whose additive
+// every LAT the node exports, the state records (the rows Lat::ExportState
+// returns — raw moments, aging-block deques and sketch payloads, the same
+// records a v2/v3 checkpoint holds) whose additive
 // moments are increments since the previous epoch's baseline, while the
 // fold-stable fields (min/max/first/last/any) stay cumulative. Each record
 // carries its Lat::StateDeltaMode so baseline repair after a crash knows

@@ -295,10 +295,19 @@ Result<std::unique_ptr<Lat>> Lat::Create(LatSpec spec) {
   // aggregates carry a 10th `#sketch` codec cell).
   lat->distinct_precision_ = std::clamp(s.distinct_precision, 4, 16);
   size_t state_offset = lat->group_width();
+  lat->state_kinds_.assign(
+      lat->column_kinds_.begin(),
+      lat->column_kinds_.begin() + static_cast<long>(lat->group_width()));
   for (const LatAggColumn& col : s.aggregates) {
     lat->state_agg_base_.push_back(state_offset);
     state_offset += LatAggFuncIsSketch(col.func) ? 10 : 9;
     if (LatAggFuncIsSketch(col.func)) lat->has_sketch_ = true;
+    // #count, #sum, #sumsq, #any, then #min/#max/#first/#last/#blocks
+    // (and #sketch) as codec strings.
+    lat->state_kinds_.insert(lat->state_kinds_.end(),
+                             {ValueKind::kInt, ValueKind::kDouble,
+                              ValueKind::kDouble, ValueKind::kBool});
+    lat->state_kinds_.resize(state_offset, ValueKind::kString);
   }
   lat->state_width_ = state_offset;
 
@@ -1594,36 +1603,7 @@ std::vector<std::string> Lat::StateColumnNames() const {
   return names;
 }
 
-std::vector<ValueKind> Lat::StateColumnKinds() const {
-  std::vector<ValueKind> kinds(
-      column_kinds_.begin(),
-      column_kinds_.begin() + static_cast<long>(group_width()));
-  for (size_t a = 0; a < spec_.aggregates.size(); ++a) {
-    kinds.push_back(ValueKind::kInt);     // #count
-    kinds.push_back(ValueKind::kDouble);  // #sum
-    kinds.push_back(ValueKind::kDouble);  // #sumsq
-    kinds.push_back(ValueKind::kBool);    // #any
-    for (int i = 0; i < 5; ++i) {
-      kinds.push_back(ValueKind::kString);  // #min/#max/#first/#last/#blocks
-    }
-    if (LatAggFuncIsSketch(spec_.aggregates[a].func)) {
-      kinds.push_back(ValueKind::kString);  // #sketch
-    }
-  }
-  return kinds;
-}
-
-Status Lat::ExportState(storage::Table* table,
-                        int64_t timestamp_micros) const {
-  const size_t state_width = this->state_width();
-  const size_t width = table->schema().num_columns();
-  const bool with_timestamp = width == state_width + 1;
-  if (!with_timestamp && width != state_width) {
-    return Status::InvalidArgument(
-        "table '" + table->name() + "' has " + std::to_string(width) +
-        " columns; LAT '" + name() + "' state records have " +
-        std::to_string(state_width) + " (+1 optional timestamp)");
-  }
+std::vector<Row> Lat::ExportState() const {
   std::vector<Row> records;
   records.reserve(size());
   for (size_t s = 0; s < shard_count_; ++s) {
@@ -1633,16 +1613,12 @@ Status Lat::ExportState(storage::Table* table,
       if (e.slot1 == 0) continue;
       const Value* key = KeyCells(shard, e.slot1 - 1);
       Row& record = records.emplace_back();
-      record.reserve(width);
+      record.reserve(state_width_);
       record.insert(record.end(), key, key + group_width());
       AppendStateAggs(SlotAggs(shard, e.slot1 - 1), &record);
     }
   }
-  for (Row& record : records) {
-    if (with_timestamp) record.push_back(Value::Int(timestamp_micros));
-    SQLCM_RETURN_IF_ERROR(table->Insert(std::move(record)).status());
-  }
-  return Status::OK();
+  return records;
 }
 
 void Lat::AppendStateAggs(const AggState* aggs, Row* record) const {
@@ -1687,32 +1663,47 @@ void Lat::AppendStateAggs(const AggState* aggs, Row* record) const {
   }
 }
 
-Status Lat::ImportState(const storage::Table& table, int64_t now_micros) {
-  const size_t state_width = this->state_width();
-  const size_t width = table.schema().num_columns();
-  const bool with_timestamp = width == state_width + 1;
-  if (!with_timestamp && width != state_width) {
-    return Status::InvalidArgument(
-        "table '" + table.name() + "' has " + std::to_string(width) +
-        " columns; LAT '" + name() + "' state records have " +
-        std::to_string(state_width) + " (+1 optional timestamp)");
+Status Lat::ImportState(const std::vector<Row>& records, int64_t now_micros) {
+  std::vector<DecodedState> decoded(records.size());
+  for (size_t i = 0; i < records.size(); ++i) {
+    SQLCM_RETURN_IF_ERROR(DecodeStateRecord(records[i], &decoded[i]));
   }
-  std::optional<Row> after;
-  std::vector<Row> keys, rows;
-  for (;;) {
-    keys.clear();
-    rows.clear();
-    if (table.ScanBatch(after, 256, &keys, &rows) == 0) break;
-    after = keys.back();
-    for (Row& persisted : rows) {
-      const Row group_key(persisted.begin(),
-                          persisted.begin() + static_cast<long>(group_width()));
-      std::vector<AggState> aggs;
-      SQLCM_RETURN_IF_ERROR(ParseStateAggs(persisted, &aggs));
-      AdoptSeededRow(group_key, &aggs, now_micros);
+  for (DecodedState& d : decoded) AdoptSeededRow(d.key, &d.aggs, now_micros);
+  return Status::OK();
+}
+
+Status Lat::CheckStateRecord(const Row& record) const {
+  DecodedState scratch;
+  return DecodeStateRecord(record, &scratch);
+}
+
+Status Lat::DecodeStateRecord(const Row& record, DecodedState* out) const {
+  if (record.size() != state_width_) {
+    return Status::InvalidArgument(
+        "state record has " + std::to_string(record.size()) +
+        " cells; LAT '" + name() + "' state records have " +
+        std::to_string(state_width_));
+  }
+  for (size_t i = 0; i < record.size(); ++i) {
+    const Value& v = record[i];
+    const ValueKind want = state_kinds_[i];
+    if (v.is_null() || v.kind() == want ||
+        (v.is_int() && want == ValueKind::kDouble)) {
+      continue;
+    }
+    return Status::TypeError("LAT '" + name() + "' state record: cell " +
+                             std::to_string(i) + " holds " +
+                             ValueKindName(v.kind()) + ", expected " +
+                             ValueKindName(want));
+  }
+  out->key.assign(record.begin(),
+                  record.begin() + static_cast<long>(group_width()));
+  for (size_t i = 0; i < out->key.size(); ++i) {
+    if (out->key[i].is_int() && state_kinds_[i] == ValueKind::kDouble) {
+      out->key[i] = Value::Double(static_cast<double>(out->key[i].int_value()));
     }
   }
-  return Status::OK();
+  return ParseStateAggs(record, &out->aggs);
 }
 
 Status Lat::ParseStateAggs(const Row& record,
@@ -1794,17 +1785,6 @@ Status Lat::ParseStateAggs(const Row& record,
 // ---------------------------------------------------------------------------
 // Federation state arithmetic (delta shipping; src/fed, docs/FEDERATION.md)
 // ---------------------------------------------------------------------------
-
-Status Lat::CheckStateRecordWidth(const Row& record) const {
-  const size_t state_width = this->state_width();
-  if (record.size() != state_width) {
-    return Status::InvalidArgument(
-        "state record has " + std::to_string(record.size()) +
-        " cells; LAT '" + name() + "' state records have " +
-        std::to_string(state_width));
-  }
-  return Status::OK();
-}
 
 void Lat::FoldAggState(AggState* dst, const AggState& src) {
   dst->count += src.count;
@@ -1895,18 +1875,18 @@ void Lat::PruneMergedBlocks(AggState* state, int64_t now_micros) {
 Result<Lat::StateDeltaMode> Lat::DiffStateRecord(const Row& current,
                                                  const Row* baseline,
                                                  Row* delta) const {
-  SQLCM_RETURN_IF_ERROR(CheckStateRecordWidth(current));
   delta->clear();
-  std::vector<AggState> cur;
-  SQLCM_RETURN_IF_ERROR(ParseStateAggs(current, &cur));
+  DecodedState cur_state;
+  SQLCM_RETURN_IF_ERROR(DecodeStateRecord(current, &cur_state));
+  const std::vector<AggState>& cur = cur_state.aggs;
 
   // No baseline (new group) and a restarted group (any additive count went
   // backwards) both ship the full cumulative record.
   bool fresh = baseline == nullptr;
-  std::vector<AggState> base;
+  DecodedState base_state;
+  const std::vector<AggState>& base = base_state.aggs;
   if (!fresh) {
-    SQLCM_RETURN_IF_ERROR(CheckStateRecordWidth(*baseline));
-    SQLCM_RETURN_IF_ERROR(ParseStateAggs(*baseline, &base));
+    SQLCM_RETURN_IF_ERROR(DecodeStateRecord(*baseline, &base_state));
     for (size_t a = 0; a < cur.size() && !fresh; ++a) {
       if (cur[a].count < base[a].count) fresh = true;
       if (cur[a].blocks == nullptr || base[a].blocks == nullptr) continue;
@@ -1999,14 +1979,14 @@ Result<Row> Lat::CombineStateRecords(const Row& base, const Row& delta,
                                      StateDeltaMode mode) const {
   if (mode == StateDeltaMode::kNone) return base;
   if (mode == StateDeltaMode::kFresh) {
-    SQLCM_RETURN_IF_ERROR(CheckStateRecordWidth(delta));
+    SQLCM_RETURN_IF_ERROR(CheckStateRecord(delta));
     return delta;
   }
-  SQLCM_RETURN_IF_ERROR(CheckStateRecordWidth(base));
-  SQLCM_RETURN_IF_ERROR(CheckStateRecordWidth(delta));
-  std::vector<AggState> out, inc;
-  SQLCM_RETURN_IF_ERROR(ParseStateAggs(base, &out));
-  SQLCM_RETURN_IF_ERROR(ParseStateAggs(delta, &inc));
+  DecodedState base_state, delta_state;
+  SQLCM_RETURN_IF_ERROR(DecodeStateRecord(base, &base_state));
+  SQLCM_RETURN_IF_ERROR(DecodeStateRecord(delta, &delta_state));
+  std::vector<AggState>& out = base_state.aggs;
+  const std::vector<AggState>& inc = delta_state.aggs;
   for (size_t a = 0; a < out.size(); ++a) {
     AggState& r = out[a];
     const AggState& d = inc[a];
@@ -2067,49 +2047,32 @@ Result<Row> Lat::CombineStateRecords(const Row& base, const Row& delta,
   return combined;
 }
 
-Status Lat::MergeState(const storage::Table& table, int64_t now_micros) {
-  const size_t state_width = this->state_width();
-  const size_t width = table.schema().num_columns();
-  const bool with_timestamp = width == state_width + 1;
-  if (!with_timestamp && width != state_width) {
-    return Status::InvalidArgument(
-        "table '" + table.name() + "' has " + std::to_string(width) +
-        " columns; LAT '" + name() + "' state records have " +
-        std::to_string(state_width) + " (+1 optional timestamp)");
+Status Lat::MergeState(const std::vector<Row>& records, int64_t now_micros) {
+  std::vector<DecodedState> decoded(records.size());
+  for (size_t i = 0; i < records.size(); ++i) {
+    SQLCM_RETURN_IF_ERROR(DecodeStateRecord(records[i], &decoded[i]));
   }
   const bool bounded_lat = bounded();
-  std::optional<Row> after;
-  std::vector<Row> keys, rows;
-  for (;;) {
-    keys.clear();
-    rows.clear();
-    if (table.ScanBatch(after, 256, &keys, &rows) == 0) break;
-    after = keys.back();
-    for (Row& persisted : rows) {
-      std::vector<AggState> incoming;
-      SQLCM_RETURN_IF_ERROR(ParseStateAggs(persisted, &incoming));
-      Row key(persisted.begin(),
-              persisted.begin() + static_cast<long>(group_width()));
-      BorrowedProbe* probes = KeyScratch(group_width());
-      const uint64_t hash = ProbeKey(key, probes);
-      Shard& shard = ShardFor(hash);
-      size_t victims = 0;
-      {
-        std::lock_guard<common::SpinLatch> guard(shard.latch);
-        const uint32_t slot = FindOrCreateLocked(&shard, hash, probes);
-        AggState* aggs = SlotAggs(shard, slot);
-        for (size_t a = 0; a < spec_.aggregates.size(); ++a) {
-          FoldAggState(&aggs[a], incoming[a]);
-          PruneMergedBlocks(&aggs[a], now_micros);
-        }
-        DropUnmaintained(aggs);
-        if (bounded_lat) {
-          RefreshOrderingLocked(shard, slot, now_micros);
-          victims = EvictOverBudgetLocked(&shard, now_micros, nullptr);
-        }
+  for (const DecodedState& incoming : decoded) {
+    BorrowedProbe* probes = KeyScratch(group_width());
+    const uint64_t hash = ProbeKey(incoming.key, probes);
+    Shard& shard = ShardFor(hash);
+    size_t victims = 0;
+    {
+      std::lock_guard<common::SpinLatch> guard(shard.latch);
+      const uint32_t slot = FindOrCreateLocked(&shard, hash, probes);
+      AggState* aggs = SlotAggs(shard, slot);
+      for (size_t a = 0; a < spec_.aggregates.size(); ++a) {
+        FoldAggState(&aggs[a], incoming.aggs[a]);
+        PruneMergedBlocks(&aggs[a], now_micros);
       }
-      NotifyEvicted(victims, nullptr);
+      DropUnmaintained(aggs);
+      if (bounded_lat) {
+        RefreshOrderingLocked(shard, slot, now_micros);
+        victims = EvictOverBudgetLocked(&shard, now_micros, nullptr);
+      }
     }
+    NotifyEvicted(victims, nullptr);
   }
   return Status::OK();
 }

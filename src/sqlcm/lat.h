@@ -337,8 +337,9 @@ class Lat {
   LatStats& stats() const { return stats_; }
 
   /// True when any aggregate is sketch-backed (QUANTILE/DISTINCT). Such
-  /// LATs need the v3 state-snapshot codec: materialized (v1/plain-CSV)
-  /// restores cannot reconstruct sketch state and are rejected by SeedFrom.
+  /// LATs checkpoint as v3 state snapshots (their records carry `#sketch`
+  /// cells); SeedFrom rejects them, since a materialized row cannot
+  /// reconstruct sketch state.
   bool HasSketchAggs() const { return has_sketch_; }
 
   /// Sums the live sketch footprint across all rows (for sqlcm_lat_stats):
@@ -361,9 +362,9 @@ class Lat {
   common::Status PersistTo(storage::Table* table, int64_t timestamp_micros,
                            int64_t now_micros) const;
 
-  /// Seeds rows from previously persisted *materialized* values (legacy v1
-  /// snapshots / user tables). Reconstruction is documented and
-  /// deterministic but lossy:
+  /// Seeds rows from previously persisted *materialized* values (a user
+  /// table, e.g. one PersistTo filled; paper §4.3). Reconstruction is
+  /// documented and deterministic but lossy:
   ///   * COUNT/SUM/MIN/MAX/FIRST/LAST seed exactly from their columns;
   ///   * the first non-aging COUNT column, when present, drives the seed
   ///     count `n` for SUM/AVG/STDEV (n = 1 when absent);
@@ -372,11 +373,11 @@ class Lat {
   ///     sum from a same-attribute non-aging AVG (avg·n) or SUM column
   ///     when one exists (0 otherwise), sumsq = s²(n−1) + sum²/n;
   ///   * aging aggregates are NOT reconstructed (their windowed history is
-  ///     not present in a materialized row) — use the v2 state snapshot
+  ///     not present in a materialized row) — use the state records
   ///     (ExportState/ImportState) for lossless restarts.
   common::Status SeedFrom(const storage::Table& table, int64_t now_micros);
 
-  // -- Raw-state persistence (v2 snapshots; lossless restart) -----------------
+  // -- Raw-state records (v2/v3 snapshots, federation deltas) ----------------
 
   /// Schema of the raw state record: the group columns, then for every
   /// aggregate column `A` the raw moments `A#count` (INT), `A#sum`,
@@ -388,20 +389,29 @@ class Lat {
   /// (docs/ROBUSTNESS.md) so older readers fail cleanly instead of
   /// mis-parsing.
   std::vector<std::string> StateColumnNames() const;
-  std::vector<common::ValueKind> StateColumnKinds() const;
+  const std::vector<common::ValueKind>& StateColumnKinds() const {
+    return state_kinds_;
+  }
 
-  /// Appends one state record per group row to `table` (schema:
-  /// StateColumnNames + trailing INT timestamp column when the table is
-  /// one column wider). Lossless: together with ImportState every
-  /// aggregate — including STDEV and mid-window aging variants — restores
-  /// bit-exactly.
-  common::Status ExportState(storage::Table* table,
-                             int64_t timestamp_micros) const;
+  /// One state record per group row (schema: StateColumnNames). Lossless:
+  /// together with ImportState every aggregate — including STDEV and
+  /// mid-window aging variants — restores bit-exactly.
+  std::vector<common::Row> ExportState() const;
 
-  /// Seeds rows from an ExportState table, restoring the raw moments and
-  /// aging-block deques exactly. Rows whose group already exists live are
+  /// Checks that `record` is a well-formed state record of this LAT: its
+  /// arity, each cell's kind (NULL fits any column, an INT fits a DOUBLE
+  /// column) and the grammar of its codec cells. ImportState, MergeState,
+  /// DiffStateRecord and CombineStateRecords apply this check to every
+  /// record they read.
+  common::Status CheckStateRecord(const common::Row& record) const;
+
+  /// Seeds rows from ExportState records, restoring the raw moments and
+  /// aging-block deques exactly. Every record is checked and decoded before
+  /// any is adopted, so a malformed record rejects the whole import and
+  /// leaves the LAT untouched. Records whose group already exists live are
   /// skipped (live data wins), matching SeedFrom.
-  common::Status ImportState(const storage::Table& table, int64_t now_micros);
+  common::Status ImportState(const std::vector<common::Row>& records,
+                             int64_t now_micros);
 
   // -- Federation state arithmetic (delta shipping; src/fed) -----------------
   //
@@ -444,13 +454,15 @@ class Lat {
                                                   const common::Row& delta,
                                                   StateDeltaMode mode) const;
 
-  /// Folds every state record of `table` (deltas or full exports) into the
-  /// live directory: additive moments add, min/max fold by comparison,
+  /// Folds every state record (deltas or full exports) into the live
+  /// directory: additive moments add, min/max fold by comparison,
   /// FIRST keeps the existing value once set, LAST adopts the incoming one,
   /// and aging blocks merge-join by block_start (then prune/cap against
   /// `now_micros` like the insert path). Unlike ImportState, existing groups
-  /// merge rather than win — this is the aggregator's ingest primitive.
-  common::Status MergeState(const storage::Table& table, int64_t now_micros);
+  /// merge rather than win — this is the aggregator's ingest primitive. As
+  /// in ImportState, every record is decoded before any is folded.
+  common::Status MergeState(const std::vector<common::Row>& records,
+                            int64_t now_micros);
 
  private:
   struct AgingBlock {
@@ -615,10 +627,15 @@ class Lat {
   common::Status ParseStateAggs(const common::Row& record,
                                 std::vector<AggState>* aggs) const;
   void AppendStateAggs(const AggState* aggs, common::Row* record) const;
-  /// Verifies `record` has exactly the state-record width (no timestamp).
-  common::Status CheckStateRecordWidth(const common::Row& record) const;
-  /// Total state-record width (group columns + per-aggregate codec cells).
-  size_t state_width() const { return state_width_; }
+  /// A state record taken apart: its group key (an INT in a DOUBLE group
+  /// column widened, as a table insert would store it) and its aggregates.
+  struct DecodedState {
+    common::Row key;
+    std::vector<AggState> aggs;
+  };
+  /// The CheckStateRecord check, keeping what it decoded.
+  common::Status DecodeStateRecord(const common::Row& record,
+                                   DecodedState* out) const;
   /// Folds `src` into `dst` under fleet-merge semantics (see MergeState).
   /// Member: sketch merges honour the spec's byte budget (and count
   /// collapses in stats_).
@@ -739,6 +756,9 @@ class Lat {
   /// spec has no aging aggregates.
   size_t max_aging_blocks_ = 0;
   std::unique_ptr<Shard[]> shards_;
+  /// Kind of each state-record cell (StateColumnKinds). Kept below
+  /// shards_ so the fields every insert reads share one cache line.
+  std::vector<common::ValueKind> state_kinds_;
 
   /// The budgets get their own cache line: every insert reads shards_
   /// above, and inserts into an unbounded LAT's shards all bump

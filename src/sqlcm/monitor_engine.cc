@@ -381,25 +381,12 @@ Status MonitorEngine::SeedLat(std::string_view lat_name,
   return lat->SeedFrom(*table, db_->clock()->NowMicros());
 }
 
-Result<std::unique_ptr<storage::Table>> MonitorEngine::MakeLatStagingTable(
-    const Lat& lat) const {
-  std::vector<std::string> cols = lat.column_names();
-  std::vector<ValueKind> kinds = lat.column_kinds();
-  cols.push_back("persist_ts");
-  kinds.push_back(ValueKind::kInt);
-  std::vector<catalog::Column> columns;
-  columns.reserve(cols.size());
-  for (size_t i = 0; i < cols.size(); ++i) {
-    columns.push_back({cols[i], ColumnTypeForKind(kinds[i])});
-  }
-  SQLCM_ASSIGN_OR_RETURN(
-      auto schema, catalog::TableSchema::Create(lat.name() + "_checkpoint",
-                                                std::move(columns), {}));
-  return std::make_unique<storage::Table>(0, std::move(schema));
-}
+namespace {
 
-Result<std::unique_ptr<storage::Table>> MonitorEngine::MakeLatStateStagingTable(
-    const Lat& lat) const {
+/// The file-boundary staging table of a LAT checkpoint: the state record
+/// columns (Lat::StateColumnNames) plus a trailing persist_ts.
+Result<std::unique_ptr<storage::Table>> MakeLatStateStagingTable(
+    const Lat& lat) {
   std::vector<std::string> cols = lat.StateColumnNames();
   std::vector<ValueKind> kinds = lat.StateColumnKinds();
   cols.push_back("persist_ts");
@@ -415,6 +402,16 @@ Result<std::unique_ptr<storage::Table>> MonitorEngine::MakeLatStateStagingTable(
   return std::make_unique<storage::Table>(0, std::move(schema));
 }
 
+/// Snapshot version of a LAT's state records: sketch-bearing records carry
+/// extra `#sketch` cells, so they are tagged v3 — a reader without sketch
+/// support then rejects the file cleanly instead of mis-indexing cells.
+int StateSnapshotVersion(const Lat& lat) {
+  return lat.HasSketchAggs() ? storage::kSnapshotVersionV3
+                             : storage::kSnapshotVersionV2;
+}
+
+}  // namespace
+
 Status MonitorEngine::CheckpointLat(std::string_view lat_name,
                                     const std::string& file_path) {
   Lat* lat = FindLat(lat_name);
@@ -427,18 +424,15 @@ Status MonitorEngine::CheckpointLat(std::string_view lat_name,
   // operator/maintenance threads, outside any event dispatch.
   const bool spans_on = spans_.enabled();
   const int64_t cp_start = spans_on ? SteadyNanos() : 0;
-  SQLCM_RETURN_IF_ERROR(lat->ExportState(staging.get(), now));
+  for (Row& record : lat->ExportState()) {
+    record.push_back(Value::Int(now));  // persist_ts
+    SQLCM_RETURN_IF_ERROR(staging->Insert(std::move(record)).status());
+  }
   int retries = 0;
-  // Sketch-bearing state records carry extra `#sketch` cells, so they are
-  // tagged v3 — a reader without sketch support then rejects the file
-  // cleanly instead of mis-indexing the codec cells.
-  const int snapshot_version = lat->HasSketchAggs()
-                                   ? storage::kSnapshotVersionV3
-                                   : storage::kSnapshotVersionV2;
   Status status = storage::WriteTableCsvWithRetry(
-      *staging, file_path, options_.persist_attempts,
-      options_.persist_backoff_micros, db_->clock(), &retries,
-      snapshot_version);
+      *staging, file_path, StateSnapshotVersion(*lat),
+      options_.persist_attempts, options_.persist_backoff_micros,
+      db_->clock(), &retries);
   if (spans_on) {
     const int64_t dur = SteadyNanos() - cp_start;
     obs::Span span;
@@ -464,49 +458,27 @@ Status MonitorEngine::RestoreLat(std::string_view lat_name,
   if (lat == nullptr) {
     return Status::NotFound("LAT '" + std::string(lat_name) + "' not found");
   }
-  const int64_t now = db_->clock()->NowMicros();
-  const auto note_fallback = [&](const storage::SnapshotLoadInfo& info) {
-    if (!info.used_fallback) return;
-    metrics_.persist_fallbacks.Inc();
-    RecordError(Status::IOError("restored LAT '" + std::string(lat_name) +
-                                "' from fallback snapshot '" + file_path +
-                                ".bak'; primary rejected: " +
-                                info.primary_error));
-  };
-  // Raw state first: load against the state schema and accept only when
-  // the file that actually passed verification carries a matching state
-  // version — v3 for sketch-bearing LATs, v2 otherwise (the version check
-  // disambiguates bodies whose arity happens to coincide).
-  const int state_version = lat->HasSketchAggs()
-                                ? storage::kSnapshotVersionV3
-                                : storage::kSnapshotVersionV2;
-  {
-    SQLCM_ASSIGN_OR_RETURN(auto staging, MakeLatStateStagingTable(*lat));
-    storage::SnapshotLoadInfo info;
-    Status status =
-        storage::LoadTableCsv(staging.get(), file_path, nullptr, &info);
-    if (status.ok() && info.version == state_version) {
-      note_fallback(info);
-      return lat->ImportState(*staging, now);
-    }
-  }
-  // v1 / legacy headerless CSV: materialized rows, seeded with the
-  // documented lossy semantics (Lat::SeedFrom). Sketch-bearing LATs reject
-  // this path inside SeedFrom (their state cannot be reconstructed from
-  // materialized rows), so a stale/foreign snapshot surfaces as a clean
-  // error instead of seeding garbage.
-  SQLCM_ASSIGN_OR_RETURN(auto staging, MakeLatStagingTable(*lat));
+  // Only a snapshot of the LAT's own state version loads; any other file
+  // (another version, no snapshot header) is rejected and `.bak` is tried.
+  SQLCM_ASSIGN_OR_RETURN(auto staging, MakeLatStateStagingTable(*lat));
   storage::SnapshotLoadInfo info;
-  Status status =
-      storage::LoadTableCsv(staging.get(), file_path, nullptr, &info);
-  if (!status.ok()) {
-    RecordError(status);
-    return status;
+  Status status = storage::LoadTableCsv(
+      staging.get(), file_path, StateSnapshotVersion(*lat), nullptr, &info);
+  if (status.ok()) {
+    if (info.used_fallback) {
+      metrics_.persist_fallbacks.Inc();
+      RecordError(Status::IOError("restored LAT '" + std::string(lat_name) +
+                                  "' from fallback snapshot '" + file_path +
+                                  ".bak'; primary rejected: " +
+                                  info.primary_error));
+    }
+    std::vector<Row> keys, records;
+    staging->ScanBatch(std::nullopt, staging->row_count(), &keys, &records);
+    for (Row& record : records) record.pop_back();  // persist_ts
+    status = lat->ImportState(records, db_->clock()->NowMicros());
   }
-  note_fallback(info);
-  Status seed = lat->SeedFrom(*staging, now);
-  if (!seed.ok()) RecordError(seed);
-  return seed;
+  if (!status.ok()) RecordError(status);
+  return status;
 }
 
 // ---------------------------------------------------------------------------

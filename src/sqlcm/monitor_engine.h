@@ -172,14 +172,12 @@ class MonitorEngine final : public engine::MonitorHooks,
   /// mid-window aging variants — bit-exactly.
   common::Status CheckpointLat(std::string_view lat_name,
                                const std::string& file_path);
-  /// Restores a LAT from a CheckpointLat snapshot, negotiating the format:
-  /// a raw-state snapshot of the LAT's own version (v3 with sketch
-  /// aggregates, v2 without) restores exactly (Lat::ImportState); v1 and
-  /// legacy headerless CSV snapshots seed from materialized values with
-  /// the documented lossy semantics (Lat::SeedFrom). A corrupt or
-  /// truncated primary snapshot falls back to the rotated `.bak` copy; the
-  /// recovery is counted (robustness.persist_fallbacks) and reported via
-  /// the error ring.
+  /// Restores a LAT from a CheckpointLat snapshot of the LAT's own state
+  /// version (v3 with sketch aggregates, v2 without), exactly
+  /// (Lat::ImportState). A primary snapshot that is corrupt, truncated, of
+  /// another version or without a snapshot header falls back to the
+  /// rotated `.bak` copy; the recovery is counted
+  /// (robustness.persist_fallbacks) and reported via the error ring.
   common::Status RestoreLat(std::string_view lat_name,
                             const std::string& file_path);
 
@@ -501,15 +499,6 @@ class MonitorEngine final : public engine::MonitorHooks,
   /// Feeds a failed evaluation into the rule's circuit breaker; records the
   /// quarantine when it trips.
   void NoteRuleFailure(const CompiledRule& rule, int64_t now_micros);
-  /// Builds the transient (non-catalog) staging table used by
-  /// v1 snapshots and RestoreLat's legacy path: LAT columns + trailing
-  /// persist_ts.
-  common::Result<std::unique_ptr<storage::Table>> MakeLatStagingTable(
-      const Lat& lat) const;
-  /// Builds the transient staging table for v2/v3 raw-state snapshots:
-  /// Lat::StateColumnNames + trailing persist_ts.
-  common::Result<std::unique_ptr<storage::Table>> MakeLatStateStagingTable(
-      const Lat& lat) const;
 
   // Query/transaction registries.
   std::shared_ptr<QueryRecord> FindActiveQueryRecord(uint64_t query_id) const;

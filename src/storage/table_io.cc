@@ -91,13 +91,11 @@ bool ReadCsvRecord(std::istream& in, std::string* record) {
   return true;
 }
 
-/// Fully parses and validates a snapshot (or legacy plain-CSV) file into
-/// rows matching `table`'s schema. Nothing is inserted here, so a corrupt
-/// file can be rejected wholesale and a fallback tried. `*version_out`
-/// reports the container version that was read.
+/// Fully parses and validates a snapshot file of `version` into rows
+/// matching `table`'s schema. Nothing is inserted here, so a corrupt file
+/// can be rejected wholesale and a fallback tried.
 Status ParseSnapshotFile(const Table& table, const std::string& path,
-                         std::vector<Row>* out, int* version_out) {
-  *version_out = kSnapshotVersionLegacyCsv;
+                         int version, std::vector<Row>* out) {
   if (FaultRegistry::Get()->Fire(kFaultSnapshotRead)) {
     return Status::IOError("fault injected: read of '" + path + "' failed");
   }
@@ -110,41 +108,36 @@ Status ParseSnapshotFile(const Table& table, const std::string& path,
     return Status::IOError("'" + path + "' is empty (missing header)");
   }
 
-  std::string body;
-  if (common::StartsWith(line, kSnapshotMagic)) {
-    // "#sqlcm-snapshot v=1 crc=xxxxxxxx len=123"
-    int version = -1;
-    unsigned long crc = 0;
-    unsigned long long len = 0;
-    if (std::sscanf(line.c_str(), "#sqlcm-snapshot v=%d crc=%8lx len=%llu",
-                    &version, &crc, &len) != 3) {
-      return Status::IOError("'" + path + "' has a malformed snapshot header");
-    }
-    if (version < kSnapshotVersionV1 || version > kSnapshotVersionV3) {
-      return Status::IOError("'" + path + "' has unsupported snapshot version " +
-                             std::to_string(version));
-    }
-    *version_out = version;
-    std::ostringstream rest;
-    rest << in.rdbuf();
-    body = rest.str();
-    if (body.size() != len) {
-      return Status::IOError(
-          "'" + path + "' is truncated: header says " + std::to_string(len) +
-          " body bytes, file has " + std::to_string(body.size()));
-    }
-    const uint32_t actual = common::Crc32(body);
-    if (actual != static_cast<uint32_t>(crc)) {
-      char buf[64];
-      std::snprintf(buf, sizeof(buf), "crc mismatch: header %08lx, body %08x",
-                    crc, actual);
-      return Status::IOError("'" + path + "' is corrupt (" + buf + ")");
-    }
-  } else {
-    // Legacy plain CSV: the first line is already the column header.
-    std::ostringstream rest;
-    rest << in.rdbuf();
-    body = line + '\n' + rest.str();
+  if (!common::StartsWith(line, kSnapshotMagic)) {
+    return Status::InvalidArgument("'" + path + "' has no snapshot header");
+  }
+  // "#sqlcm-snapshot v=2 crc=xxxxxxxx len=123"
+  int file_version = -1;
+  unsigned long crc = 0;
+  unsigned long long len = 0;
+  if (std::sscanf(line.c_str(), "#sqlcm-snapshot v=%d crc=%8lx len=%llu",
+                  &file_version, &crc, &len) != 3) {
+    return Status::IOError("'" + path + "' has a malformed snapshot header");
+  }
+  if (file_version != version) {
+    return Status::InvalidArgument(
+        "'" + path + "' is a v" + std::to_string(file_version) +
+        " snapshot; expected v" + std::to_string(version));
+  }
+  std::ostringstream rest;
+  rest << in.rdbuf();
+  const std::string body = rest.str();
+  if (body.size() != len) {
+    return Status::IOError(
+        "'" + path + "' is truncated: header says " + std::to_string(len) +
+        " body bytes, file has " + std::to_string(body.size()));
+  }
+  const uint32_t actual = common::Crc32(body);
+  if (actual != static_cast<uint32_t>(crc)) {
+    char buf[64];
+    std::snprintf(buf, sizeof(buf), "crc mismatch: header %08lx, body %08x",
+                  crc, actual);
+    return Status::IOError("'" + path + "' is corrupt (" + buf + ")");
   }
 
   std::istringstream body_in(body);
@@ -233,7 +226,7 @@ Status WriteFileAtomic(const std::string& path, std::string_view content) {
 
 Status WriteTableCsv(const Table& table, const std::string& path,
                      int version) {
-  if (version < kSnapshotVersionV1 || version > kSnapshotVersionV3) {
+  if (version < kSnapshotVersionV2 || version > kSnapshotVersionV3) {
     return Status::InvalidArgument("unsupported snapshot version " +
                                    std::to_string(version));
   }
@@ -300,9 +293,9 @@ Status WriteTableCsv(const Table& table, const std::string& path,
 }
 
 Status WriteTableCsvWithRetry(const Table& table, const std::string& path,
-                              int attempts, int64_t backoff_micros,
-                              common::Clock* clock, int* retries,
-                              int version) {
+                              int version, int attempts,
+                              int64_t backoff_micros, common::Clock* clock,
+                              int* retries) {
   if (retries != nullptr) *retries = 0;
   Status status;
   int64_t backoff = backoff_micros;
@@ -318,36 +311,16 @@ Status WriteTableCsvWithRetry(const Table& table, const std::string& path,
   return status;
 }
 
-common::Result<int> PeekSnapshotVersion(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) {
-    return Status::IOError("cannot open '" + path + "' for reading");
-  }
-  std::string line;
-  if (!std::getline(in, line)) {
-    return Status::IOError("'" + path + "' is empty (missing header)");
-  }
-  if (!common::StartsWith(line, kSnapshotMagic)) {
-    return kSnapshotVersionLegacyCsv;
-  }
-  int version = -1;
-  if (std::sscanf(line.c_str(), "#sqlcm-snapshot v=%d", &version) != 1) {
-    return Status::IOError("'" + path + "' has a malformed snapshot header");
-  }
-  return version;
-}
-
-Status LoadTableCsv(Table* table, const std::string& path, size_t* skipped,
-                    SnapshotLoadInfo* info) {
+Status LoadTableCsv(Table* table, const std::string& path, int version,
+                    size_t* skipped, SnapshotLoadInfo* info) {
   std::vector<Row> rows;
-  int version = kSnapshotVersionLegacyCsv;
-  Status status = ParseSnapshotFile(*table, path, &rows, &version);
+  Status status = ParseSnapshotFile(*table, path, version, &rows);
   if (!status.ok()) {
     // Primary unusable; fall back to the last good rotated snapshot.
     const std::string bak = path + ".bak";
     std::vector<Row> bak_rows;
     if (::access(bak.c_str(), F_OK) == 0 &&
-        ParseSnapshotFile(*table, bak, &bak_rows, &version).ok()) {
+        ParseSnapshotFile(*table, bak, version, &bak_rows).ok()) {
       rows = std::move(bak_rows);
       if (info != nullptr) {
         info->used_fallback = true;
@@ -357,7 +330,6 @@ Status LoadTableCsv(Table* table, const std::string& path, size_t* skipped,
       return status;
     }
   }
-  if (info != nullptr) info->version = version;
   size_t skipped_local = 0;
   for (Row& row : rows) {
     auto result = table->Insert(std::move(row));

@@ -7,15 +7,15 @@
 // synchronous writes.
 //
 // Snapshot file format (docs/ROBUSTNESS.md):
-//   #sqlcm-snapshot v=1 crc=<8 hex digits> len=<body bytes>
+//   #sqlcm-snapshot v=<2|3> crc=<8 hex digits> len=<body bytes>
 //   <CSV header row>
 //   <CSV data rows...>
 // The CRC-32 and byte length cover everything after the header line, so a
 // truncated or bit-flipped file is detected before any row is seeded.
 // Writes go to `path.tmp` + fsync + atomic rename; the previous snapshot is
 // rotated to `path.bak` first, and loads fall back to it when the primary
-// is missing, truncated or corrupt. Files without the magic header are
-// loaded as plain CSV (pre-snapshot compatibility).
+// is missing, truncated, corrupt, of another version than the reader asks
+// for, or has no snapshot header.
 #ifndef SQLCM_STORAGE_TABLE_IO_H_
 #define SQLCM_STORAGE_TABLE_IO_H_
 
@@ -34,17 +34,13 @@ inline constexpr char kFaultSnapshotRead[] = "storage.snapshot.read";
 inline constexpr char kFaultSyncLogWrite[] = "storage.synclog.write";
 
 /// Snapshot container versions. The container layout (header + CRC + CSV
-/// body) is identical for all; the version tags what the *rows* mean so a
-/// reader can negotiate the record schema before parsing:
-///   v1  materialized output rows (LAT columns + trailing timestamp)
+/// body) is identical for both; the version tags what the *rows* mean, and
+/// a reader loads only the version it asks for:
 ///   v2  raw aggregation-state rows (moments + aging blocks; see
 ///       Lat::ExportState and docs/ROBUSTNESS.md)
 ///   v3  v2 plus per-sketch-aggregate `#sketch` cells (QUANTILE/DISTINCT
 ///       payloads) — written whenever the LAT has sketch aggregates, so a
-///       v2-only reader rejects the file instead of mis-indexing cells
-/// Version 0 denotes a legacy plain-CSV file without the magic header.
-inline constexpr int kSnapshotVersionLegacyCsv = 0;
-inline constexpr int kSnapshotVersionV1 = 1;
+///       v2 reader rejects the file instead of mis-indexing cells
 inline constexpr int kSnapshotVersionV2 = 2;
 inline constexpr int kSnapshotVersionV3 = 3;
 
@@ -54,7 +50,7 @@ inline constexpr int kSnapshotVersionV3 = 3;
 /// leaves the previous snapshot intact. An existing `path` is rotated to
 /// `path.bak` first.
 common::Status WriteTableCsv(const Table& table, const std::string& path,
-                             int version = kSnapshotVersionV1);
+                             int version);
 
 /// Atomically replaces `path` with `content`: writes to `path.tmp`, fsyncs
 /// and renames over `path` (then fsyncs the parent directory so the rename
@@ -76,37 +72,26 @@ common::Status FsyncParentDir(const std::string& path);
 /// up to `attempts` tries, sleeping `backoff_micros` (doubling each retry)
 /// between them. `*retries` (optional) reports how many retries ran.
 common::Status WriteTableCsvWithRetry(const Table& table,
-                                      const std::string& path, int attempts,
-                                      int64_t backoff_micros,
+                                      const std::string& path, int version,
+                                      int attempts, int64_t backoff_micros,
                                       common::Clock* clock,
-                                      int* retries = nullptr,
-                                      int version = kSnapshotVersionV1);
+                                      int* retries = nullptr);
 
-/// Outcome detail for LoadTableCsv: which snapshot version was read,
-/// whether the last-good fallback snapshot was used and why the primary
-/// was rejected.
+/// Outcome detail for LoadTableCsv: whether the last-good fallback
+/// snapshot was used and why the primary was rejected.
 struct SnapshotLoadInfo {
   bool used_fallback = false;
   std::string primary_error;  // set when used_fallback is true
-  /// Version of the file actually loaded (kSnapshotVersionLegacyCsv for a
-  /// headerless plain-CSV file).
-  int version = kSnapshotVersionLegacyCsv;
 };
 
-/// Reads just the snapshot header of `path` and reports its version
-/// (kSnapshotVersionLegacyCsv when the magic header is absent). Used for
-/// version negotiation: a reader whose record schema depends on the
-/// version peeks before building the staging schema. IOError when the file
-/// cannot be opened or is empty.
-common::Result<int> PeekSnapshotVersion(const std::string& path);
-
-/// Loads rows from a snapshot (or plain CSV) file into `table`. Column
-/// order in the file must match the table schema. The whole file is
-/// verified and parsed before the first insert, so a corrupt file never
-/// half-loads; on verification failure `path.bak` is tried. Rows whose
+/// Loads rows from a snapshot file of `version` into `table`. Column order
+/// in the file must match the table schema. The whole file is verified and
+/// parsed before the first insert, so a corrupt file never half-loads; when
+/// verification fails (including a file of another version, or one without
+/// the snapshot header — InvalidArgument) `path.bak` is tried. Rows whose
 /// primary key already exists are skipped (count reported via *skipped).
 common::Status LoadTableCsv(Table* table, const std::string& path,
-                            size_t* skipped = nullptr,
+                            int version, size_t* skipped = nullptr,
                             SnapshotLoadInfo* info = nullptr);
 
 /// Append-only CSV sink with optional per-row fsync; models the "forced

@@ -2,9 +2,9 @@
 // naive recompute-from-history ReferenceLat oracle (SQLancer-style).
 //
 // A single driver interleaves inserts, mock-clock advances, batch flushes,
-// Resets and full checkpoint/restore cycles (ExportState →
-// version-negotiated snapshot file (v3 when sketch cells are present, v2
-// otherwise) → LoadTableCsv → ImportState into a fresh Lat), then
+// Resets and full checkpoint/restore cycles (ExportState → versioned
+// snapshot file (v3 when sketch cells are present, v2 otherwise) →
+// LoadTableCsv → ImportState into a fresh Lat), then
 // periodically compares every group's materialized row between the two
 // implementations. Batched configs route production inserts through
 // Lat::InsertBatch (the async pipeline's vectorized flush) against the
@@ -76,6 +76,7 @@ catalog::ColumnType TypeForKind(ValueKind kind) {
   }
 }
 
+/// The snapshot file's staging table: the LAT's state record columns.
 std::unique_ptr<storage::Table> MakeStateTable(const Lat& lat) {
   const std::vector<std::string> cols = lat.StateColumnNames();
   const std::vector<ValueKind> kinds = lat.StateColumnKinds();
@@ -375,8 +376,8 @@ TEST_P(LatDifferentialTest, ProductionMatchesReferenceOracle) {
       ref->Reset();
     } else if (r < 960) {
       flush_batch();
-      // Full checkpoint/restore cycle through the version-negotiated
-      // snapshot container (v3 when sketch cells are present, v2 otherwise):
+      // Full checkpoint/restore cycle through the versioned snapshot
+      // container (v3 when sketch cells are present, v2 otherwise):
       // raw state -> CSV file -> fresh staging table -> fresh Lat.
       const int snap_version = lat->HasSketchAggs()
                                    ? storage::kSnapshotVersionV3
@@ -384,19 +385,20 @@ TEST_P(LatDifferentialTest, ProductionMatchesReferenceOracle) {
       ASSERT_EQ(lat->HasSketchAggs(), param.sketch);
       const int64_t now = clock.NowMicros();
       auto staging = MakeStateTable(*lat);
-      auto status = lat->ExportState(staging.get(), now);
-      ASSERT_TRUE(status.ok()) << status.ToString();
-      status = storage::WriteTableCsv(*staging, snapshot_path, snap_version);
+      for (Row& record : lat->ExportState()) {
+        ASSERT_TRUE(staging->Insert(std::move(record)).ok());
+      }
+      auto status =
+          storage::WriteTableCsv(*staging, snapshot_path, snap_version);
       ASSERT_TRUE(status.ok()) << status.ToString();
       auto loaded = MakeStateTable(*lat);
-      storage::SnapshotLoadInfo info;
-      status = storage::LoadTableCsv(loaded.get(), snapshot_path, nullptr,
-                                     &info);
+      status = storage::LoadTableCsv(loaded.get(), snapshot_path, snap_version);
       ASSERT_TRUE(status.ok()) << status.ToString();
-      ASSERT_EQ(info.version, snap_version);
+      std::vector<Row> keys, records;
+      loaded->ScanBatch(std::nullopt, loaded->row_count(), &keys, &records);
       auto fresh = Lat::Create(spec);
       ASSERT_TRUE(fresh.ok()) << fresh.status().ToString();
-      status = (*fresh)->ImportState(*loaded, now);
+      status = (*fresh)->ImportState(records, now);
       ASSERT_TRUE(status.ok()) << status.ToString();
       lat = std::move(*fresh);
       ASSERT_NO_FATAL_FAILURE(compare_all(op)) << "post-restore";

@@ -479,19 +479,6 @@ catalog::ColumnType StateTypeFor(common::ValueKind kind) {
   }
 }
 
-std::unique_ptr<storage::Table> MakeStateTable(const Lat& lat) {
-  const std::vector<std::string> names = lat.StateColumnNames();
-  const std::vector<common::ValueKind> kinds = lat.StateColumnKinds();
-  std::vector<catalog::Column> columns;
-  for (size_t i = 0; i < names.size(); ++i) {
-    columns.push_back({names[i], StateTypeFor(kinds[i])});
-  }
-  columns.push_back({"persist_ts", catalog::ColumnType::kInt});
-  auto schema = catalog::TableSchema::Create("state", std::move(columns), {});
-  EXPECT_TRUE(schema.ok()) << schema.status().ToString();
-  return std::make_unique<storage::Table>(0, std::move(*schema));
-}
-
 std::unique_ptr<storage::Table> MakeV1Table(const Lat& lat) {
   std::vector<catalog::Column> columns;
   for (size_t i = 0; i < lat.num_columns(); ++i) {
@@ -503,20 +490,7 @@ std::unique_ptr<storage::Table> MakeV1Table(const Lat& lat) {
   return std::make_unique<storage::Table>(0, std::move(*schema));
 }
 
-std::vector<Row> AllTableRows(const storage::Table& table) {
-  std::optional<Row> after;
-  std::vector<Row> keys, rows, out;
-  for (;;) {
-    keys.clear();
-    rows.clear();
-    if (table.ScanBatch(after, 256, &keys, &rows) == 0) break;
-    after = keys.back();
-    out.insert(out.end(), rows.begin(), rows.end());
-  }
-  return out;
-}
-
-/// Order-independent rendering of a table's rows. Doubles render with the
+/// Order-independent rendering of rows. Doubles render with the
 /// shortest exact spelling, so string equality here is bit equality.
 std::string RenderRows(const std::vector<Row>& rows) {
   std::vector<std::string> lines;
@@ -574,12 +548,11 @@ TEST_P(LatStateSnapshotTest, CheckpointRestoreCheckpointIsIdempotent) {
     now += static_cast<int64_t>(rng.Uniform(700));
   }
 
-  auto first = MakeStateTable(*lat);
-  ASSERT_TRUE(lat->ExportState(first.get(), 42).ok());
-  EXPECT_EQ(first->row_count(), lat->size());
+  const std::vector<Row> first = lat->ExportState();
+  EXPECT_EQ(first.size(), lat->size());
 
   auto restored = *Lat::Create(spec);
-  ASSERT_TRUE(restored->ImportState(*first, now).ok());
+  ASSERT_TRUE(restored->ImportState(first, now).ok());
   EXPECT_EQ(restored->size(), lat->size());
 
   for (int k = 0; k < 7; ++k) {
@@ -595,9 +568,7 @@ TEST_P(LatStateSnapshotTest, CheckpointRestoreCheckpointIsIdempotent) {
     }
   }
 
-  auto second = MakeStateTable(*restored);
-  ASSERT_TRUE(restored->ExportState(second.get(), 42).ok());
-  EXPECT_EQ(RenderRows(AllTableRows(*first)), RenderRows(AllTableRows(*second)));
+  EXPECT_EQ(RenderRows(first), RenderRows(restored->ExportState()));
 }
 
 INSTANTIATE_TEST_SUITE_P(AgingAndShards, LatStateSnapshotTest,
@@ -642,10 +613,8 @@ TEST(LatTest, RecycledSlotExportsLikeAFreshRow) {
   fresh->Insert(&rec, 0);
 
   auto export_of = [](const Lat& l) {
-    auto table = MakeStateTable(l);
-    EXPECT_TRUE(l.ExportState(table.get(), 0).ok());
-    std::vector<Row> keys, rows;
-    EXPECT_EQ(table->ScanBatch(std::nullopt, 16, &keys, &rows), 1u);
+    const std::vector<Row> rows = l.ExportState();
+    EXPECT_EQ(rows.size(), 1u);
     return rows.empty() ? Row() : rows[0];
   };
   const Row got = export_of(*lat);
@@ -680,10 +649,8 @@ TEST(LatTest, ByteChargeIndependentOfSlotHistory) {
   }
   EXPECT_GT(lat->stats().evictions.value(), 0u);
   EXPECT_LE(lat->approx_bytes(), spec.max_bytes);
-  auto state = MakeStateTable(*lat);
-  ASSERT_TRUE(lat->ExportState(state.get(), 0).ok());
   auto fresh = *Lat::Create(spec);
-  ASSERT_TRUE(fresh->ImportState(*state, 0).ok());
+  ASSERT_TRUE(fresh->ImportState(lat->ExportState(), 0).ok());
   EXPECT_EQ(fresh->size(), lat->size());
   EXPECT_EQ(fresh->approx_bytes(), lat->approx_bytes());
 }
@@ -707,7 +674,6 @@ TEST(LatTest, RecycledSlotSketchesActLikeAbsentOnes) {
   // A state record for group `id` with one observation and no sketch cells
   // (what a federation delta carries for a group whose inputs were NULL).
   const auto bare_record = [&spec](int64_t id) {
-    auto table = MakeStateTable(**Lat::Create(spec));
     Row record = {Value::Int(id)};
     for (const LatAggColumn& col : spec.aggregates) {
       record.insert(record.end(), {Value::Int(1), Value::Double(0),
@@ -716,26 +682,20 @@ TEST(LatTest, RecycledSlotSketchesActLikeAbsentOnes) {
                                    Value::Null(), Value::String("")});
       if (LatAggFuncIsSketch(col.func)) record.push_back(Value::String(""));
     }
-    record.push_back(Value::Int(0));  // persist_ts
-    EXPECT_TRUE(table->Insert(std::move(record)).ok());
-    return table;
+    return std::vector<Row>{std::move(record)};
   };
   QueryRecord rec;
   rec.id = 1;
   rec.duration_secs = 2.5;
   rec.text = "filled";
   lat->Insert(&rec, 0);  // slot 0: both sketches hold data
-  ASSERT_TRUE(lat->MergeState(*bare_record(2), 0).ok());  // evicts group 1
-  ASSERT_TRUE(lat->MergeState(*bare_record(3), 0).ok());  // reuses slot 0
-  ASSERT_TRUE(fresh->MergeState(*bare_record(3), 0).ok());
+  ASSERT_TRUE(lat->MergeState(bare_record(2), 0).ok());  // evicts group 1
+  ASSERT_TRUE(lat->MergeState(bare_record(3), 0).ok());  // reuses slot 0
+  ASSERT_TRUE(fresh->MergeState(bare_record(3), 0).ok());
   const auto expect_same = [&](const char* when) {
     SCOPED_TRACE(when);
     EXPECT_EQ(RenderRows(lat->Snapshot(0)), RenderRows(fresh->Snapshot(0)));
-    auto got = MakeStateTable(*lat);
-    auto want = MakeStateTable(*fresh);
-    ASSERT_TRUE(lat->ExportState(got.get(), 0).ok());
-    ASSERT_TRUE(fresh->ExportState(want.get(), 0).ok());
-    EXPECT_EQ(RenderRows(AllTableRows(*got)), RenderRows(AllTableRows(*want)));
+    EXPECT_EQ(RenderRows(lat->ExportState()), RenderRows(fresh->ExportState()));
     EXPECT_EQ(lat->approx_bytes(), fresh->approx_bytes());
     size_t got_bytes = 1, got_cells = 1, want_bytes = 0, want_cells = 0;
     lat->SketchFootprint(&got_bytes, &got_cells);
@@ -760,10 +720,9 @@ TEST(LatTest, RecycledSlotSketchesActLikeAbsentOnes) {
     rec.text = "t" + std::to_string(i % 7);
     source->Insert(&rec, 0);
   }
-  auto shipped = MakeStateTable(*source);
-  ASSERT_TRUE(source->ExportState(shipped.get(), 0).ok());
-  ASSERT_TRUE(lat->MergeState(*shipped, 0).ok());
-  ASSERT_TRUE(fresh->MergeState(*shipped, 0).ok());
+  const std::vector<Row> shipped = source->ExportState();
+  ASSERT_TRUE(lat->MergeState(shipped, 0).ok());
+  ASSERT_TRUE(fresh->MergeState(shipped, 0).ok());
   expect_same("merged");
 }
 
@@ -775,17 +734,15 @@ TEST(LatTest, StateRoundTripPreservesHostileStrings) {
   lat->Insert(&q1, 0);
   lat->Insert(&q2, 0);
 
-  auto table = MakeStateTable(*lat);
-  ASSERT_TRUE(lat->ExportState(table.get(), 0).ok());
   auto restored = *Lat::Create(spec);
-  ASSERT_TRUE(restored->ImportState(*table, 0).ok());
+  ASSERT_TRUE(restored->ImportState(lat->ExportState(), 0).ok());
   Row row;
   ASSERT_TRUE(restored->LookupByKey({Value::String("s")}, 0, &row));
   EXPECT_EQ(row[7].string_value(), "a:b;c%d");  // FIRST
   EXPECT_EQ(row[8].string_value(), "NULL");     // LAST (the string, not SQL NULL)
 }
 
-// Legacy v1 (materialized-row) seeding: STDEV now round-trips through the
+// Materialized-row seeding (SeedFrom): STDEV round-trips through the
 // documented moment reconstruction instead of resetting to 0, and the
 // seeded moments keep evolving consistently.
 TEST(LatTest, SeedFromReconstructsStdevFromMaterializedRow) {
@@ -930,22 +887,18 @@ TEST(LatSketchTest, EmptySketchCellsRestoreToNullAndZero) {
   auto lat = *Lat::Create(SketchSpec());
   auto q = MakeQuery("s", 7.0, "text");
   lat->Insert(&q, 0);
-  auto exported = MakeStateTable(*lat);
-  ASSERT_TRUE(lat->ExportState(exported.get(), 0).ok());
-
   const std::vector<std::string> names = lat->StateColumnNames();
-  auto blanked = MakeStateTable(*lat);
-  for (Row& record : AllTableRows(*exported)) {
+  std::vector<Row> blanked = lat->ExportState();
+  for (Row& record : blanked) {
     for (size_t i = 0; i < names.size(); ++i) {
       if (names[i].size() > 7 &&
           names[i].compare(names[i].size() - 7, 7, "#sketch") == 0) {
         record[i] = Value::String("");
       }
     }
-    ASSERT_TRUE(blanked->Insert(std::move(record)).ok());
   }
   auto restored = *Lat::Create(SketchSpec());
-  ASSERT_TRUE(restored->ImportState(*blanked, 0).ok());
+  ASSERT_TRUE(restored->ImportState(blanked, 0).ok());
   Row row;
   ASSERT_TRUE(restored->LookupByKey({Value::String("s")}, 0, &row));
   EXPECT_EQ(row[1].int_value(), 1);   // fold count survives
@@ -960,18 +913,40 @@ TEST(LatSketchTest, CorruptSketchCellRejectsImport) {
   auto lat = *Lat::Create(SketchSpec());
   auto q = MakeQuery("s", 7.0, "text");
   lat->Insert(&q, 0);
-  auto exported = MakeStateTable(*lat);
-  ASSERT_TRUE(lat->ExportState(exported.get(), 0).ok());
-  auto corrupted = MakeStateTable(*lat);
   const std::vector<std::string> names = lat->StateColumnNames();
-  for (Row& record : AllTableRows(*exported)) {
+  std::vector<Row> corrupted = lat->ExportState();
+  for (Row& record : corrupted) {
     for (size_t i = 0; i < names.size(); ++i) {
       if (names[i] == "P50#sketch") record[i] = Value::String("garbage");
     }
-    ASSERT_TRUE(corrupted->Insert(std::move(record)).ok());
   }
   auto restored = *Lat::Create(SketchSpec());
-  EXPECT_FALSE(restored->ImportState(*corrupted, 0).ok());
+  EXPECT_FALSE(restored->ImportState(corrupted, 0).ok());
+}
+
+// A failed import adopts nothing: every record is decoded before the first
+// one lands, so a bad last record leaves the LAT empty rather than holding
+// the records before it.
+TEST(LatSketchTest, FailedImportLeavesLatEmpty) {
+  auto lat = *Lat::Create(SketchSpec());
+  for (int g = 0; g < 8; ++g) {
+    auto q = MakeQuery("sig" + std::to_string(g), 1.0 + g, "text");
+    lat->Insert(&q, 0);
+  }
+  std::vector<Row> records = lat->ExportState();
+  ASSERT_EQ(records.size(), 8u);
+  const std::vector<std::string> names = lat->StateColumnNames();
+  const size_t p50 = static_cast<size_t>(
+      std::find(names.begin(), names.end(), "P50#sketch") - names.begin());
+  ASSERT_LT(p50, names.size());
+  records.back()[p50] = Value::String("garbage");
+
+  auto restored = *Lat::Create(SketchSpec());
+  EXPECT_FALSE(restored->ImportState(records, 0).ok());
+  EXPECT_EQ(restored->size(), 0u);
+  auto merged = *Lat::Create(SketchSpec());
+  EXPECT_FALSE(merged->MergeState(records, 0).ok());
+  EXPECT_EQ(merged->size(), 0u);
 }
 
 // v3 state snapshots must round-trip sketch-bearing LATs bit-exactly, even
@@ -989,10 +964,9 @@ TEST(LatSketchTest, SketchStateRoundTripIsIdempotent) {
   }
   EXPECT_GT(lat->stats().sketch_collapses.value(), 0u);
 
-  auto first = MakeStateTable(*lat);
-  ASSERT_TRUE(lat->ExportState(first.get(), 9).ok());
+  const std::vector<Row> first = lat->ExportState();
   auto restored = *Lat::Create(spec);
-  ASSERT_TRUE(restored->ImportState(*first, 0).ok());
+  ASSERT_TRUE(restored->ImportState(first, 0).ok());
   EXPECT_EQ(restored->size(), lat->size());
 
   for (int k = 0; k < 5; ++k) {
@@ -1007,9 +981,7 @@ TEST(LatSketchTest, SketchStateRoundTripIsIdempotent) {
           << "column " << lat->column_names()[c];
     }
   }
-  auto second = MakeStateTable(*restored);
-  ASSERT_TRUE(restored->ExportState(second.get(), 9).ok());
-  EXPECT_EQ(RenderRows(AllTableRows(*first)), RenderRows(AllTableRows(*second)));
+  EXPECT_EQ(RenderRows(first), RenderRows(restored->ExportState()));
 }
 
 // Fleet-merge: folding one node's state export into another must read
@@ -1030,9 +1002,7 @@ TEST(LatSketchTest, MergeStateFoldsSketchesExactly) {
     whole->Insert(&q, 0);
     (i % 2 == 0 ? node_a : node_b)->Insert(&q, 0);
   }
-  auto shipped = MakeStateTable(*node_b);
-  ASSERT_TRUE(node_b->ExportState(shipped.get(), 0).ok());
-  ASSERT_TRUE(node_a->MergeState(*shipped, 0).ok());
+  ASSERT_TRUE(node_a->MergeState(node_b->ExportState(), 0).ok());
   EXPECT_EQ(node_a->size(), whole->size());
   for (int k = 0; k < 6; ++k) {
     const Row key = {Value::String("sig" + std::to_string(k))};
@@ -1146,21 +1116,18 @@ TEST(LatTest, AgingEmptyWindowMatchesUnallocatedDeque) {
   // Build the unallocated-deque twin by restoring the same record with its
   // #blocks cells blanked (how a group that never folded an aging value
   // round-trips through the state codec).
-  auto exported = MakeStateTable(*expired);
-  ASSERT_TRUE(expired->ExportState(exported.get(), 0).ok());
   const std::vector<std::string> names = expired->StateColumnNames();
-  auto blanked = MakeStateTable(*expired);
-  for (Row& record : AllTableRows(*exported)) {
+  std::vector<Row> blanked = expired->ExportState();
+  for (Row& record : blanked) {
     for (size_t i = 0; i < names.size(); ++i) {
       if (names[i].size() > 7 &&
           names[i].compare(names[i].size() - 7, 7, "#blocks") == 0) {
         record[i] = Value::String("");
       }
     }
-    ASSERT_TRUE(blanked->Insert(std::move(record)).ok());
   }
   auto unallocated = *Lat::Create(spec);
-  ASSERT_TRUE(unallocated->ImportState(*blanked, 0).ok());
+  ASSERT_TRUE(unallocated->ImportState(blanked, 0).ok());
 
   const int64_t later = 1'000'000;  // far past the 10ms window
   Row a, b;
@@ -1248,10 +1215,8 @@ TEST(LatTest, FoldsOnlyTheMomentsAColumnReads) {
   EXPECT_EQ(row[3].string_value(), "m");
 
   const auto names = lat->StateColumnNames();
-  auto table = MakeStateTable(*lat);
-  ASSERT_TRUE(lat->ExportState(table.get(), 0).ok());
-  std::vector<Row> keys, rows;
-  ASSERT_EQ(table->ScanBatch(std::nullopt, 16, &keys, &rows), 1u);
+  const std::vector<Row> rows = lat->ExportState();
+  ASSERT_EQ(rows.size(), 1u);
   auto cell = [&](const std::string& name) {
     const auto it = std::find(names.begin(), names.end(), name);
     return rows[0][static_cast<size_t>(it - names.begin())].string_value();
@@ -1268,7 +1233,7 @@ TEST(LatTest, FoldsOnlyTheMomentsAColumnReads) {
 
   // The state round-trips through a fresh LAT unchanged.
   auto restored = *Lat::Create(spec);
-  ASSERT_TRUE(restored->ImportState(*table, 0).ok());
+  ASSERT_TRUE(restored->ImportState(rows, 0).ok());
   Row again;
   ASSERT_TRUE(restored->LookupByKey({Value::String("s")}, 0, &again));
   EXPECT_EQ(again, row);

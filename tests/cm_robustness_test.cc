@@ -6,6 +6,7 @@
 // exercised at least once here (ISSUE 2 acceptance criteria).
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cstdio>
 #include <fstream>
@@ -15,6 +16,7 @@
 #include <vector>
 
 #include "common/clock.h"
+#include "common/crc32.h"
 #include "common/fault.h"
 #include "engine/session.h"
 #include "sqlcm/actions_io.h"
@@ -34,6 +36,7 @@ using common::MockClock;
 using common::Row;
 using common::Value;
 using exec::QueryResult;
+using storage::kSnapshotVersionV2;
 using storage::LoadTableCsv;
 using storage::SnapshotLoadInfo;
 using storage::Table;
@@ -170,12 +173,13 @@ class SnapshotFaultTest : public FaultFixture {
           table.Insert({Value::Int(i), Value::String("r" + std::to_string(i))})
               .ok());
     }
-    ASSERT_TRUE(WriteTableCsv(table, path_).ok());
+    ASSERT_TRUE(WriteTableCsv(table, path_, kSnapshotVersionV2).ok());
   }
 
   size_t LoadedRowCount(SnapshotLoadInfo* info = nullptr) {
     Table table(2, MakeSchema());
-    const auto status = LoadTableCsv(&table, path_, nullptr, info);
+    const auto status =
+        LoadTableCsv(&table, path_, kSnapshotVersionV2, nullptr, info);
     EXPECT_TRUE(status.ok()) << status;
     return status.ok() ? table.row_count() : 0;
   }
@@ -189,7 +193,7 @@ TEST_F(SnapshotFaultTest, InjectedIoErrorLeavesPreviousSnapshotIntact) {
                             {FaultKind::kIOError, 1.0, -1});
   Table bigger(1, MakeSchema());
   ASSERT_TRUE(bigger.Insert({Value::Int(9), Value::String("x")}).ok());
-  EXPECT_FALSE(WriteTableCsv(bigger, path_).ok());
+  EXPECT_FALSE(WriteTableCsv(bigger, path_, kSnapshotVersionV2).ok());
   FaultRegistry::Get()->Reset();
   EXPECT_EQ(LoadedRowCount(), 2u);  // the old snapshot survived untouched
 }
@@ -203,14 +207,15 @@ TEST_F(SnapshotFaultTest, ShortWriteTearsTmpButNotPrimary) {
     ASSERT_TRUE(
         bigger.Insert({Value::Int(i), Value::String("new")}).ok());
   }
-  EXPECT_FALSE(WriteTableCsv(bigger, path_).ok());
+  EXPECT_FALSE(WriteTableCsv(bigger, path_, kSnapshotVersionV2).ok());
   FaultRegistry::Get()->Reset();
   // The torn bytes landed in .tmp only; the published snapshot still loads.
   EXPECT_TRUE(FileExists(path_ + ".tmp"));
   EXPECT_EQ(LoadedRowCount(), 2u);
   // And the torn tmp itself is rejected by verification, not half-loaded.
   Table scratch(3, MakeSchema());
-  EXPECT_FALSE(LoadTableCsv(&scratch, path_ + ".tmp").ok());
+  EXPECT_FALSE(
+      LoadTableCsv(&scratch, path_ + ".tmp", kSnapshotVersionV2).ok());
   EXPECT_EQ(scratch.row_count(), 0u);
 }
 
@@ -220,7 +225,7 @@ TEST_F(SnapshotFaultTest, CrashBeforeRenameKeepsPreviousSnapshot) {
                             {FaultKind::kCrashRename, 1.0, -1});
   Table bigger(1, MakeSchema());
   ASSERT_TRUE(bigger.Insert({Value::Int(7), Value::String("x")}).ok());
-  EXPECT_FALSE(WriteTableCsv(bigger, path_).ok());
+  EXPECT_FALSE(WriteTableCsv(bigger, path_, kSnapshotVersionV2).ok());
   FaultRegistry::Get()->Reset();
   EXPECT_TRUE(FileExists(path_ + ".tmp"));  // durable but unpublished
   EXPECT_EQ(LoadedRowCount(), 2u);
@@ -262,7 +267,7 @@ TEST_F(SnapshotFaultTest, CorruptionWithoutBackupIsAnErrorNotAHalfLoad) {
   WriteFile(path_, content.substr(0, content.size() - 2));
 
   Table table(2, MakeSchema());
-  EXPECT_FALSE(LoadTableCsv(&table, path_).ok());
+  EXPECT_FALSE(LoadTableCsv(&table, path_, kSnapshotVersionV2).ok());
   EXPECT_EQ(table.row_count(), 0u);  // nothing seeded from the bad file
 }
 
@@ -285,9 +290,9 @@ TEST_F(SnapshotFaultTest, WriteRetriesTransientFailuresWithBackoff) {
 
   MockClock clock;
   int retries = 0;
-  const auto status = WriteTableCsvWithRetry(table, path_, /*attempts=*/4,
-                                             /*backoff_micros=*/100, &clock,
-                                             &retries);
+  const auto status = WriteTableCsvWithRetry(
+      table, path_, kSnapshotVersionV2, /*attempts=*/4,
+      /*backoff_micros=*/100, &clock, &retries);
   EXPECT_TRUE(status.ok()) << status;
   EXPECT_EQ(retries, 2);
   EXPECT_EQ(clock.NowMicros(), 100 + 200);  // doubling backoff between tries
@@ -298,7 +303,9 @@ TEST_F(SnapshotFaultTest, WriteRetriesTransientFailuresWithBackoff) {
   FaultRegistry::Get()->Arm(storage::kFaultSnapshotWrite,
                             {FaultKind::kIOError, 1.0, -1});
   EXPECT_FALSE(
-      WriteTableCsvWithRetry(table, path_, 2, 100, &clock, &retries).ok());
+      WriteTableCsvWithRetry(table, path_, kSnapshotVersionV2, 2, 100, &clock,
+                             &retries)
+          .ok());
   EXPECT_EQ(retries, 1);
 }
 
@@ -423,41 +430,6 @@ TEST_F(LatCheckpointTest, CheckpointRetriesTransientFaultsAndCountsThem) {
   EXPECT_EQ(writer.monitor.metrics().persist_retries.value(), 1u);
 }
 
-TEST_F(LatCheckpointTest, RestoreLoadsLegacyV1Snapshot) {
-  // A server upgraded to raw-state (v2) checkpoints must still load
-  // snapshots written by the previous release: v1 materialized rows in the
-  // old {group, aggregates..., persist_ts} schema, seeded through the
-  // documented lossy path (COUNT drives the seed count; AVG reconstructs
-  // the sum).
-  auto schema = catalog::TableSchema::Create(
-      "legacy",
-      {{"Sig", catalog::ColumnType::kString},
-       {"Avg_Duration", catalog::ColumnType::kDouble},
-       {"N", catalog::ColumnType::kInt},
-       {"persist_ts", catalog::ColumnType::kInt}},
-      {});
-  ASSERT_TRUE(schema.ok()) << schema.status().ToString();
-  Table legacy(0, std::move(*schema));
-  ASSERT_TRUE(legacy
-                  .Insert({Value::String("legacy_sig"), Value::Double(2.5),
-                           Value::Int(4), Value::Int(99)})
-                  .ok());
-  ASSERT_TRUE(
-      WriteTableCsv(legacy, path_, storage::kSnapshotVersionV1).ok());
-
-  Node reader;
-  ASSERT_TRUE(reader.monitor.RestoreLat("Duration_LAT", path_).ok());
-  EXPECT_EQ(reader.LatSize(), 1u);
-  Lat* lat = reader.monitor.FindLat("Duration_LAT");
-  ASSERT_NE(lat, nullptr);
-  Row row;
-  ASSERT_TRUE(lat->LookupByKey({Value::String("legacy_sig")}, 0, &row));
-  EXPECT_DOUBLE_EQ(row[1].double_value(), 2.5);  // AVG preserved
-  EXPECT_EQ(row[2].int_value(), 4);              // COUNT drives the seed
-  // A clean v1 load is version negotiation, not a .bak recovery.
-  EXPECT_EQ(reader.monitor.metrics().persist_fallbacks.value(), 0u);
-}
-
 TEST_F(LatCheckpointTest, CorruptV2HeaderFallsBackToBak) {
   Node writer;
   writer.RunDistinctQueries(2);
@@ -533,25 +505,21 @@ class SketchCheckpointTest : public FaultFixture {
     Lat* lat() { return monitor.FindLat("Sketch_LAT"); }
   };
 
-  /// A v1 legacy snapshot in Sketch_LAT's *materialized* schema — the shape
-  /// an old release (or a mis-pointed restore path) would hand us.
+  /// A v1 snapshot in Sketch_LAT's *materialized* schema — the shape an
+  /// old release (or a mis-pointed restore path) would hand us — written
+  /// as raw bytes: header, CRC and body. Like a checkpoint write, it
+  /// rotates an existing primary to `.bak`.
   void WriteLegacyV1Snapshot() {
-    auto schema = catalog::TableSchema::Create(
-        "legacy",
-        {{"Sig", catalog::ColumnType::kString},
-         {"N", catalog::ColumnType::kInt},
-         {"P50", catalog::ColumnType::kDouble},
-         {"DQ", catalog::ColumnType::kInt},
-         {"persist_ts", catalog::ColumnType::kInt}},
-        {});
-    ASSERT_TRUE(schema.ok()) << schema.status().ToString();
-    Table legacy(0, std::move(*schema));
-    ASSERT_TRUE(legacy
-                    .Insert({Value::String("legacy_sig"), Value::Int(4),
-                             Value::Double(2.5), Value::Int(3), Value::Int(9)})
-                    .ok());
-    ASSERT_TRUE(
-        WriteTableCsv(legacy, path_, storage::kSnapshotVersionV1).ok());
+    const std::string body =
+        "Sig,N,P50,DQ,persist_ts\nlegacy_sig,4,2.5,3,9\n";
+    char header[64];
+    std::snprintf(header, sizeof(header),
+                  "#sqlcm-snapshot v=1 crc=%08x len=%zu\n",
+                  common::Crc32(body), body.size());
+    if (FileExists(path_)) {
+      ASSERT_EQ(std::rename(path_.c_str(), (path_ + ".bak").c_str()), 0);
+    }
+    WriteFile(path_, header + body);
   }
 
   std::string path_;
@@ -608,6 +576,146 @@ TEST_F(SketchCheckpointTest, V1PrimaryFallsBackToV3Bak) {
   EXPECT_EQ(reader.monitor.metrics().persist_fallbacks.value(), 1u);
   EXPECT_NE(reader.monitor.last_error().find("fallback"), std::string::npos)
       << reader.monitor.last_error();
+}
+
+// ---------------------------------------------------------------------------
+// On-disk compatibility of LAT checkpoints
+// ---------------------------------------------------------------------------
+
+LatSpec CompatSpec(bool sketch) {
+  LatSpec spec;
+  spec.group_by = {{"Logical_Signature", "Sig"}};
+  if (sketch) {
+    spec.name = "CompatSketch_LAT";
+    spec.aggregates = {{LatAggFunc::kCount, "", "N", false},
+                       {LatAggFunc::kQuantile, "Duration", "P50", false, 0.5},
+                       {LatAggFunc::kDistinct, "Query_Text", "DQ", false}};
+    spec.distinct_precision = 4;
+    return spec;
+  }
+  spec.name = "Compat_LAT";
+  spec.aggregates = {{LatAggFunc::kCount, "", "N", false},
+                     {LatAggFunc::kSum, "Duration", "SumDur", false},
+                     {LatAggFunc::kAvg, "Duration", "AvgDur", false},
+                     {LatAggFunc::kStdev, "Duration", "SdDur", false},
+                     {LatAggFunc::kMin, "Duration", "MinDur", false},
+                     {LatAggFunc::kMax, "Duration", "MaxDur", false},
+                     {LatAggFunc::kFirst, "Query_Text", "FirstText", false},
+                     {LatAggFunc::kLast, "Query_Text", "LastText", false}};
+  return spec;
+}
+
+/// The twelve inserts behind the snapshots below: three groups, durations
+/// 0.1..1.2 and texts that need CSV quoting or hold codec delimiters.
+void FeedCompat(Lat* lat) {
+  const char* texts[] = {"plain", "with,comma", "a:b;c%d", "q\"uote"};
+  for (int i = 0; i < 12; ++i) {
+    QueryRecord rec;
+    rec.logical_signature = "sig" + std::to_string(i % 3);
+    rec.text = texts[i % 4];
+    rec.duration_secs = 0.1 * (i + 1);
+    lat->Insert(&rec, 1'000'000);
+  }
+}
+
+// CheckpointLat files of CompatSpec(false) (v2) and CompatSpec(true) (v3)
+// after FeedCompat, as an earlier build wrote them. A codec change that
+// stops these from restoring strands every checkpoint already on disk.
+constexpr char kCompatV2Snapshot[] =
+    "#sqlcm-snapshot v=2 crc=7641993d len=2015\n"
+    "Sig,N#count,N#sum,N#sumsq,N#any,N#min,N#max,N#first,N#last,N#blo"
+    "cks,SumDur#count,SumDur#sum,SumDur#sumsq,SumDur#any,SumDur#min,S"
+    "umDur#max,SumDur#first,SumDur#last,SumDur#blocks,AvgDur#count,Av"
+    "gDur#sum,AvgDur#sumsq,AvgDur#any,AvgDur#min,AvgDur#max,AvgDur#fi"
+    "rst,AvgDur#last,AvgDur#blocks,SdDur#count,SdDur#sum,SdDur#sumsq,"
+    "SdDur#any,SdDur#min,SdDur#max,SdDur#first,SdDur#last,SdDur#block"
+    "s,MinDur#count,MinDur#sum,MinDur#sumsq,MinDur#any,MinDur#min,Min"
+    "Dur#max,MinDur#first,MinDur#last,MinDur#blocks,MaxDur#count,MaxD"
+    "ur#sum,MaxDur#sumsq,MaxDur#any,MaxDur#min,MaxDur#max,MaxDur#firs"
+    "t,MaxDur#last,MaxDur#blocks,FirstText#count,FirstText#sum,FirstT"
+    "ext#sumsq,FirstText#any,FirstText#min,FirstText#max,FirstText#fi"
+    "rst,FirstText#last,FirstText#blocks,LastText#count,LastText#sum,"
+    "LastText#sumsq,LastText#any,LastText#min,LastText#max,LastText#f"
+    "irst,LastText#last,LastText#blocks,persist_ts\n"
+    "sig0,4,4,4,TRUE,N,N,N,I1,,4,2.2,1.6600000000000001,TRUE,N,N,N,D1"
+    ",,4,2.2,1.6600000000000001,TRUE,N,N,N,D1,,4,2.2,1.66000000000000"
+    "01,TRUE,N,N,N,D1,,4,2.2,1.6600000000000001,TRUE,D0.1,N,N,D1,,4,2"
+    ".2,1.6600000000000001,TRUE,N,D1,N,D1,,4,0,0,TRUE,N,N,Splain,\"Swi"
+    "th,comma\",,4,0,0,TRUE,N,N,N,\"Swith,comma\",,1000000\n"
+    "sig2,4,4,4,TRUE,N,N,N,I1,,4,3.0000000000000004,2.700000000000000"
+    "6,TRUE,N,N,N,D1.2000000000000002,,4,3.0000000000000004,2.7000000"
+    "000000006,TRUE,N,N,N,D1.2000000000000002,,4,3.0000000000000004,2"
+    ".7000000000000006,TRUE,N,N,N,D1.2000000000000002,,4,3.0000000000"
+    "000004,2.7000000000000006,TRUE,D0.30000000000000004,N,N,D1.20000"
+    "00000000002,,4,3.0000000000000004,2.7000000000000006,TRUE,N,D1.2"
+    "000000000000002,N,D1.2000000000000002,,4,0,0,TRUE,N,N,Sa%3Ab%3Bc"
+    "%25d,\"Sq\"\"uote\",,4,0,0,TRUE,N,N,N,\"Sq\"\"uote\",,1000000\n"
+    "sig1,4,4,4,TRUE,N,N,N,I1,,4,2.6,2.1400000000000006,TRUE,N,N,N,D1"
+    ".1,,4,2.6,2.1400000000000006,TRUE,N,N,N,D1.1,,4,2.6,2.1400000000"
+    "000006,TRUE,N,N,N,D1.1,,4,2.6,2.1400000000000006,TRUE,D0.2,N,N,D"
+    "1.1,,4,2.6,2.1400000000000006,TRUE,N,D1.1,N,D1.1,,4,0,0,TRUE,N,N"
+    ",\"Swith,comma\",Sa%3Ab%3Bc%25d,,4,0,0,TRUE,N,N,N,Sa%3Ab%3Bc%25d,,"
+    "1000000\n";
+
+constexpr char kCompatV3Snapshot[] =
+    "#sqlcm-snapshot v=3 crc=cfab4158 len=697\n"
+    "Sig,N#count,N#sum,N#sumsq,N#any,N#min,N#max,N#first,N#last,N#blo"
+    "cks,P50#count,P50#sum,P50#sumsq,P50#any,P50#min,P50#max,P50#firs"
+    "t,P50#last,P50#blocks,P50#sketch,DQ#count,DQ#sum,DQ#sumsq,DQ#any"
+    ",DQ#min,DQ#max,DQ#first,DQ#last,DQ#blocks,DQ#sketch,persist_ts\n"
+    "sig0,4,4,4,TRUE,N,N,N,I1,,4,0,0,FALSE,N,N,N,N,,Q1 0 0 0 4 -115:1"
+    " -45:1 -17:1 0:1,4,0,0,FALSE,N,N,N,N,,H1 4 000000000002000000020"
+    "10005000000,1000000\n"
+    "sig2,4,4,4,TRUE,N,N,N,I1,,4,0,0,FALSE,N,N,N,N,,Q1 0 0 0 4 -60:1 "
+    "-25:1 -5:1 10:1,4,0,0,FALSE,N,N,N,N,,H1 4 0000000000020000000201"
+    "0005000000,1000000\n"
+    "sig1,4,4,4,TRUE,N,N,N,I1,,4,0,0,FALSE,N,N,N,N,,Q1 0 0 0 4 -80:1 "
+    "-34:1 -11:1 5:1,4,0,0,FALSE,N,N,N,N,,H1 4 0000000000020000000201"
+    "0005000000,1000000\n";
+
+std::string RenderSorted(std::vector<Row> rows) {
+  std::vector<std::string> lines;
+  for (const Row& row : rows) {
+    std::string line;
+    for (const Value& v : row) line += v.ToString() + "|";
+    lines.push_back(std::move(line));
+  }
+  std::sort(lines.begin(), lines.end());
+  std::string out;
+  for (const std::string& line : lines) out += line + "\n";
+  return out;
+}
+
+class SnapshotCompatTest : public FaultFixture {
+ protected:
+  SnapshotCompatTest()
+      : path_(::testing::TempDir() + "/robustness_compat.csv") {
+    std::remove((path_ + ".bak").c_str());
+  }
+  ~SnapshotCompatTest() override { std::remove(path_.c_str()); }
+
+  std::string path_;
+};
+
+TEST_F(SnapshotCompatTest, EarlierV2AndV3CheckpointsRestoreExactly) {
+  for (const bool sketch : {false, true}) {
+    SCOPED_TRACE(sketch ? "v3" : "v2");
+    const LatSpec spec = CompatSpec(sketch);
+    WriteFile(path_, sketch ? kCompatV3Snapshot : kCompatV2Snapshot);
+    engine::Database db;
+    MonitorEngine monitor(&db);
+    ASSERT_TRUE(monitor.DefineLat(spec).ok());
+    const common::Status status = monitor.RestoreLat(spec.name, path_);
+    ASSERT_TRUE(status.ok()) << status.ToString();
+    EXPECT_EQ(monitor.metrics().persist_fallbacks.value(), 0u);
+
+    auto fed = Lat::Create(spec);
+    ASSERT_TRUE(fed.ok()) << fed.status().ToString();
+    FeedCompat(fed->get());
+    ASSERT_EQ(monitor.FindLat(spec.name)->size(), 3u);
+    EXPECT_EQ(RenderSorted(monitor.FindLat(spec.name)->Snapshot(0)),
+              RenderSorted((*fed)->Snapshot(0)));
+  }
 }
 
 // ---------------------------------------------------------------------------

@@ -607,6 +607,72 @@ TEST_F(FedTest, IngestFaultIsRetryableWithNoEffect) {
   EXPECT_EQ((*agg)->SnapshotNodes().size(), 1u);
 }
 
+TEST_F(FedTest, IngestRefusesMalformedRecordsWithNoEffect) {
+  // A record one cell short and a record whose group cell has the wrong
+  // kind are both refused by the aggregator's validation pass, before the
+  // journal append: the well-formed section shipped beside them merges
+  // nowhere, and the peer's epoch does not advance.
+  const std::string node_dir = FreshDir("malformed_node");
+  const std::string agg_dir = FreshDir("malformed_agg");
+  common::MockClock clock(1000);
+  auto lat_q = MakeLat("FleetQ");
+  auto lat_r = MakeLat("FleetR");
+  auto fleet_q = MakeLat("FleetQ");
+  auto fleet_r = MakeLat("FleetR");
+  auto node = FedNode::Open({"n1", node_dir, &clock, nullptr},
+                            {lat_q.get(), lat_r.get()});
+  ASSERT_TRUE(node.ok()) << node.status().ToString();
+  auto agg = FleetAggregator::Open({.dir = agg_dir, .clock = &clock},
+                                   {fleet_q.get(), fleet_r.get()});
+  ASSERT_TRUE(agg.ok()) << agg.status().ToString();
+
+  InsertQuery(lat_q.get(), "a", 2.0, clock.NowMicros());
+  InsertQuery(lat_r.get(), "b", 3.0, clock.NowMicros());
+  ASSERT_TRUE((*node)->ExportEpoch().ok());
+  auto payload = (*node)->spool()->ReadEpoch(1);
+  ASSERT_TRUE(payload.ok());
+  ASSERT_TRUE((*agg)->Ingest(*payload).ok());
+
+  auto render = [&](Lat* lat) {
+    std::string out;
+    for (const Row& row : lat->Snapshot(clock.NowMicros())) {
+      for (const Value& v : row) out += v.ToString() + "|";
+      out += "\n";
+    }
+    return out;
+  };
+  const std::string journal_path = agg_dir + "/journal";
+  const std::string q_before = render(fleet_q.get());
+  const std::string r_before = render(fleet_r.get());
+  const auto journal_size = std::filesystem::file_size(journal_path);
+  ASSERT_FALSE(q_before.empty());
+  ASSERT_FALSE(r_before.empty());
+
+  auto good = DecodeDelta(*payload);
+  ASSERT_TRUE(good.ok()) << good.status().ToString();
+  ASSERT_EQ(good->lats.size(), 2u);
+  ASSERT_EQ(good->lats[1].lat_name, "FleetR");
+  const Row& cells = good->lats[1].records[0].cells;
+  ASSERT_TRUE(cells[0].is_string());
+  Row one_short(cells.begin(), cells.end() - 1);
+  Row wrong_kind = cells;
+  wrong_kind[0] = Value::Int(7);  // the group column Sig is STRING
+  for (const Row& bad : {one_short, wrong_kind}) {
+    Delta next = *good;
+    next.epoch = 2;
+    next.lats[1].records[0].cells = bad;
+    EXPECT_FALSE((*agg)->Ingest(EncodeDelta(next)).ok());
+    EXPECT_EQ(render(fleet_q.get()), q_before);
+    EXPECT_EQ(render(fleet_r.get()), r_before);
+    EXPECT_EQ(std::filesystem::file_size(journal_path), journal_size);
+    const auto nodes = (*agg)->SnapshotNodes();
+    ASSERT_EQ(nodes.size(), 1u);
+    EXPECT_EQ(nodes[0].hwm, 1);
+    EXPECT_EQ(nodes[0].last_epoch, 1);
+    EXPECT_EQ(nodes[0].applied, 1u);
+  }
+}
+
 TEST_F(FedTest, FleetViewsAnswerSql) {
   const std::string dir = FreshDir("fleet_views");
   common::MockClock clock(1000);

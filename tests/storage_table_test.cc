@@ -211,11 +211,12 @@ TEST(TableIoTest, CsvRoundTrip) {
   ASSERT_TRUE(table.Insert(MakeRow(2, "with,comma \"q\"", -2.0)).ok());
 
   const std::string path = ::testing::TempDir() + "/table_io_test.csv";
-  ASSERT_TRUE(WriteTableCsv(table, path).ok());
+  ASSERT_TRUE(WriteTableCsv(table, path, kSnapshotVersionV2).ok());
 
   Table restored(2, MakeSchema());
   size_t skipped = 0;
-  ASSERT_TRUE(LoadTableCsv(&restored, path, &skipped).ok());
+  ASSERT_TRUE(
+      LoadTableCsv(&restored, path, kSnapshotVersionV2, &skipped).ok());
   EXPECT_EQ(skipped, 0u);
   ASSERT_EQ(restored.row_count(), 2u);
   auto row = restored.Get({Value::Int(2)});
@@ -224,7 +225,8 @@ TEST(TableIoTest, CsvRoundTrip) {
   EXPECT_DOUBLE_EQ((*row)[2].double_value(), -2.0);
 
   // Loading again skips duplicates.
-  ASSERT_TRUE(LoadTableCsv(&restored, path, &skipped).ok());
+  ASSERT_TRUE(
+      LoadTableCsv(&restored, path, kSnapshotVersionV2, &skipped).ok());
   EXPECT_EQ(skipped, 2u);
   std::remove(path.c_str());
 }
@@ -236,10 +238,10 @@ TEST(TableIoTest, CsvRoundTripsEmbeddedNewlines) {
   ASSERT_TRUE(table.Insert(MakeRow(3, "quotes \"and\"\nbreaks, too", 2.0)).ok());
 
   const std::string path = ::testing::TempDir() + "/table_io_newline.csv";
-  ASSERT_TRUE(WriteTableCsv(table, path).ok());
+  ASSERT_TRUE(WriteTableCsv(table, path, kSnapshotVersionV2).ok());
 
   Table restored(2, MakeSchema());
-  ASSERT_TRUE(LoadTableCsv(&restored, path).ok());
+  ASSERT_TRUE(LoadTableCsv(&restored, path, kSnapshotVersionV2).ok());
   ASSERT_EQ(restored.row_count(), 3u);
   EXPECT_EQ((*restored.Get({Value::Int(1)}))[1].string_value(),
             "line one\nline two");
@@ -256,21 +258,22 @@ TEST(TableIoTest, SnapshotWritesHeaderAndRotatesBackup) {
   const std::string path = ::testing::TempDir() + "/table_io_rotate.csv";
   std::remove(path.c_str());
   std::remove((path + ".bak").c_str());
-  ASSERT_TRUE(WriteTableCsv(table, path).ok());
+  ASSERT_TRUE(WriteTableCsv(table, path, kSnapshotVersionV2).ok());
 
   std::ifstream in(path);
   std::string header;
   ASSERT_TRUE(static_cast<bool>(std::getline(in, header)));
-  EXPECT_EQ(header.rfind("#sqlcm-snapshot v=1 crc=", 0), 0u) << header;
+  EXPECT_EQ(header.rfind("#sqlcm-snapshot v=2 crc=", 0), 0u) << header;
 
   // A second write rotates the first snapshot to .bak.
   ASSERT_TRUE(table.Insert(MakeRow(2, "second", 2.0)).ok());
-  ASSERT_TRUE(WriteTableCsv(table, path).ok());
+  ASSERT_TRUE(WriteTableCsv(table, path, kSnapshotVersionV2).ok());
   Table from_bak(2, MakeSchema());
-  ASSERT_TRUE(LoadTableCsv(&from_bak, path + ".bak").ok());
+  ASSERT_TRUE(
+      LoadTableCsv(&from_bak, path + ".bak", kSnapshotVersionV2).ok());
   EXPECT_EQ(from_bak.row_count(), 1u);
   Table from_primary(3, MakeSchema());
-  ASSERT_TRUE(LoadTableCsv(&from_primary, path).ok());
+  ASSERT_TRUE(LoadTableCsv(&from_primary, path, kSnapshotVersionV2).ok());
   EXPECT_EQ(from_primary.row_count(), 2u);
   std::remove(path.c_str());
   std::remove((path + ".bak").c_str());
